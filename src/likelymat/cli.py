@@ -70,6 +70,22 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _number(value) -> float:
+    """A document number as a float; NaN and +-inf are malformed input."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise UsageError(f"non-finite number {value!r} in problem document")
+    return x
+
+
+def _integer(value) -> int:
+    """A document integer (shape, index); 2.5 or "3" is malformed input."""
+    i = int(value)
+    if i != value:
+        raise UsageError(f"expected an integer, got {value!r}")
+    return i
+
+
 def _parse_marginals(doc, axis: str, shape: Shape) -> list[MarginalConstraint]:
     _require_keys(doc, {"kind", "values", "sparse"}, f"{axis}_sums")
     kind = doc.get("kind")
@@ -82,18 +98,18 @@ def _parse_marginals(doc, axis: str, shape: Shape) -> list[MarginalConstraint]:
             for i, per_slice in enumerate(values):
                 for k, v in enumerate(per_slice):
                     if v is not None:
-                        out.append(MarginalConstraint(axis, i, kind, float(v), k))
+                        out.append(MarginalConstraint(axis, i, kind, _number(v), k))
         else:
             for i, v in enumerate(values):
                 if v is not None:
-                    out.append(MarginalConstraint(axis, i, kind, float(v)))
+                    out.append(MarginalConstraint(axis, i, kind, _number(v)))
     elif "sparse" in doc:
         for entry in doc["sparse"]:
             _require_keys(entry, {"index", "value", "slice"}, f"{axis}_sums.sparse")
             out.append(
                 MarginalConstraint(
-                    axis, int(entry["index"]), kind, float(entry["value"]),
-                    int(entry["slice"]) if "slice" in entry else None,
+                    axis, _integer(entry["index"]), kind, _number(entry["value"]),
+                    _integer(entry["slice"]) if "slice" in entry else None,
                 )
             )
     else:
@@ -104,37 +120,51 @@ def _parse_marginals(doc, axis: str, shape: Shape) -> list[MarginalConstraint]:
 def _parse_blocks(doc, shape: Shape) -> list[FixedBlock]:
     if isinstance(doc, dict):
         _require_keys(doc, {"diagonal_prefix", "values"}, "fixed_blocks")
-        m = int(doc["diagonal_prefix"])
+        m = _integer(doc["diagonal_prefix"])
         values = doc.get("values", 0.0)
         if not isinstance(values, list):
             values = [values] * m
         if len(values) != m:
             raise UsageError("diagonal_prefix and values length disagree")
         return [
-            FixedBlock((i,), ((float(v),),)) for i, v in enumerate(values)
+            FixedBlock((i,), ((_number(v),),)) for i, v in enumerate(values)
         ]
     out = []
     for entry in doc:
         _require_keys(entry, {"indices", "matrix"}, "fixed_blocks[]")
         out.append(
             FixedBlock(
-                tuple(int(i) for i in entry["indices"]),
-                tuple(tuple(float(v) for v in row) for row in entry["matrix"]),
+                tuple(_integer(i) for i in entry["indices"]),
+                tuple(tuple(_number(v) for v in row) for row in entry["matrix"]),
             )
         )
     return out
 
 
 def load_problem(doc: dict) -> ProblemSpec:
-    """Build a (validated) spec from a parsed problem document."""
+    """Build a (validated) spec from a parsed problem document.
+
+    A missing field, a value of the wrong type and a non-finite number are
+    malformed input and raise :class:`UsageError`.
+    """
     if not isinstance(doc, dict) or "shape" not in doc:
         raise UsageError("problem document must be an object with a 'shape' key")
+    try:
+        spec = _read_spec(doc)
+    except KeyError as e:
+        raise UsageError(f"missing field {e} in problem document") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise UsageError(f"malformed problem document: {e}") from e
+    return validate_spec(spec)
+
+
+def _read_spec(doc: dict) -> ProblemSpec:
     _require_keys(doc, _TOP_KEYS, "problem document")
     sh = doc["shape"]
     _require_keys(sh, {"rows", "cols", "slices"}, "shape")
     shape = Shape(
-        int(sh["rows"]), int(sh["cols"]),
-        int(sh["slices"]) if sh.get("slices") is not None else None,
+        _integer(sh["rows"]), _integer(sh["cols"]),
+        _integer(sh["slices"]) if sh.get("slices") is not None else None,
     )
     marginals: list[MarginalConstraint] = []
     if "row_sums" in doc:
@@ -144,15 +174,13 @@ def load_problem(doc: dict) -> ProblemSpec:
     total = None
     if "total" in doc:
         _require_keys(doc["total"], {"kind", "value"}, "total")
-        total = TotalConstraint(doc["total"]["kind"], float(doc["total"]["value"]))
-    elements = [
-        ElementBound(int(e["i"]), int(e["j"]), float(e["ub"]))
-        for e in doc.get("element_bounds", ())
-    ]
+        total = TotalConstraint(doc["total"]["kind"], _number(doc["total"]["value"]))
+    elements = []
     for e in doc.get("element_bounds", ()):
         _require_keys(e, {"i", "j", "ub"}, "element_bounds[]")
+        elements.append(ElementBound(_integer(e["i"]), _integer(e["j"]), _number(e["ub"])))
     blocks = _parse_blocks(doc.get("fixed_blocks", []), shape)
-    spec = ProblemSpec(
+    return ProblemSpec(
         shape=shape,
         marginals=tuple(marginals),
         total=total,
@@ -160,7 +188,21 @@ def load_problem(doc: dict) -> ProblemSpec:
         fixed_blocks=tuple(blocks),
         symmetric=bool(doc.get("symmetric", False)),
     )
-    return validate_spec(spec)
+
+
+def _read_matrix(doc) -> np.ndarray:
+    """The array of a matrix document: a bare list, ``matrix`` or ``slices``."""
+    try:
+        if isinstance(doc, dict):
+            doc = doc["slices"] if "slices" in doc else doc["matrix"]
+        X = np.asarray(doc, dtype=float)
+    except KeyError as e:
+        raise UsageError(f"missing field {e} in matrix document") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise UsageError(f"malformed matrix document: {e}") from e
+    if not np.all(np.isfinite(X)):
+        raise UsageError("non-finite number in matrix document")
+    return X
 
 
 def _read_json(path: str):
@@ -190,12 +232,13 @@ def _jsonable(value):
 
 def _residuals(spec: ProblemSpec, X: np.ndarray) -> dict:
     eq_res, bound_res = 0.0, 0.0
+    sums: dict = {}  # (axis, slice) -> that axis's sums, computed once
     for c in spec.marginals:
-        ax = 1 if c.axis == "row" else 0
-        if spec.shape.is_3d:
-            val = float(X[:, :, c.slice_index].sum(axis=ax)[c.index])
-        else:
-            val = float(X.sum(axis=ax)[c.index])
+        key = (1 if c.axis == "row" else 0, c.slice_index)
+        if key not in sums:
+            sheet = X if c.slice_index is None else X[:, :, c.slice_index]
+            sums[key] = sheet.sum(axis=key[0])
+        val = float(sums[key][c.index])
         scale = max(1.0, abs(c.value))
         if c.kind == "equal":
             eq_res = max(eq_res, abs(val - c.value) / scale)
@@ -288,7 +331,10 @@ def _emit(payload, args) -> None:
             chunks.append("\n".join(",".join(repr(float(v)) for v in row) for row in sheet))
         text = ("\n\n").join(chunks) + "\n"
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as e:  # strict JSON has no NaN or Infinity
+            raise LikelymatError(f"result has a non-finite number: {e}") from e
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -353,11 +399,7 @@ def _cmd_count(args) -> int:
             _emit(payload, args)
             return 0
         raise UsageError("count on a problem file needs a row-sums-only spec")
-    if isinstance(doc, dict):
-        matrix = doc["slices"] if "slices" in doc else doc["matrix"]
-    else:
-        matrix = doc
-    X = np.asarray(matrix, dtype=float)
+    X = _read_matrix(doc)
     payload = {"log10_realizations": log10_realizations(X).log10, "total": float(X.sum())}
     if args.exact or np.allclose(X, np.rint(X), rtol=0, atol=1e-9):
         payload["exact"] = exact_realizations(X).value
@@ -449,6 +491,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact counts can run to more digits than int-to-str allows by default.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

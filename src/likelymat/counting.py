@@ -41,10 +41,7 @@ class ExactCount:
     def log10(self) -> float:
         if self.value == 0:
             return -math.inf
-        # Stay exact for huge values: int -> float overflows past 1e308.
-        digits = len(str(self.value))
-        head = int(str(self.value)[:15])
-        return math.log10(head) + (digits - 15) if digits > 15 else math.log10(self.value)
+        return math.log10(self.value)  # accepts ints past the float range
 
 
 @dataclass(frozen=True)

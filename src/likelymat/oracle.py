@@ -6,6 +6,9 @@ over the problem's linear constraints by solving the smooth dual with L-BFGS-B
 plus a projected-Newton polish; :func:`brute_force_most_likely` enumerates
 small integer instances outright; :func:`verify_kkt` checks feasibility,
 product form, multiplier ranges, and complementary slackness of any solution.
+
+scipy is imported inside the two routines that call it, so importing the
+package (or starting the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .constraints import REL_TOL, ProblemSpec, validate_spec
 from .counting import ExactCount
@@ -207,6 +209,8 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
     L-BFGS-B and polished with a projected Newton step.  Returns the primal
     vector, the multipliers, the KKT residual, and the iteration count.
     """
+    from scipy.optimize import minimize  # loaded on first use, not at import
+
     eq = program.eq + (extra_eq or [])
     ub = program.ub
     n = program.n
@@ -233,7 +237,7 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
         for j in range(n_ub):
             gj = g[n_eq + j]
             res = max(res, abs(gj) if theta[n_eq + j] > 1e-14 else max(0.0, -gj))
-        return res
+        return float(res)  # a numpy scalar here would leak into OracleResult
 
     theta = np.zeros(n_eq + n_ub) if theta0 is None else np.asarray(theta0, float)
     bounds = [(None, None)] * n_eq + [(0.0, None)] * n_ub
@@ -280,6 +284,8 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
 
 def _max_total(program: _Program) -> float:
     """Largest feasible total of the free cells (linear program)."""
+    from scipy.optimize import linprog  # loaded on first use, not at import
+
     n = program.n
     if n == 0:
         return 0.0

@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from likelymat.cli import main
+from likelymat import LikelymatError, MarginalConstraint, ProblemSpec, Shape
+from likelymat.cli import _emit, _residuals, main
+from conftest import make_spec
 
 TEN_BOUNDS = [20, 20, 24, 30, 30, 36, 36, 36, 36, 40]
 
@@ -23,6 +27,15 @@ ZERO_DIAGONAL_PROBLEM = {
 }
 
 
+@pytest.fixture(autouse=True)
+def int_digit_limit():
+    """``main`` lifts the int-to-str digit limit; keep that out of other tests."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if old is not None:
+        sys.set_int_max_str_digits(old)
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -33,6 +46,13 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def strict_json(text):
+    """Parse JSON that must not hold NaN or +-Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestSolve:
@@ -127,6 +147,17 @@ class TestCount:
         _, counted = run_json(capsys, ["count", mpath])
         assert abs(counted["log10_realizations"] - solved["log10_realizations"]) <= 1e-9
 
+    def test_exact_count_above_the_int_to_str_digit_limit(self, tmp_path, capsys):
+        X = np.random.default_rng(0).integers(0, 51, size=(20, 20))
+        expected = math.factorial(int(X.sum()))
+        for v in X.ravel():
+            expected //= math.factorial(int(v))
+        path = write(tmp_path, "m.json", X.tolist())
+        code, doc = run_json(capsys, ["count", path, "--exact"])
+        assert code == 0
+        assert len(str(doc["exact"])) > 4300
+        assert doc["exact"] == expected
+
 
 class TestCheck:
     def test_valid_spec(self, tmp_path, capsys):
@@ -171,5 +202,123 @@ class TestOracleAndBrute:
         assert doc["max_realizations"] == 12600
         assert len(doc["argmax"]) == 4
 
+    def test_oracle_total_row_bounds_emits_strict_json(self, tmp_path, capsys):
+        problem = {
+            "shape": {"rows": 6, "cols": 6},
+            "row_sums": {"kind": "upper",
+                         "values": [85.5157, 1.7083, 16.8252, 8.8261, 94.4045, 35.9431]},
+            "total": {"kind": "equal", "value": 129.0048},
+        }
+        path = write(tmp_path, "p.json", problem)
+        assert main(["oracle", path]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["case"] == "total_row_bounds"
+        assert doc["converged"] is True and doc["kkt_ok"] is True
+        assert doc["linf_gap"] <= 1e-6
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["solve", "/nonexistent/problem.json"]) == 2
+
+
+MALFORMED = {
+    "element_bound_without_j": json.dumps(dict(
+        ROW_BOUND_PROBLEM, element_bounds=[{"i": 0, "ub": 1.0}])),
+    "fractional_rows": json.dumps(dict(
+        ROW_BOUND_PROBLEM, shape={"rows": 9.5, "cols": 10})),
+    "string_rows": json.dumps(dict(
+        ROW_BOUND_PROBLEM, shape={"rows": "ten", "cols": 10})),
+    "overflowing_total": json.dumps(dict(
+        ROW_BOUND_PROBLEM, total={"kind": "upper", "value": 10**400})),
+    "total_without_value": json.dumps(dict(
+        ROW_BOUND_PROBLEM, total={"kind": "equal"})),
+    "nan_row_sum": '{"shape": {"rows": 2, "cols": 2}, '
+                   '"row_sums": {"kind": "equal", "values": [NaN, 1]}}',
+    "infinite_row_sum": '{"shape": {"rows": 2, "cols": 2}, '
+                        '"row_sums": {"kind": "equal", "values": [1e400, 1]}}',
+    "infinite_total": '{"shape": {"rows": 2, "cols": 2}, '
+                      '"total": {"kind": "upper", "value": Infinity}}',
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_solve_exits_two(self, name, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(MALFORMED[name])
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "text", ['[[1, Infinity]]', '{"rows": [[1]]}', '[[1, "a"]]', f"[[1, {10**400}]]"])
+    def test_count_matrix_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert main(["count", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_non_finite_result_is_an_error_not_json(self):
+        args = argparse.Namespace(format="json", out=None)
+        with pytest.raises(LikelymatError, match="non-finite"):
+            _emit({"value": math.inf}, args)
+
+
+def _residuals_per_marginal(spec, X):
+    """One full axis sum per marginal: the reference for ``_residuals``."""
+    eq_res, bound_res = 0.0, 0.0
+    for c in spec.marginals:
+        ax = 1 if c.axis == "row" else 0
+        if spec.shape.is_3d:
+            val = float(X[:, :, c.slice_index].sum(axis=ax)[c.index])
+        else:
+            val = float(X.sum(axis=ax)[c.index])
+        scale = max(1.0, abs(c.value))
+        if c.kind == "equal":
+            eq_res = max(eq_res, abs(val - c.value) / scale)
+        else:
+            bound_res = max(bound_res, (val - c.value) / scale)
+    if spec.total is not None:
+        val = float(X.sum())
+        scale = max(1.0, abs(spec.total.value))
+        if spec.total.kind == "equal":
+            eq_res = max(eq_res, abs(val - spec.total.value) / scale)
+        else:
+            bound_res = max(bound_res, (val - spec.total.value) / scale)
+    for e in spec.element_bounds:
+        bound_res = max(bound_res, (float(X[e.i, e.j]) - e.ub) / max(1.0, e.ub))
+    return {"max_equality": eq_res, "max_bound_violation": max(0.0, bound_res)}
+
+
+class TestResiduals:
+    def test_2d_matches_per_marginal_sums(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            n, m = rng.integers(1, 30, size=2)
+            X = rng.uniform(0.0, 10.0, size=(n, m))
+            row = [float(v) if rng.random() < 0.7 else None
+                   for v in X.sum(axis=1) * rng.uniform(0.99, 1.01, n)]
+            col = [float(v) if rng.random() < 0.5 else None
+                   for v in X.sum(axis=0) * rng.uniform(0.99, 1.01, m)]
+            spec = make_spec(
+                n, m,
+                row=(rng.choice(["equal", "upper"]), row),
+                col=(rng.choice(["equal", "upper"]), col),
+                total=("upper", float(X.sum()) * 0.99),
+                elements=[(int(rng.integers(n)), int(rng.integers(m)), 5.0)],
+            )
+            assert _residuals(spec, X) == _residuals_per_marginal(spec, X)
+
+    def test_3d_matches_per_slice_sums(self):
+        rng = np.random.default_rng(2)
+        for _ in range(30):
+            n, K = int(rng.integers(2, 15)), int(rng.integers(1, 5))
+            X = rng.uniform(0.0, 10.0, size=(n, n, K))
+            marginals = tuple(
+                MarginalConstraint(axis, i, str(rng.choice(["equal", "upper"])),
+                                   float(rng.uniform(0.0, 100.0)), k)
+                for axis in ("row", "col") for i in range(n) for k in range(K)
+                if rng.random() < 0.6
+            )
+            spec = ProblemSpec(shape=Shape(n, n, K), marginals=marginals, symmetric=True)
+            assert _residuals(spec, X) == _residuals_per_marginal(spec, X)

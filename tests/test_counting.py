@@ -45,6 +45,12 @@ class TestExactRealizations:
         with pytest.raises(NegativeEntry):
             exact_realizations([[1.5, 2.5]])
 
+    def test_log10_past_the_int_to_str_digit_limit(self):
+        X = np.full((20, 20), 50)
+        exact = exact_realizations(X)
+        assert exact.value.bit_length() > 4300 * 3.33  # more than 4300 digits
+        assert exact.log10 == pytest.approx(log10_realizations(X).log10, rel=1e-12)
+
 
 class TestLogRealizations:
     def test_matches_exact_for_integers(self, rng):

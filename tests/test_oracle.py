@@ -23,7 +23,8 @@ class TestNumericMaxent:
         spec = make_spec(2, 2, row=("equal", [7, 3]), col=("equal", [6, 4]))
         res = numeric_maxent(spec, "H", tol=1e-10)
         np.testing.assert_allclose(res.matrix, [[4.2, 2.8], [1.8, 1.2]], atol=1e-6)
-        assert res.converged
+        assert res.converged is True  # a Python bool, which json can emit
+        assert type(res.residual) is float
 
     def test_total_only_is_constant(self):
         res = numeric_maxent(make_spec(2, 2, total=("equal", 10.0)), "H", 1e-10)
@@ -100,7 +101,7 @@ class TestVerifyKkt:
     def test_gravity_solution_passes(self):
         spec = make_spec(2, 3, row=("equal", [6, 4]), col=("equal", [5, None, None]))
         report = verify_kkt(solve(spec), spec)
-        assert report.ok and not report.violations
+        assert report.ok is True and not report.violations
 
     def test_slack_columns_carry_unit_multiplier(self):
         spec = make_spec(2, 3, row=("upper", [3, 3]), col=("upper", [1, 2, 10]))
@@ -115,7 +116,7 @@ class TestVerifyKkt:
         bad[0, 0] += 0.1
         corrupted = Solution(bad, sol.case, total=sol.total)
         report = verify_kkt(corrupted, spec)
-        assert not report.ok
+        assert report.ok is False
         assert report.violations
 
     def test_product_form_detects_non_factorizable(self):
