@@ -30,10 +30,12 @@ from .counting import (
 from .errors import (
     BracketFailure,
     ConsistencyViolation,
+    CountOverflow,
     Infeasible,
     InfeasibleMarginals,
     InfeasibleSum,
     IndexOutOfRange,
+    InvariantViolation,
     LikelymatError,
     NegativeEntry,
     NegativeValue,

@@ -40,7 +40,12 @@ from .constraints import (
     consistency_check_blocks,
     validate_spec,
 )
-from .counting import exact_realizations, count_feasible_row_bounded, log10_realizations
+from .counting import (
+    count_feasible_row_bounded,
+    distinct_values,
+    exact_realizations,
+    log10_realizations,
+)
 from .errors import LikelymatError
 from .oracle import brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
@@ -166,6 +171,8 @@ def _read_spec(doc: dict) -> ProblemSpec:
         _integer(sh["rows"]), _integer(sh["cols"]),
         _integer(sh["slices"]) if sh.get("slices") is not None else None,
     )
+    if shape.rows * shape.cols * (shape.slices or 1) > sys.maxsize:
+        raise UsageError(f"shape has more than sys.maxsize = {sys.maxsize} cells")
     marginals: list[MarginalConstraint] = []
     if "row_sums" in doc:
         marginals += _parse_marginals(doc["row_sums"], "row", shape)
@@ -221,8 +228,6 @@ def _read_json(path: str):
 
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, float) and math.isnan(value):
@@ -286,13 +291,12 @@ def _series_payload(sol: Solution, spec: ProblemSpec, order: int):
 def _solution_payload(sol, spec: ProblemSpec, series_order: int | None) -> dict:
     out: dict = {"case": sol.case.value, "total": _jsonable(sol.total)}
     if isinstance(sol, TensorSolution):
-        K = sol.values.shape[2]
-        out["slices"] = [sol.values[:, :, k].tolist() for k in range(K)]
+        out["slices"] = np.moveaxis(sol.values, 2, 0)
         out["lambda"] = [_jsonable(v) for v in sol.lam]
         out["xi"] = [_jsonable(v) for v in sol.xi]
         X = sol.values
     else:
-        out["matrix"] = sol.matrix.tolist()
+        out["matrix"] = sol.matrix
         out["k"] = sol.k
         out["lambda"] = _jsonable(sol.lam)
         out["xi"] = _jsonable(sol.xi)
@@ -318,6 +322,62 @@ def _solution_payload(sol, spec: ProblemSpec, series_order: int | None) -> dict:
     return out
 
 
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
+_NON_FINITE = "Out of range float values are not JSON compliant: "
+
+
+def _float_cells(a: np.ndarray) -> np.ndarray:
+    """``repr`` of every cell of a float64 array, as an object array of its shape.
+
+    Closed-form solutions repeat values, so each distinct value is formatted
+    once and gathered back into place.
+    """
+    u, inv = distinct_values(a)
+    text = np.array([float.__repr__(v) for v in u.tolist()], dtype=object)
+    return text[inv].reshape(a.shape)
+
+
+def _join(items: list[str], indent: str, open_: str, close: str) -> str:
+    if not items:
+        return open_ + close
+    inner = indent + "  "
+    return open_ + inner + ("," + inner).join(items) + indent + close
+
+
+def _join_cells(cells: np.ndarray, indent: str) -> str:
+    if cells.ndim == 1:
+        return _join(cells.tolist(), indent, "[", "]")
+    inner = indent + "  "
+    return _join([_join_cells(sub, inner) for sub in cells], indent, "[", "]")
+
+
+def _dumps(o, indent: str = "\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
+
+    Float64 arrays are encoded in place of their ``tolist()`` without
+    building it.  Containers are laid out here, because passing ``indent``
+    to :mod:`json` selects its pure-Python encoder; scalars go through the
+    C encoder.  Dict keys must be strings.  NaN and +-inf raise ValueError
+    with :mod:`json`'s message for the first of them.
+    """
+    inner = indent + "  "
+    if isinstance(o, dict):
+        return _join([f"{_encode_scalar(k)}: {_dumps(v, inner)}" for k, v in sorted(o.items())],
+                     indent, "{", "}")
+    if isinstance(o, (list, tuple)):
+        return _join([_dumps(v, inner) for v in o], indent, "[", "]")
+    if isinstance(o, np.ndarray):
+        if o.dtype != np.float64 or o.ndim == 0:
+            return _dumps(o.tolist(), indent)
+        finite = np.isfinite(o)
+        if not finite.all():
+            raise ValueError(_NON_FINITE + repr(o[~finite][0].item()))
+        return _join_cells(_float_cells(o), indent)
+    if isinstance(o, float) and not math.isfinite(o):
+        raise ValueError(_NON_FINITE + repr(o))
+    return _encode_scalar(o)
+
+
 def _emit(payload, args) -> None:
     if getattr(args, "format", "json") == "csv":
         if "matrix" in payload:
@@ -328,11 +388,12 @@ def _emit(payload, args) -> None:
             raise UsageError("csv format applies only to solve results")
         chunks = []
         for sheet in sheets:
-            chunks.append("\n".join(",".join(repr(float(v)) for v in row) for row in sheet))
+            cells = _float_cells(np.asarray(sheet, dtype=np.float64))
+            chunks.append("\n".join(",".join(row) for row in cells.tolist()))
         text = ("\n\n").join(chunks) + "\n"
     else:
         try:
-            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            text = _dumps(payload) + "\n"
         except ValueError as e:  # strict JSON has no NaN or Infinity
             raise LikelymatError(f"result has a non-finite number: {e}") from e
     if args.out:

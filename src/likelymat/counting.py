@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeEntry
+from .errors import CountOverflow, NegativeEntry
 
 __all__ = [
     "ExactCount",
     "LogCount",
+    "distinct_values",
     "exact_realizations",
     "log10_realizations",
     "count_feasible_row_bounded",
@@ -80,12 +81,42 @@ def exact_realizations(X) -> ExactCount:
     return ExactCount(out)
 
 
+def distinct_values(X) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a float array and, per cell, the index of its value.
+
+    Values are told apart by bit pattern, so -0.0 and 0.0 stay distinct and
+    ``u[inv]`` reproduces every cell of ``X.ravel()`` exactly.
+    """
+    A = np.ascontiguousarray(X, dtype=np.float64).ravel()
+    bits, inv = np.unique(A.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), inv
+
+
+def _ln_factorials(values) -> list[float]:
+    """ln(x!) = lgamma(x + 1) of each value; a result past the float range
+    raises :class:`CountOverflow`."""
+    try:
+        return [math.lgamma(v + 1.0) for v in values]
+    except OverflowError as e:
+        raise CountOverflow(f"log-factorial overflows a float ({e}); entries too large") from e
+
+
+def _sum_ln_factorials(A: np.ndarray) -> float:
+    """sum of ln(x!) over the cells of A, added in cell order.
+
+    lgamma runs once per distinct value; the terms are then gathered back
+    into cell order, so the sum is bit-identical to a per-cell loop.
+    """
+    u, inv = distinct_values(A)
+    terms = np.array(_ln_factorials(u.tolist()))
+    return sum(terms[inv].tolist())
+
+
 def log10_realizations(X) -> LogCount:
     """log10 of s!/prod(x!), valid for nonnegative real entries."""
     A = _as_matrix(X)
-    s = float(A.sum())
-    val = math.lgamma(s + 1.0) - sum(math.lgamma(v + 1.0) for v in A.ravel())
-    return LogCount(val / LN10)
+    (ln_s,) = _ln_factorials([float(A.sum())])
+    return LogCount((ln_s - _sum_ln_factorials(A)) / LN10)
 
 
 def count_feasible_row_bounded(u, m: int, equality: bool) -> ExactCount:
@@ -115,10 +146,6 @@ def likelihood_ratio(X1, X2, log_domain: bool = False) -> float:
     """
     A = _as_matrix(X1)
     B = _as_matrix(X2)
-    log10r = (
-        math.lgamma(float(A.sum()) + 1.0)
-        - math.lgamma(float(B.sum()) + 1.0)
-        - sum(math.lgamma(v + 1.0) for v in A.ravel())
-        + sum(math.lgamma(v + 1.0) for v in B.ravel())
-    ) / LN10
+    ln_sa, ln_sb = _ln_factorials([float(A.sum()), float(B.sum())])
+    log10r = (ln_sa - ln_sb - _sum_ln_factorials(A) + _sum_ln_factorials(B)) / LN10
     return log10r if log_domain else 10.0 ** log10r

@@ -12,8 +12,10 @@ __all__ = [
     "ConsistencyViolation",
     "InfeasibleSum",
     "BracketFailure",
+    "InvariantViolation",
     "SeriesDomainError",
     "NegativeEntry",
+    "CountOverflow",
     "NotConverged",
     "Infeasible",
     "SearchSpaceTooLarge",
@@ -62,12 +64,24 @@ class BracketFailure(LikelymatError):
     """No sign change found for the saturation-root equation."""
 
 
+class InvariantViolation(LikelymatError):
+    """A solver's internal invariant failed: a bug or floating-point breakdown.
+
+    Examples: a bound-mode factor above 1, a non-unique informative count, or
+    a water-filling slack that increases.
+    """
+
+
 class SeriesDomainError(LikelymatError):
     """A series expansion point lies outside the admissible interval."""
 
 
 class NegativeEntry(LikelymatError):
     """A matrix passed to a counting routine has a negative entry."""
+
+
+class CountOverflow(LikelymatError):
+    """A log-scale realization count needs a log-factorial past the float range."""
 
 
 class NotConverged(LikelymatError):

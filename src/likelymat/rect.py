@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .constraints import REL_TOL, SolverCase, close
-from .errors import InfeasibleMarginals, NegativeValue
+from .errors import InfeasibleMarginals, InvariantViolation, NegativeValue
 from .solution import Solution
 from .waterfill import BoundedVectorProblem, waterfill_bounded_sum
 
@@ -260,7 +260,8 @@ def _informative_col_count(u_total: float, vs: np.ndarray) -> int:
         if lower_ok and upper_ok:
             hits.append(k)
         prefix += float(vs[k])
-    assert len(hits) == 1, f"informative column count not unique: {hits}"
+    if len(hits) != 1:
+        raise InvariantViolation(f"informative column count not unique: {hits}")
     return hits[0]
 
 

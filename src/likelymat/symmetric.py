@@ -25,6 +25,7 @@ from .constraints import REL_TOL, FixedBlock, SolverCase, close, require_block_c
 from .errors import (
     BracketFailure,
     InfeasibleMarginals,
+    InvariantViolation,
     NegativeValue,
     SeriesDomainError,
 )
@@ -148,9 +149,10 @@ def solve_root_lambda(p: RootProblem, tol: float = 1e-12) -> float:
     branch = _fixed_branch_point(p)
     flo = p.f_at_branch_point() if branch is not None and lo == branch else p.f(lo)
     fhi = p.f(hi)
-    if p.guaranteed:
-        assert flo <= 0.0, f"bracket lower end violates sign condition: f({lo})={flo}"
-        assert fhi > 0.0, f"bracket upper end violates sign condition: f({hi})={fhi}"
+    if p.guaranteed and not flo <= 0.0:
+        raise BracketFailure(f"bracket lower end violates sign condition: f({lo})={flo}")
+    if p.guaranteed and not fhi > 0.0:
+        raise BracketFailure(f"bracket upper end violates sign condition: f({hi})={fhi}")
     if flo == 0.0:
         return lo
     if not (flo < 0.0 < fhi):
@@ -402,8 +404,8 @@ def solve_sym_fixed_diagonal(
     np.fill_diagonal(X[:m_fixed, :m_fixed], w_diag)
 
     notes = () if problem.guaranteed else ("outside guaranteed bracket regime",)
-    if bounds_mode:
-        assert np.all(factors <= 1.0 + 1e-9), "bound-mode factors must stay in (0, 1]"
+    if bounds_mode and not np.all(factors <= 1.0 + 1e-9):
+        raise InvariantViolation("bound-mode factors must stay in (0, 1]")
     return Solution(
         X,
         SolverCase.SYM_FIXED_DIAGONAL,
@@ -531,9 +533,8 @@ def solve_sym_block_diagonal(
     notes = () if problem.guaranteed else ("outside guaranteed bracket regime",)
     if bounds_mode:
         block_factors = [lam * (1.0 - q[j]) / 2.0 for j in range(len(blocks))]
-        assert all(v <= 1.0 + 1e-9 for v in block_factors), (
-            "bound-mode block factors must stay in (0, 1]"
-        )
+        if not all(v <= 1.0 + 1e-9 for v in block_factors):
+            raise InvariantViolation("bound-mode block factors must stay in (0, 1]")
     return Solution(
         X,
         SolverCase.SYM_BLOCK_DIAGONAL,

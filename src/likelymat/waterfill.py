@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSum, NegativeValue
+from .errors import InfeasibleSum, InvariantViolation, NegativeValue
 
 __all__ = [
     "BoundedVectorProblem",
@@ -82,7 +82,8 @@ def find_k_vector(a: float, b_sorted) -> int:
             break  # an unbounded coordinate can never saturate, nor can later ones
         prefix += bj
         phi = a - prefix - (n - j) * bj
-        assert phi <= prev_phi + 1e-12 * max(1.0, abs(a)), "slack must be nonincreasing"
+        if not phi <= prev_phi + 1e-12 * max(1.0, abs(a)):
+            raise InvariantViolation("slack must be nonincreasing")
         prev_phi = phi
         if phi >= 0:
             k = j

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,15 @@ def zero_diagonal_blocks(n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(autouse=True)
+def int_digit_limit():
+    """``cli.main`` lifts the int-to-str digit limit; keep that out of other tests."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if old is not None:
+        sys.set_int_max_str_digits(old)
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,18 @@
 import argparse
 import json
 import math
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import likelymat
 from likelymat import LikelymatError, MarginalConstraint, ProblemSpec, Shape
-from likelymat.cli import _emit, _residuals, main
+from likelymat.cli import _dumps, _emit, _residuals, main
 from conftest import make_spec
 
 TEN_BOUNDS = [20, 20, 24, 30, 30, 36, 36, 36, 36, 40]
@@ -25,15 +30,6 @@ ZERO_DIAGONAL_PROBLEM = {
     "fixed_blocks": {"diagonal_prefix": 4, "values": [0, 0, 0, 0]},
     "symmetric": True,
 }
-
-
-@pytest.fixture(autouse=True)
-def int_digit_limit():
-    """``main`` lifts the int-to-str digit limit; keep that out of other tests."""
-    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    yield
-    if old is not None:
-        sys.set_int_max_str_digits(old)
 
 
 def write(tmp_path, name, doc):
@@ -237,6 +233,14 @@ MALFORMED = {
                         '"row_sums": {"kind": "equal", "values": [1e400, 1]}}',
     "infinite_total": '{"shape": {"rows": 2, "cols": 2}, '
                       '"total": {"kind": "upper", "value": Infinity}}',
+    "unindexable_shape_with_total": json.dumps(
+        {"shape": {"rows": 10**400, "cols": 2}, "total": {"kind": "equal", "value": 3}}),
+    "unindexable_shape_with_sparse_rows": json.dumps(
+        {"shape": {"rows": 10**400, "cols": 2},
+         "row_sums": {"kind": "equal", "sparse": [{"index": 0, "value": 1}]}}),
+    "unindexable_3d_shape": json.dumps(
+        {"shape": {"rows": 2**32, "cols": 2**31, "slices": 2},
+         "total": {"kind": "equal", "value": 3}}),
 }
 
 
@@ -262,6 +266,39 @@ class TestMalformedInput:
         args = argparse.Namespace(format="json", out=None)
         with pytest.raises(LikelymatError, match="non-finite"):
             _emit({"value": math.inf}, args)
+
+    @pytest.mark.parametrize("value", [
+        -math.inf, math.nan, [1.0, math.nan], np.array([[1.0, math.nan]]),
+        np.array([[[0.5, -math.inf]]])])
+    def test_non_finite_array_is_an_error_not_json(self, value):
+        args = argparse.Namespace(format="json", out=None)
+        with pytest.raises(LikelymatError, match="non-finite"):
+            _emit({"matrix": value}, args)
+
+    def test_unindexable_shape_with_full_col_sums_exits_two(self, tmp_path):
+        """Once grew without bound; the child runs under a 1 GiB address-space cap."""
+        path = write(tmp_path, "p.json", {"shape": {"rows": 10**400, "cols": 2},
+                                          "col_sums": {"kind": "equal", "values": [1, 2]}})
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(likelymat.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from likelymat.cli import main; sys.exit(main())",
+             "solve", path], env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap_memory,
+            capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("usage error: shape has more than")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_count_overflow_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", {"shape": {"rows": 2, "cols": 2},
+                                          "row_sums": {"kind": "equal", "values": [1e308, 1e308]}})
+        assert main(["solve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: CountOverflow: ")
 
 
 def _residuals_per_marginal(spec, X):
@@ -322,3 +359,61 @@ class TestResiduals:
             )
             spec = ProblemSpec(shape=Shape(n, n, K), marginals=marginals, symmetric=True)
             assert _residuals(spec, X) == _residuals_per_marginal(spec, X)
+
+
+def dumps_reference(o) -> str:
+    """The encoder ``_dumps`` replaces, on the ``tolist()`` form of arrays."""
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        return v
+    return json.dumps(plain(o), indent=2, sort_keys=True, allow_nan=False)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, 0.1, 1 / 3, -2.5]
+
+
+class TestDumps:
+    @pytest.mark.parametrize("o", [
+        {}, [], {"a": {}, "b": []}, [[], [[]]], None, True, False, 0, -7, 1.5, "x",
+        EDGE_FLOATS,
+        {"z": 1, "a": [1, 2.0, None, True], "m": {"y": "a, b", "x": ", "}, "e": []},
+        {"s": 'quote " and \\ and \u00e9 and ", "', "t": ("tuple", 1)},
+        np.array(EDGE_FLOATS),
+        np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]),
+        np.arange(24, dtype=float).reshape(2, 3, 4) / 7,
+        np.zeros((0,)), np.zeros((2, 0)), np.zeros((0, 3)),
+        np.arange(6).reshape(2, 3), np.array([True, False]), np.array(2.5),
+        np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32),
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        np.arange(12.0).reshape(3, 4)[:, ::2],
+        {"matrix": np.full((3, 3), 0.1), "nested": [{"k": np.array([1.0, -0.0])}]},
+    ])
+    def test_matches_json_dumps(self, o):
+        assert _dumps(o) == dumps_reference(o)
+
+    def test_int_past_the_digit_limit(self):
+        n = 7 ** 6000  # about 5070 digits
+        sys.set_int_max_str_digits(0)  # as ``main`` does; the autouse fixture restores it
+        assert _dumps({"exact": n, "v": [n]}) == dumps_reference({"exact": n, "v": [n]})
+
+    def test_random_matrices_with_repeated_values(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            shape = tuple(int(v) for v in rng.integers(1, 12, int(rng.integers(1, 4))))
+            pool = np.concatenate([rng.uniform(-1e3, 1e3, 5), EDGE_FLOATS])
+            X = rng.choice(pool, shape)
+            assert _dumps({"m": X, "s": [X, X]}) == dumps_reference({"m": X, "s": [X, X]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_the_json_message(self, bad):
+        for o in ({"x": [1.0, bad, math.nan]}, {"x": np.array([[1.0, bad], [math.nan, 2.0]])}):
+            with pytest.raises(ValueError) as want:
+                dumps_reference(o)
+            with pytest.raises(ValueError) as got:
+                _dumps(o)
+            assert str(got.value) == str(want.value)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from likelymat import (
+    CountOverflow,
     NegativeEntry,
     count_feasible_row_bounded,
     exact_realizations,
@@ -13,8 +14,34 @@ from likelymat import (
     log10_realizations,
     solve_total_row_bounds,
 )
+from likelymat.counting import LN10, distinct_values
 
 TEN_BY_TEN_BOUNDS = [20, 20, 24, 30, 30, 36, 36, 36, 36, 40]
+
+
+def log10_per_cell(X) -> float:
+    """The per-cell lgamma loop: the reference for ``log10_realizations``."""
+    A = np.asarray(X, dtype=float)
+    s = float(A.sum())
+    return (math.lgamma(s + 1.0) - sum(math.lgamma(v + 1.0) for v in A.ravel())) / LN10
+
+
+def ratio_per_cell(X1, X2) -> float:
+    """The per-cell log10 likelihood ratio: the reference for ``likelihood_ratio``."""
+    A = np.asarray(X1, dtype=float)
+    B = np.asarray(X2, dtype=float)
+    return (
+        math.lgamma(float(A.sum()) + 1.0)
+        - math.lgamma(float(B.sum()) + 1.0)
+        - sum(math.lgamma(v + 1.0) for v in A.ravel())
+        + sum(math.lgamma(v + 1.0) for v in B.ravel())
+    ) / LN10
+
+
+def repeated_values(rng, shape) -> np.ndarray:
+    """Random nonnegative floats drawn from a few values, -0.0 among them."""
+    pool = np.array([-0.0, 0.0, 0.1, 1.0 / 3.0, 2.5, 7.0, 1e-300, 123.456])
+    return rng.choice(pool, shape) * rng.choice([1.0, 1.0, 1.0 + 2**-52], shape)
 
 # Per-row composition counts for the bounds above: C(u+10, 10) when the row
 # sum may fall anywhere below its bound, C(u+9, 9) when it must hit it.
@@ -69,6 +96,28 @@ class TestLogRealizations:
     def test_trivial_matrix(self):
         assert log10_realizations([[5]]).log10 == 0.0
 
+    def test_bit_identical_to_the_per_cell_loop(self, rng):
+        for _ in range(50):
+            shape = tuple(int(v) for v in rng.integers(1, 30, int(rng.integers(1, 4))))
+            for X in (repeated_values(rng, shape), rng.uniform(0.0, 50.0, shape)):
+                assert log10_realizations(X).log10 == log10_per_cell(X)
+        X = np.array([[-0.0, 0.0], [2.0, -0.0]])
+        assert log10_realizations(X).log10 == log10_per_cell(X)
+
+    def test_distinct_values_keep_negative_zero(self):
+        X = np.array([[0.0, -0.0, 1.5], [1.5, 0.0, -0.0]])
+        u, inv = distinct_values(X)
+        assert u.size == 3
+        assert u[inv].view(np.int64).tolist() == X.ravel().view(np.int64).tolist()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("X", [[[1e308, 1.0]], [[5e307, 5e307], [5e307, 5e307]]])
+    def test_lgamma_overflow_is_count_overflow(self, X):
+        with pytest.raises(CountOverflow):
+            log10_realizations(X)
+        with pytest.raises(CountOverflow):
+            likelihood_ratio(X, [[1.0]])
+
 
 class TestFeasibleCounts:
     def test_under_bound_product(self):
@@ -116,6 +165,12 @@ class TestLikelihoodRatio:
     def test_identical_matrices(self):
         X = np.array([[1.5, 2.5], [0.5, 3.0]])
         assert likelihood_ratio(X, X) == 1.0
+
+    def test_bit_identical_to_the_per_cell_sums(self, rng):
+        for _ in range(50):
+            shape = tuple(int(v) for v in rng.integers(1, 20, 2))
+            A, B = repeated_values(rng, shape), repeated_values(rng, shape)
+            assert likelihood_ratio(A, B, log_domain=True) == ratio_per_cell(A, B)
 
     def test_different_totals_use_full_formula(self):
         ratio = likelihood_ratio([[2, 2]], [[1, 1]])
