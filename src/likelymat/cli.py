@@ -50,7 +50,7 @@ from .errors import LikelymatError
 from .oracle import brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
 from .solve import solve
-from .symmetric import RootProblem, series_approx_xi
+from .symmetric import series_approx_xi
 
 __all__ = ["main", "load_problem"]
 
@@ -261,24 +261,11 @@ def _residuals(spec: ProblemSpec, X: np.ndarray) -> dict:
     return {"max_equality": eq_res, "max_bound_violation": max(0.0, bound_res)}
 
 
-def _series_payload(sol: Solution, spec: ProblemSpec, order: int):
-    if sol.lam is None:
+def _series_payload(sol: Solution, order: int):
+    if sol.root is None:
         return None
-    kinds = spec.axis_kinds("row")
-    u = np.array(spec.axis_values("row", kind=next(iter(kinds))))
-    s = float(u.sum())
-    fixed = {b.index_set[0]: float(b.matrix[0][0]) for b in spec.fixed_blocks
-             if len(b.index_set) == 1}
-    if len(fixed) != len(spec.fixed_blocks):
-        return None
-    r = [(u[i] - fixed.get(i, 0.0)) / s if i in fixed else u[i] / s
-         for i in range(u.size)]
-    r_sorted = sorted(range(u.size), key=lambda i: i not in fixed)
-    problem = RootProblem(
-        r=tuple(r[i] for i in r_sorted), m=len(fixed)
-    )
-    xi0 = 9.0 / (4.0 * problem.sigma)
-    state = series_approx_xi(problem, xi0, order)
+    xi0 = 9.0 / (4.0 * sol.root.sigma)
+    state = series_approx_xi(sol.root, xi0, order)
     return {
         "order": order,
         "xi0": xi0,
@@ -314,7 +301,7 @@ def _solution_payload(sol, spec: ProblemSpec, series_order: int | None) -> dict:
         out["notes"] = list(sol.notes)
     if series_order is not None and isinstance(sol, Solution):
         try:
-            series = _series_payload(sol, spec, series_order)
+            series = _series_payload(sol, series_order)
         except LikelymatError:
             series = None  # expansion point inadmissible; solve output stands
         if series is not None:

@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .constraints import REL_TOL, SolverCase, close
-from .errors import InfeasibleMarginals, InvariantViolation, NegativeValue
+from .errors import InfeasibleMarginals, NegativeValue
 from .solution import Solution
-from .waterfill import BoundedVectorProblem, waterfill_bounded_sum
+from .waterfill import BoundedVectorProblem, find_k_vector, waterfill_bounded_sum
 
 __all__ = [
     "solve_gravity_partial_cols",
@@ -174,8 +174,8 @@ def solve_row_col_bounds(u, v) -> Solution:
     """Upper bounds on every row sum and every column sum.
 
     The side with the smaller total saturates completely; on the other side
-    the k tightest bounds bind (k unique) and the rest share the leftover
-    evenly.  Bounds of +inf mean "no bound" and are never informative.
+    the k tightest bounds bind (k from water-filling that total over them)
+    and the rest share the leftover evenly.  Bounds of +inf mean "no bound" and are never informative.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -215,7 +215,7 @@ def solve_row_col_bounds(u, v) -> Solution:
     order = np.argsort(v, kind="stable")
     vs = v[order]
 
-    k = _informative_col_count(u_total, vs)
+    k = find_k_vector(u_total, vs)
     leftover = max(0.0, u_total - float(vs[:k].sum()))
 
     Xs = np.empty((n, m))
@@ -244,25 +244,6 @@ def solve_row_col_bounds(u, v) -> Solution:
         col_multipliers=col_f,
         permutation=tuple(int(i) for i in order),
     )
-
-
-def _informative_col_count(u_total: float, vs: np.ndarray) -> int:
-    """Unique k with (m-k) vs[k-1] <= u_total - sum(vs[:k]) < (m-k) vs[k]."""
-    m = vs.size
-    if vs[0] * m > u_total:
-        return 0
-    hits = []
-    prefix = 0.0
-    for k in range(m):
-        leftover = u_total - prefix
-        lower_ok = k == 0 or (m - k) * vs[k - 1] <= leftover
-        upper_ok = leftover < (m - k) * vs[k]
-        if lower_ok and upper_ok:
-            hits.append(k)
-        prefix += float(vs[k])
-    if len(hits) != 1:
-        raise InvariantViolation(f"informative column count not unique: {hits}")
-    return hits[0]
 
 
 def solve_row_bounds_elem_bounds(u, W) -> Solution:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constraints import SolverCase
+
+if TYPE_CHECKING:  # symmetric imports this module
+    from .symmetric import RootProblem
 
 __all__ = ["Solution", "TensorSolution"]
 
@@ -19,10 +23,11 @@ class Solution:
     ``row_multipliers``/``col_multipliers`` are the per-constraint product
     factors in original index order (bound-type factors lie in (0, 1], with
     exactly the saturated constraints below 1).  ``lam``/``xi`` carry the
-    saturation-equation root for the fixed-diagonal and block cases.
-    ``permutation`` records the ascending sort applied internally to the
-    axis the case orders (rows for known-total water-filling, columns for
-    two-sided bounds); the matrix itself is always in input order.
+    saturation-equation root for the fixed-diagonal and block cases, and
+    ``root`` the equation itself.  ``permutation`` records the ascending
+    sort applied internally to the axis the case orders (rows for
+    known-total water-filling, columns for two-sided bounds); the matrix
+    itself is always in input order.
     """
 
     matrix: np.ndarray
@@ -35,6 +40,7 @@ class Solution:
     xi: float | None = None
     permutation: tuple[int, ...] | None = None
     notes: tuple[str, ...] = ()
+    root: RootProblem | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:

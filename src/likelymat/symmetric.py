@@ -352,11 +352,39 @@ def solve_sym_total_row_col_bounds(s: float, u) -> Solution:
     )
 
 
-def _consistency_singletons(u, w_diag, s: float, indices) -> None:
-    blocks = [
-        FixedBlock((int(i),), ((float(w),),)) for i, w in zip(indices, w_diag)
-    ]
-    require_block_consistency(u, blocks, s)
+def _root_factors(
+    r: np.ndarray, groups, tol: float
+) -> tuple[RootProblem, float, np.ndarray]:
+    """Saturation-equation root and per-node factors over fixed groups.
+
+    ``r[i]`` is node i's unfixed mass over the total.  Each group (the node
+    indices of a fixed diagonal entry or a fixed block) contributes one
+    square-root term over its summed ratio r_g; the nodes in no group form
+    the linear tail, in index order.  A group's factor is the small root of
+    f * (lam - f) = r_g in its subtraction-free form 2 r_g / (lam (1 + q_g)):
+    the companion lam - f then equals lam (1 + q_g) / 2 exactly, so each row
+    sum reproduces s r at full relative precision whatever the size of q_g.
+    A singleton's node takes the group factor itself, a node of a larger
+    group its share r_i / r_g of it, and a tail node r_i / lam.
+    """
+    grouped = np.zeros(r.size, dtype=bool)
+    grouped[[i for g in groups for i in g]] = True
+    tail = np.flatnonzero(~grouped)
+    rl = r.tolist()
+    r_group = [rl[g[0]] if len(g) == 1 else sum(rl[i] for i in g) for g in groups]
+    problem = RootProblem(r=tuple(r_group) + tuple(r[tail].tolist()), m=len(r_group))
+    lam = solve_root_lambda(problem, tol)
+    q = branch_factors(problem, lam)
+    f_group = 2.0 * np.array(r_group) / (lam * (1.0 + q))
+
+    factors = np.zeros(r.size)
+    factors[tail] = r[tail] / lam
+    for g, rg, fg in zip(groups, r_group, f_group.tolist()):
+        if len(g) == 1:
+            factors[g[0]] = fg
+        elif rg > 0:
+            factors[list(g)] = r[list(g)] * fg / rg
+    return problem, lam, factors
 
 
 def solve_sym_fixed_diagonal(
@@ -364,58 +392,23 @@ def solve_sym_fixed_diagonal(
 ) -> Solution:
     """Equal row and column sums with the first m diagonal entries fixed.
 
-    The unfixed entries take the form s * lam_i * lam_j with the factor of a
+    The singleton-block case of :func:`solve_sym_block_diagonal`: the
+    unfixed entries take the form s * lam_i * lam_j, with the factor of a
     fixed-diagonal row obtained from the saturation-equation root and the
     factor of a free row equal to its ratio over the root.  With
     ``bounds_mode`` the sums are upper bounds; the same matrix applies and
     every factor is checked to lie in (0, 1].
     """
-    u = np.asarray(u, dtype=float)
-    w_diag = np.asarray(w_diag, dtype=float)
-    n = u.size
+    w_diag = [float(w) for w in np.ravel(w_diag)]
+    n = np.size(u)
     if not 0 < m_fixed <= n:
         raise InfeasibleMarginals(f"fixed prefix {m_fixed} outside 1..{n}")
-    if w_diag.size != m_fixed:
+    if len(w_diag) != m_fixed:
         raise InfeasibleMarginals(
-            f"{w_diag.size} diagonal values for a fixed prefix of {m_fixed}"
+            f"{len(w_diag)} diagonal values for a fixed prefix of {m_fixed}"
         )
-    if np.any(u < 0) or np.any(w_diag < 0):
-        raise NegativeValue("sums and fixed values must be nonnegative")
-    if not close(s, float(u.sum())):
-        raise InfeasibleMarginals(f"total {s} disagrees with the sum total {u.sum()}")
-    if np.any(w_diag > u[:m_fixed] * (1 + REL_TOL)):
-        raise InfeasibleMarginals("a fixed diagonal value exceeds its row sum")
-    _consistency_singletons(u, w_diag, s, range(m_fixed))
-
-    r = np.maximum(0.0, u / s)
-    r[:m_fixed] = np.maximum(0.0, (u[:m_fixed] - w_diag) / s)
-    problem = RootProblem(r=tuple(float(v) for v in r), m=m_fixed)
-    lam = solve_root_lambda(problem, tol)
-    q = branch_factors(problem, lam)
-
-    factors = np.empty(n)
-    # small root of f*(lam - f) = r in its subtraction-free form; the
-    # companion lam - f then equals lam*(1+q)/2 exactly, so each row sum
-    # reproduces s*r at full relative precision whatever the size of q
-    factors[:m_fixed] = 2.0 * r[:m_fixed] / (lam * (1.0 + q))
-    factors[m_fixed:] = r[m_fixed:] / lam
-
-    X = s * np.outer(factors, factors)
-    np.fill_diagonal(X[:m_fixed, :m_fixed], w_diag)
-
-    notes = () if problem.guaranteed else ("outside guaranteed bracket regime",)
-    if bounds_mode and not np.all(factors <= 1.0 + 1e-9):
-        raise InvariantViolation("bound-mode factors must stay in (0, 1]")
-    return Solution(
-        X,
-        SolverCase.SYM_FIXED_DIAGONAL,
-        total=float(X.sum()),
-        row_multipliers=factors,
-        col_multipliers=factors.copy(),
-        lam=lam,
-        xi=4.0 / (lam * lam),
-        notes=notes,
-    )
+    blocks = [FixedBlock((i,), ((w,),)) for i, w in enumerate(w_diag)]
+    return solve_sym_block_diagonal(u, blocks, s, bounds_mode=bounds_mode, tol=tol)
 
 
 def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSolution:
@@ -438,6 +431,8 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
     if not close(s, float(u.sum())):
         raise InfeasibleMarginals(f"total {s} disagrees with the section total {u.sum()}")
 
+    zero_diagonal = [FixedBlock((i,), ((0.0,),)) for i in range(n)]
+    groups = [(i,) for i in range(n)]
     values = np.zeros((n, n, K))
     lams: list[float] = []
     xis: list[float] = []
@@ -448,11 +443,8 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
             lams.append(math.nan)
             xis.append(math.nan)
             continue
-        _consistency_singletons(u[:, k], np.zeros(n), slice_total, range(n))
-        problem = RootProblem(r=tuple(float(v) for v in u[:, k] / s), m=n)
-        lam = solve_root_lambda(problem, tol)
-        q = branch_factors(problem, lam)
-        factors = 2.0 * np.asarray(problem.r) / (lam * (1.0 + q))
+        require_block_consistency(u[:, k], zero_diagonal, slice_total)
+        problem, lam, factors = _root_factors(u[:, k] / s, groups, tol)
         sheet = s * np.outer(factors, factors)
         np.fill_diagonal(sheet, 0.0)
         values[:, :, k] = sheet
@@ -475,19 +467,22 @@ def solve_sym_block_diagonal(
 ) -> Solution:
     """Equal row and column sums with disjoint diagonal blocks fixed.
 
-    The node set is partitioned; within a block the entries equal the given
-    values, across blocks they take the form s * lam_i * lam_j where the
-    per-node factor is its unfixed-mass ratio scaled by the block factor.
-    Singleton blocks reproduce the fixed-diagonal solution.
+    Within a block the entries equal the given values; every other entry
+    takes the form s * lam_i * lam_j, where a block node's factor is its
+    unfixed-mass ratio scaled by the block factor and a node outside every
+    block forms the linear tail.  When every block is a single diagonal
+    entry this is the fixed-diagonal case.  With ``bounds_mode`` the sums
+    are upper bounds; the same matrix applies and every factor is checked
+    to lie in (0, 1].
     """
     u = np.asarray(u, dtype=float)
     n = u.size
     blocks = tuple(blocks)
     if np.any(u < 0):
         raise NegativeValue("sums must be nonnegative")
-    covered = sorted(i for b in blocks for i in b.index_set)
-    if covered != list(range(n)):
-        raise InfeasibleMarginals("fixed blocks must partition the node set")
+    covered = [i for b in blocks for i in b.index_set]
+    if not covered or len(set(covered)) != len(covered) or not set(covered) <= set(range(n)):
+        raise InfeasibleMarginals("fixed blocks must be one or more disjoint sets of nodes")
     if not close(s, float(u.sum())):
         raise InfeasibleMarginals(f"total {s} disagrees with the sum total {u.sum()}")
     for b in blocks:
@@ -501,47 +496,32 @@ def solve_sym_block_diagonal(
             )
     require_block_consistency(u, blocks, s)
 
-    r_node = np.zeros(n)
-    r_block = []
-    for b in blocks:
-        for i, w_row in zip(b.index_set, b.row_sums()):
-            val = (u[i] - w_row) / s
-            if val < -REL_TOL:
-                raise InfeasibleMarginals(
-                    f"node {i}: fixed values in its block exceed its sum"
-                )
-            r_node[i] = max(0.0, val)
-        r_block.append(float(sum(r_node[i] for i in b.index_set)))
-
-    problem = RootProblem(r=tuple(r_block), m=len(blocks))
-    lam = solve_root_lambda(problem, tol)
-    q = branch_factors(problem, lam)
-
-    factors = np.zeros(n)
-    for j, b in enumerate(blocks):
-        if r_block[j] <= 0:
-            continue
-        lam_block = 2.0 * r_block[j] / (lam * (1.0 + q[j]))
-        for i in b.index_set:
-            factors[i] = r_node[i] * lam_block / r_block[j]
+    w_rows = [w for b in blocks for w in b.row_sums()]
+    for i, w in zip(covered, w_rows):
+        if w > u[i] * (1 + REL_TOL):
+            raise InfeasibleMarginals(f"node {i}: fixed values in its block exceed its sum")
+    r = u / s
+    r[covered] = (u[covered] - w_rows) / s
+    problem, lam, factors = _root_factors(
+        np.maximum(0.0, r), [b.index_set for b in blocks], tol
+    )
+    if bounds_mode and not np.all(factors <= 1.0 + 1e-9):
+        raise InvariantViolation("bound-mode factors must stay in (0, 1]")
 
     X = s * np.outer(factors, factors)
-    for b in blocks:
-        idx = np.array(b.index_set)
-        X[np.ix_(idx, idx)] = np.asarray(b.matrix, dtype=float)
-
-    notes = () if problem.guaranteed else ("outside guaranteed bracket regime",)
-    if bounds_mode:
-        block_factors = [lam * (1.0 - q[j]) / 2.0 for j in range(len(blocks))]
-        if not all(v <= 1.0 + 1e-9 for v in block_factors):
-            raise InvariantViolation("bound-mode block factors must stay in (0, 1]")
+    X[
+        [i for b in blocks for i in b.index_set for _ in b.index_set],
+        [j for b in blocks for _ in b.index_set for j in b.index_set],
+    ] = [w for b in blocks for row in b.matrix for w in row]
+    singletons = all(len(b.index_set) == 1 for b in blocks)
     return Solution(
         X,
-        SolverCase.SYM_BLOCK_DIAGONAL,
+        SolverCase.SYM_FIXED_DIAGONAL if singletons else SolverCase.SYM_BLOCK_DIAGONAL,
         total=float(X.sum()),
         row_multipliers=factors,
         col_multipliers=factors.copy(),
         lam=lam,
         xi=4.0 / (lam * lam),
-        notes=notes,
+        notes=() if problem.guaranteed else ("outside guaranteed bracket regime",),
+        root=problem,
     )

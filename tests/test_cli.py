@@ -72,6 +72,20 @@ class TestSolve:
         got = np.array(doc["matrix"])
         np.testing.assert_allclose(got.sum(axis=1), [40, 20, 30, 40], rtol=1e-9)
 
+    def test_two_sided_bounds_at_a_float_tie(self, tmp_path, capsys):
+        # the leftover after the two smallest column bounds ties the second
+        # bound exactly in floating point
+        rows, cols = [1.9, 2.0], [0.3, 1.8, 6.0]
+        doc = {"shape": {"rows": 2, "cols": 3},
+               "row_sums": {"kind": "upper", "values": rows},
+               "col_sums": {"kind": "upper", "values": cols}}
+        code, out = run_json(capsys, ["solve", write(tmp_path, "p.json", doc)])
+        assert code == 0
+        X = np.array(out["matrix"])
+        np.testing.assert_allclose(X.sum(axis=1), rows, rtol=1e-12)
+        assert np.all(X.sum(axis=0) <= np.array(cols) + 1e-9)
+        assert out["residuals"]["max_bound_violation"] <= 1e-9
+
     def test_infeasible_exits_one(self, tmp_path, capsys):
         bad = dict(ROW_BOUND_PROBLEM, total={"kind": "equal", "value": 309})
         path = write(tmp_path, "p.json", bad)

@@ -54,6 +54,16 @@ class TestRouting:
         np.testing.assert_allclose(sol.matrix.sum(axis=0), [4.0, 5.0])
         assert sol.case is SolverCase.TOTAL_ROW_BOUNDS
 
+    def test_column_form_matches_its_row_twin(self):
+        bounds = [4.0, 8.0, 1.0]
+        got = solve(make_spec(2, 3, col=("upper", bounds), total=("equal", 9.0)))
+        twin = solve(make_spec(3, 2, row=("upper", bounds), total=("equal", 9.0)))
+        assert got.permutation == twin.permutation == (2, 0, 1)
+        assert (got.case, got.total, got.k) == (twin.case, twin.total, twin.k)
+        np.testing.assert_array_equal(got.matrix, twin.matrix.T)
+        np.testing.assert_array_equal(got.col_multipliers, twin.row_multipliers)
+        assert got.row_multipliers is None and twin.col_multipliers is None
+
     def test_symmetric_equal_sums_are_gravity(self):
         spec = make_spec(3, 3, row=("equal", [2, 3, 5]), symmetric=True)
         sol = solve(spec)

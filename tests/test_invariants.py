@@ -11,7 +11,6 @@ import pytest
 import likelymat
 from likelymat import BracketFailure, FixedBlock, InvariantViolation
 from likelymat import symmetric
-from likelymat.rect import _informative_col_count
 from likelymat.symmetric import (
     RootProblem,
     solve_root_lambda,
@@ -40,18 +39,18 @@ class TestBracketSignConditions:
 
 class TestBoundModeFactors:
     def test_fixed_diagonal_factor_above_one(self, monkeypatch):
-        monkeypatch.setattr(symmetric, "solve_root_lambda", lambda p, tol: 1e-3)
-        monkeypatch.setattr(symmetric, "branch_factors", lambda p, lam: np.zeros(p.m))
+        monkeypatch.setattr(symmetric, "solve_root_lambda", lambda p, tol: 3.0)
+        monkeypatch.setattr(symmetric, "branch_factors", lambda p, lam: np.full(p.m, -0.9))
         u = [40.0, 20.0, 30.0, 40.0]
         with pytest.raises(InvariantViolation, match="bound-mode factors"):
             solve_sym_fixed_diagonal(u, 130.0, 4, [0.0] * 4, bounds_mode=True)
 
     def test_block_factor_above_one(self, monkeypatch):
-        monkeypatch.setattr(symmetric, "solve_root_lambda", lambda p, tol: 10.0)
-        monkeypatch.setattr(symmetric, "branch_factors", lambda p, lam: np.zeros(p.m))
+        monkeypatch.setattr(symmetric, "solve_root_lambda", lambda p, tol: 3.0)
+        monkeypatch.setattr(symmetric, "branch_factors", lambda p, lam: np.full(p.m, -0.9))
         u = [40.0, 20.0, 30.0, 40.0]
         blocks = [FixedBlock((i,), ((0.0,),)) for i in range(4)]
-        with pytest.raises(InvariantViolation, match="block factors"):
+        with pytest.raises(InvariantViolation, match="bound-mode factors"):
             solve_sym_block_diagonal(u, blocks, 130.0, bounds_mode=True)
 
     def test_solvers_pass_without_the_patch(self):
@@ -62,11 +61,6 @@ class TestBoundModeFactors:
 
 
 class TestCountInvariants:
-    def test_informative_count_not_unique(self):
-        # a total above the bound sum leaves no k satisfying both inequalities
-        with pytest.raises(InvariantViolation, match="not unique"):
-            _informative_col_count(100.0, np.array([1.0, 1.0, 1.0]))
-
     def test_slack_increasing(self):
         # bounds out of ascending order make the slack rise from j = 1 to 2
         with pytest.raises(InvariantViolation, match="nonincreasing"):

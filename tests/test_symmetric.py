@@ -1,6 +1,8 @@
 """Symmetric-information solvers: roots, series, closed-form patterns."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +11,21 @@ from likelymat import (
     BracketFailure,
     ConsistencyViolation,
     FixedBlock,
+    InfeasibleMarginals,
     RootProblem,
     SeriesDomainError,
+    SolverCase,
     series_approx_xi,
+    solve,
     solve_root_lambda,
     solve_sym_3d_fixed_diagonal,
     solve_sym_block_diagonal,
     solve_sym_fixed_diagonal,
     solve_sym_total_row_col_bounds,
+    verify_kkt,
 )
+from likelymat.cli import load_problem
+from conftest import make_spec, random_sym_fixed_diagonal
 
 FOUR_NODE_SUMS = [40.0, 20.0, 30.0, 40.0]
 FOUR_NODE_RATIOS = (4 / 13, 2 / 13, 3 / 13, 4 / 13)
@@ -366,3 +374,92 @@ class TestSymBlockDiagonal:
         assert sol.matrix[3, 3] == 0.25
         np.testing.assert_allclose(sol.matrix.sum(axis=1), u, rtol=1e-9)
         np.testing.assert_allclose(sol.matrix.sum(axis=0), u, rtol=1e-9)
+
+    def test_all_singletons_are_the_fixed_diagonal_case(self):
+        blocks = tuple(FixedBlock((i,), ((0.0,),)) for i in range(4))
+        sol = solve_sym_block_diagonal(FOUR_NODE_SUMS, blocks, 130.0)
+        assert sol.case is SolverCase.SYM_FIXED_DIAGONAL
+        mixed = (FixedBlock((0, 1), ((0.0, 0.0), (0.0, 0.0))),) + tuple(
+            FixedBlock((i,), ((0.0,),)) for i in range(2, 6))
+        sol = solve_sym_block_diagonal([5.0] * 6, mixed, 30.0)
+        assert sol.case is SolverCase.SYM_BLOCK_DIAGONAL
+
+    @pytest.mark.parametrize("blocks", [
+        (),
+        (FixedBlock((0, 1), ((0.0, 0.0), (0.0, 0.0))), FixedBlock((1,), ((0.0,),))),
+        (FixedBlock((4,), ((0.0,),)),),
+    ], ids=["none", "overlapping", "out_of_range"])
+    def test_blocks_that_are_not_disjoint_node_sets_raise(self, blocks):
+        with pytest.raises(InfeasibleMarginals, match="disjoint"):
+            solve_sym_block_diagonal(FOUR_NODE_SUMS, blocks, 130.0)
+
+    def test_fixed_row_above_a_small_row_sum_raises(self):
+        # 0.002 fixed in a row summing to 0.001: a tolerance taken relative
+        # to the total (1e6) instead of the row would accept it and leave
+        # that row sum off by 100%
+        blocks = (FixedBlock((0, 1), ((0.002, 0.0), (0.0, 0.002))),) + tuple(
+            FixedBlock((i,), ((0.0,),)) for i in range(2, 5))
+        u = [0.001, 0.001, 4e5, 3e5, 3e5]
+        with pytest.raises(InfeasibleMarginals, match="node 0"):
+            solve_sym_block_diagonal(u, blocks, sum(u))
+
+    def test_partial_partition_meets_marginals_and_kkt(self, rng):
+        for _ in range(20):
+            u, blocks = _partial_partition(rng)
+            sol = solve_sym_block_diagonal(u, blocks, float(u.sum()))
+            assert sol.root.m == len(blocks) and len(sol.root.r) > len(blocks)
+            np.testing.assert_allclose(sol.matrix.sum(axis=1), u, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(sol.matrix.sum(axis=0), u, rtol=1e-12, atol=0)
+            spec = make_spec(u.size, u.size, row=("equal", u.tolist()), blocks=blocks,
+                             symmetric=True)
+            report = verify_kkt(sol, spec)
+            assert report.ok, report.violations
+
+
+def _partial_partition(rng):
+    """Row sums and disjoint blocks, one of two or more nodes, that leave
+    at least one node free; drawn until the saturation equation has a root
+    (its function is negative at the branch point)."""
+    while True:
+        n = int(rng.integers(5, 10))
+        sizes = rng.integers(1, 4, int(rng.integers(1, 4)))
+        if sizes.max() < 2 or sizes.sum() >= n:
+            continue
+        nodes = rng.permutation(n)
+        ends = np.cumsum(sizes)
+        s = float(rng.uniform(10.0, 40.0))
+        u = rng.uniform(0.5, 1.0, n)
+        u = u / u.sum() * s
+        blocks, r_group, free = [], [], set(range(n))
+        for a, b in zip(ends - sizes, ends):
+            idx = tuple(sorted(int(i) for i in nodes[a:b]))
+            W = rng.uniform(0.0, 0.02, (len(idx), len(idx))) * s
+            W = (W + W.T) / 2.0
+            blocks.append(FixedBlock(idx, tuple(tuple(float(v) for v in row) for row in W)))
+            r_group.append(float(sum(u[i] - W[k].sum() for k, i in enumerate(idx))) / s)
+            free -= set(idx)
+        root = RootProblem(r=tuple(r_group) + tuple(u[i] / s for i in sorted(free)),
+                           m=len(blocks))
+        if root.f_at_branch_point() < -0.02:
+            return u, tuple(blocks)
+
+
+class TestRootOnSolution:
+    def test_root_is_the_problem_the_series_rebuilt(self, rng):
+        # the spec's ratios with the fixed rows first (by index) and the
+        # free rows after them, as the series payload used to rebuild them
+        golden = Path(__file__).parent / "golden" / "sym_singleton_blocks.json"
+        specs = [load_problem(json.loads(golden.read_text()))]
+        specs += [random_sym_fixed_diagonal(rng) for _ in range(20)]
+        for spec in specs:
+            sol = solve(spec)
+            u = np.array(spec.axis_values("row", kind=next(iter(spec.axis_kinds("row")))))
+            s = float(u.sum())
+            fixed = {b.index_set[0]: float(b.matrix[0][0]) for b in spec.fixed_blocks}
+            r = [(u[i] - fixed[i]) / s if i in fixed else u[i] / s for i in range(u.size)]
+            order = sorted(range(u.size), key=lambda i: i not in fixed)
+            assert sol.root == RootProblem(r=tuple(r[i] for i in order), m=len(fixed))
+
+    def test_rectangular_solutions_carry_no_root(self):
+        sol = solve(make_spec(2, 2, row=("upper", [6.0, 4.0]), total=("equal", 8.0)))
+        assert sol.root is None
