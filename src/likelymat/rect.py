@@ -15,7 +15,12 @@ import numpy as np
 from .constraints import REL_TOL, SolverCase, close
 from .errors import InfeasibleMarginals, NegativeValue
 from .solution import Solution
-from .waterfill import BoundedVectorProblem, find_k_vector, waterfill_bounded_sum
+from .waterfill import (
+    BoundedVectorProblem,
+    find_k_vector,
+    waterfill_bounded_sum,
+    waterfill_rows,
+)
 
 __all__ = [
     "solve_gravity_partial_cols",
@@ -250,8 +255,8 @@ def solve_row_bounds_elem_bounds(u, W) -> Solution:
     """Upper bounds on row sums and on individual elements.
 
     The constraints separate by row, so each row is the bounded-sum
-    water-filling of its own element caps; a row whose caps total below its
-    bound simply equals the caps.
+    water-filling of its own element caps, all rows in one batched pass; a
+    row whose caps total below its bound simply equals the caps.
     """
     u = np.asarray(u, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -259,9 +264,15 @@ def solve_row_bounds_elem_bounds(u, W) -> Solution:
     n, m = W.shape
     if u.size != n:
         raise InfeasibleMarginals(f"{u.size} row bounds for {n} rows")
-    X = np.empty((n, m))
-    for i in range(n):
-        if not math.isfinite(u[i]) and not math.isfinite(float(W[i].sum())):
+    # Find the first row that a one-row water-fill would reject, and solve
+    # the rows above it first, so that errors come in row order.
+    unbounded = ~np.isfinite(u) & ~np.isfinite(W.sum(axis=1))
+    bad = unbounded | ~(u >= 0) | ~np.all(W >= 0, axis=1) | (m == 0)
+    first_bad = int(np.argmax(bad)) if bad.any() else n
+    X = waterfill_rows(u[:first_bad], W[:first_bad])[0]
+    if first_bad < n:
+        i = first_bad
+        if unbounded[i]:
             raise InfeasibleMarginals(f"row {i} is unbounded in every direction")
-        X[i] = waterfill_bounded_sum(BoundedVectorProblem(u[i], tuple(W[i]))).x
+        BoundedVectorProblem(u[i], tuple(W[i]))  # raises on the row's target or caps
     return Solution(X, SolverCase.ROW_BOUNDS_ELEM_BOUNDS, total=float(X.sum()))

@@ -17,7 +17,7 @@ below a third of their sum the root is bracketed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,35 +55,34 @@ class RootProblem:
     blocks) contribute square-root terms, the rest only the -2 r / lam^2
     tail.  ``sigma`` is 1 when nothing but the diagonal structure is fixed
     and drops below 1 as fixed values absorb mass.
+
+    The sums over ``r`` are taken once, here; the evaluators then work on
+    the fixed ratios as one array and add their square-root terms left to
+    right (``np.add.accumulate``, not the pairwise ``np.sum``), so each
+    value is bit for bit the one a scalar loop over the terms gives.
     """
 
     r: tuple[float, ...]
     m: int
+    sigma: float = field(init=False, compare=False)
+    tail: float = field(init=False, compare=False)
+    r_max: float = field(init=False, compare=False)
+    _r: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.m <= len(self.r):
             raise ValueError(f"m={self.m} outside 0..{len(self.r)}")
         if any(not v >= 0 for v in self.r):
             raise NegativeValue("mass ratios must be nonnegative")
-
-    @property
-    def sigma(self) -> float:
-        return float(sum(self.r))
-
-    @property
-    def r_max(self) -> float:
-        """Largest ratio among the square-root terms.
-
-        The bracket's lower end is the branch point of the square roots, so
-        only the first m ratios matter here; a larger ratio in the linear
-        tail does not move the branch point and must not be used (the root
-        can legitimately sit below twice its square root).
-        """
-        return max(self.r[: self.m]) if self.m > 0 else max(self.r)
-
-    @property
-    def tail(self) -> float:
-        return float(sum(self.r[self.m :]))
+        # The bracket's lower end is the branch point of the square roots, so
+        # r_max looks at the first m ratios only; a larger ratio in the
+        # linear tail does not move the branch point and must not be used
+        # (the root can legitimately sit below twice its square root).
+        r_max = max(self.r[: self.m]) if self.m > 0 else max(self.r, default=0.0)
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "sigma", float(sum(self.r)))
+        object.__setattr__(self, "tail", float(sum(self.r[self.m :])))
+        object.__setattr__(self, "_r", np.array(self.r, dtype=float))
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -93,7 +92,7 @@ class RootProblem:
     def guaranteed(self) -> bool:
         """True when the bracket is backed by the sufficient conditions."""
         sigma = self.sigma
-        if sigma <= 0 or not all(0 < v < sigma / 3 for v in self.r):
+        if sigma <= 0 or not np.all((0 < self._r) & (self._r < sigma / 3)):
             return False
         if self.m == len(self.r):
             return self.m >= 3
@@ -105,19 +104,16 @@ class RootProblem:
         square roots clamped at zero so the function extends continuously
         below each branch point."""
         lam2 = lam * lam
-        acc = 0.0
-        for v in self.r[: self.m]:
-            acc += math.sqrt(max(0.0, 1.0 - 4.0 * v / lam2))
-        return acc - 2.0 * self.tail / lam2 - (self.m - 2)
+        roots = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * self._r[: self.m] / lam2))
+        return _left_sum(roots) - 2.0 * self.tail / lam2 - (self.m - 2)
 
     def f_prime(self, lam: float) -> float:
         lam2 = lam * lam
-        acc = 4.0 * self.tail / (lam2 * lam)
-        for v in self.r[: self.m]:
-            g = 1.0 - 4.0 * v / lam2
-            if g > 0:
-                acc += 4.0 * v / (lam2 * lam * math.sqrt(g))
-        return acc
+        r_fixed = self._r[: self.m]
+        g = 1.0 - 4.0 * r_fixed / lam2
+        real = g > 0
+        terms = 4.0 * r_fixed[real] / (lam2 * lam * np.sqrt(g[real]))
+        return _left_sum(terms, 4.0 * self.tail / (lam2 * lam))
 
     def f_at_branch_point(self) -> float:
         """Value of f at lam = 2 sqrt(max fixed ratio), computed exactly.
@@ -126,13 +122,16 @@ class RootProblem:
         which avoids the sqrt-of-rounding-noise the generic evaluator would
         produce for the top ratio itself (the tied terms are exactly zero).
         """
-        r_fixed = self.r[: self.m]
-        r_top = max(r_fixed)
-        acc = 0.0
-        for v in r_fixed:
-            if v != r_top:
-                acc += math.sqrt(max(0.0, 1.0 - v / r_top))
+        r_fixed = self._r[: self.m]
+        r_top = self.r_max
+        others = r_fixed[r_fixed != r_top]
+        acc = _left_sum(np.sqrt(np.maximum(0.0, 1.0 - others / r_top)))
         return acc - self.tail / (2.0 * r_top) - (self.m - 2)
+
+
+def _left_sum(terms: np.ndarray, start: float = 0.0) -> float:
+    """``start + terms[0] + terms[1] + ..``, added strictly left to right."""
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 def solve_root_lambda(p: RootProblem, tol: float = 1e-12) -> float:
@@ -145,9 +144,17 @@ def solve_root_lambda(p: RootProblem, tol: float = 1e-12) -> float:
     Newton step polishes the result.  A root sitting exactly on the branch
     point of the largest ratio is detected and returned as such.
     """
+    if p.sigma == 0.0:
+        raise BracketFailure("the saturation equation has no root: every ratio is zero")
     lo, hi = p.bracket
     branch = _fixed_branch_point(p)
-    flo = p.f_at_branch_point() if branch is not None and lo == branch else p.f(lo)
+    if lo == 0.0:
+        # Every square-root ratio is zero, so the tail drives f(0+) to -inf.
+        flo = -math.inf
+    elif branch is not None and lo == branch:
+        flo = p.f_at_branch_point()
+    else:
+        flo = p.f(lo)
     fhi = p.f(hi)
     if p.guaranteed and not flo <= 0.0:
         raise BracketFailure(f"bracket lower end violates sign condition: f({lo})={flo}")
@@ -181,10 +188,9 @@ def solve_root_lambda(p: RootProblem, tol: float = 1e-12) -> float:
 
 
 def _fixed_branch_point(p: RootProblem) -> float | None:
-    r_fixed = p.r[: p.m]
-    if not r_fixed or max(r_fixed) <= 0:
+    if p.m == 0 or p.r_max <= 0:
         return None
-    return 2.0 * math.sqrt(max(r_fixed))
+    return 2.0 * math.sqrt(p.r_max)
 
 
 def _scan_for_sign_change(p: RootProblem) -> tuple[float, float]:
@@ -228,16 +234,14 @@ def branch_factors(p: RootProblem, lam: float) -> np.ndarray:
     """
     m = p.m
     lam2 = lam * lam
-    q = np.empty(m)
-    for i in range(m):
-        q[i] = math.sqrt(max(0.0, 1.0 - 4.0 * p.r[i] / lam2))
-    r_fixed = p.r[:m]
-    r_top = max(r_fixed, default=0.0)
+    r_fixed = p._r[:m]
+    q = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * r_fixed / lam2))
+    r_top = p.r_max if m > 0 else 0.0
     if r_top > 0:
-        ties = [i for i in range(m) if r_fixed[i] == r_top]
-        others = sum(q[i] for i in range(m) if r_fixed[i] != r_top)
+        ties = r_fixed == r_top
+        others = _left_sum(q[~ties])
         residual = (m - 2) + 2.0 * p.tail / lam2 - others
-        q[ties] = min(1.0, max(0.0, residual / len(ties)))
+        q[ties] = min(1.0, max(0.0, residual / int(ties.sum())))
     return q
 
 
@@ -278,21 +282,24 @@ def series_approx_xi(p: RootProblem, xi0: float, order: int = 2) -> SeriesState:
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1, or 2, got {order}")
-    r_fixed = p.r[: p.m]
-    args = [1.0 - v * xi0 for v in r_fixed]
-    if any(a <= 0.0 for a in args):
+    r_fixed = p._r[: p.m]
+    args = 1.0 - r_fixed * xi0
+    if np.any(args <= 0.0):
         raise SeriesDomainError(
             f"expansion point {xi0} is at or beyond a branch point 1/r_max"
         )
-    rho = tuple(math.sqrt(a) for a in args)
+    rho = np.sqrt(args)
     tail = p.tail
-    delta = sum(rho) - (tail / 2.0) * xi0 - (p.m - 2)
-    d1 = -sum(v / (2.0 * q) for v, q in zip(r_fixed, rho)) - tail / 2.0
-    d2 = -sum(v * v / (4.0 * q**3) for v, q in zip(r_fixed, rho))
+    delta = _left_sum(rho) - (tail / 2.0) * xi0 - (p.m - 2)
+    d1 = -_left_sum(r_fixed / (2.0 * rho)) - tail / 2.0
+    # Cubes by the C library's pow, as Python's float power takes them:
+    # numpy's vectorised power rounds differently in the last bit.
+    cubes = np.array([q**3 for q in rho.tolist()])
+    d2 = -_left_sum(r_fixed * r_fixed / (4.0 * cubes))
     t1 = -delta / d1
     t2 = -d2 / (2.0 * d1**3) * delta * delta
     return SeriesState(
-        xi0=xi0, rho=rho, delta=delta, terms=(xi0, t1, t2), order=order
+        xi0=xi0, rho=tuple(rho.tolist()), delta=delta, terms=(xi0, t1, t2), order=order
     )
 
 
@@ -354,7 +361,7 @@ def solve_sym_total_row_col_bounds(s: float, u) -> Solution:
 
 def _root_factors(
     r: np.ndarray, groups, tol: float
-) -> tuple[RootProblem, float, np.ndarray]:
+) -> tuple[RootProblem | None, float, np.ndarray]:
     """Saturation-equation root and per-node factors over fixed groups.
 
     ``r[i]`` is node i's unfixed mass over the total.  Each group (the node
@@ -365,7 +372,8 @@ def _root_factors(
     the companion lam - f then equals lam (1 + q_g) / 2 exactly, so each row
     sum reproduces s r at full relative precision whatever the size of q_g.
     A singleton's node takes the group factor itself, a node of a larger
-    group its share r_i / r_g of it, and a tail node r_i / lam.
+    group its share r_i / r_g of it, and a tail node r_i / lam.  When every
+    ratio is zero there is no root: the problem is None and lam is NaN.
     """
     grouped = np.zeros(r.size, dtype=bool)
     grouped[[i for g in groups for i in g]] = True
@@ -373,6 +381,9 @@ def _root_factors(
     rl = r.tolist()
     r_group = [rl[g[0]] if len(g) == 1 else sum(rl[i] for i in g) for g in groups]
     problem = RootProblem(r=tuple(r_group) + tuple(r[tail].tolist()), m=len(r_group))
+    if problem.sigma == 0.0:
+        # Nothing is left unfixed: no equation to solve, every free entry is 0.
+        return None, math.nan, np.zeros(r.size)
     lam = solve_root_lambda(problem, tol)
     q = branch_factors(problem, lam)
     f_group = 2.0 * np.array(r_group) / (lam * (1.0 + q))
@@ -450,7 +461,7 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
         values[:, :, k] = sheet
         lams.append(lam)
         xis.append(4.0 / (lam * lam))
-        if not problem.guaranteed:
+        if problem is not None and not problem.guaranteed:
             notes.append(f"slice {k}: outside guaranteed bracket regime")
     return TensorSolution(
         values,
@@ -522,6 +533,7 @@ def solve_sym_block_diagonal(
         col_multipliers=factors.copy(),
         lam=lam,
         xi=4.0 / (lam * lam),
-        notes=() if problem.guaranteed else ("outside guaranteed bracket regime",),
+        notes=() if problem is None or problem.guaranteed
+        else ("outside guaranteed bracket regime",),
         root=problem,
     )

@@ -32,6 +32,23 @@ ZERO_DIAGONAL_PROBLEM = {
 }
 
 
+# Every fixed group has zero unfixed mass: the root comes from the tail alone.
+ZERO_UNFIXED_GROUP = {
+    "shape": {"rows": 4, "cols": 4},
+    "row_sums": {"kind": "equal", "values": [0.001, 400000, 300000, 300000]},
+    "fixed_blocks": [{"indices": [0], "matrix": [[0.001]]}],
+    "symmetric": True,
+}
+
+# Nothing is left unfixed: the fixed diagonal is the only feasible matrix.
+NOTHING_UNFIXED = {
+    "shape": {"rows": 2, "cols": 2},
+    "row_sums": {"kind": "equal", "values": [3, 5]},
+    "fixed_blocks": {"diagonal_prefix": 2, "values": [3, 5]},
+    "symmetric": True,
+}
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -85,6 +102,37 @@ class TestSolve:
         np.testing.assert_allclose(X.sum(axis=1), rows, rtol=1e-12)
         assert np.all(X.sum(axis=0) <= np.array(cols) + 1e-9)
         assert out["residuals"]["max_bound_violation"] <= 1e-9
+
+    @pytest.mark.parametrize("flags", [[], ["--series-order", "2"]])
+    def test_zero_unfixed_mass_in_every_fixed_group(self, tmp_path, capsys, flags):
+        path = write(tmp_path, "p.json", ZERO_UNFIXED_GROUP)
+        code = main(["solve", path, *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        out = strict_json(captured.out)
+        X = np.array(out["matrix"])
+        np.testing.assert_allclose(X.sum(axis=1), [0.001, 4e5, 3e5, 3e5], rtol=1e-12)
+        assert np.array_equal(X, X.T) and X[0, 0] == 0.001
+        assert out["lambda"] == pytest.approx(1.0, abs=1e-6)
+        assert ("series" in out) == bool(flags)
+
+    @pytest.mark.parametrize("flags", [[], ["--series-order", "2"]])
+    def test_nothing_left_unfixed(self, tmp_path, capsys, flags):
+        path = write(tmp_path, "p.json", NOTHING_UNFIXED)
+        code = main(["solve", path, *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        out = strict_json(captured.out)
+        assert out["matrix"] == [[3.0, 0.0], [0.0, 5.0]]
+        assert (out["lambda"], out["xi"]) == (None, None)
+        assert "series" not in out and "notes" not in out
+
+    @pytest.mark.parametrize("doc", [ZERO_UNFIXED_GROUP, NOTHING_UNFIXED])
+    def test_zero_unfixed_mass_checks(self, tmp_path, capsys, doc):
+        code = main(["check", write(tmp_path, "p.json", doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert strict_json(captured.out)["valid"] is True
 
     def test_infeasible_exits_one(self, tmp_path, capsys):
         bad = dict(ROW_BOUND_PROBLEM, total={"kind": "equal", "value": 309})

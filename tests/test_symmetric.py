@@ -63,6 +63,25 @@ class TestRootSolver:
         with pytest.raises(BracketFailure):
             solve_root_lambda(RootProblem(r=r, m=n))
 
+    def test_zero_fixed_ratios_leave_the_root_to_the_tail(self):
+        # f(0+) is -inf, and f = 2 - 2 tail / lam^2 puts the root at sqrt(tail)
+        lam = solve_root_lambda(RootProblem(r=(0.0, 0.0, 0.25, 0.75), m=2))
+        assert lam == pytest.approx(1.0, abs=1e-15)
+
+    def test_all_ratios_zero_is_a_clean_error(self):
+        with pytest.raises(BracketFailure, match="every ratio is zero"):
+            solve_root_lambda(RootProblem(r=(0.0, 0.0), m=2))
+
+    @pytest.mark.parametrize("doc, evals", [("sym_fixed_diag", 54), ("sym_3d", 159)])
+    def test_f_evaluation_counts_are_pinned(self, doc, evals, monkeypatch):
+        # bisection to exhaustion: a change of its path changes these counts
+        calls = []
+        f = RootProblem.f
+        monkeypatch.setattr(RootProblem, "f", lambda p, lam: calls.append(lam) or f(p, lam))
+        golden = Path(__file__).parent / "golden" / f"{doc}.json"
+        solve(load_problem(json.loads(golden.read_text())))
+        assert len(calls) == evals
+
     def test_residual_small_at_interior_roots(self, rng):
         for _ in range(100):
             n = int(rng.integers(4, 8))
