@@ -100,8 +100,7 @@ class KktReport:
 @dataclass
 class _Program:
     shape: tuple[int, ...]
-    cells: list[tuple[int, ...]]  # free cells, row-major
-    index: dict[tuple[int, ...], int]
+    cells: np.ndarray  # (n, ndim) coordinates of the free cells, row-major
     fixed: dict[tuple[int, ...], float]
     eq: list[tuple[list[int], float, str]]
     ub: list[tuple[list[int], float, str]]
@@ -114,8 +113,7 @@ class _Program:
         out = np.zeros(self.shape)
         for cell, v in self.fixed.items():
             out[cell] = v
-        for cell, v in zip(self.cells, x):
-            out[cell] = v
+        out[tuple(self.cells.T)] = x
         return out
 
 
@@ -143,8 +141,22 @@ def _build_program(spec: ProblemSpec) -> _Program:
                 raise Infeasible(f"cell ({e.i},{e.j}) is fixed above its zero cap")
             fixed[(e.i, e.j)] = 0.0
 
-    cells = [c for c in np.ndindex(*shape) if c not in fixed]
-    index = {c: i for i, c in enumerate(cells)}
+    # The free cells as a mask, numbered row-major by ``pos``.  In 3-D a zero
+    # cap is keyed (i, j), names no cell, and so pins nothing.
+    free = np.ones(shape, dtype=bool)
+    grid = np.zeros(shape)
+    pinned_cells = [c for c in fixed if len(c) == len(shape)]
+    if pinned_cells:
+        at = tuple(np.array(pinned_cells).T)
+        free[at] = False
+        grid[at] = [fixed[c] for c in pinned_cells]
+    pos = np.zeros(shape, dtype=np.intp)
+    pos[free] = np.arange(np.count_nonzero(free))
+    cells = np.argwhere(free)
+    # A marginal's pinned mass, added left to right along its axis (np.sum
+    # would add pairwise); 0.0 + grid turns a fixed -0.0 into 0.0, as adding
+    # it to a running 0.0 does.
+    pinned_along = [np.take(np.cumsum(0.0 + grid, axis=ax), -1, axis=ax) for ax in (0, 1)]
 
     eq: list[tuple[list[int], float, str]] = []
     ub: list[tuple[list[int], float, str]] = []
@@ -156,18 +168,10 @@ def _build_program(spec: ProblemSpec) -> _Program:
         (eq if kind == "equal" else ub).append((members, target, label))
 
     def _axis_cells(axis: str, idx: int, slice_idx) -> tuple[list[int], float]:
-        members, pinned = [], 0.0
-        for cell in np.ndindex(*shape):
-            i, j = cell[0], cell[1]
-            if sh.is_3d and cell[2] != slice_idx:
-                continue
-            if (axis == "row" and i != idx) or (axis == "col" and j != idx):
-                continue
-            if cell in fixed:
-                pinned += fixed[cell]
-            else:
-                members.append(index[cell])
-        return members, pinned
+        ax = 1 if axis == "row" else 0  # the axis the sum runs along
+        rest = () if slice_idx is None else (slice_idx,)
+        at = ((idx, slice(None)) if ax == 1 else (slice(None), idx)) + rest
+        return pos[at][free[at]].tolist(), float(pinned_along[ax][(idx, *rest)])
 
     stated = {(c.axis, c.index, c.slice_index) for c in spec.marginals}
     for c in spec.marginals:
@@ -189,10 +193,10 @@ def _build_program(spec: ProblemSpec) -> _Program:
         )
 
     for e in spec.element_bounds:
-        if e.ub > 0.0 and math.isfinite(e.ub) and (e.i, e.j) in index:
-            ub.append(([index[(e.i, e.j)]], e.ub, f"element ({e.i},{e.j})"))
+        if e.ub > 0.0 and math.isfinite(e.ub) and not sh.is_3d and free[e.i, e.j]:
+            ub.append(([int(pos[e.i, e.j])], e.ub, f"element ({e.i},{e.j})"))
 
-    return _Program(shape, cells, index, fixed, eq, ub)
+    return _Program(shape, cells, fixed, eq, ub)
 
 
 # ----------------------------------------------------------------------
@@ -212,17 +216,10 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
     from scipy.optimize import minimize  # loaded on first use, not at import
 
     eq = program.eq + (extra_eq or [])
-    ub = program.ub
-    n = program.n
-    n_eq, n_ub = len(eq), len(ub)
-    rows = []
-    targets = np.empty(n_eq + n_ub)
-    for i, (members, target, _) in enumerate(eq + ub):
-        rows.append(np.asarray(members, dtype=int))
-        targets[i] = target
-    M = np.zeros((n_eq + n_ub, n))
-    for i, members in enumerate(rows):
-        M[i, members] = 1.0
+    n_eq = len(eq)
+    constraints = eq + program.ub
+    targets = np.array([target for _, target, _ in constraints], dtype=float)
+    M = _incidence(constraints, program.n)
 
     def primal(theta: np.ndarray) -> np.ndarray:
         return np.exp(np.clip(-1.0 - M.T @ theta, -700.0, 700.0))
@@ -234,13 +231,14 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
     def kkt_residual(theta: np.ndarray) -> float:
         _, g = value_grad(theta)
         res = float(np.max(np.abs(g[:n_eq]), initial=0.0))
-        for j in range(n_ub):
-            gj = g[n_eq + j]
-            res = max(res, abs(gj) if theta[n_eq + j] > 1e-14 else max(0.0, -gj))
-        return float(res)  # a numpy scalar here would leak into OracleResult
+        # A bound with a positive multiplier must be tight; one at zero may
+        # only be slack.  A nan term is skipped (np.fmax), not propagated.
+        g_ub = g[n_eq:]
+        ub_res = np.where(theta[n_eq:] > 1e-14, np.abs(g_ub), -g_ub)
+        return max(res, float(np.fmax.reduce(ub_res, initial=0.0)))
 
-    theta = np.zeros(n_eq + n_ub) if theta0 is None else np.asarray(theta0, float)
-    bounds = [(None, None)] * n_eq + [(0.0, None)] * n_ub
+    theta = np.zeros(targets.size) if theta0 is None else np.asarray(theta0, float)
+    bounds = [(None, None)] * n_eq + [(0.0, None)] * len(program.ub)
     res = minimize(
         value_grad,
         theta,
@@ -260,9 +258,7 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
         x = primal(theta)
         grad = targets - M @ x
         active = np.zeros(theta.size, dtype=bool)
-        for j in range(n_ub):
-            if theta[n_eq + j] <= 1e-14 and grad[n_eq + j] >= 0:
-                active[n_eq + j] = True
+        active[n_eq:] = (theta[n_eq:] <= 1e-14) & (grad[n_eq:] >= 0)
         free = ~active
         H = (M[free] * x) @ M[free].T
         step = np.zeros_like(theta)
@@ -282,6 +278,14 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
     return primal(best), best, best_res, iters
 
 
+def _incidence(constraints: list[tuple[list[int], float, str]], n: int) -> np.ndarray:
+    """Dense 0/1 matrix: one row per constraint, one column per free cell."""
+    M = np.zeros((len(constraints), n))
+    for row, (members, _, _) in enumerate(constraints):
+        M[row, members] = 1.0
+    return M
+
+
 def _max_total(program: _Program) -> float:
     """Largest feasible total of the free cells (linear program)."""
     from scipy.optimize import linprog  # loaded on first use, not at import
@@ -289,23 +293,13 @@ def _max_total(program: _Program) -> float:
     n = program.n
     if n == 0:
         return 0.0
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for members, target, _ in program.ub:
-        row = np.zeros(n)
-        row[members] = 1.0
-        A_ub.append(row)
-        b_ub.append(target)
-    for members, target, _ in program.eq:
-        row = np.zeros(n)
-        row[members] = 1.0
-        A_eq.append(row)
-        b_eq.append(target)
+    ub, eq = program.ub, program.eq
     res = linprog(
         -np.ones(n),
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=_incidence(ub, n) if ub else None,
+        b_ub=np.array([target for _, target, _ in ub]) if ub else None,
+        A_eq=_incidence(eq, n) if eq else None,
+        b_eq=np.array([target for _, target, _ in eq]) if eq else None,
         bounds=(0, None),
         method="highs",
     )
@@ -549,14 +543,19 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
         if err > tol * scale(v):
             violations.append(f"fixed cell {cell}: {X[cell]} != {v}")
 
+    sums: dict[tuple[str, int | None], np.ndarray] = {}
+
+    def axis_sums(axis: str, slice_index: int | None) -> np.ndarray:
+        """Every row (or column) sum of X or of one slice, taken once."""
+        key = (axis, slice_index)
+        if key not in sums:
+            sub = X if slice_index is None else X[:, :, slice_index]
+            sums[key] = sub.sum(axis=1 if axis == "row" else 0)
+        return sums[key]
+
     achieved: dict[tuple, float] = {}
     for c in spec.marginals:
-        ax = 1 if c.axis == "row" else 0
-        if spec.shape.is_3d:
-            sub = X[:, :, c.slice_index]
-            val = float(sub.sum(axis=ax)[c.index])
-        else:
-            val = float(X.sum(axis=ax)[c.index])
+        val = float(axis_sums(c.axis, c.slice_index)[c.index])
         achieved[(c.axis, c.index, c.slice_index)] = val
         err = val - c.value
         if c.kind == "equal":
@@ -609,7 +608,7 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
                 key = (axis, i, None)
                 real = achieved.get(key)
                 if real is None and spec.symmetric:
-                    real = float(X.sum(axis=1 if axis == "row" else 0)[i])
+                    real = float(axis_sums(axis, None)[i])
                 if real is None:
                     continue
                 slack = bound - real
@@ -642,25 +641,37 @@ def _product_form_ok(spec, program: _Program, X: np.ndarray, tol: float):
         features.append(("total",))
     for e in spec.element_bounds:
         features.append(("e", e.i, e.j))
-    fidx = {f: i for i, f in enumerate(features)}
+    # The indicator column each cell sets, per feature kind, or -1.  Marginal
+    # lookups are indexed (index, slice), with slice 0 in 2-D.
+    shape = program.shape
+    slices = shape[2] if len(shape) == 3 else 1
+    axis_col = {"row": np.full((shape[0], slices), -1), "col": np.full((shape[1], slices), -1)}
+    elem_col = np.full(shape[:2], -1)
+    total_col = -1
+    for col, f in enumerate(features):
+        if f[0] == "m":
+            axis_col[f[1]][f[2], f[3] or 0] = col
+        elif f[0] == "e":
+            elem_col[f[1], f[2]] = col
+        else:
+            total_col = col
 
-    rows, rhs = [], []
-    for cell in program.cells:
-        v = X[cell]
-        if v <= ZERO_REPORT:
-            continue
-        i, j = cell[0], cell[1]
-        sl = cell[2] if len(cell) == 3 else None
-        row = np.zeros(len(features))
-        for f in (("m", "row", i, sl), ("m", "col", j, sl), ("total",), ("e", i, j)):
-            if f in fidx:
-                row[fidx[f]] = 1.0
-        rows.append(row)
-        rhs.append(math.log(v))
-    if not rows:
+    values = X[tuple(program.cells.T)]
+    keep = ~(values <= ZERO_REPORT)  # a nan entry stays in the fit
+    cells = program.cells[keep]
+    if not len(cells):
         return True, 0.0
-    A = np.array(rows)
-    b = np.array(rhs)
+    i, j = cells[:, 0], cells[:, 1]
+    sl = cells[:, 2] if len(shape) == 3 else 0
+    A = np.zeros((len(cells), len(features)))
+    at = np.arange(len(cells))
+    for col in (axis_col["row"][i, sl], axis_col["col"][j, sl], elem_col[i, j]):
+        hit = col >= 0
+        A[at[hit], col[hit]] = 1.0
+    if total_col >= 0:
+        A[:, total_col] = 1.0
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    b = np.array([math.log(v) for v in values[keep].tolist()])
     theta, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.max(np.abs(A @ theta - b)))
     return resid <= max(tol, 1e-7), resid

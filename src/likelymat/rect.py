@@ -67,8 +67,13 @@ def solve_gravity_partial_cols(u, v, m: int) -> Solution:
         X[:] = 0.0
         return Solution(X, SolverCase.GRAVITY_PARTIAL_COLS, total=0.0)
 
+    # Near the top of the float range u_i * v_j overflows although the
+    # entry does not; only then divide first, so ordinary bytes stay put.
     if ell > 0:
-        X[:, :ell] = np.outer(u, v) / s
+        if math.isfinite(float(u.max()) * float(v.max())):
+            X[:, :ell] = np.outer(u, v) / s
+        else:
+            X[:, :ell] = np.outer(u / s, v)
     if ell == 0:
         # no column information at all: each row splits exactly evenly
         X[:] = (u / m)[:, None]
@@ -80,7 +85,10 @@ def solve_gravity_partial_cols(u, v, m: int) -> Solution:
     # factor of an unconstrained column fixed to 1.
     if ell < m:
         lam_total = (s - v_total) / (m - ell)
-        row_f = lam_total * u / s
+        if math.isfinite(lam_total * float(u.max())):
+            row_f = lam_total * u / s
+        else:
+            row_f = lam_total * (u / s)
         col_f = np.ones(m)
         if lam_total > 0:
             col_f[:ell] = (m - ell) * v / (s - v_total)

@@ -1,21 +1,48 @@
-"""The numpy solver core against the scalar loops it replaced, bit for bit.
+"""The numpy solver core and oracle against the loops they replaced, bit for bit.
 
-The reference below is the loop code that ``RootProblem``, the root solver,
-``branch_factors``, ``series_approx_xi``, ``_root_factors`` and the
-water-fill ran before they were vectorised, kept verbatim apart from names.
-The vectorised code promises the same floating-point operations in the same
+The references below are the loop code that ``RootProblem``, the root
+solver, ``branch_factors``, ``series_approx_xi``, ``_root_factors`` and the
+water-fill ran before they were vectorised, and the oracle's program build,
+dual solve, product-form fit and KKT check as they were when they walked
+every cell in Python.  They are kept verbatim apart from names.  The
+vectorised code promises the same floating-point operations in the same
 order, so every comparison here is ``==``, never a tolerance.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from likelymat import BoundedVectorProblem, BracketFailure, InvariantViolation, RootProblem
-from likelymat.constraints import close
+from conftest import (
+    CASE_GENERATORS,
+    _ratios_below_third,
+    make_spec,
+    random_sym_blocks,
+    random_sym_fixed_diagonal,
+    zero_diagonal_blocks,
+)
+from likelymat import (
+    BoundedVectorProblem,
+    BracketFailure,
+    FixedBlock,
+    InvariantViolation,
+    RootProblem,
+    SolverCase,
+    classify,
+    solve,
+)
+from likelymat import oracle
+from likelymat.cli import _oracle_objective
+from likelymat.constraints import REL_TOL, ProblemSpec, close, validate_spec
+from likelymat.errors import Infeasible
+from likelymat.oracle import ZERO_REPORT, KktReport
+from likelymat.solution import Solution, TensorSolution
 from likelymat.symmetric import (
     SCAN_LIMIT,
     _root_factors,
@@ -430,3 +457,539 @@ class TestWaterfill:
             one = waterfill_rows(a[i:i + 1], W[i:i + 1])
             assert bits(x[i]) == bits(one[0][0]) and k[i] == one[1][0]
             assert bits(mu[i]) == bits(one[2][0])
+
+
+# ----------------------------------------------------------------------
+# Reference: the oracle's per-cell walks
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class WalkProgram:
+    shape: tuple[int, ...]
+    cells: list[tuple[int, ...]]  # free cells, row-major
+    index: dict[tuple[int, ...], int]
+    fixed: dict[tuple[int, ...], float]
+    eq: list[tuple[list[int], float, str]]
+    ub: list[tuple[list[int], float, str]]
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
+
+    def assemble(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape)
+        for cell, v in self.fixed.items():
+            out[cell] = v
+        for cell, v in zip(self.cells, x):
+            out[cell] = v
+        return out
+
+
+def walk_build_program(spec: ProblemSpec) -> WalkProgram:
+    spec = validate_spec(spec)
+    sh = spec.shape
+    shape = (sh.rows, sh.cols, sh.slices) if sh.is_3d else (sh.rows, sh.cols)
+
+    fixed: dict[tuple[int, ...], float] = {}
+    if sh.is_3d:
+        for i in range(sh.rows):
+            for k in range(sh.slices):
+                fixed[(i, i, k)] = 0.0
+    for b in spec.fixed_blocks:
+        if sh.is_3d:
+            continue  # only the zero diagonal, already pinned above
+        for a, i in enumerate(b.index_set):
+            for c, j in enumerate(b.index_set):
+                fixed[(i, j)] = float(b.matrix[a][c])
+    # Zero element caps pin the cell outright; keeping them as inequality
+    # constraints would push the dual to infinity.
+    for e in spec.element_bounds:
+        if e.ub == 0.0:
+            if fixed.get((e.i, e.j), 0.0) != 0.0:
+                raise Infeasible(f"cell ({e.i},{e.j}) is fixed above its zero cap")
+            fixed[(e.i, e.j)] = 0.0
+
+    cells = [c for c in np.ndindex(*shape) if c not in fixed]
+    index = {c: i for i, c in enumerate(cells)}
+
+    eq: list[tuple[list[int], float, str]] = []
+    ub: list[tuple[list[int], float, str]] = []
+
+    def _add(kind: str, members: list[int], target: float, label: str) -> None:
+        if target < -REL_TOL:
+            raise Infeasible(f"{label}: fixed values exceed the stated sum")
+        target = max(target, 0.0)
+        (eq if kind == "equal" else ub).append((members, target, label))
+
+    def _axis_cells(axis: str, idx: int, slice_idx) -> tuple[list[int], float]:
+        members, pinned = [], 0.0
+        for cell in np.ndindex(*shape):
+            i, j = cell[0], cell[1]
+            if sh.is_3d and cell[2] != slice_idx:
+                continue
+            if (axis == "row" and i != idx) or (axis == "col" and j != idx):
+                continue
+            if cell in fixed:
+                pinned += fixed[cell]
+            else:
+                members.append(index[cell])
+        return members, pinned
+
+    stated = {(c.axis, c.index, c.slice_index) for c in spec.marginals}
+    for c in spec.marginals:
+        members, pinned = _axis_cells(c.axis, c.index, c.slice_index)
+        _add(c.kind, members, c.value - pinned, f"{c.axis} {c.index}/{c.slice_index}")
+        if spec.symmetric:
+            other = "col" if c.axis == "row" else "row"
+            if (other, c.index, c.slice_index) not in stated:
+                members, pinned = _axis_cells(other, c.index, c.slice_index)
+                _add(c.kind, members, c.value - pinned, f"{other} {c.index}/{c.slice_index} (mirror)")
+
+    if spec.total is not None:
+        pinned = sum(fixed.values())
+        _add(
+            spec.total.kind,
+            list(range(len(cells))),
+            spec.total.value - pinned,
+            "total",
+        )
+
+    for e in spec.element_bounds:
+        if e.ub > 0.0 and math.isfinite(e.ub) and (e.i, e.j) in index:
+            ub.append(([index[(e.i, e.j)]], e.ub, f"element ({e.i},{e.j})"))
+
+    return WalkProgram(shape, cells, index, fixed, eq, ub)
+
+
+def walk_dual_solve(program: WalkProgram, extra_eq=None, theta0=None, tol: float = 1e-9):
+    """Maximize entropy over the program's constraints via the dual.
+
+    The stationary primal point is x_c = exp(-1 - sum of multipliers over
+    constraints containing c); the dual is smooth and convex with bound
+    constraints only (inequality multipliers stay nonnegative), solved by
+    L-BFGS-B and polished with a projected Newton step.  Returns the primal
+    vector, the multipliers, the KKT residual, and the iteration count.
+    """
+    from scipy.optimize import minimize  # loaded on first use, not at import
+
+    eq = program.eq + (extra_eq or [])
+    ub = program.ub
+    n = program.n
+    n_eq, n_ub = len(eq), len(ub)
+    rows = []
+    targets = np.empty(n_eq + n_ub)
+    for i, (members, target, _) in enumerate(eq + ub):
+        rows.append(np.asarray(members, dtype=int))
+        targets[i] = target
+    M = np.zeros((n_eq + n_ub, n))
+    for i, members in enumerate(rows):
+        M[i, members] = 1.0
+
+    def primal(theta: np.ndarray) -> np.ndarray:
+        return np.exp(np.clip(-1.0 - M.T @ theta, -700.0, 700.0))
+
+    def value_grad(theta: np.ndarray):
+        x = primal(theta)
+        return float(x.sum() + theta @ targets), targets - M @ x
+
+    def kkt_residual(theta: np.ndarray) -> float:
+        _, g = value_grad(theta)
+        res = float(np.max(np.abs(g[:n_eq]), initial=0.0))
+        for j in range(n_ub):
+            gj = g[n_eq + j]
+            res = max(res, abs(gj) if theta[n_eq + j] > 1e-14 else max(0.0, -gj))
+        return float(res)  # a numpy scalar here would leak into OracleResult
+
+    theta = np.zeros(n_eq + n_ub) if theta0 is None else np.asarray(theta0, float)
+    bounds = [(None, None)] * n_eq + [(0.0, None)] * n_ub
+    res = minimize(
+        value_grad,
+        theta,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"maxiter": 500, "maxfun": 5000, "ftol": 1e-16, "gtol": 1e-12},
+    )
+    theta = res.x
+    iters = int(res.nit)
+
+    best = theta.copy()
+    best_res = kkt_residual(theta)
+    for _ in range(40):
+        if best_res <= tol * 1e-3:
+            break
+        x = primal(theta)
+        grad = targets - M @ x
+        active = np.zeros(theta.size, dtype=bool)
+        for j in range(n_ub):
+            if theta[n_eq + j] <= 1e-14 and grad[n_eq + j] >= 0:
+                active[n_eq + j] = True
+        free = ~active
+        H = (M[free] * x) @ M[free].T
+        step = np.zeros_like(theta)
+        step[free] = np.linalg.lstsq(H, -grad[free], rcond=None)[0]
+        alpha, improved = 1.0, False
+        for _ in range(30):
+            cand = theta + alpha * step
+            cand[n_eq:] = np.maximum(cand[n_eq:], 0.0)
+            cand_res = kkt_residual(cand)
+            if cand_res < best_res:
+                theta, best, best_res, improved = cand, cand.copy(), cand_res, True
+                break
+            alpha *= 0.5
+        iters += 1
+        if not improved:
+            break
+    return primal(best), best, best_res, iters
+
+
+def walk_max_total(program: WalkProgram) -> float:
+    """Largest feasible total of the free cells (linear program)."""
+    from scipy.optimize import linprog  # loaded on first use, not at import
+
+    n = program.n
+    if n == 0:
+        return 0.0
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for members, target, _ in program.ub:
+        row = np.zeros(n)
+        row[members] = 1.0
+        A_ub.append(row)
+        b_ub.append(target)
+    for members, target, _ in program.eq:
+        row = np.zeros(n)
+        row[members] = 1.0
+        A_eq.append(row)
+        b_eq.append(target)
+    res = linprog(
+        -np.ones(n),
+        A_ub=np.array(A_ub) if A_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(A_eq) if A_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status == 3:
+        raise Infeasible("the total sum is unbounded under these constraints")
+    if not res.success:
+        raise Infeasible(f"no feasible matrix: {res.message}")
+    return float(-res.fun)
+
+
+def walk_verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
+    """Check a solution against the optimality structure of its spec.
+
+    Verifies (a) feasibility of every stated constraint, (b) the product
+    form: the log of each positive free entry is a sum of one factor per
+    constraint touching it, (c) reported bound multipliers lie in (0, 1],
+    and (d) complementary slackness: a slack bound carries multiplier 1.
+    """
+    spec = validate_spec(spec)
+    program = walk_build_program(spec)
+    X = solution.values if isinstance(solution, TensorSolution) else solution.matrix
+    X = np.asarray(X, dtype=float)
+    violations: list[str] = []
+    max_res = 0.0
+
+    def scale(v: float) -> float:
+        return max(1.0, abs(v))
+
+    if np.any(X < -tol):
+        violations.append("negative entries")
+
+    for cell, v in program.fixed.items():
+        err = abs(X[cell] - v)
+        max_res = max(max_res, err)
+        if err > tol * scale(v):
+            violations.append(f"fixed cell {cell}: {X[cell]} != {v}")
+
+    achieved: dict[tuple, float] = {}
+    for c in spec.marginals:
+        ax = 1 if c.axis == "row" else 0
+        if spec.shape.is_3d:
+            sub = X[:, :, c.slice_index]
+            val = float(sub.sum(axis=ax)[c.index])
+        else:
+            val = float(X.sum(axis=ax)[c.index])
+        achieved[(c.axis, c.index, c.slice_index)] = val
+        err = val - c.value
+        if c.kind == "equal":
+            max_res = max(max_res, abs(err))
+            if abs(err) > tol * scale(c.value):
+                violations.append(f"{c.axis} {c.index}: sum {val} != {c.value}")
+        elif err > tol * scale(c.value):
+            max_res = max(max_res, err)
+            violations.append(f"{c.axis} {c.index}: sum {val} > bound {c.value}")
+    if spec.total is not None:
+        val = float(X.sum())
+        err = val - spec.total.value
+        if spec.total.kind == "equal":
+            max_res = max(max_res, abs(err))
+            if abs(err) > tol * scale(spec.total.value):
+                violations.append(f"total {val} != {spec.total.value}")
+        elif err > tol * scale(spec.total.value):
+            violations.append(f"total {val} > bound {spec.total.value}")
+    for e in spec.element_bounds:
+        if X[e.i, e.j] > e.ub + tol * scale(e.ub):
+            violations.append(f"element ({e.i},{e.j}) exceeds its bound")
+    feasible = not violations
+
+    product_form, pf_res = walk_product_form_ok(spec, program, X, tol)
+    if not product_form:
+        violations.append(f"product form residual {pf_res}")
+    max_res = max(max_res, pf_res)
+
+    multiplier_range, slackness = True, True
+    if isinstance(solution, Solution):
+        for axis, mult in (("row", solution.row_multipliers), ("col", solution.col_multipliers)):
+            if mult is None:
+                continue
+            kinds = {c.kind for c in spec.marginals if c.axis == axis}
+            if spec.symmetric and not kinds:
+                kinds = {c.kind for c in spec.marginals if c.axis == "row"}
+            if kinds != {"upper"}:
+                continue
+            bounds = (
+                spec.axis_values("row") if spec.symmetric and axis == "col"
+                else spec.axis_values(axis)
+            )
+            for i, f in enumerate(np.asarray(mult, dtype=float)):
+                if not 0.0 < f <= 1.0 + tol:
+                    multiplier_range = False
+                    violations.append(f"{axis} {i}: multiplier {f} outside (0, 1]")
+                bound = bounds[i]
+                if not math.isfinite(bound):
+                    continue
+                key = (axis, i, None)
+                real = achieved.get(key)
+                if real is None and spec.symmetric:
+                    real = float(X.sum(axis=1 if axis == "row" else 0)[i])
+                if real is None:
+                    continue
+                slack = bound - real
+                if slack > tol * scale(bound) and abs(f - 1.0) > tol:
+                    slackness = False
+                    violations.append(
+                        f"{axis} {i}: slack bound but multiplier {f} != 1"
+                    )
+
+    return KktReport(
+        feasible=feasible,
+        product_form=product_form,
+        multiplier_range=multiplier_range,
+        complementary_slackness=slackness,
+        max_residual=max_res,
+        violations=tuple(violations),
+    )
+
+
+def walk_product_form_ok(spec, program: WalkProgram, X: np.ndarray, tol: float):
+    """Least-squares fit of log-entries on per-constraint indicators."""
+    features: list[tuple] = []
+    for c in spec.marginals:
+        features.append(("m", c.axis, c.index, c.slice_index))
+        if spec.symmetric:
+            other = "col" if c.axis == "row" else "row"
+            features.append(("m", other, c.index, c.slice_index))
+    features = sorted(set(features))
+    if spec.total is not None:
+        features.append(("total",))
+    for e in spec.element_bounds:
+        features.append(("e", e.i, e.j))
+    fidx = {f: i for i, f in enumerate(features)}
+
+    rows, rhs = [], []
+    for cell in program.cells:
+        v = X[cell]
+        if v <= ZERO_REPORT:
+            continue
+        i, j = cell[0], cell[1]
+        sl = cell[2] if len(cell) == 3 else None
+        row = np.zeros(len(features))
+        for f in (("m", "row", i, sl), ("m", "col", j, sl), ("total",), ("e", i, j)):
+            if f in fidx:
+                row[fidx[f]] = 1.0
+        rows.append(row)
+        rhs.append(math.log(v))
+    if not rows:
+        return True, 0.0
+    A = np.array(rows)
+    b = np.array(rhs)
+    theta, *_ = np.linalg.lstsq(A, b, rcond=None)
+    resid = float(np.max(np.abs(A @ theta - b)))
+    return resid <= max(tol, 1e-7), resid
+
+
+# ----------------------------------------------------------------------
+# Oracle programs and results
+# ----------------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """A result's fields, floats and arrays by bit pattern, or the error raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+    return tuple(bits(v) if isinstance(v, (float, np.ndarray)) else v
+                 for v in dataclasses.astuple(result))
+
+
+def random_blocks(rng, n, sizes, scale):
+    """Symmetric blocks over disjoint, shuffled index sets (not sorted, not prefixes)."""
+    nodes = rng.permutation(n).tolist()
+    blocks, start = [], 0
+    for size in sizes:
+        W = rng.uniform(0.0, scale, (size, size))
+        W = (W + W.T) / 2.0
+        blocks.append(FixedBlock(tuple(nodes[start:start + size]),
+                                 tuple(tuple(row) for row in W.tolist())))
+        start += size
+    return tuple(blocks)
+
+
+def oracle_specs(rng):
+    """Every case, plus the corners of the program build."""
+    for gen in CASE_GENERATORS.values():
+        for _ in range(3):
+            yield gen(rng)
+    yield random_sym_fixed_diagonal(rng, "upper")  # the G objective
+    yield random_sym_blocks(rng, "upper")
+    for spec in (random_sym_blocks(rng, "equal"), random_sym_fixed_diagonal(rng, "upper")):
+        # columns spelled out: no mirror constraints
+        cols = tuple(dataclasses.replace(c, axis="col") for c in spec.marginals)
+        yield dataclasses.replace(spec, marginals=spec.marginals + cols)
+    u = rng.uniform(10.0, 20.0, 6).tolist()
+    yield make_spec(6, 6, row=("equal", u), symmetric=True,
+                    blocks=random_blocks(rng, 6, (2, 1), 1.0))  # unsupported
+    yield make_spec(6, 6, row=("upper", u), col=("upper", u), symmetric=True,
+                    total=("equal", 40.0))
+    yield make_spec(4, 5, row=("upper", [3.0, 4.0, 5.0, 6.0]),
+                    elements=[(0, 1, 0.0), (1, 1, 2.0), (2, 3, 0.0), (3, 0, math.inf),
+                              (3, 4, 1.5)])  # zero, finite and infinite caps
+    yield make_spec(4, 4, row=("equal", [8.0, 9.0, 10.0, 11.0]), symmetric=True,
+                    blocks=zero_diagonal_blocks(4), elements=[(1, 1, 0.0), (0, 2, 0.0)])
+    yield make_spec(5, 4, row=("equal", [None, 5.0, 6.0, None, 7.0]),
+                    col=("equal", [9.0, 8.0, 4.0, 7.0]))  # rows of a transposed gravity
+    yield make_spec(6, 6, row=("equal", (rng.uniform(20.0, 30.0, (6, 2))).tolist()),
+                    symmetric=True, slices=2, blocks=zero_diagonal_blocks(6))
+
+
+def large_specs(rng):
+    """Programs only: rows of 8 and more pinned values, sparse columns, 3-D."""
+    u = rng.uniform(50.0, 90.0, 40).tolist()
+    yield make_spec(40, 40, row=("equal", u), symmetric=True,
+                    blocks=random_blocks(rng, 40, (12, 9, 1, 10), 3.0))
+    yield make_spec(40, 40, row=("upper", u), total=("upper", 1500.0), symmetric=True,
+                    blocks=random_blocks(rng, 40, (16, 8), 2.0))
+    cols = [float(v) if rng.random() < 0.3 else None for v in rng.uniform(1.0, 9.0, 25)]
+    yield make_spec(30, 25, row=("equal", rng.uniform(10.0, 20.0, 30).tolist()),
+                    col=("equal", cols))
+    yield make_spec(12, 12, row=("equal", rng.uniform(5.0, 9.0, (12, 3)).tolist()),
+                    symmetric=True, slices=3, blocks=zero_diagonal_blocks(12))
+
+
+def corruptions(rng, sol, program):
+    """The solution, and copies that break feasibility, product form or multipliers."""
+    yield sol
+    if isinstance(sol, TensorSolution):
+        bad = sol.values.copy()
+        bad[0, 1, 0] += 0.1
+        yield dataclasses.replace(sol, values=bad)
+        yield dataclasses.replace(sol, values=sol.values * rng.uniform(0.5, 2.0, bad.shape))
+        return
+    X = sol.matrix
+    for change in ("bump", "fixed", "skew", "nan"):
+        bad = X.copy()
+        if change == "bump":
+            bad[0, -1] += 0.1
+        elif change == "fixed":
+            for cell in program.fixed:
+                bad[cell] += 0.25
+        elif change == "skew":
+            bad *= rng.uniform(0.5, 2.0, bad.shape)
+        else:
+            bad[-1, 0] = math.nan
+        yield dataclasses.replace(sol, matrix=bad)
+    for name in ("row_multipliers", "col_multipliers"):
+        mult = getattr(sol, name)
+        if mult is not None:
+            yield dataclasses.replace(sol, **{name: np.where(np.arange(mult.size) % 2, 1.5, mult)})
+
+
+def assert_same_program(spec):
+    new, ref = oracle._build_program(spec), walk_build_program(spec)
+    assert new.shape == ref.shape
+    assert new.cells.shape == (len(ref.cells), len(ref.shape))
+    assert [tuple(c) for c in new.cells.tolist()] == ref.cells
+    assert list(new.fixed) == list(ref.fixed)
+    assert bits(list(new.fixed.values())) == bits(list(ref.fixed.values()))
+    for got, want in ((new.eq, ref.eq), (new.ub, ref.ub)):
+        assert [(m, label) for m, _, label in got] == [(m, label) for m, _, label in want]
+        assert [type(t) for _, t, _ in got] == [type(t) for _, t, _ in want]
+        assert bits([t for _, t, _ in got]) == bits([t for _, t, _ in want])
+    return new
+
+
+class TestOracle:
+    """The oracle's index arithmetic against the per-cell walks it replaced."""
+
+    def test_programs(self, rng):
+        for spec in [*oracle_specs(rng), *large_specs(rng)]:
+            assert_same_program(spec)
+
+    def test_infeasible_fixed_values_fail_alike(self):
+        over = (FixedBlock((0,), ((2.0,),)),)
+        for spec in (
+            make_spec(3, 3, row=("equal", [1.0, 5.0, 5.0]), symmetric=True, blocks=over),
+            make_spec(3, 3, row=("upper", [5.0, 5.0, 5.0]), total=("equal", 1.0),
+                      symmetric=True, blocks=over),
+            make_spec(3, 3, row=("equal", [4.0, 5.0, 5.0]), symmetric=True, blocks=over,
+                      elements=[(0, 0, 0.0)]),
+        ):
+            new, ref = outcome(oracle._build_program, spec), outcome(walk_build_program, spec)
+            assert ref[0] is Infeasible and new == ref
+
+    def test_results(self, rng, monkeypatch):
+        def walk_maxent(spec, objective):
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_build_program", walk_build_program)
+                m.setattr(oracle, "_dual_solve", walk_dual_solve)
+                m.setattr(oracle, "_max_total", walk_max_total)
+                return outcome(oracle.numeric_maxent, spec, objective)
+
+        reports = 0
+        for spec in oracle_specs(rng):
+            program = assert_same_program(spec)
+            case = classify(spec)
+            objective = _oracle_objective(spec, case)
+            assert outcome(oracle.numeric_maxent, spec, objective) == walk_maxent(spec, objective)
+            if case is SolverCase.UNSUPPORTED:
+                continue
+            for sol in corruptions(rng, solve(spec), program):
+                assert outcome(oracle.verify_kkt, sol, spec) == outcome(walk_verify_kkt, sol, spec)
+                reports += 1
+        assert reports >= 150
+
+    def test_product_form_at_size(self, rng):
+        # tens of thousands of logs: math.log and np.log differ on a few of them
+        u = rng.uniform(1.0, 100.0, 100)
+        cols = [float(v) if j % 4 else None for j, v in enumerate(rng.uniform(1.0, 30.0, 80))]
+        U = np.stack([_ratios_below_third(rng, 30) * 50.0 for _ in range(3)], axis=1)
+        for spec in (
+            make_spec(100, 80, row=("equal", u.tolist()), col=("equal", cols)),
+            make_spec(80, 80, row=("equal", (_ratios_below_third(rng, 80) * 500.0).tolist()),
+                      symmetric=True, blocks=zero_diagonal_blocks(80)),
+            make_spec(30, 30, row=("equal", U.tolist()), symmetric=True, slices=3,
+                      blocks=zero_diagonal_blocks(30)),
+        ):
+            sol = solve(spec)
+            X = sol.values if isinstance(sol, TensorSolution) else sol.matrix
+            program = oracle._build_program(spec)
+            walk = SimpleNamespace(cells=[tuple(c) for c in program.cells.tolist()])
+            for Y in (X, X * rng.uniform(0.9, 1.1, X.shape)):
+                ok, resid = oracle._product_form_ok(spec, program, Y, 1e-6)
+                want = walk_product_form_ok(spec, walk, Y, 1e-6)
+                assert (ok, bits(resid)) == (want[0], bits(want[1]))

@@ -6,7 +6,9 @@ written by the program before its emitter and counting were rewritten; the
 four fixed-entry outputs added later were written before the fixed-entry
 solvers were merged, and three of them were then rewritten on purpose.
 The 12x12 element-bounds output was written before element caps were
-water-filled in one batched pass over all rows.  A
+water-filled in one batched pass over all rows.  The two gravity
+documents at 1e300 were added with the fix that keeps their multipliers and
+entries finite (before it, both exited 1).  A
 change to any output byte fails here unless the files are deliberately
 rewritten and the change recorded in CHANGES.md.
 """
@@ -23,6 +25,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "gravity.solve": ("gravity", ["solve"]),
     "gravity.solve.csv": ("gravity", ["solve", "--format", "csv"]),
+    "gravity_1e300.solve": ("gravity_1e300", ["solve"]),
+    "gravity_sparse_1e300.solve": ("gravity_sparse_1e300", ["solve"]),
     "row_bounds.solve": ("row_bounds", ["solve"]),
     "total_row_bounds.solve": ("total_row_bounds", ["solve"]),
     "bounded_total.solve": ("bounded_total", ["solve"]),

@@ -15,7 +15,7 @@ from likelymat import (
     solve,
     verify_kkt,
 )
-from conftest import make_spec, zero_diagonal_blocks
+from conftest import _ratios_below_third, make_spec, zero_diagonal_blocks
 
 
 class TestNumericMaxent:
@@ -134,6 +134,42 @@ class TestVerifyKkt:
                          blocks=zero_diagonal_blocks(4))
         report = verify_kkt(solve(spec), spec)
         assert report.feasible and report.product_form
+
+
+class TestAtSolverSizes:
+    """The oracle checks closed forms at the sizes the solvers are used at."""
+
+    def test_kkt_gravity_150(self, rng):
+        cols = [float(rng.uniform(1.0, 50.0)) if j % 3 == 0 else None for j in range(150)]
+        spec = make_spec(150, 150, row=("equal", rng.uniform(1.0, 100.0, 150).tolist()),
+                         col=("equal", cols))
+        report = verify_kkt(solve(spec), spec)
+        assert report.ok and not report.violations
+
+    def test_kkt_fixed_diagonal_150(self, rng):
+        u = _ratios_below_third(rng, 150) * 1000.0
+        spec = make_spec(150, 150, row=("equal", u.tolist()), symmetric=True,
+                         blocks=zero_diagonal_blocks(150))
+        report = verify_kkt(solve(spec), spec)
+        assert report.ok and not report.violations
+
+    def test_kkt_3d_60_by_3(self, rng):
+        u = np.stack([_ratios_below_third(rng, 60) * rng.uniform(10.0, 100.0)
+                      for _ in range(3)], axis=1)
+        spec = make_spec(60, 60, row=("equal", u.tolist()), symmetric=True, slices=3,
+                         blocks=zero_diagonal_blocks(60))
+        report = verify_kkt(solve(spec), spec)
+        assert report.ok and not report.violations
+
+    def test_maxent_gravity_80_by_60(self, rng):
+        cols = [None] * 60
+        for j in (3, 10, 11, 40):
+            cols[j] = float(rng.uniform(50.0, 100.0))
+        spec = make_spec(80, 60, row=("equal", rng.uniform(50.0, 100.0, 80).tolist()),
+                         col=("equal", cols))
+        res = numeric_maxent(spec, "H")
+        assert res.converged
+        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
 
 
 class TestObjectives:
