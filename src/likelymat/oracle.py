@@ -15,12 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .constraints import REL_TOL, ProblemSpec, validate_spec
 from .counting import ExactCount
-from .errors import Infeasible, LikelymatError, NotConverged, SearchSpaceTooLarge
+from .errors import (
+    Infeasible,
+    LikelymatError,
+    NotConverged,
+    SearchSpaceTooLarge,
+    UnsupportedCase,
+)
 from .solution import Solution, TensorSolution
 
 __all__ = [
@@ -97,6 +104,61 @@ class KktReport:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Incidence:
+    """A 0/1 constraint matrix ``M`` kept as its nonzeros: constraint
+    ``con[t]`` contains free cell ``cell[t]``, in order of the constraints."""
+
+    con: np.ndarray
+    cell: np.ndarray
+    k: int  # constraints
+    n: int  # free cells
+
+    @classmethod
+    def of(cls, members: list, n: int) -> _Incidence:
+        runs = [np.asarray(m, dtype=np.intp) for m in members]
+        cell = np.concatenate(runs) if runs else np.zeros(0, np.intp)
+        con = np.repeat(np.arange(len(members)), [len(m) for m in members])
+        return cls(con, cell, len(members), n)
+
+    @cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The constraints with members, and where each one's run starts."""
+        nonempty = np.flatnonzero(np.bincount(self.con, minlength=self.k))
+        return nonempty, np.searchsorted(self.con, nonempty)
+
+    def rmatvec(self, theta: np.ndarray) -> np.ndarray:
+        """M^T theta: per cell, the sum of its constraints' multipliers."""
+        return np.bincount(self.cell, theta[self.con], minlength=self.n)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x: per constraint, the sum of its cells.  The sums run pairwise,
+        as np.sum's do: L-BFGS-B's gradient test needs them near exact."""
+        nonempty, start = self._segments
+        out = np.zeros(self.k)
+        if nonempty.size:
+            out[nonempty] = np.add.reduceat(x[self.cell], start)
+        return out
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ordered pair of constraints that share a cell, as the key
+        ``a * k + b`` and the cell they share."""
+        order = np.argsort(self.cell, kind="stable")
+        con, cell = self.con[order], self.cell[order]
+        deg = np.bincount(cell, minlength=self.n)
+        first = np.cumsum(deg) - deg  # each cell's first entry in the sorted lists
+        reps = deg[cell]  # an entry pairs with every entry of its cell
+        left = np.repeat(np.arange(cell.size), reps)
+        right = first[cell[left]] + np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        return con[left] * self.k + con[right], cell[left]
+
+    def gram(self, x: np.ndarray) -> np.ndarray:
+        """M diag(x) M^T, constraints x constraints."""
+        key, cell = self._pairs
+        return np.bincount(key, x[cell], minlength=self.k * self.k).reshape(self.k, self.k)
+
+
 @dataclass
 class _Program:
     shape: tuple[int, ...]
@@ -108,6 +170,17 @@ class _Program:
     @property
     def n(self) -> int:
         return len(self.cells)
+
+    @cached_property
+    def incidence(self) -> _Incidence:
+        """The constraints eq, then ub."""
+        return _Incidence.of([m for m, _, _ in self.eq + self.ub], self.n)
+
+    @cached_property
+    def search_incidence(self) -> _Incidence:
+        """eq, a total over every free cell, then ub: the G path's line search."""
+        eq, ub = [m for m, _, _ in self.eq], [m for m, _, _ in self.ub]
+        return _Incidence.of(eq + [np.arange(self.n)] + ub, self.n)
 
     def assemble(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -121,6 +194,8 @@ def _build_program(spec: ProblemSpec) -> _Program:
     spec = validate_spec(spec)
     sh = spec.shape
     shape = (sh.rows, sh.cols, sh.slices) if sh.is_3d else (sh.rows, sh.cols)
+    if sh.is_3d and spec.element_bounds:
+        raise UnsupportedCase("element bounds on a 3-D spec name no cell")
 
     fixed: dict[tuple[int, ...], float] = {}
     if sh.is_3d:
@@ -141,15 +216,13 @@ def _build_program(spec: ProblemSpec) -> _Program:
                 raise Infeasible(f"cell ({e.i},{e.j}) is fixed above its zero cap")
             fixed[(e.i, e.j)] = 0.0
 
-    # The free cells as a mask, numbered row-major by ``pos``.  In 3-D a zero
-    # cap is keyed (i, j), names no cell, and so pins nothing.
+    # The free cells as a mask, numbered row-major by ``pos``.
     free = np.ones(shape, dtype=bool)
     grid = np.zeros(shape)
-    pinned_cells = [c for c in fixed if len(c) == len(shape)]
-    if pinned_cells:
-        at = tuple(np.array(pinned_cells).T)
+    if fixed:
+        at = tuple(np.array(list(fixed)).T)
         free[at] = False
-        grid[at] = [fixed[c] for c in pinned_cells]
+        grid[at] = list(fixed.values())
     pos = np.zeros(shape, dtype=np.intp)
     pos[free] = np.arange(np.count_nonzero(free))
     cells = np.argwhere(free)
@@ -193,7 +266,7 @@ def _build_program(spec: ProblemSpec) -> _Program:
         )
 
     for e in spec.element_bounds:
-        if e.ub > 0.0 and math.isfinite(e.ub) and not sh.is_3d and free[e.i, e.j]:
+        if e.ub > 0.0 and math.isfinite(e.ub) and free[e.i, e.j]:
             ub.append(([int(pos[e.i, e.j])], e.ub, f"element ({e.i},{e.j})"))
 
     return _Program(shape, cells, fixed, eq, ub)
@@ -204,29 +277,33 @@ def _build_program(spec: ProblemSpec) -> _Program:
 # ----------------------------------------------------------------------
 
 
-def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9):
+def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
     """Maximize entropy over the program's constraints via the dual.
 
     The stationary primal point is x_c = exp(-1 - sum of multipliers over
     constraints containing c); the dual is smooth and convex with bound
     constraints only (inequality multipliers stay nonnegative), solved by
-    L-BFGS-B and polished with a projected Newton step.  Returns the primal
-    vector, the multipliers, the KKT residual, and the iteration count.
+    L-BFGS-B and polished with a projected Newton step.  A ``total`` adds
+    the equality "the free cells sum to it" after the program's own.
+    Returns the primal vector, the multipliers, the KKT residual, and the
+    iteration count.
     """
     from scipy.optimize import minimize  # loaded on first use, not at import
 
-    eq = program.eq + (extra_eq or [])
-    n_eq = len(eq)
-    constraints = eq + program.ub
-    targets = np.array([target for _, target, _ in constraints], dtype=float)
-    M = _incidence(constraints, program.n)
+    eq_targets = [target for _, target, _ in program.eq]
+    if total is None:
+        M = program.incidence
+    else:
+        M, eq_targets = program.search_incidence, eq_targets + [total]
+    n_eq = len(eq_targets)
+    targets = np.array(eq_targets + [target for _, target, _ in program.ub], dtype=float)
 
     def primal(theta: np.ndarray) -> np.ndarray:
-        return np.exp(np.clip(-1.0 - M.T @ theta, -700.0, 700.0))
+        return np.exp(np.clip(-1.0 - M.rmatvec(theta), -700.0, 700.0))
 
     def value_grad(theta: np.ndarray):
         x = primal(theta)
-        return float(x.sum() + theta @ targets), targets - M @ x
+        return float(x.sum() + theta @ targets), targets - M.matvec(x)
 
     def kkt_residual(theta: np.ndarray) -> float:
         _, g = value_grad(theta)
@@ -256,11 +333,11 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
         if best_res <= tol * 1e-3:
             break
         x = primal(theta)
-        grad = targets - M @ x
+        grad = targets - M.matvec(x)
         active = np.zeros(theta.size, dtype=bool)
         active[n_eq:] = (theta[n_eq:] <= 1e-14) & (grad[n_eq:] >= 0)
         free = ~active
-        H = (M[free] * x) @ M[free].T
+        H = M.gram(x)[np.ix_(free, free)]
         step = np.zeros_like(theta)
         step[free] = np.linalg.lstsq(H, -grad[free], rcond=None)[0]
         alpha, improved = 1.0, False
@@ -278,27 +355,30 @@ def _dual_solve(program: _Program, extra_eq=None, theta0=None, tol: float = 1e-9
     return primal(best), best, best_res, iters
 
 
-def _incidence(constraints: list[tuple[list[int], float, str]], n: int) -> np.ndarray:
-    """Dense 0/1 matrix: one row per constraint, one column per free cell."""
-    M = np.zeros((len(constraints), n))
-    for row, (members, _, _) in enumerate(constraints):
-        M[row, members] = 1.0
-    return M
-
-
 def _max_total(program: _Program) -> float:
     """Largest feasible total of the free cells (linear program)."""
     from scipy.optimize import linprog  # loaded on first use, not at import
+    from scipy.sparse import csr_array  # already loaded by scipy.optimize
 
     n = program.n
     if n == 0:
         return 0.0
+    M, n_eq = program.incidence, len(program.eq)
+
+    def rows(lo: int, hi: int):
+        """Constraints lo..hi-1 as a sparse 0/1 matrix over the free cells."""
+        if lo == hi:
+            return None
+        at = (M.con >= lo) & (M.con < hi)
+        data = np.ones(np.count_nonzero(at))
+        return csr_array((data, (M.con[at] - lo, M.cell[at])), shape=(hi - lo, n))
+
     ub, eq = program.ub, program.eq
     res = linprog(
         -np.ones(n),
-        A_ub=_incidence(ub, n) if ub else None,
+        A_ub=rows(n_eq, M.k),
         b_ub=np.array([target for _, target, _ in ub]) if ub else None,
-        A_eq=_incidence(eq, n) if eq else None,
+        A_eq=rows(0, n_eq),
         b_eq=np.array([target for _, target, _ in eq]) if eq else None,
         bounds=(0, None),
         method="highs",
@@ -340,18 +420,12 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
         X = program.assemble(np.zeros(program.n))
         return OracleResult(X, "G", 0.0, True, 0, 0.0)
 
-    total_members = list(range(program.n))
     theta_warm = None
     iters_total = 0
 
     def solve_at(s: float):
         nonlocal theta_warm, iters_total
-        x, theta, residual, iters = _dual_solve(
-            program,
-            extra_eq=[(total_members, s, "total (search)")],
-            theta0=theta_warm,
-            tol=tol,
-        )
+        x, theta, residual, iters = _dual_solve(program, total=s, theta0=theta_warm, tol=tol)
         theta_warm = theta
         iters_total += iters
         slope = math.log(s) + 1.0 + theta[len(program.eq)]
@@ -534,6 +608,9 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     def scale(v: float) -> float:
         return max(1.0, abs(v))
 
+    finite = bool(np.isfinite(X).all())
+    if not finite:
+        violations.append("non-finite entries")
     if np.any(X < -tol):
         violations.append("negative entries")
 
@@ -573,16 +650,20 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
             if abs(err) > tol * scale(spec.total.value):
                 violations.append(f"total {val} != {spec.total.value}")
         elif err > tol * scale(spec.total.value):
+            max_res = max(max_res, err)
             violations.append(f"total {val} > bound {spec.total.value}")
     for e in spec.element_bounds:
-        if X[e.i, e.j] > e.ub + tol * scale(e.ub):
+        err = float(X[e.i, e.j]) - e.ub
+        if err > tol * scale(e.ub):
+            max_res = max(max_res, err)
             violations.append(f"element ({e.i},{e.j}) exceeds its bound")
     feasible = not violations
 
     product_form, pf_res = _product_form_ok(spec, program, X, tol)
     if not product_form:
         violations.append(f"product form residual {pf_res}")
-    max_res = max(max_res, pf_res)
+    # max() skips a nan residual, so a non-finite entry sets it outright
+    max_res = max(max_res, pf_res) if finite else math.inf
 
     multiplier_range, slackness = True, True
     if isinstance(solution, Solution):
@@ -629,49 +710,49 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
 
 
 def _product_form_ok(spec, program: _Program, X: np.ndarray, tol: float):
-    """Least-squares fit of log-entries on per-constraint indicators."""
-    features: list[tuple] = []
-    for c in spec.marginals:
-        features.append(("m", c.axis, c.index, c.slice_index))
-        if spec.symmetric:
-            other = "col" if c.axis == "row" else "row"
-            features.append(("m", other, c.index, c.slice_index))
-    features = sorted(set(features))
-    if spec.total is not None:
-        features.append(("total",))
-    for e in spec.element_bounds:
-        features.append(("e", e.i, e.j))
-    # The indicator column each cell sets, per feature kind, or -1.  Marginal
-    # lookups are indexed (index, slice), with slice 0 in 2-D.
+    """Least-squares fit of log-entries on per-constraint indicators.
+
+    The log of every positive free entry should be a sum of one factor per
+    marginal and total touching it, plus one for its element cap.  A cap's
+    factor touches its cell alone, so a capped cell fits exactly and leaves
+    the fit.  Each remaining cell has at most three features (row, column,
+    total); the fit solves the features x features normal equations, whose
+    least-squares solution takes care of the gauge freedom, and measures the
+    residual cell by cell.  It reads no multiplier of the solver's.
+    """
     shape = program.shape
     slices = shape[2] if len(shape) == 3 else 1
-    axis_col = {"row": np.full((shape[0], slices), -1), "col": np.full((shape[1], slices), -1)}
-    elem_col = np.full(shape[:2], -1)
-    total_col = -1
-    for col, f in enumerate(features):
-        if f[0] == "m":
-            axis_col[f[1]][f[2], f[3] or 0] = col
-        elif f[0] == "e":
-            elem_col[f[1], f[2]] = col
-        else:
-            total_col = col
+    # Which marginals are features, indexed (index, slice) with slice 0 in 2-D
+    rows = np.zeros((shape[0], slices), dtype=bool)
+    cols = np.zeros((shape[1], slices), dtype=bool)
+    for c in spec.marginals:
+        for axis in ("row", "col") if spec.symmetric else (c.axis,):
+            (rows if axis == "row" else cols)[c.index, c.slice_index or 0] = True
+    # Feature ids: row marginals, column marginals, the total; n_f means none
+    has = np.concatenate([rows.ravel(), cols.ravel(), [spec.total is not None]])
+    n_f = int(has.sum())
+    fid = np.where(has, np.cumsum(has) - 1, n_f)
+    row_id, col_id = fid[:rows.size].reshape(rows.shape), fid[rows.size:-1].reshape(cols.shape)
 
     values = X[tuple(program.cells.T)]
-    keep = ~(values <= ZERO_REPORT)  # a nan entry stays in the fit
+    keep = ~(values <= ZERO_REPORT)
+    if not np.isfinite(values[keep]).all():
+        return False, math.nan  # no finite factors make a nan or infinite entry
+    if spec.element_bounds:
+        capped = np.zeros(shape, dtype=bool)
+        capped[[e.i for e in spec.element_bounds], [e.j for e in spec.element_bounds]] = True
+        keep &= ~capped[tuple(program.cells.T)]
     cells = program.cells[keep]
     if not len(cells):
         return True, 0.0
-    i, j = cells[:, 0], cells[:, 1]
     sl = cells[:, 2] if len(shape) == 3 else 0
-    A = np.zeros((len(cells), len(features)))
-    at = np.arange(len(cells))
-    for col in (axis_col["row"][i, sl], axis_col["col"][j, sl], elem_col[i, j]):
-        hit = col >= 0
-        A[at[hit], col[hit]] = 1.0
-    if total_col >= 0:
-        A[:, total_col] = 1.0
-    # math.log, not np.log: the two differ in the last bit on some inputs
-    b = np.array([math.log(v) for v in values[keep].tolist()])
-    theta, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.max(np.abs(A @ theta - b)))
+    ids = np.stack([row_id[cells[:, 0], sl], col_id[cells[:, 1], sl],
+                    np.full(len(cells), fid[-1])], axis=1)
+    w = n_f + 1  # id n_f collects the absent features, then is cut off
+    AtA = np.bincount((ids[:, :, None] * w + ids[:, None, :]).ravel(), minlength=w * w)
+    AtA = AtA.reshape(w, w)[:n_f, :n_f].astype(float)
+    b = np.log(values[keep])
+    Atb = np.bincount(ids.ravel(), np.repeat(b, 3), minlength=w)[:n_f]
+    theta = np.append(np.linalg.lstsq(AtA, Atb, rcond=None)[0], 0.0)
+    resid = float(np.max(np.abs(theta[ids].sum(axis=1) - b)))
     return resid <= max(tol, 1e-7), resid

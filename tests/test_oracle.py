@@ -1,5 +1,9 @@
 """Numerical oracle, brute-force enumeration, and KKT verification."""
 
+import dataclasses
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from likelymat import (
     SearchSpaceTooLarge,
     Solution,
     SolverCase,
+    UnsupportedCase,
     brute_force_most_likely,
     entropy,
     entropy_difference,
@@ -128,6 +133,33 @@ class TestVerifyKkt:
         assert report.feasible
         assert not report.product_form
 
+    def test_non_finite_entry_is_infeasible(self):
+        spec = make_spec(2, 2, row=("equal", [7, 3]), col=("equal", [6, 4]))
+        sol = solve(spec)
+        for value in (math.nan, math.inf):
+            bad = sol.matrix.copy()
+            bad[1, 0] = value
+            report = verify_kkt(dataclasses.replace(sol, matrix=bad), spec)
+            assert not report.feasible and not report.ok
+            assert "non-finite entries" in report.violations
+            assert report.max_residual == math.inf
+
+    def test_upper_total_violation_counts_in_residual(self):
+        spec = make_spec(3, 2, row=("upper", [1.0, 2.0, 3.0]), total=("upper", 4.0))
+        sol = solve(spec)
+        report = verify_kkt(dataclasses.replace(sol, matrix=sol.matrix * 1.5), spec)
+        assert "total 6.0 > bound 4.0" in report.violations
+        assert report.max_residual == 2.0
+
+    def test_element_cap_violation_counts_in_residual(self):
+        spec = make_spec(2, 3, row=("upper", [3.0, 4.0]), elements=[(0, 1, 1.0), (1, 2, 0.5)])
+        sol = solve(spec)
+        bad = sol.matrix.copy()
+        bad[1] = [1.35, 1.35, 1.3]  # row sum and product form kept, cap (1, 2) broken
+        report = verify_kkt(dataclasses.replace(sol, matrix=bad), spec)
+        assert report.violations == ("element (1,2) exceeds its bound",)
+        assert report.max_residual == pytest.approx(0.8, rel=1e-12)
+
     def test_tensor_solutions_supported(self):
         u = [[10.0], [5.0], [7.5], [10.0]]
         spec = make_spec(4, 4, row=("equal", u), symmetric=True, slices=1,
@@ -170,6 +202,50 @@ class TestAtSolverSizes:
         res = numeric_maxent(spec, "H")
         assert res.converged
         assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
+
+
+    @staticmethod
+    def gravity_every_third_col(rng, n):
+        cols = [float(rng.uniform(1.0, 50.0)) if j % 3 == 0 else None for j in range(n)]
+        return make_spec(n, n, row=("equal", rng.uniform(1.0, 100.0, n).tolist()),
+                         col=("equal", cols))
+
+    def test_kkt_gravity_300_under_a_second(self, rng):
+        spec = self.gravity_every_third_col(rng, 300)
+        sol = solve(spec)
+        start = time.perf_counter()
+        report = verify_kkt(sol, spec)
+        assert time.perf_counter() - start < 1.0
+        assert report.ok and not report.violations
+
+    def test_maxent_gravity_300(self, rng):
+        spec = self.gravity_every_third_col(rng, 300)
+        res = numeric_maxent(spec, "H")
+        assert res.converged
+        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
+
+
+class TestThreeDElementBounds:
+    """An (i, j) element bound names no cell of an n x n x K spec."""
+
+    u = [[10.0, 8.0], [5.0, 6.0], [7.5, 9.0], [10.0, 7.0]]
+    spec = make_spec(4, 4, row=("equal", u), symmetric=True, slices=2,
+                     blocks=zero_diagonal_blocks(4), elements=[(0, 1, 0.0)])
+
+    def test_maxent_and_brute_force_reject(self):
+        for call in (lambda: numeric_maxent(self.spec, "H"),
+                     lambda: brute_force_most_likely(self.spec)):
+            with pytest.raises(UnsupportedCase, match="element bounds on a 3-D spec"):
+                call()
+
+    def test_verify_kkt_rejects(self):
+        sol = solve(dataclasses.replace(self.spec, element_bounds=()))
+        with pytest.raises(UnsupportedCase, match="element bounds on a 3-D spec"):
+            verify_kkt(sol, self.spec)
+
+    def test_solve_rejects(self):
+        with pytest.raises(UnsupportedCase):
+            solve(self.spec)
 
 
 class TestObjectives:
