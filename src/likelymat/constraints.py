@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,6 +34,8 @@ __all__ = [
     "ElementBound",
     "FixedBlock",
     "ProblemSpec",
+    "constraint_values",
+    "transpose",
     "SolverCase",
     "ConsistencyReport",
     "validate_spec",
@@ -231,6 +235,70 @@ class ProblemSpec:
         return all((i, k) in have for i in range(n) for k in slices)
 
 
+def constraint_values(spec: ProblemSpec, X) -> list[tuple]:
+    """``(constraint, kind, achieved, bound)`` for every stated constraint on ``X``.
+
+    Spec order: the marginals, then the total, then the element bounds (of
+    kind ``"upper"``).  Each row or column sum of ``X`` (or of one of its
+    slices, in 3-D) is taken once per (axis, slice) and indexed into.
+    """
+    sums: dict = {}  # (axis, slice) -> that axis's sums
+    out = []
+    for c in spec.marginals:
+        key = (c.axis, c.slice_index)
+        if key not in sums:
+            sheet = X if c.slice_index is None else X[:, :, c.slice_index]
+            sums[key] = sheet.sum(axis=1 if c.axis == "row" else 0)
+        out.append((c, c.kind, float(sums[key][c.index]), c.value))
+    if spec.total is not None:
+        out.append((spec.total, spec.total.kind, float(X.sum()), spec.total.value))
+    for e in spec.element_bounds:
+        out.append((e, "upper", float(X[e.i, e.j]), e.ub))
+    return out
+
+
+def transpose(spec: ProblemSpec) -> ProblemSpec:
+    """The same information about the transposed matrix.
+
+    Rows and columns swap in the shape, in every marginal and element bound,
+    and in every fixed block's values.  A validated spec gives a validated
+    transpose.
+    """
+    t = replace(
+        spec,
+        shape=Shape(spec.shape.cols, spec.shape.rows, spec.shape.slices),
+        marginals=tuple(replace(c, axis="col" if c.axis == "row" else "row")
+                        for c in spec.marginals),
+        element_bounds=tuple(ElementBound(e.j, e.i, e.ub) for e in spec.element_bounds),
+        fixed_blocks=tuple(FixedBlock(b.index_set, tuple(zip(*b.matrix)))
+                           for b in spec.fixed_blocks),
+        validated=False,
+    )
+    return validate_spec(t) if spec.validated else t
+
+
+def is_column_form(spec: ProblemSpec) -> bool:
+    """Whether a validated spec states on its columns what a case reads from rows.
+
+    True for a non-symmetric 2-D spec without element bounds or fixed blocks
+    that constrains its columns and no row, or that knows every column sum
+    but not every row sum; classification and solving go through its
+    transpose.  Validated marginals are unique and list the columns first,
+    so one binary search counts them.
+    """
+    if spec.symmetric or spec.shape.is_3d or spec.element_bounds or spec.fixed_blocks:
+        return False
+    n_cols = bisect_left(spec.marginals, "row", key=attrgetter("axis"))
+    n_rows = len(spec.marginals) - n_cols
+    if n_rows == 0:
+        return n_cols > 0
+    return (
+        n_cols == spec.shape.cols
+        and n_rows < spec.shape.rows
+        and spec.axis_kinds("col") == {"equal"}
+    )
+
+
 def _marginal_sort_key(c: MarginalConstraint):
     return (c.axis, -1 if c.slice_index is None else c.slice_index, c.index)
 
@@ -424,8 +492,9 @@ def classify(spec: ProblemSpec) -> SolverCase:
 
     Symmetry is examined first; within symmetric specs, fixed blocks take
     precedence over pure bounds.  Patterns with no matching case return
-    ``UNSUPPORTED`` rather than raising.  Column-only constraint patterns
-    map to the row-based cases; the solvers transpose internally.
+    ``UNSUPPORTED`` rather than raising.  A column-form spec (see
+    :func:`is_column_form`) is classified by its transpose, so it maps to a
+    row-based case, and :func:`~likelymat.solve.solve` solves it transposed.
     """
     if not spec.validated:
         spec = validate_spec(spec)
@@ -490,10 +559,10 @@ def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
 
 
 def _classify_rect(spec: ProblemSpec) -> SolverCase:
+    if is_column_form(spec):
+        return _classify_rect(transpose(spec))
     row_kinds = spec.axis_kinds("row")
     col_kinds = spec.axis_kinds("col")
-    has_rows = spec.has_axis("row")
-    has_cols = spec.has_axis("col")
     total = spec.total
 
     if spec.fixed_blocks:
@@ -506,11 +575,6 @@ def _classify_rect(spec: ProblemSpec) -> SolverCase:
 
     if row_kinds == {"equal"} and spec.axis_complete("row"):
         if col_kinds in (set(), {"equal"}) and (total is None or total.kind == "equal"):
-            return SolverCase.GRAVITY_PARTIAL_COLS
-        return SolverCase.UNSUPPORTED
-    if col_kinds == {"equal"} and spec.axis_complete("col"):
-        # transposed roles: all column sums known, possibly some row sums
-        if row_kinds in (set(), {"equal"}) and (total is None or total.kind == "equal"):
             return SolverCase.GRAVITY_PARTIAL_COLS
         return SolverCase.UNSUPPORTED
 

@@ -19,7 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .constraints import REL_TOL, ProblemSpec, validate_spec
+from .constraints import (
+    REL_TOL,
+    ElementBound,
+    MarginalConstraint,
+    ProblemSpec,
+    constraint_values,
+    validate_spec,
+)
 from .counting import ExactCount
 from .errors import (
     Infeasible,
@@ -620,43 +627,18 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
         if err > tol * scale(v):
             violations.append(f"fixed cell {cell}: {X[cell]} != {v}")
 
-    sums: dict[tuple[str, int | None], np.ndarray] = {}
-
-    def axis_sums(axis: str, slice_index: int | None) -> np.ndarray:
-        """Every row (or column) sum of X or of one slice, taken once."""
-        key = (axis, slice_index)
-        if key not in sums:
-            sub = X if slice_index is None else X[:, :, slice_index]
-            sums[key] = sub.sum(axis=1 if axis == "row" else 0)
-        return sums[key]
-
     achieved: dict[tuple, float] = {}
-    for c in spec.marginals:
-        val = float(axis_sums(c.axis, c.slice_index)[c.index])
-        achieved[(c.axis, c.index, c.slice_index)] = val
-        err = val - c.value
-        if c.kind == "equal":
+    for c, kind, val, bound in constraint_values(spec, X):
+        if isinstance(c, MarginalConstraint):
+            achieved[(c.axis, c.index, c.slice_index)] = val
+        err = val - bound
+        if kind == "equal":
             max_res = max(max_res, abs(err))
-            if abs(err) > tol * scale(c.value):
-                violations.append(f"{c.axis} {c.index}: sum {val} != {c.value}")
-        elif err > tol * scale(c.value):
+            if abs(err) > tol * scale(bound):
+                violations.append(_violation(c, val, "!="))
+        elif err > tol * scale(bound):
             max_res = max(max_res, err)
-            violations.append(f"{c.axis} {c.index}: sum {val} > bound {c.value}")
-    if spec.total is not None:
-        val = float(X.sum())
-        err = val - spec.total.value
-        if spec.total.kind == "equal":
-            max_res = max(max_res, abs(err))
-            if abs(err) > tol * scale(spec.total.value):
-                violations.append(f"total {val} != {spec.total.value}")
-        elif err > tol * scale(spec.total.value):
-            max_res = max(max_res, err)
-            violations.append(f"total {val} > bound {spec.total.value}")
-    for e in spec.element_bounds:
-        err = float(X[e.i, e.j]) - e.ub
-        if err > tol * scale(e.ub):
-            max_res = max(max_res, err)
-            violations.append(f"element ({e.i},{e.j}) exceeds its bound")
+            violations.append(_violation(c, val, "> bound"))
     feasible = not violations
 
     product_form, pf_res = _product_form_ok(spec, program, X, tol)
@@ -679,6 +661,7 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
                 spec.axis_values("row") if spec.symmetric and axis == "col"
                 else spec.axis_values(axis)
             )
+            sums = X.sum(axis=1 if axis == "row" else 0) if spec.symmetric else None
             for i, f in enumerate(np.asarray(mult, dtype=float)):
                 if not 0.0 < f <= 1.0 + tol:
                     multiplier_range = False
@@ -688,8 +671,8 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
                     continue
                 key = (axis, i, None)
                 real = achieved.get(key)
-                if real is None and spec.symmetric:
-                    real = float(axis_sums(axis, None)[i])
+                if real is None and sums is not None:
+                    real = float(sums[i])
                 if real is None:
                     continue
                 slack = bound - real
@@ -709,16 +692,26 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     )
 
 
+def _violation(c, val: float, relation: str) -> str:
+    """The message for constraint ``c`` broken at achieved value ``val``."""
+    if isinstance(c, ElementBound):
+        return f"element ({c.i},{c.j}) exceeds its bound"
+    what = f"{c.axis} {c.index}: sum" if isinstance(c, MarginalConstraint) else "total"
+    return f"{what} {val} {relation} {c.value}"
+
+
 def _product_form_ok(spec, program: _Program, X: np.ndarray, tol: float):
     """Least-squares fit of log-entries on per-constraint indicators.
 
     The log of every positive free entry should be a sum of one factor per
     marginal and total touching it, plus one for its element cap.  A cap's
-    factor touches its cell alone, so a capped cell fits exactly and leaves
-    the fit.  Each remaining cell has at most three features (row, column,
-    total); the fit solves the features x features normal equations, whose
-    least-squares solution takes care of the gauge freedom, and measures the
-    residual cell by cell.  It reads no multiplier of the solver's.
+    factor touches its cell alone, so a cell at (or over, which feasibility
+    reports) a finite cap fits exactly and leaves the fit; an infinite or
+    slack cap has factor 1, so its cell stays in.  Each remaining cell has at
+    most three features (row, column, total); the fit solves the features x
+    features normal equations, whose least-squares solution takes care of
+    the gauge freedom, and measures the residual cell by cell.  It reads no
+    multiplier of the solver's.
     """
     shape = program.shape
     slices = shape[2] if len(shape) == 3 else 1
@@ -739,8 +732,10 @@ def _product_form_ok(spec, program: _Program, X: np.ndarray, tol: float):
     if not np.isfinite(values[keep]).all():
         return False, math.nan  # no finite factors make a nan or infinite entry
     if spec.element_bounds:
+        i, j, ub = (np.array(a) for a in zip(*((e.i, e.j, e.ub) for e in spec.element_bounds)))
+        at_cap = np.isfinite(ub) & (X[i, j] - ub >= -tol * np.maximum(1.0, ub))
         capped = np.zeros(shape, dtype=bool)
-        capped[[e.i for e in spec.element_bounds], [e.j for e in spec.element_bounds]] = True
+        capped[i[at_cap], j[at_cap]] = True
         keep &= ~capped[tuple(program.cells.T)]
     cells = program.cells[keep]
     if not len(cells):

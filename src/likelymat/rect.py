@@ -9,6 +9,7 @@ informative constraints.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -173,14 +174,7 @@ def solve_bounded_total_row_bounds(ubar: float, u, m: int) -> Solution:
         sol = solve_row_bounds(u, m)
     else:
         sol = solve_total_row_bounds(ubar, u, m)
-    return Solution(
-        sol.matrix,
-        SolverCase.BOUNDED_TOTAL_ROW_BOUNDS,
-        total=sol.total,
-        k=sol.k,
-        row_multipliers=sol.row_multipliers,
-        permutation=sol.permutation,
-    )
+    return replace(sol, case=SolverCase.BOUNDED_TOTAL_ROW_BOUNDS)
 
 
 def solve_row_col_bounds(u, v) -> Solution:
@@ -200,27 +194,18 @@ def solve_row_col_bounds(u, v) -> Solution:
 
     if close(u_total, v_total):
         # Both sides can saturate simultaneously; the answer is the gravity
-        # matrix over the full set of columns.
-        sol = solve_gravity_partial_cols(u, v, v.size)
-        return Solution(
-            sol.matrix,
-            SolverCase.ROW_COL_BOUNDS,
-            total=sol.total,
+        # matrix over the full set of columns.  Every bound binds, and each
+        # side's factors are its bounds over their total, as the transposed
+        # problem's are.
+        return replace(
+            solve_gravity_partial_cols(u, v, v.size),
+            case=SolverCase.ROW_COL_BOUNDS,
             k=v.size,
             row_multipliers=u / u_total if u_total > 0 else np.zeros(u.size),
-            col_multipliers=np.ones(v.size),
+            col_multipliers=v / v_total if v_total > 0 else np.zeros(v.size),
         )
     if u_total > v_total:
-        t = solve_row_col_bounds(v, u)
-        return Solution(
-            t.matrix.T,
-            SolverCase.ROW_COL_BOUNDS,
-            total=t.total,
-            k=t.k,
-            row_multipliers=t.col_multipliers,
-            col_multipliers=t.row_multipliers,
-            permutation=t.permutation,
-        )
+        return solve_row_col_bounds(v, u).transposed()
 
     if not np.all(np.isfinite(u)):
         raise InfeasibleMarginals("the saturating side must have finite bounds")

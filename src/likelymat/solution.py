@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,7 +27,8 @@ class Solution:
     ``root`` the equation itself.  ``permutation`` records the ascending
     sort applied internally to the axis the case orders (rows for
     known-total water-filling, columns for two-sided bounds); the matrix
-    itself is always in input order.
+    itself is always in input order, and C-contiguous, so that anything
+    computed from it depends on its values alone.
     """
 
     matrix: np.ndarray
@@ -45,6 +46,16 @@ class Solution:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.matrix.shape
+
+    def transposed(self) -> Solution:
+        """The solution of the transposed problem: the matrix transposed (as a
+        C-contiguous copy) and the row and column multipliers swapped."""
+        return replace(
+            self,
+            matrix=np.ascontiguousarray(self.matrix.T),
+            row_multipliers=self.col_multipliers,
+            col_multipliers=self.row_multipliers,
+        )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from .constraints import (
     SolverCase,
     classify,
     close,
+    is_column_form,
+    transpose,
     validate_spec,
 )
 from .errors import InfeasibleMarginals, UnsupportedCase
@@ -42,9 +44,12 @@ def solve(spec: ProblemSpec, tol: float = 1e-12) -> Solution | TensorSolution:
     """Validate, classify, and solve a problem description.
 
     ``tol`` is the residual tolerance of the scalar root solves; the
-    closed-form cases have no other numeric knobs.
+    closed-form cases have no other numeric knobs.  A column-form spec is
+    solved as its transpose, and the solution transposed back.
     """
     spec = validate_spec(spec)
+    if is_column_form(spec):
+        return solve(transpose(spec), tol).transposed()
     case = classify(spec)
     handler = _HANDLERS.get(case)
     if handler is None:
@@ -54,94 +59,42 @@ def solve(spec: ProblemSpec, tol: float = 1e-12) -> Solution | TensorSolution:
     return handler(spec, tol)
 
 
-def _transposed(sol: Solution) -> Solution:
-    return replace(
-        sol,
-        matrix=sol.matrix.T,
-        row_multipliers=sol.col_multipliers,
-        col_multipliers=sol.row_multipliers,
-    )
-
-
 def _solve_gravity(spec: ProblemSpec, tol: float) -> Solution:
-    n, m = spec.shape.rows, spec.shape.cols
+    m = spec.shape.cols
+    u = np.array(spec.axis_values("row", kind="equal"))
     if spec.symmetric:
-        u = np.array(spec.axis_values("row", kind="equal"))
         return solve_gravity_partial_cols(u, u, m)
-    row_map = {c.index: c for c in spec.marginals if c.axis == "row"}
     col_map = {c.index: c for c in spec.marginals if c.axis == "col"}
-    if len(row_map) == n:
-        u = np.array([row_map[i].value for i in range(n)])
-        cols = sorted(col_map)
-        v = np.array([col_map[j].value for j in cols])
-        order = cols + [j for j in range(m) if j not in col_map]
-        sol = solve_gravity_partial_cols(u, v, m)
-        X = np.empty_like(sol.matrix)
-        X[:, order] = sol.matrix
-        col_f = np.empty(m)
-        col_f[order] = sol.col_multipliers
-        return Solution(
-            X,
-            sol.case,
-            total=sol.total,
-            k=sol.k,
-            row_multipliers=sol.row_multipliers,
-            col_multipliers=col_f,
-        )
-    # All column sums known, at most some row sums: swap the axis roles.
-    v = np.array([col_map[j].value for j in range(m)])
-    rows = sorted(row_map)
-    w = np.array([row_map[i].value for i in rows])
-    order = rows + [i for i in range(n) if i not in row_map]
-    sol = solve_gravity_partial_cols(v, w, n)
-    X = np.empty((n, m))
-    X[order, :] = sol.matrix.T
-    row_f = np.empty(n)
-    row_f[order] = sol.col_multipliers
-    return Solution(
-        X,
-        sol.case,
-        total=sol.total,
-        k=sol.k,
-        row_multipliers=row_f,
-        col_multipliers=sol.row_multipliers,
-    )
-
-
-def _bounds_axis(spec: ProblemSpec) -> tuple[np.ndarray, bool]:
-    """Bound array of the constrained axis and whether it is the column one."""
-    if spec.has_axis("row") or not spec.has_axis("col"):
-        return np.array(spec.axis_values("row")), False
-    return np.array(spec.axis_values("col")), True
+    cols = sorted(col_map)
+    v = np.array([col_map[j].value for j in cols])
+    order = cols + [j for j in range(m) if j not in col_map]
+    sol = solve_gravity_partial_cols(u, v, m)
+    X = np.empty_like(sol.matrix)
+    X[:, order] = sol.matrix
+    if sol.col_multipliers is None:  # a zero total has no factors
+        return replace(sol, matrix=X)
+    col_f = np.empty(m)
+    col_f[order] = sol.col_multipliers
+    return replace(sol, matrix=X, col_multipliers=col_f)
 
 
 def _solve_row_bounds(spec: ProblemSpec, tol: float) -> Solution:
-    u, transposed = _bounds_axis(spec)
-    m = spec.shape.rows if transposed else spec.shape.cols
-    sol = solve_row_bounds(u, m)
-    return _transposed(sol) if transposed else sol
+    return solve_row_bounds(np.array(spec.axis_values("row")), spec.shape.cols)
 
 
 def _solve_total_row_bounds(spec: ProblemSpec, tol: float) -> Solution:
-    u, transposed = _bounds_axis(spec)
-    m = spec.shape.rows if transposed else spec.shape.cols
-    sol = solve_total_row_bounds(spec.total.value, u, m)
-    return _transposed(sol) if transposed else sol
+    u = np.array(spec.axis_values("row"))
+    return solve_total_row_bounds(spec.total.value, u, spec.shape.cols)
 
 
 def _solve_bounded_total(spec: ProblemSpec, tol: float) -> Solution:
-    u, transposed = _bounds_axis(spec)
-    m = spec.shape.rows if transposed else spec.shape.cols
-    sol = solve_bounded_total_row_bounds(spec.total.value, u, m)
-    return _transposed(sol) if transposed else sol
+    u = np.array(spec.axis_values("row"))
+    return solve_bounded_total_row_bounds(spec.total.value, u, spec.shape.cols)
 
 
 def _solve_row_col_bounds(spec: ProblemSpec, tol: float) -> Solution:
     u = np.array(spec.axis_values("row"))
-    if spec.symmetric:
-        v = u.copy()
-    else:
-        v = np.array(spec.axis_values("col"))
+    v = u.copy() if spec.symmetric else np.array(spec.axis_values("col"))
     return solve_row_col_bounds(u, v)
 
 

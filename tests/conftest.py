@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from likelymat import (
     ElementBound,
@@ -57,6 +58,12 @@ def make_spec(
         fixed_blocks=tuple(blocks),
         symmetric=symmetric,
     )
+
+
+# Property tests draw the same examples on every run, and few enough of them
+# to keep the suite fast.
+settings.register_profile("likelymat", derandomize=True, max_examples=60, deadline=None)
+settings.load_profile("likelymat")
 
 
 def zero_diagonal_blocks(n):

@@ -803,7 +803,9 @@ def walk_product_form_ok(spec, program: WalkProgram, X: np.ndarray, tol: float):
     if spec.total is not None:
         features.append(("total",))
     for e in spec.element_bounds:
-        features.append(("e", e.i, e.j))
+        # only a finite cap that the entry sits at (or over) has a factor of its own
+        if math.isfinite(e.ub) and X[e.i, e.j] - e.ub >= -tol * max(1.0, e.ub):
+            features.append(("e", e.i, e.j))
     fidx = {f: i for i, f in enumerate(features)}
 
     rows, rhs = [], []

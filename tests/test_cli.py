@@ -134,6 +134,18 @@ class TestSolve:
         assert (code, captured.err) == (0, "")
         assert strict_json(captured.out)["valid"] is True
 
+    @pytest.mark.parametrize("col_sums", [None, [0, None, None]], ids=["no_cols", "some_cols"])
+    def test_gravity_with_zero_row_sums(self, col_sums, tmp_path, capsys):
+        # a zero total has no product factors; none may come out as nan
+        doc = {"shape": {"rows": 2, "cols": 3}, "row_sums": {"kind": "equal", "values": [0, 0]}}
+        if col_sums is not None:
+            doc["col_sums"] = {"kind": "equal", "values": col_sums}
+        code = main(["solve", write(tmp_path, "p.json", doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        out = strict_json(captured.out)
+        assert out["matrix"] == [[0.0] * 3] * 2 and "multipliers" not in out
+
     def test_infeasible_exits_one(self, tmp_path, capsys):
         bad = dict(ROW_BOUND_PROBLEM, total={"kind": "equal", "value": 309})
         path = write(tmp_path, "p.json", bad)
@@ -238,6 +250,21 @@ class TestCheck:
         assert "[0]" in captured.err
         doc = json.loads(captured.out)
         assert doc["consistency"]["violations"][0]["indices"] == [0]
+
+    @pytest.mark.parametrize("row_sums", [None, [5, None, 7]], ids=["no_rows", "partial_rows"])
+    def test_fixed_blocks_without_every_row_sum(self, row_sums, tmp_path, capsys):
+        # no solver takes these, and the half-total check has no total to use
+        doc = {
+            "shape": {"rows": 3, "cols": 3},
+            "fixed_blocks": {"diagonal_prefix": 2, "values": [1, 2]},
+            "symmetric": True,
+        }
+        if row_sums is not None:
+            doc["row_sums"] = {"kind": "equal", "values": row_sums}
+        code = main(["check", write(tmp_path, "p.json", doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert strict_json(captured.out) == {"valid": True, "case": "unsupported"}
 
 
 class TestOracleAndBrute:

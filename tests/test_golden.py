@@ -8,9 +8,12 @@ solvers were merged, and three of them were then rewritten on purpose.
 The 12x12 element-bounds output was written before element caps were
 water-filled in one batched pass over all rows.  The two gravity
 documents at 1e300 were added with the fix that keeps their multipliers and
-entries finite (before it, both exited 1).  A
-change to any output byte fails here unless the files are deliberately
-rewritten and the change recorded in CHANGES.md.
+entries finite (before it, both exited 1).  The four column-form documents
+(``col_*``) and ``row_col_bounds_wide`` were written before column-form
+specs were solved through their transpose; of them, ``col_total_bounds``
+was then rewritten on purpose (its matrix became C-ordered).  A change to
+any output byte fails here unless the files are deliberately rewritten and
+the change recorded in CHANGES.md.
 """
 
 from pathlib import Path
@@ -31,6 +34,11 @@ CASES = {
     "total_row_bounds.solve": ("total_row_bounds", ["solve"]),
     "bounded_total.solve": ("bounded_total", ["solve"]),
     "row_col_bounds.solve": ("row_col_bounds", ["solve"]),
+    "row_col_bounds_wide.solve": ("row_col_bounds_wide", ["solve"]),
+    "col_bounds.solve": ("col_bounds", ["solve"]),
+    "col_total_bounds.solve": ("col_total_bounds", ["solve"]),
+    "col_bounded_total.solve": ("col_bounded_total", ["solve"]),
+    "col_gravity.solve": ("col_gravity", ["solve"]),
     "row_elem_bounds.solve": ("row_elem_bounds", ["solve"]),
     "row_elem_bounds_12.solve": ("row_elem_bounds_12", ["solve"]),
     "sym_total.solve": ("sym_total", ["solve"]),

@@ -160,6 +160,19 @@ class TestVerifyKkt:
         assert report.violations == ("element (1,2) exceeds its bound",)
         assert report.max_residual == pytest.approx(0.8, rel=1e-12)
 
+    @pytest.mark.parametrize("cap", [math.inf, 5.0], ids=["infinite", "slack"])
+    def test_cap_that_binds_nothing_stays_in_the_product_form(self, cap):
+        # row 1 is not a product of row and column factors; a cap at (1, 1)
+        # that its entry does not reach must not excuse that cell
+        spec = make_spec(2, 3, row=("upper", [3.0, 4.0]), elements=[(0, 1, 1.0), (1, 1, cap)])
+        sol = solve(spec)
+        assert verify_kkt(sol, spec).ok
+        bad = sol.matrix.copy()
+        bad[1] = [1.0, 2.0, 1.0]
+        report = verify_kkt(dataclasses.replace(sol, matrix=bad), spec)
+        assert report.feasible and not report.product_form
+        assert report.max_residual == pytest.approx(0.462098, rel=1e-5)
+
     def test_tensor_solutions_supported(self):
         u = [[10.0], [5.0], [7.5], [10.0]]
         spec = make_spec(4, 4, row=("equal", u), symmetric=True, slices=1,
