@@ -603,7 +603,8 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     Verifies (a) feasibility of every stated constraint, (b) the product
     form: the log of each positive free entry is a sum of one factor per
     constraint touching it, (c) reported bound multipliers lie in (0, 1],
-    and (d) complementary slackness: a slack bound carries multiplier 1.
+    except that a zero bound's is exactly 0, and (d) complementary
+    slackness: a slack bound carries multiplier 1.
     """
     spec = validate_spec(spec)
     program = _build_program(spec)
@@ -663,10 +664,12 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
             )
             sums = X.sum(axis=1 if axis == "row" else 0) if spec.symmetric else None
             for i, f in enumerate(np.asarray(mult, dtype=float)):
-                if not 0.0 < f <= 1.0 + tol:
-                    multiplier_range = False
-                    violations.append(f"{axis} {i}: multiplier {f} outside (0, 1]")
                 bound = bounds[i]
+                # a zero bound pins its line at zero: its factor is exactly 0
+                if not (f == 0.0 if bound == 0.0 else 0.0 < f <= 1.0 + tol):
+                    multiplier_range = False
+                    allowed = "{0}" if bound == 0.0 else "(0, 1]"
+                    violations.append(f"{axis} {i}: multiplier {f} outside {allowed}")
                 if not math.isfinite(bound):
                     continue
                 key = (axis, i, None)

@@ -1,9 +1,12 @@
 """Closed-form solvers for rectangular (non-symmetric) constraint patterns.
 
-Every solver returns entries that are products of per-row and per-column
-factors (uniformity wherever the data imposes no distinction), with equality
-marginals reproduced exactly and bound marginals saturated for exactly the
-informative constraints.
+The bound cases are one construction: water-fill one side's bounds at a
+target total, then assemble the gravity matrix over the resulting row and
+column marginals (:func:`_gravity`).  Row bounds are water-filled at +inf
+(a bounded total too, when ubar is at least their sum), at a known total s
+or at ubar; with bounds on both sides, the side with the larger total is
+water-filled at the smaller, which saturates.  Every side of bounds reports
+its factors in one gauge (:func:`_gauge`).
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ import numpy as np
 from .constraints import REL_TOL, SolverCase, close
 from .errors import InfeasibleMarginals, NegativeValue
 from .solution import Solution
-from .waterfill import (
-    BoundedVectorProblem,
-    find_k_vector,
-    waterfill_bounded_sum,
-    waterfill_rows,
-)
+from .waterfill import BoundedVectorProblem, waterfill_bounded_sum, waterfill_rows
 
 __all__ = [
     "solve_gravity_partial_cols",
@@ -38,53 +36,74 @@ def _check_nonneg(name: str, values: np.ndarray) -> None:
         raise NegativeValue(f"{name} must be nonnegative, got {values}")
 
 
+def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarray:
+    """Gravity matrix u_i v_j / s over marginals of one total s = sum(u).
+
+    A given column's cells are (u_i v_j) / s; the other columns share one
+    level v_j and take (u_i / s) v_j; with no column given (``v`` unused)
+    each row splits evenly, u_i / m.  Each cell is written once, in input
+    order.
+    """
+    n, m = u.size, given.size
+    s = float(u.sum())
+    X = np.empty((n, m))
+    ell = int(np.count_nonzero(given))
+    if s == 0.0 or ell == 0:
+        X[:] = 0.0 if s == 0.0 else (u / m)[:, None]
+        return X
+    cols = slice(None) if ell == m else given
+    v_given = v[given]
+    # Near the top of the float range u_i * v_j overflows although the
+    # entry does not; only then divide the larger factor first, which keeps
+    # a symmetric matrix symmetric and ordinary bytes in place.
+    if math.isfinite(float(u.max()) * float(v_given.max())):
+        X[:, cols] = np.outer(u, v_given) / s
+    else:
+        X[:, cols] = np.maximum.outer(u, v_given) / s * np.minimum.outer(u, v_given)
+    if ell < m:
+        X[:, ~given] = np.outer(u / s, v[~given])
+    return X
+
+
+def _gauge(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Factors of the bounds ``b`` of one side: each achieved sum ``x_i`` over
+    the largest on the side.  So a slack bound gets 1, a saturated one
+    bound / level, a zero bound 0, and a side that saturates throughout
+    b_i / max b.  When nothing is achieved every positive bound is slack."""
+    top = float(x.max())
+    return x / top if top > 0 else np.where(b > 0, 1.0, 0.0)
+
+
 def solve_gravity_partial_cols(u, v, m: int) -> Solution:
     """All row sums known, plus the sums of the first len(v) columns.
 
-    The constrained left part takes the gravity form u_i * v_j / s with
-    s = sum(u); the remaining columns split the leftover mass of each row
-    evenly and are therefore identical.
+    A column sum of +inf, like a column past len(v), is not known.  The
+    known columns take the gravity form u_i * v_j / s with s = sum(u); the
+    other columns split the leftover mass of each row evenly and are
+    therefore identical.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     _check_nonneg("row sums", u)
     _check_nonneg("column sums", v)
-    n, ell = u.size, v.size
-    if ell > m:
-        raise InfeasibleMarginals(f"{ell} column sums given for {m} columns")
+    if v.size > m:
+        raise InfeasibleMarginals(f"{v.size} column sums given for {m} columns")
+    v = np.concatenate((v, np.full(m - v.size, math.inf)))
+    given = np.isfinite(v)
+    ell = int(np.count_nonzero(given))
     s = float(u.sum())
-    v_total = float(v.sum())
+    v_total = float(v[given].sum())
     if v_total > s * (1 + REL_TOL):
-        raise InfeasibleMarginals(
-            f"column sums total {v_total} exceeds row-sum total {s}"
-        )
+        raise InfeasibleMarginals(f"column sums total {v_total} exceeds row-sum total {s}")
     if ell == m and not close(v_total, s):
-        raise InfeasibleMarginals(
-            f"all columns constrained but totals differ: {v_total} vs {s}"
-        )
-
-    X = np.empty((n, m))
+        raise InfeasibleMarginals(f"all columns constrained but totals differ: {v_total} vs {s}")
     if s == 0.0:
-        X[:] = 0.0
-        return Solution(X, SolverCase.GRAVITY_PARTIAL_COLS, total=0.0)
-
-    # Near the top of the float range u_i * v_j overflows although the
-    # entry does not; only then divide first, so ordinary bytes stay put.
-    if ell > 0:
-        if math.isfinite(float(u.max()) * float(v.max())):
-            X[:, :ell] = np.outer(u, v) / s
-        else:
-            X[:, :ell] = np.outer(u / s, v)
-    if ell == 0:
-        # no column information at all: each row splits exactly evenly
-        X[:] = (u / m)[:, None]
-    elif ell < m:
-        leftover = max(0.0, s - v_total)  # guard the tolerated near-equality
-        X[:, ell:] = (leftover / (m - ell)) * (u / s)[:, None]
-
-    # Product-form factors in the gauge x_ij = row_i * col_j, with the
-    # factor of an unconstrained column fixed to 1.
-    if ell < m:
+        return Solution(np.zeros((u.size, m)), SolverCase.GRAVITY_PARTIAL_COLS, total=0.0)
+    if ell == m:
+        row_f, col_f = u / math.sqrt(s), v / math.sqrt(s)
+    else:
+        # Product-form factors in the gauge x_ij = row_i * col_j, with the
+        # factor of an unconstrained column fixed to 1.
         lam_total = (s - v_total) / (m - ell)
         if math.isfinite(lam_total * float(u.max())):
             row_f = lam_total * u / s
@@ -92,12 +111,11 @@ def solve_gravity_partial_cols(u, v, m: int) -> Solution:
             row_f = lam_total * (u / s)
         col_f = np.ones(m)
         if lam_total > 0:
-            col_f[:ell] = (m - ell) * v / (s - v_total)
-    else:
-        row_f = u / math.sqrt(s)
-        col_f = v / math.sqrt(s)
+            col_f[given] = (m - ell) * v[given] / (s - v_total)
+        # the tolerated near-equality leaves no negative leftover
+        v = np.where(given, v, max(0.0, s - v_total) / (m - ell))
     return Solution(
-        X,
+        _gravity(u, v, given),
         SolverCase.GRAVITY_PARTIAL_COLS,
         total=s,
         row_multipliers=row_f,
@@ -105,23 +123,44 @@ def solve_gravity_partial_cols(u, v, m: int) -> Solution:
     )
 
 
+def _total_target(s: float, u: np.ndarray, name: str) -> float:
+    """The water-fill target min(s, sum u) of a known total s over bounds u."""
+    _check_nonneg(name, u)
+    if not s >= 0:
+        raise NegativeValue(f"total {s} < 0")
+    total = float(u.sum())
+    if s > total and not s <= total * (1 + REL_TOL):
+        raise InfeasibleMarginals(f"total {s} exceeds the sum of {name} {total}")
+    return min(s, total)
+
+
+def _rows_water_filled(case: SolverCase, a: float, u: np.ndarray, m: int) -> Solution:
+    """Rows water-filled over bounds u at total ``a``, each spread evenly
+    over m columns; the total is sum(u) at a = +inf, else the matrix sum."""
+    rows = waterfill_bounded_sum(BoundedVectorProblem(a, tuple(u)))
+    X = _gravity(rows.x, None, np.zeros(m, dtype=bool))
+    return Solution(
+        X,
+        case,
+        total=float(X.sum()) if math.isfinite(a) else float(u.sum()),
+        k=rows.k,
+        row_multipliers=_gauge(rows.x, u),
+        permutation=rows.permutation,
+    )
+
+
 def solve_row_bounds(u, m: int) -> Solution:
     """Only upper bounds on the row sums are known.
 
     Any matrix under its row bounds becomes more likely when an entry grows,
-    so every row saturates; with nothing to distinguish the columns, row i is
-    constant at u_i / m.
+    so every row saturates (the water-fill at total +inf); with nothing to
+    distinguish the columns, row i is constant at u_i / m.
     """
     u = np.asarray(u, dtype=float)
     _check_nonneg("row bounds", u)
     if not np.all(np.isfinite(u)):
         raise InfeasibleMarginals("every row needs a finite bound")
-    s = float(u.sum())
-    X = np.tile((u / m)[:, None], (1, m))
-    row_f = u / (m * s) if s > 0 else np.zeros(u.size)
-    return Solution(
-        X, SolverCase.ROW_BOUNDS, total=s, k=u.size, row_multipliers=row_f
-    )
+    return _rows_water_filled(SolverCase.ROW_BOUNDS, math.inf, u, m)
 
 
 def solve_total_row_bounds(s: float, u, m: int) -> Solution:
@@ -132,34 +171,8 @@ def solve_total_row_bounds(s: float, u, m: int) -> Solution:
     bounds shape the answer.
     """
     u = np.asarray(u, dtype=float)
-    _check_nonneg("row bounds", u)
-    if not s >= 0:
-        raise NegativeValue(f"total {s} < 0")
-    total = float(u.sum())
-    if s > total and not s <= total * (1 + REL_TOL):
-        raise InfeasibleMarginals(f"total {s} exceeds the sum of row bounds {total}")
-
-    wf = waterfill_bounded_sum(BoundedVectorProblem(min(s, total), tuple(u)))
-    X = np.tile((wf.x / m)[:, None], (1, m))
-
-    n = u.size
-    k = wf.k
-    row_f = np.ones(n)
-    if 0 < k < n:
-        saturated = np.array(wf.permutation[:k])
-        leftover = s - float(u[saturated].sum())
-        if leftover > 0:
-            row_f[saturated] = (n - k) * u[saturated] / leftover
-        # leftover == 0 only when the free rows are all zero; the saturated
-        # bounds are then degenerate and their factors stay at 1.
-    return Solution(
-        X,
-        SolverCase.TOTAL_ROW_BOUNDS,
-        total=float(X.sum()),
-        k=k,
-        row_multipliers=row_f,
-        permutation=wf.permutation,
-    )
+    a = _total_target(s, u, "row bounds")
+    return _rows_water_filled(SolverCase.TOTAL_ROW_BOUNDS, a, u, m)
 
 
 def solve_bounded_total_row_bounds(ubar: float, u, m: int) -> Solution:
@@ -170,19 +183,20 @@ def solve_bounded_total_row_bounds(ubar: float, u, m: int) -> Solution:
     otherwise the known-total solution at s = ubar.
     """
     u = np.asarray(u, dtype=float)
-    if ubar >= float(u.sum()):
-        sol = solve_row_bounds(u, m)
-    else:
-        sol = solve_total_row_bounds(ubar, u, m)
+    immaterial = ubar >= float(u.sum())
+    sol = solve_row_bounds(u, m) if immaterial else solve_total_row_bounds(ubar, u, m)
     return replace(sol, case=SolverCase.BOUNDED_TOTAL_ROW_BOUNDS)
 
 
 def solve_row_col_bounds(u, v) -> Solution:
     """Upper bounds on every row sum and every column sum.
 
-    The side with the smaller total saturates completely; on the other side
-    the k tightest bounds bind (k from water-filling that total over them)
-    and the rest share the leftover evenly.  Bounds of +inf mean "no bound" and are never informative.
+    The side with the smaller total saturates completely; the other side is
+    water-filled at that total, so its k tightest bounds bind and the rest
+    share the leftover evenly.  When the totals are equal both sides
+    saturate and k is the longer side's bound count, max(n, m), so a spec
+    and its transpose report the same k.  Bounds of +inf mean "no bound"
+    and are never informative.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -191,56 +205,24 @@ def solve_row_col_bounds(u, v) -> Solution:
     u_total, v_total = float(u.sum()), float(v.sum())
     if not (math.isfinite(u_total) or math.isfinite(v_total)):
         raise InfeasibleMarginals("at least one side must be fully bounded")
-
-    if close(u_total, v_total):
-        # Both sides can saturate simultaneously; the answer is the gravity
-        # matrix over the full set of columns.  Every bound binds, and each
-        # side's factors are its bounds over their total, as the transposed
-        # problem's are.
-        return replace(
-            solve_gravity_partial_cols(u, v, v.size),
-            case=SolverCase.ROW_COL_BOUNDS,
-            k=v.size,
-            row_multipliers=u / u_total if u_total > 0 else np.zeros(u.size),
-            col_multipliers=v / v_total if v_total > 0 else np.zeros(v.size),
-        )
-    if u_total > v_total:
+    tie = close(u_total, v_total)
+    if u_total > v_total and not tie:
         return solve_row_col_bounds(v, u).transposed()
-
     if not np.all(np.isfinite(u)):
         raise InfeasibleMarginals("the saturating side must have finite bounds")
-    n, m = u.size, v.size
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
 
-    k = find_k_vector(u_total, vs)
-    leftover = max(0.0, u_total - float(vs[:k].sum()))
-
-    Xs = np.empty((n, m))
-    if u_total == 0.0:
-        Xs[:] = 0.0
-    else:
-        if k > 0:
-            Xs[:, :k] = np.outer(u, vs[:k]) / u_total
-        Xs[:, k:] = (leftover / (m - k)) * (u / u_total)[:, None]
-    X = np.empty((n, m))
-    X[:, order] = Xs
-
-    lam_total = leftover / ((m - k) * u_total) if u_total > 0 else 0.0
-    row_f = lam_total * u / u_total if u_total > 0 else np.zeros(n)
-    col_s = np.ones(m)
-    if k > 0 and lam_total > 0:
-        col_s[:k] = vs[:k] / (u_total * lam_total)
-    col_f = np.empty(m)
-    col_f[order] = col_s
+    # At equal totals the columns saturate as well: water-fill them at +inf.
+    cols = waterfill_bounded_sum(BoundedVectorProblem(math.inf if tie else u_total, tuple(v)))
+    saturated = np.zeros(v.size, dtype=bool)
+    saturated[list(cols.permutation[: cols.k])] = True
     return Solution(
-        X,
+        _gravity(u, cols.x, saturated),
         SolverCase.ROW_COL_BOUNDS,
         total=u_total,
-        k=k,
-        row_multipliers=row_f,
-        col_multipliers=col_f,
-        permutation=tuple(int(i) for i in order),
+        k=max(u.size, v.size) if tie else cols.k,
+        row_multipliers=_gauge(u, u),
+        col_multipliers=_gauge(cols.x, v),
+        permutation=cols.permutation,
     )
 
 

@@ -21,14 +21,15 @@ class Solution:
 
     ``k`` is the informative-constraint count where the case defines one.
     ``row_multipliers``/``col_multipliers`` are the per-constraint product
-    factors in original index order (bound-type factors lie in (0, 1], with
-    exactly the saturated constraints below 1).  ``lam``/``xi`` carry the
+    factors in original index order.  A bound's factor is its achieved sum
+    over the largest on its side: 1 when slack, bound / level when
+    saturated, 0 for a zero bound, b_i / max b when the side saturates
+    throughout (so its largest bound gets 1).  ``lam``/``xi`` carry the
     saturation-equation root for the fixed-diagonal and block cases, and
     ``root`` the equation itself.  ``permutation`` records the ascending
-    sort applied internally to the axis the case orders (rows for
-    known-total water-filling, columns for two-sided bounds); the matrix
-    itself is always in input order, and C-contiguous, so that anything
-    computed from it depends on its values alone.
+    sort of the water-filled axis; the matrix itself is always in input
+    order, and C-contiguous, so that anything computed from it depends on
+    its values alone.
     """
 
     matrix: np.ndarray

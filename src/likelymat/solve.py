@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -60,22 +59,9 @@ def solve(spec: ProblemSpec, tol: float = 1e-12) -> Solution | TensorSolution:
 
 
 def _solve_gravity(spec: ProblemSpec, tol: float) -> Solution:
-    m = spec.shape.cols
     u = np.array(spec.axis_values("row", kind="equal"))
-    if spec.symmetric:
-        return solve_gravity_partial_cols(u, u, m)
-    col_map = {c.index: c for c in spec.marginals if c.axis == "col"}
-    cols = sorted(col_map)
-    v = np.array([col_map[j].value for j in cols])
-    order = cols + [j for j in range(m) if j not in col_map]
-    sol = solve_gravity_partial_cols(u, v, m)
-    X = np.empty_like(sol.matrix)
-    X[:, order] = sol.matrix
-    if sol.col_multipliers is None:  # a zero total has no factors
-        return replace(sol, matrix=X)
-    col_f = np.empty(m)
-    col_f[order] = sol.col_multipliers
-    return replace(sol, matrix=X, col_multipliers=col_f)
+    v = u if spec.symmetric else np.array(spec.axis_values("col", kind="equal"))
+    return solve_gravity_partial_cols(u, v, spec.shape.cols)
 
 
 def _solve_row_bounds(spec: ProblemSpec, tol: float) -> Solution:

@@ -29,6 +29,7 @@ from .errors import (
     NegativeValue,
     SeriesDomainError,
 )
+from .rect import _gauge, _gravity, _total_target
 from .solution import Solution, TensorSolution
 from .waterfill import BoundedVectorProblem, waterfill_bounded_sum
 
@@ -303,59 +304,26 @@ def series_approx_xi(p: RootProblem, xi0: float, order: int = 2) -> SeriesState:
     )
 
 
-def _sorted_ascending(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(u, kind="stable")
-    return order, u[order]
-
-
 def solve_sym_total_row_col_bounds(s: float, u) -> Solution:
     """Known total with the same bound on each row sum and column sum.
 
-    The informative count k is the same as in the row-only case; the first k
-    rows and columns (by bound size) saturate, giving a gravity block, two
-    transposed gravity strips, and a constant remainder.
+    Rows and columns are water-filled alike at s, as in the row-only case,
+    and the matrix is the gravity matrix over that marginal on both sides,
+    x_i x_j / sum(x): its k tightest bounds saturate, and it is symmetric
+    bit for bit.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise NegativeValue("bounds must be nonnegative")
-    if not s >= 0:
-        raise NegativeValue(f"total {s} < 0")
-    total = float(u.sum())
-    if s > total and not s <= total * (1 + REL_TOL):
-        raise InfeasibleMarginals(f"total {s} exceeds the sum of bounds {total}")
-    n = u.size
-    s = min(s, total)
-    wf = waterfill_bounded_sum(BoundedVectorProblem(s, tuple(u)))
-    k = wf.k
-    order, us = _sorted_ascending(u)
-
-    Xs = np.empty((n, n))
-    if s == 0.0:
-        Xs[:] = 0.0
-    elif k == n:
-        Xs = np.outer(us, us) / s
-    else:
-        leftover = s - float(us[:k].sum())
-        Xs[:k, :k] = np.outer(us[:k], us[:k]) / s
-        Xs[:k, k:] = (leftover * us[:k] / ((n - k) * s))[:, None]
-        Xs[k:, :k] = Xs[:k, k:].T
-        Xs[k:, k:] = leftover**2 / ((n - k) ** 2 * s)
-
-    X = np.empty((n, n))
-    X[np.ix_(order, order)] = Xs
-
-    mult = np.ones(n)
-    if 0 < k < n:
-        leftover = s - float(us[:k].sum())
-        if leftover > 0:
-            mult[order[:k]] = (n - k) * u[order[:k]] / leftover
+    wf = waterfill_bounded_sum(BoundedVectorProblem(_total_target(s, u, "bounds"), tuple(u)))
+    X = _gravity(wf.x, wf.x, np.ones(u.size, dtype=bool))
+    mult = _gauge(wf.x, u)
     return Solution(
         X,
         SolverCase.SYM_TOTAL_ROW_COL_BOUNDS,
         total=float(X.sum()),
-        k=k,
+        k=wf.k,
         row_multipliers=mult,
         col_multipliers=mult.copy(),
+        permutation=wf.permutation,
     )
 
 

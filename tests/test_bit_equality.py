@@ -13,6 +13,14 @@ work on incidence lists and the normal equations instead of dense
 matrices, so their sums run in another order.  Their results are held to
 tolerances against the dense references kept here; the programs they work
 on are still compared bit for bit.
+
+The bound cases' matrices were once assembled case by case: two-sided
+bounds sorted the columns and scattered them back, a known total tiled its
+water-filled rows, gravity moved its known columns to the front, and the
+symmetric total built four blocks.  Those assemblies are kept as references
+for the one water-fill-then-gravity construction that replaced them.  It
+writes the same bits wherever it uses the same expression; the symmetric
+total, whose cells are now x_i x_j / sum(x), stays within 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -42,10 +50,15 @@ from likelymat import (
     SolverCase,
     classify,
     solve,
+    solve_bounded_total_row_bounds,
+    solve_row_bounds,
+    solve_row_col_bounds,
+    solve_sym_total_row_col_bounds,
+    solve_total_row_bounds,
 )
 from likelymat import oracle
 from likelymat.cli import _oracle_objective
-from likelymat.constraints import REL_TOL, ProblemSpec, close, validate_spec
+from likelymat.constraints import REL_TOL, ProblemSpec, close, is_column_form, validate_spec
 from likelymat.errors import Infeasible
 from likelymat.oracle import ZERO_REPORT, KktReport
 from likelymat.solution import Solution, TensorSolution
@@ -463,6 +476,149 @@ class TestWaterfill:
             one = waterfill_rows(a[i:i + 1], W[i:i + 1])
             assert bits(x[i]) == bits(one[0][0]) and k[i] == one[1][0]
             assert bits(mu[i]) == bits(one[2][0])
+
+
+# ----------------------------------------------------------------------
+# Reference: the bound cases' assembly before they shared one construction
+# ----------------------------------------------------------------------
+
+
+def tile_total_row_bounds(s, u, m):
+    """Known total over row bounds: each water-filled row tiled across."""
+    wf = waterfill_bounded_sum(BoundedVectorProblem(min(s, float(u.sum())), tuple(u)))
+    return np.tile((wf.x / m)[:, None], (1, m))
+
+
+def scatter_row_col_bounds(u, v):
+    """Two-sided bounds with the smaller total on the rows: the columns
+    sorted, the saturated block and the level block built, then scattered."""
+    n, m = u.size, v.size
+    u_total = float(u.sum())
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    k = find_k_vector(u_total, vs)
+    leftover = max(0.0, u_total - float(vs[:k].sum()))
+    Xs = np.empty((n, m))
+    if u_total == 0.0:
+        Xs[:] = 0.0
+    else:
+        if k > 0:
+            Xs[:, :k] = np.outer(u, vs[:k]) / u_total
+        Xs[:, k:] = (leftover / (m - k)) * (u / u_total)[:, None]
+    X = np.empty((n, m))
+    X[:, order] = Xs
+    return X, k
+
+
+def scatter_gravity(spec):
+    """Gravity with the known columns moved to the front, then scattered."""
+    n, m = spec.shape.rows, spec.shape.cols
+    u = np.array(spec.axis_values("row", kind="equal"))
+    col_map = {c.index: c.value for c in spec.marginals if c.axis == "col"}
+    cols = sorted(col_map)
+    v = np.array([col_map[j] for j in cols])
+    s, ell = float(u.sum()), len(cols)
+    Xs = np.zeros((n, m))
+    if s > 0:
+        if ell > 0:
+            Xs[:, :ell] = np.outer(u, v) / s
+        if ell == 0:
+            Xs[:] = (u / m)[:, None]
+        elif ell < m:
+            Xs[:, ell:] = (max(0.0, s - float(v.sum())) / (m - ell)) * (u / s)[:, None]
+    X = np.empty((n, m))
+    X[:, cols + [j for j in range(m) if j not in col_map]] = Xs
+    return X
+
+
+def blocks_sym_total(s, u):
+    """Symmetric total over bounds: a gravity block, two strips and a
+    constant block over the sorted bounds, scattered back."""
+    n = u.size
+    s = min(s, float(u.sum()))
+    k = waterfill_bounded_sum(BoundedVectorProblem(s, tuple(u))).k
+    order = np.argsort(u, kind="stable")
+    us = u[order]
+    Xs = np.zeros((n, n))
+    if s > 0 and k == n:
+        Xs = np.outer(us, us) / s
+    elif s > 0:
+        leftover = s - float(us[:k].sum())
+        Xs[:k, :k] = np.outer(us[:k], us[:k]) / s
+        Xs[:k, k:] = (leftover * us[:k] / ((n - k) * s))[:, None]
+        Xs[k:, :k] = Xs[:k, k:].T
+        Xs[k:, k:] = leftover**2 / ((n - k) ** 2 * s)
+    X = np.empty((n, n))
+    X[np.ix_(order, order)] = Xs
+    return X
+
+
+def random_bounds(rng, n):
+    """Bounds with ties, zeros and a few +inf."""
+    b = np.where(rng.random(n) < 0.3, rng.choice([1.0, 2.5, 4.0], n), rng.uniform(0.0, 10.0, n))
+    b[rng.random(n) < 0.05] = 0.0
+    return b
+
+
+class TestAssembly:
+    """The shared water-fill-then-gravity construction against the
+    per-case assembly it replaced: the same bits wherever the expressions
+    are the same, the last bits elsewhere."""
+
+    def test_known_and_bounded_totals(self, rng):
+        for n in SIZES:
+            u = random_bounds(rng, n)
+            m = int(rng.integers(1, 9))
+            for s in (0.0, float(u.sum()) * rng.uniform(0.05, 1.0), float(u.sum())):
+                ref = tile_total_row_bounds(s, u, m)
+                assert bits(solve_total_row_bounds(s, u, m).matrix) == bits(ref)
+                if s < float(u.sum()):
+                    assert bits(solve_bounded_total_row_bounds(s, u, m).matrix) == bits(ref)
+            ref = np.tile((u / m)[:, None], (1, m))  # every row saturates
+            assert bits(solve_row_bounds(u, m).matrix) == bits(ref)
+            for ubar in (float(u.sum()), math.inf):
+                assert bits(solve_bounded_total_row_bounds(ubar, u, m).matrix) == bits(ref)
+
+    def test_two_sided_bounds(self, rng):
+        informative = 0
+        for n in SIZES:
+            for _ in range(3 if n == 2000 else 15):
+                m = int(rng.integers(1, 2 * n + 2))
+                u, v = random_bounds(rng, n), random_bounds(rng, m)
+                v[rng.random(m) < 0.1] = np.inf
+                scale = float(u.sum()) / float(v[np.isfinite(v)].sum() or 1.0)
+                v *= scale * rng.uniform(0.8, 3.0)
+                if not float(u.sum()) < float(v.sum()):
+                    continue
+                sol = solve_row_col_bounds(u, v)
+                ref, k = scatter_row_col_bounds(u, v)
+                assert sol.k == k
+                if k > 0:
+                    assert bits(sol.matrix) == bits(ref)
+                    informative += 1
+                else:  # exactly u_i / m, where the strips took (u_total / m)(u_i / u_total)
+                    assert bits(sol.matrix) == bits(np.tile((u / m)[:, None], (1, m)))
+                    assert np.all(np.abs(sol.matrix - ref) <= 1e-15 * np.abs(ref))
+                if u.sum() > 0:  # equal totals: every column given
+                    tie = solve_row_col_bounds(u, u[::-1] * 1.0)
+                    assert bits(tie.matrix) == bits(np.outer(u, u[::-1]) / float(u.sum()))
+        assert informative >= 50
+
+    def test_gravity_in_input_order(self, rng):
+        for _ in range(200):
+            spec = CASE_GENERATORS[SolverCase.GRAVITY_PARTIAL_COLS](rng)
+            if not is_column_form(validate_spec(spec)):
+                assert bits(solve(spec).matrix) == bits(scatter_gravity(spec))
+
+    def test_symmetric_total_moves_in_the_last_bits(self, rng):
+        for n in SIZES:
+            for _ in range(2 if n == 2000 else 10):
+                u = random_bounds(rng, n)
+                s = float(u.sum()) * float(rng.choice([rng.uniform(0.05, 1.0), 1.0]))
+                X = solve_sym_total_row_col_bounds(s, u).matrix
+                ref = blocks_sym_total(s, u)
+                assert np.array_equal(X, X.T)
+                assert np.all(np.abs(X - ref) <= 1e-15 * np.abs(ref))
 
 
 # ----------------------------------------------------------------------
@@ -962,7 +1118,9 @@ def assert_same_program(spec):
 
 class TestOracle:
     """The oracle against the per-cell walks and dense solves it replaced:
-    programs bit for bit, results to the dual solve's tolerance."""
+    programs bit for bit, results to the dual solve's tolerance.  No spec
+    here has a zero bound, the one place where ``verify_kkt`` has since
+    departed from the walk: it requires that bound's factor to be 0."""
 
     def test_programs(self, rng):
         for spec in [*oracle_specs(rng), *large_specs(rng)]:

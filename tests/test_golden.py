@@ -11,9 +11,17 @@ documents at 1e300 were added with the fix that keeps their multipliers and
 entries finite (before it, both exited 1).  The four column-form documents
 (``col_*``) and ``row_col_bounds_wide`` were written before column-form
 specs were solved through their transpose; of them, ``col_total_bounds``
-was then rewritten on purpose (its matrix became C-ordered).  A change to
-any output byte fails here unless the files are deliberately rewritten and
-the change recorded in CHANGES.md.
+was then rewritten on purpose (its matrix became C-ordered).  When the
+bound cases moved to one multiplier gauge (achieved sum over the largest on
+its side), seven outputs were rewritten on purpose: the multipliers of
+``row_bounds``, ``col_bounds``, ``row_col_bounds`` and
+``row_col_bounds_wide`` (old gauge u/(m s) and its kin), and the last bits of
+the multipliers of ``total_row_bounds``, ``readme_total_row_bounds`` and
+``sym_total`` (bound / level, was (n - k) bound / leftover).  ``sym_total``
+also became the gravity matrix over its water-filled marginal: its entries
+moved by at most 2.4e-16 relative, and with them its ``log10_realizations``
+and ``residuals``.  A change to any output byte fails here unless the files
+are deliberately rewritten and the change recorded in CHANGES.md.
 """
 
 from pathlib import Path

@@ -75,6 +75,13 @@ class TestGravityPartialCols:
         with pytest.raises(InfeasibleMarginals):
             solve_gravity_partial_cols([1.0, 1.0], [5.0], 2)
 
+    def test_infinite_column_sum_is_unknown(self):
+        sol = solve_gravity_partial_cols([6.0, 4.0], [INF, 5.0], 3)
+        np.testing.assert_allclose(sol.matrix, [[1.5, 3, 1.5], [1, 2, 1]])
+        np.testing.assert_array_equal(sol.col_multipliers[[0, 2]], 1.0)
+        spec = make_spec(2, 3, row=("equal", [6.0, 4.0]), col=("equal", [None, 5.0, None]))
+        assert np.array_equal(solve(spec).matrix, sol.matrix)
+
 
 class TestRowBounds:
     def test_ten_by_ten(self):
