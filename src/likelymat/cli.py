@@ -397,7 +397,7 @@ def _cmd_check(args) -> int:
         kinds = spec.axis_kinds("row")
         u = spec.axis_values("row", kind=next(iter(kinds)))
         s = float(sum(u))
-        report = consistency_check_blocks(u, spec.fixed_blocks, s)
+        report = consistency_check_blocks(u, spec.fixed_cells, s)
         payload["consistency"] = {
             "ok": report.ok,
             "violations": [

@@ -7,6 +7,10 @@ fixed outright.  :func:`validate_spec` normalizes and feasibility-checks a
 spec, :func:`consistency_check_blocks` tests the strict half-total condition
 that fixed blocks must satisfy, and :func:`classify` maps a validated spec to
 the closed-form solver that handles it.
+
+Fixed blocks are given as :class:`FixedBlock` objects and read as index
+arrays, one :class:`FixedCells` per spec: validation, classification, the
+consistency check, the fixed-entry solvers and the oracle all read that form.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
-    ConsistencyViolation,
     IndexOutOfRange,
     InfeasibleMarginals,
     NegativeValue,
@@ -33,6 +39,7 @@ __all__ = [
     "TotalConstraint",
     "ElementBound",
     "FixedBlock",
+    "FixedCells",
     "ProblemSpec",
     "constraint_values",
     "transpose",
@@ -157,16 +164,46 @@ class FixedBlock:
                 if not v >= 0:
                     raise NegativeValue(f"fixed block value {v} < 0")
 
-    @property
-    def value_sum(self) -> float:
-        """Total of the fixed values (w_II)."""
-        return sum(sum(row) for row in self.matrix)
 
-    def row_sums(self) -> tuple[float, ...]:
-        return tuple(sum(row) for row in self.matrix)
+@dataclass(frozen=True, eq=False)
+class FixedCells:
+    """Fixed blocks as index arrays, in block order.
 
-    def col_sums(self) -> tuple[float, ...]:
-        return tuple(sum(row[j] for row in self.matrix) for j in range(len(self.index_set)))
+    ``nodes`` lists each block's nodes in its own order and ``block`` gives
+    each of them its block's position.  ``rows``, ``cols`` and ``values``
+    give every fixed cell, row-major inside its block, with its row and
+    column as positions in ``nodes``.  A ``np.bincount`` over them adds left
+    to right, as a loop over the blocks would.
+    """
+
+    nodes: np.ndarray
+    block: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, blocks) -> FixedCells:
+        """The cells of :class:`FixedBlock` objects; a FixedCells passes through."""
+        if isinstance(blocks, FixedCells):
+            return blocks
+        blocks = tuple(blocks)
+        size = np.array([len(b.index_set) for b in blocks], dtype=np.intp)
+        block = np.repeat(np.arange(size.size), size)
+        k = size[block]  # a node's row has as many cells as its block has nodes
+        rows = np.repeat(np.arange(block.size), k)
+        first = np.repeat(np.cumsum(size) - size, size)  # where a node's block starts
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(k) - k - first, k)
+        nodes = np.array([i for b in blocks for i in b.index_set], dtype=np.intp)
+        values = np.array([v for b in blocks for row in b.matrix for v in row], dtype=float)
+        return cls(nodes, block, rows, cols, values)
+
+    def index_set(self, b: int) -> tuple[int, ...]:
+        return tuple(self.nodes[self.block == b].tolist())
+
+    def row_sums(self) -> np.ndarray:
+        """Each covered node's fixed row sum, in ``nodes`` order."""
+        return np.bincount(self.rows, self.values, minlength=self.nodes.size)
 
 
 class SolverCase(enum.Enum):
@@ -196,6 +233,11 @@ class ProblemSpec:
     fixed_blocks: tuple[FixedBlock, ...] = ()
     symmetric: bool = False
     validated: bool = field(default=False, compare=False)
+
+    @cached_property
+    def fixed_cells(self) -> FixedCells:
+        """The fixed blocks as index arrays, built once per spec."""
+        return FixedCells.of(self.fixed_blocks)
 
     # -- accessors used throughout the solvers ---------------------------
 
@@ -353,14 +395,17 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
             raise ShapeMismatch(f"duplicate element bound for ({e.i},{e.j})")
         seen_e.add((e.i, e.j))
 
-    used: set[int] = set()
-    for b in spec.fixed_blocks:
-        for i in b.index_set:
-            if not 0 <= i < n:
+    if spec.fixed_blocks:
+        nodes = spec.fixed_cells.nodes
+        outside = (nodes < 0) | (nodes >= n)
+        repeat = np.ones(nodes.size, dtype=bool)
+        repeat[np.unique(nodes, return_index=True)[1]] = False
+        bad = np.flatnonzero(outside | repeat)
+        if bad.size:
+            i = int(nodes[bad[0]])
+            if outside[bad[0]]:
                 raise IndexOutOfRange(f"fixed block index {i} outside 0..{n - 1}")
-            if i in used:
-                raise ShapeMismatch(f"fixed blocks overlap at index {i}")
-            used.add(i)
+            raise ShapeMismatch(f"fixed blocks overlap at index {i}")
 
     if spec.symmetric and spec.has_axis("col"):
         # Symmetric information: column constraints, if spelled out, must
@@ -468,7 +513,7 @@ class ConsistencyReport:
 
 
 def consistency_check_blocks(
-    u: Sequence[float], blocks: Iterable[FixedBlock], s: float
+    u: Sequence[float], blocks: Iterable[FixedBlock] | FixedCells, s: float
 ) -> ConsistencyReport:
     """Check that no fixed block forces a zero submatrix elsewhere.
 
@@ -478,13 +523,12 @@ def consistency_check_blocks(
     violation.  Returns a report listing every violated set with its value
     and limit, first violation first.
     """
-    violations = []
-    for b in blocks:
-        u_block = sum(u[i] for i in b.index_set)
-        limit = s / 2.0 + b.value_sum / 2.0
-        if not u_block < limit:
-            violations.append((b.index_set, u_block, limit))
-    return ConsistencyReport(ok=not violations, violations=tuple(violations))
+    c = FixedCells.of(blocks)
+    u_block = np.bincount(c.block, np.asarray(u, dtype=float)[c.nodes])
+    limit = s / 2.0 + np.bincount(c.block, c.row_sums()) / 2.0
+    bad = np.flatnonzero(~(u_block < limit)).tolist()
+    return ConsistencyReport(ok=not bad, violations=tuple(
+        (c.index_set(b), float(u_block[b]), float(limit[b])) for b in bad))
 
 
 def classify(spec: ProblemSpec) -> SolverCase:
@@ -519,12 +563,9 @@ def _classify_3d(spec: ProblemSpec) -> SolverCase:
 
 
 def _blocks_are_zero_diagonal(spec: ProblemSpec) -> bool:
-    idx = []
-    for b in spec.fixed_blocks:
-        if len(b.index_set) != 1 or b.matrix[0][0] != 0.0:
-            return False
-        idx.append(b.index_set[0])
-    return sorted(idx) == list(range(spec.shape.rows))
+    # validated blocks are disjoint and in range: n singletons cover every node
+    c = spec.fixed_cells
+    return c.nodes.size == len(spec.fixed_blocks) == spec.shape.rows and not c.values.any()
 
 
 def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
@@ -535,10 +576,10 @@ def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
     if spec.fixed_blocks:
         if not (spec.axis_complete("row") and len(row_kinds) == 1):
             return SolverCase.UNSUPPORTED
-        if all(len(b.index_set) == 1 for b in spec.fixed_blocks):
+        covered = spec.fixed_cells.nodes.size  # disjoint and in range, once validated
+        if covered == len(spec.fixed_blocks):
             return SolverCase.SYM_FIXED_DIAGONAL
-        covered = sorted(i for b in spec.fixed_blocks for i in b.index_set)
-        if covered == list(range(spec.shape.rows)):
+        if covered == spec.shape.rows:
             return SolverCase.SYM_BLOCK_DIAGONAL
         return SolverCase.UNSUPPORTED
 
@@ -593,16 +634,3 @@ def _classify_rect(spec: ProblemSpec) -> SolverCase:
             return SolverCase.TOTAL_ROW_BOUNDS
         return SolverCase.BOUNDED_TOTAL_ROW_BOUNDS
     return SolverCase.UNSUPPORTED
-
-
-def require_block_consistency(
-    u: Sequence[float], blocks: Iterable[FixedBlock], s: float
-) -> None:
-    """Raise :class:`ConsistencyViolation` when the half-total check fails."""
-    report = consistency_check_blocks(u, blocks, s)
-    if not report.ok:
-        index_set, u_block, limit = report.first_violation
-        raise ConsistencyViolation(
-            f"index set {index_set}: outgoing traffic {u_block} is not strictly "
-            f"below {limit} (half the total plus half the intra-set traffic)"
-        )

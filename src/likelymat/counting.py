@@ -115,7 +115,8 @@ def _sum_ln_factorials(A: np.ndarray) -> float:
 def log10_realizations(X) -> LogCount:
     """log10 of s!/prod(x!), valid for nonnegative real entries."""
     A = _as_matrix(X)
-    (ln_s,) = _ln_factorials([float(A.sum())])
+    with np.errstate(over="ignore"):  # a total past the float range is inf
+        (ln_s,) = _ln_factorials([float(A.sum())])
     return LogCount((ln_s - _sum_ln_factorials(A)) / LN10)
 
 

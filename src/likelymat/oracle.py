@@ -204,17 +204,12 @@ def _build_program(spec: ProblemSpec) -> _Program:
     if sh.is_3d and spec.element_bounds:
         raise UnsupportedCase("element bounds on a 3-D spec name no cell")
 
-    fixed: dict[tuple[int, ...], float] = {}
-    if sh.is_3d:
-        for i in range(sh.rows):
-            for k in range(sh.slices):
-                fixed[(i, i, k)] = 0.0
-    for b in spec.fixed_blocks:
-        if sh.is_3d:
-            continue  # only the zero diagonal, already pinned above
-        for a, i in enumerate(b.index_set):
-            for c, j in enumerate(b.index_set):
-                fixed[(i, j)] = float(b.matrix[a][c])
+    if sh.is_3d:  # the zero diagonal of every slice, whatever the blocks say
+        fixed = dict.fromkeys(((i, i, k) for i in range(sh.rows) for k in range(sh.slices)), 0.0)
+    else:
+        c = spec.fixed_cells
+        fixed = dict(zip(zip(c.nodes[c.rows].tolist(), c.nodes[c.cols].tolist()),
+                         c.values.tolist()))
     # Zero element caps pin the cell outright; keeping them as inequality
     # constraints would push the dual to infinity.
     for e in spec.element_bounds:

@@ -30,6 +30,7 @@ from .solution import Solution, TensorSolution
 # block solver) but stays a module attribute: the benchmark's traced run
 # (perfbench/tracing.py) wraps every solver of this module by name.
 from .symmetric import (
+    _total,
     solve_sym_3d_fixed_diagonal,
     solve_sym_block_diagonal,
     solve_sym_fixed_diagonal,
@@ -114,10 +115,10 @@ def _check_block_total(spec: ProblemSpec, s: float) -> None:
 def _solve_sym_blocks(spec: ProblemSpec, tol: float) -> Solution:
     kinds = spec.axis_kinds("row")
     u = np.array(spec.axis_values("row", kind=next(iter(kinds))))
-    s = float(u.sum())
+    s = _total(u)
     _check_block_total(spec, s)
     return solve_sym_block_diagonal(
-        u, spec.fixed_blocks, s, bounds_mode=(kinds == {"upper"}), tol=tol
+        u, spec.fixed_cells, s, bounds_mode=(kinds == {"upper"}), tol=tol
     )
 
 
@@ -127,11 +128,8 @@ def _solve_sym_3d(spec: ProblemSpec, tol: float) -> TensorSolution:
     for c in spec.marginals:
         if c.axis == "row":
             u[c.index, c.slice_index] = c.value
-    s = float(u.sum())
-    if spec.total is not None and not close(spec.total.value, s):
-        raise InfeasibleMarginals(
-            f"total {spec.total.value} disagrees with the section-sum total {s}"
-        )
+    s = _total(u)
+    _check_block_total(spec, s)
     return solve_sym_3d_fixed_diagonal(u, s, tol=tol)
 
 

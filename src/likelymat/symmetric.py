@@ -17,13 +17,14 @@ below a third of their sum the root is bracketed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constraints import REL_TOL, FixedBlock, SolverCase, close, require_block_consistency
+from .constraints import REL_TOL, FixedCells, SolverCase, close, consistency_check_blocks
 from .errors import (
     BracketFailure,
+    ConsistencyViolation,
     InfeasibleMarginals,
     InvariantViolation,
     NegativeValue,
@@ -328,42 +329,92 @@ def solve_sym_total_row_col_bounds(s: float, u) -> Solution:
 
 
 def _root_factors(
-    r: np.ndarray, groups, tol: float
+    r: np.ndarray, nodes: np.ndarray, block: np.ndarray, tol: float
 ) -> tuple[RootProblem | None, float, np.ndarray]:
-    """Saturation-equation root and per-node factors over fixed groups.
+    """Saturation-equation root and per-node factors over fixed blocks.
 
-    ``r[i]`` is node i's unfixed mass over the total.  Each group (the node
-    indices of a fixed diagonal entry or a fixed block) contributes one
-    square-root term over its summed ratio r_g; the nodes in no group form
-    the linear tail, in index order.  A group's factor is the small root of
-    f * (lam - f) = r_g in its subtraction-free form 2 r_g / (lam (1 + q_g)):
-    the companion lam - f then equals lam (1 + q_g) / 2 exactly, so each row
-    sum reproduces s r at full relative precision whatever the size of q_g.
-    A singleton's node takes the group factor itself, a node of a larger
-    group its share r_i / r_g of it, and a tail node r_i / lam.  When every
-    ratio is zero there is no root: the problem is None and lam is NaN.
+    ``r[i]`` is node i's unfixed mass over the total; ``nodes`` and ``block``
+    are the covered nodes and their blocks (:class:`FixedCells`).  Each
+    block contributes one square-root term over its summed ratio r_g, added
+    in ``nodes`` order; the nodes in no block form the linear tail, in index
+    order.  A block's factor is the small root of f * (lam - f) = r_g in its
+    subtraction-free form 2 r_g / (lam (1 + q_g)): the companion lam - f
+    then equals lam (1 + q_g) / 2 exactly, so each row sum reproduces s r at
+    full relative precision whatever the size of q_g.  A singleton's node
+    takes the block factor itself, a node of a larger block its share
+    r_i / r_g of it, and a tail node r_i / lam.  When every ratio is zero
+    there is no root: the problem is None and lam is NaN.
     """
-    grouped = np.zeros(r.size, dtype=bool)
-    grouped[[i for g in groups for i in g]] = True
-    tail = np.flatnonzero(~grouped)
-    rl = r.tolist()
-    r_group = [rl[g[0]] if len(g) == 1 else sum(rl[i] for i in g) for g in groups]
-    problem = RootProblem(r=tuple(r_group) + tuple(r[tail].tolist()), m=len(r_group))
+    tail = np.flatnonzero(np.bincount(nodes, minlength=r.size) == 0)
+    rn = r[nodes]
+    single = np.bincount(block)[block] == 1
+    r_group = np.bincount(block, rn)
+    r_group[block[single]] = rn[single]  # a singleton's ratio as it is (-0.0 too)
+    problem = RootProblem(r=tuple(r_group.tolist()) + tuple(r[tail].tolist()), m=r_group.size)
     if problem.sigma == 0.0:
         # Nothing is left unfixed: no equation to solve, every free entry is 0.
         return None, math.nan, np.zeros(r.size)
     lam = solve_root_lambda(problem, tol)
     q = branch_factors(problem, lam)
-    f_group = 2.0 * np.array(r_group) / (lam * (1.0 + q))
+    f_group = 2.0 * r_group / (lam * (1.0 + q))
 
     factors = np.zeros(r.size)
     factors[tail] = r[tail] / lam
-    for g, rg, fg in zip(groups, r_group, f_group.tolist()):
-        if len(g) == 1:
-            factors[g[0]] = fg
-        elif rg > 0:
-            factors[list(g)] = r[list(g)] * fg / rg
+    fg, rg = f_group[block], r_group[block]
+    share = np.divide(rn * fg, rg, out=np.zeros(rn.size), where=rg > 0)
+    factors[nodes] = np.where(single, fg, share)
     return problem, lam, factors
+
+
+def _total(x: np.ndarray) -> float:
+    """``float(x.sum())``; past the float range inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(x.sum())
+
+
+def _in_range(u: np.ndarray, s: float, what: str) -> tuple[np.ndarray, float, float]:
+    """``(u, s, 1)`` once s is checked against the ``what`` total of u; when s
+    overflows, u and its total divided by a power of two, and that power.
+    The solution is homogeneous of degree 1 and the division exact, so the
+    divided problem solves to the true solution divided by the power."""
+    total = _total(u)
+    if not close(s, total):
+        raise InfeasibleMarginals(f"total {s} disagrees with the {what} total {total}")
+    if math.isfinite(s):
+        return u, s, 1.0
+    unit = 2.0 ** u.size.bit_length()
+    return u / unit, _total(u / unit), unit
+
+
+def _fixed_entries(u, c: FixedCells, total: float, scale: float, unit: float, tol: float):
+    """The fixed-entry construction over node sums ``u`` with the cells ``c``
+    fixed: the matrix, the factors, the root problem and the root.
+
+    The half-total check runs at ``total``, the ratios are u / ``scale`` and
+    the free entries scale f_i f_j.  The inputs come divided by ``unit``
+    (:func:`_in_range`), and the matrix and the half-total check's message
+    give them back multiplied by it.
+    """
+    report = consistency_check_blocks(u, c, total)
+    if not report.ok:
+        index_set, u_block, limit = report.first_violation
+        raise ConsistencyViolation(
+            f"index set {index_set}: outgoing traffic {u_block * unit} is not strictly "
+            f"below {limit * unit} (half the total plus half the intra-set traffic)"
+        )
+    un, w = u[c.nodes], c.row_sums()
+    over = np.flatnonzero(w > un * (1 + REL_TOL))
+    if over.size:
+        raise InfeasibleMarginals(
+            f"node {c.nodes[over[0]]}: fixed values in its block exceed its sum")
+    r = u / scale
+    r[c.nodes] = (un - w) / scale
+    problem, lam, factors = _root_factors(np.maximum(0.0, r), c.nodes, c.block, tol)
+    X = scale * np.outer(factors, factors)
+    X[c.nodes[c.rows], c.nodes[c.cols]] = c.values
+    if unit != 1.0:
+        X *= unit
+    return X, factors, problem, lam
 
 
 def solve_sym_fixed_diagonal(
@@ -386,16 +437,22 @@ def solve_sym_fixed_diagonal(
         raise InfeasibleMarginals(
             f"{len(w_diag)} diagonal values for a fixed prefix of {m_fixed}"
         )
-    blocks = [FixedBlock((i,), ((w,),)) for i, w in enumerate(w_diag)]
-    return solve_sym_block_diagonal(u, blocks, s, bounds_mode=bounds_mode, tol=tol)
+    negative = [w for w in w_diag if not w >= 0]
+    if negative:
+        raise NegativeValue(f"fixed block value {negative[0]} < 0")
+    at = np.arange(m_fixed)  # the prefix's nodes, and their positions among them
+    cells = FixedCells(at, at, at, at, np.array(w_diag))
+    return solve_sym_block_diagonal(u, cells, s, bounds_mode=bounds_mode, tol=tol)
 
 
 def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSolution:
     """Zero-diagonal 3-D array from symmetric per-slice section sums.
 
     ``u[i, k]`` is the sum of slice k's row i (equal to its column i).  The
-    slices decouple: each gets its own root xi_k of the saturation equation
-    over the ratios u[:, k] / s, and
+    slices decouple: each is the fixed-entry construction of
+    :func:`solve_sym_block_diagonal` with a zero diagonal, its half-total
+    check at the slice's own total and its ratios u[:, k] / s over the
+    global total, so each gets its own root xi_k and
 
         x[i, j, k] = (s / xi_k) (1 - sqrt(1 - r_ik xi_k)) (1 - sqrt(1 - r_jk xi_k))
 
@@ -407,11 +464,9 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
     if np.any(u < 0):
         raise NegativeValue("section sums must be nonnegative")
     n, K = u.shape
-    if not close(s, float(u.sum())):
-        raise InfeasibleMarginals(f"total {s} disagrees with the section total {u.sum()}")
-
-    zero_diagonal = [FixedBlock((i,), ((0.0,),)) for i in range(n)]
-    groups = [(i,) for i in range(n)]
+    u, s, unit = _in_range(u, s, "section")
+    at = np.arange(n)
+    zero_diagonal = FixedCells(at, at, at, at, np.zeros(n))
     values = np.zeros((n, n, K))
     lams: list[float] = []
     xis: list[float] = []
@@ -422,11 +477,9 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
             lams.append(math.nan)
             xis.append(math.nan)
             continue
-        require_block_consistency(u[:, k], zero_diagonal, slice_total)
-        problem, lam, factors = _root_factors(u[:, k] / s, groups, tol)
-        sheet = s * np.outer(factors, factors)
-        np.fill_diagonal(sheet, 0.0)
-        values[:, :, k] = sheet
+        values[:, :, k], _, problem, lam = _fixed_entries(
+            u[:, k], zero_diagonal, slice_total, s, unit, tol
+        )
         lams.append(lam)
         xis.append(4.0 / (lam * lam))
         if problem is not None and not problem.guaranteed:
@@ -434,7 +487,7 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
     return TensorSolution(
         values,
         SolverCase.SYM_3D_FIXED_DIAGONAL,
-        total=float(values.sum()),
+        total=_total(values),
         lam=tuple(lams),
         xi=tuple(xis),
         notes=tuple(notes),
@@ -446,6 +499,7 @@ def solve_sym_block_diagonal(
 ) -> Solution:
     """Equal row and column sums with disjoint diagonal blocks fixed.
 
+    ``blocks`` are :class:`FixedBlock` objects or their :class:`FixedCells`.
     Within a block the entries equal the given values; every other entry
     takes the form s * lam_i * lam_j, where a block node's factor is its
     unfixed-mass ratio scaled by the block factor and a node outside every
@@ -455,48 +509,33 @@ def solve_sym_block_diagonal(
     to lie in (0, 1].
     """
     u = np.asarray(u, dtype=float)
-    n = u.size
-    blocks = tuple(blocks)
+    c = FixedCells.of(blocks)
     if np.any(u < 0):
         raise NegativeValue("sums must be nonnegative")
-    covered = [i for b in blocks for i in b.index_set]
-    if not covered or len(set(covered)) != len(covered) or not set(covered) <= set(range(n)):
+    nodes = c.nodes
+    if (not nodes.size or nodes.min() < 0 or nodes.max() >= u.size
+            or np.bincount(nodes).max() > 1):
         raise InfeasibleMarginals("fixed blocks must be one or more disjoint sets of nodes")
-    if not close(s, float(u.sum())):
-        raise InfeasibleMarginals(f"total {s} disagrees with the sum total {u.sum()}")
-    for b in blocks:
-        if any(
-            not close(rs, cs)
-            for rs, cs in zip(b.row_sums(), b.col_sums())
-        ):
-            raise InfeasibleMarginals(
-                f"block {b.index_set}: fixed row and column sums differ, so the "
-                "shared row/column totals cannot both hold"
-            )
-    require_block_consistency(u, blocks, s)
-
-    w_rows = [w for b in blocks for w in b.row_sums()]
-    for i, w in zip(covered, w_rows):
-        if w > u[i] * (1 + REL_TOL):
-            raise InfeasibleMarginals(f"node {i}: fixed values in its block exceed its sum")
-    r = u / s
-    r[covered] = (u[covered] - w_rows) / s
-    problem, lam, factors = _root_factors(
-        np.maximum(0.0, r), [b.index_set for b in blocks], tol
-    )
+    u, s, unit = _in_range(u, s, "sum")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rs, cs = c.row_sums(), np.bincount(c.cols, c.values, minlength=nodes.size)
+        differ = ~((rs == cs) | np.isfinite(rs) & np.isfinite(cs)
+                   & (np.abs(rs - cs) <= REL_TOL * np.maximum(1.0, np.maximum(rs, cs))))
+    if differ.any():
+        raise InfeasibleMarginals(
+            f"block {c.index_set(int(c.block[np.argmax(differ)]))}: fixed row and column "
+            "sums differ, so the shared row/column totals cannot both hold"
+        )
+    c = replace(c, values=c.values / unit)
+    X, factors, problem, lam = _fixed_entries(u, c, s, s, unit, tol)
     if bounds_mode and not np.all(factors <= 1.0 + 1e-9):
         raise InvariantViolation("bound-mode factors must stay in (0, 1]")
 
-    X = s * np.outer(factors, factors)
-    X[
-        [i for b in blocks for i in b.index_set for _ in b.index_set],
-        [j for b in blocks for _ in b.index_set for j in b.index_set],
-    ] = [w for b in blocks for row in b.matrix for w in row]
-    singletons = all(len(b.index_set) == 1 for b in blocks)
+    singletons = c.values.size == nodes.size
     return Solution(
         X,
         SolverCase.SYM_FIXED_DIAGONAL if singletons else SolverCase.SYM_BLOCK_DIAGONAL,
-        total=float(X.sum()),
+        total=_total(X),
         row_multipliers=factors,
         col_multipliers=factors.copy(),
         lam=lam,

@@ -71,8 +71,8 @@ def find_k_vector(a: float, b_sorted) -> int:
     ``b_sorted`` must be ascending.  The slack phi(j) = a - (b_1+..+b_j)
     - (n-j)*b_j is monotone nonincreasing in j, so a linear scan suffices.
     """
-    b = np.asarray(b_sorted, dtype=float)
-    return int(_find_k(np.array([a], dtype=float), b[None, :])[0])
+    b = np.asarray(b_sorted, dtype=float)[None, :]
+    return int(_find_k(_clamp_to_total(np.array([a], dtype=float), b.sum(axis=1)), b)[0])
 
 
 def _find_k(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
@@ -80,12 +80,12 @@ def _find_k(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
 
     The prefix sums are a running ``np.cumsum``, the same additions in the
     same order as a scalar scan, so every slack and every k is the scan's.
-    An unbounded coordinate can never saturate, nor can any after it.
+    An unbounded coordinate can never saturate, nor can any after it.  The
+    targets must not exceed the bound totals: the caller decides saturation.
     """
     rows, n = bs.shape
     if n == 0:
         return np.zeros(rows, dtype=np.intp)
-    a = _clamp_to_total(a, bs.sum(axis=1))
     live = np.logical_and.accumulate(np.isfinite(bs), axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         phi = a[:, None] - np.cumsum(bs, axis=1) - np.arange(n - 1, -1, -1) * bs
@@ -106,14 +106,12 @@ def _clamp_to_total(a: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.minimum(a, total)
 
 
-def _equal_sum_rows(a, B, total, order):
-    """Equal-sum water-fill of each row of ``B`` (sorted by ``order``) at ``a[i]``.
+def _equal_sum_rows(a, B, order):
+    """Equal-sum water-fill of each row of ``B`` (sorted by ``order``) at a
+    finite ``a[i]`` below its row's bound total.
 
     Returns the rows in input order, each row's k and each row's level mu.
     """
-    if not np.all(np.isfinite(a)):
-        raise InfeasibleSum("equal-sum target must be finite")
-    a = _clamp_to_total(a, total)
     rows, n = B.shape
     x = np.zeros((rows, n))
     k = np.zeros(rows, dtype=np.intp)
@@ -156,14 +154,15 @@ def waterfill_rows(a, B) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
         Bb = B[rs]
         total = Bb.sum(axis=1)
         order[rs] = np.argsort(Bb, axis=1, kind="stable")
-        # Bounds that cannot absorb the target all saturate; otherwise the
-        # sum binds and the equal-sum solution applies.
-        full = a[rs] > total
+        # A target at or above its bound total saturates every bound, decided
+        # here once: the k-search never meets a target that its sorted prefix
+        # sums could round past.  Below it the equal-sum solution applies.
+        full = a[rs] >= total
         x[rs][full], k[rs][full], mu[rs][full] = Bb[full], n, 0.0
         part = ~full
         if part.any():
             x[rs][part], k[rs][part], mu[rs][part] = _equal_sum_rows(
-                a[rs][part], Bb[part], total[part], order[rs][part]
+                a[rs][part], Bb[part], order[rs][part]
             )
     return x, k, mu, order
 
@@ -173,10 +172,12 @@ def _one_row(x, k, mu, order) -> WaterfillResult:
 
 
 def waterfill_equal_sum(p: BoundedVectorProblem) -> WaterfillResult:
-    """Entropy-maximal x with sum(x) = a and 0 <= x_i <= b_i."""
-    b = np.asarray(p.b, dtype=float)[None, :]
-    order = np.argsort(b, axis=1, kind="stable")
-    return _one_row(*_equal_sum_rows(np.array([p.a]), b, b.sum(axis=1), order), order)
+    """Entropy-maximal x with sum(x) = a and 0 <= x_i <= b_i: for a finite a
+    within the bound total, the bounded-sum water-fill."""
+    if not np.isfinite(p.a):
+        raise InfeasibleSum("equal-sum target must be finite")
+    _clamp_to_total(np.array([p.a]), np.sum([p.b], axis=1))  # rejects a above it
+    return waterfill_bounded_sum(p)
 
 
 def waterfill_bounded_sum(p: BoundedVectorProblem) -> WaterfillResult:

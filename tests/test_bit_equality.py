@@ -4,9 +4,14 @@ The references below are the loop code that ``RootProblem``, the root
 solver, ``branch_factors``, ``series_approx_xi``, ``_root_factors`` and the
 water-fill ran before they were vectorised, and the oracle's program build,
 dual solve, product-form fit and KKT check as they were when they walked
-every cell in Python.  They are kept verbatim apart from names.  The
-vectorised code promises the same floating-point operations in the same
-order, so those comparisons are ``==``, never a tolerance.
+every cell in Python, and the fixed-entry solvers, the half-total check and
+``_root_factors`` as they were when they walked ``FixedBlock`` objects.
+They are kept verbatim apart from names, and apart from one rule the
+water-fill loops took with the code they check: a target at or above the
+bound total saturates every bound (it used to go to the k-scan, whose
+sorted prefix sum could end an ulp above the target and give k = n - 1).
+The vectorised code promises the same floating-point operations in the
+same order, so those comparisons are ``==``, never a tolerance.
 
 The oracle's dual solve and product-form fit are the exception: they now
 work on incidence lists and the normal equations instead of dense
@@ -44,21 +49,35 @@ from conftest import (
 from likelymat import (
     BoundedVectorProblem,
     BracketFailure,
+    ConsistencyViolation,
     FixedBlock,
+    InfeasibleMarginals,
     InvariantViolation,
+    NegativeValue,
     RootProblem,
     SolverCase,
     classify,
+    consistency_check_blocks,
     solve,
     solve_bounded_total_row_bounds,
     solve_row_bounds,
     solve_row_col_bounds,
+    solve_sym_3d_fixed_diagonal,
+    solve_sym_block_diagonal,
+    solve_sym_fixed_diagonal,
     solve_sym_total_row_col_bounds,
     solve_total_row_bounds,
 )
 from likelymat import oracle
 from likelymat.cli import _oracle_objective
-from likelymat.constraints import REL_TOL, ProblemSpec, close, is_column_form, validate_spec
+from likelymat.constraints import (
+    REL_TOL,
+    ConsistencyReport,
+    ProblemSpec,
+    close,
+    is_column_form,
+    validate_spec,
+)
 from likelymat.errors import Infeasible
 from likelymat.oracle import ZERO_REPORT, KktReport
 from likelymat.solution import Solution, TensorSolution
@@ -284,6 +303,8 @@ def loop_waterfill_equal_sum(a, b):
     a = min(a, total)
     order = np.argsort(b, kind="stable")
     bs = b[order]
+    if a >= total:
+        return b.copy(), n, 0.0, tuple(int(i) for i in order)
     if a == 0.0:
         return np.zeros(n), 0, 0.0, tuple(int(i) for i in order)
     k = loop_find_k_vector(a, bs)
@@ -302,7 +323,7 @@ def loop_waterfill_equal_sum(a, b):
 def loop_waterfill_bounded_sum(a, b):
     b = np.asarray(b, dtype=float)
     total = float(b.sum())
-    if a > total:
+    if a >= total:
         order = np.argsort(b, kind="stable")
         return b.copy(), b.size, 0.0, tuple(int(i) for i in order)
     return loop_waterfill_equal_sum(a, b)
@@ -397,13 +418,15 @@ class TestRootEvaluators:
                 r = u / u.sum()
                 for g in groups:  # fixed mass takes a share of each group
                     r[list(g)] *= rng.uniform(0.05, 0.5)
+                nodes = np.array([i for g in groups for i in g], dtype=np.intp)
+                block = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
                 try:
                     ref = loop_root_factors(r, groups, 1e-12)
                 except AssertionError:
                     with pytest.raises(Exception):
-                        _root_factors(r, groups, 1e-12)
+                        _root_factors(r, nodes, block, 1e-12)
                     continue
-                problem, lam, factors = _root_factors(r, groups, 1e-12)
+                problem, lam, factors = _root_factors(r, nodes, block, 1e-12)
                 assert problem.r == ref[0].r and problem.m == ref[0].m
                 assert bits(lam) == bits(ref[1]) and bits(factors) == bits(ref[2])
                 solved += 1
@@ -1194,3 +1217,302 @@ class TestOracle:
                 want_ok, want = walk_product_form_ok(spec, walk, Y, 1e-6)
                 assert ok == want_ok
                 assert abs(resid - want) <= max(1e-9 * abs(want), 1e-12), (resid, want)
+
+
+# ----------------------------------------------------------------------
+# Reference: the fixed-entry solvers as they walked the blocks
+# ----------------------------------------------------------------------
+
+
+def walk_row_sums(b):
+    return tuple(sum(row) for row in b.matrix)
+
+
+def walk_col_sums(b):
+    return tuple(sum(row[j] for row in b.matrix) for j in range(len(b.index_set)))
+
+
+def walk_value_sum(b):
+    return sum(sum(row) for row in b.matrix)
+
+
+def walk_consistency_check_blocks(u, blocks, s):
+    violations = []
+    for b in blocks:
+        u_block = sum(u[i] for i in b.index_set)
+        limit = s / 2.0 + walk_value_sum(b) / 2.0
+        if not u_block < limit:
+            violations.append((b.index_set, u_block, limit))
+    return ConsistencyReport(ok=not violations, violations=tuple(violations))
+
+
+def walk_require_block_consistency(u, blocks, s):
+    report = walk_consistency_check_blocks(u, blocks, s)
+    if not report.ok:
+        index_set, u_block, limit = report.first_violation
+        raise ConsistencyViolation(
+            f"index set {index_set}: outgoing traffic {u_block} is not strictly "
+            f"below {limit} (half the total plus half the intra-set traffic)"
+        )
+
+
+def walk_root_factors(r, groups, tol):
+    grouped = np.zeros(r.size, dtype=bool)
+    grouped[[i for g in groups for i in g]] = True
+    tail = np.flatnonzero(~grouped)
+    rl = r.tolist()
+    r_group = [rl[g[0]] if len(g) == 1 else sum(rl[i] for i in g) for g in groups]
+    problem = RootProblem(r=tuple(r_group) + tuple(r[tail].tolist()), m=len(r_group))
+    if problem.sigma == 0.0:
+        return None, math.nan, np.zeros(r.size)
+    lam = solve_root_lambda(problem, tol)
+    q = branch_factors(problem, lam)
+    f_group = 2.0 * np.array(r_group) / (lam * (1.0 + q))
+    factors = np.zeros(r.size)
+    factors[tail] = r[tail] / lam
+    for g, rg, fg in zip(groups, r_group, f_group.tolist()):
+        if len(g) == 1:
+            factors[g[0]] = fg
+        elif rg > 0:
+            factors[list(g)] = r[list(g)] * fg / rg
+    return problem, lam, factors
+
+
+def walk_solve_sym_block_diagonal(u, blocks, s, bounds_mode=False, tol=1e-12):
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    blocks = tuple(blocks)
+    if np.any(u < 0):
+        raise NegativeValue("sums must be nonnegative")
+    covered = [i for b in blocks for i in b.index_set]
+    if not covered or len(set(covered)) != len(covered) or not set(covered) <= set(range(n)):
+        raise InfeasibleMarginals("fixed blocks must be one or more disjoint sets of nodes")
+    if not close(s, float(u.sum())):
+        raise InfeasibleMarginals(f"total {s} disagrees with the sum total {u.sum()}")
+    for b in blocks:
+        if any(
+            not close(rs, cs)
+            for rs, cs in zip(walk_row_sums(b), walk_col_sums(b))
+        ):
+            raise InfeasibleMarginals(
+                f"block {b.index_set}: fixed row and column sums differ, so the "
+                "shared row/column totals cannot both hold"
+            )
+    walk_require_block_consistency(u, blocks, s)
+
+    w_rows = [w for b in blocks for w in walk_row_sums(b)]
+    for i, w in zip(covered, w_rows):
+        if w > u[i] * (1 + REL_TOL):
+            raise InfeasibleMarginals(f"node {i}: fixed values in its block exceed its sum")
+    r = u / s
+    r[covered] = (u[covered] - w_rows) / s
+    problem, lam, factors = walk_root_factors(
+        np.maximum(0.0, r), [b.index_set for b in blocks], tol
+    )
+    if bounds_mode and not np.all(factors <= 1.0 + 1e-9):
+        raise InvariantViolation("bound-mode factors must stay in (0, 1]")
+
+    X = s * np.outer(factors, factors)
+    X[
+        [i for b in blocks for i in b.index_set for _ in b.index_set],
+        [j for b in blocks for _ in b.index_set for j in b.index_set],
+    ] = [w for b in blocks for row in b.matrix for w in row]
+    singletons = all(len(b.index_set) == 1 for b in blocks)
+    return Solution(
+        X,
+        SolverCase.SYM_FIXED_DIAGONAL if singletons else SolverCase.SYM_BLOCK_DIAGONAL,
+        total=float(X.sum()),
+        row_multipliers=factors,
+        col_multipliers=factors.copy(),
+        lam=lam,
+        xi=4.0 / (lam * lam),
+        notes=() if problem is None or problem.guaranteed
+        else ("outside guaranteed bracket regime",),
+        root=problem,
+    )
+
+
+def walk_solve_sym_fixed_diagonal(u, s, m_fixed, w_diag, bounds_mode=False, tol=1e-12):
+    w_diag = [float(w) for w in np.ravel(w_diag)]
+    n = np.size(u)
+    if not 0 < m_fixed <= n:
+        raise InfeasibleMarginals(f"fixed prefix {m_fixed} outside 1..{n}")
+    if len(w_diag) != m_fixed:
+        raise InfeasibleMarginals(
+            f"{len(w_diag)} diagonal values for a fixed prefix of {m_fixed}"
+        )
+    blocks = [FixedBlock((i,), ((w,),)) for i, w in enumerate(w_diag)]
+    return walk_solve_sym_block_diagonal(u, blocks, s, bounds_mode=bounds_mode, tol=tol)
+
+
+def walk_solve_sym_3d_fixed_diagonal(u, s, tol=1e-12):
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise InfeasibleMarginals(f"section sums must be 2-D (n x K), got {u.shape}")
+    if np.any(u < 0):
+        raise NegativeValue("section sums must be nonnegative")
+    n, K = u.shape
+    if not close(s, float(u.sum())):
+        raise InfeasibleMarginals(f"total {s} disagrees with the section total {u.sum()}")
+
+    zero_diagonal = [FixedBlock((i,), ((0.0,),)) for i in range(n)]
+    groups = [(i,) for i in range(n)]
+    values = np.zeros((n, n, K))
+    lams = []
+    xis = []
+    notes = []
+    for k in range(K):
+        slice_total = float(u[:, k].sum())
+        if slice_total == 0.0:
+            lams.append(math.nan)
+            xis.append(math.nan)
+            continue
+        walk_require_block_consistency(u[:, k], zero_diagonal, slice_total)
+        problem, lam, factors = walk_root_factors(u[:, k] / s, groups, tol)
+        sheet = s * np.outer(factors, factors)
+        np.fill_diagonal(sheet, 0.0)
+        values[:, :, k] = sheet
+        lams.append(lam)
+        xis.append(4.0 / (lam * lam))
+        if problem is not None and not problem.guaranteed:
+            notes.append(f"slice {k}: outside guaranteed bracket regime")
+    return TensorSolution(
+        values,
+        SolverCase.SYM_3D_FIXED_DIAGONAL,
+        total=float(values.sum()),
+        lam=tuple(lams),
+        xi=tuple(xis),
+        notes=tuple(notes),
+    )
+
+
+def fixed_entry_bits(result):
+    """Every field of a fixed-entry solution by bit pattern, or the error raised."""
+    if isinstance(result, tuple):
+        return result
+    if isinstance(result, TensorSolution):
+        return (bits(result.values), result.case, bits(result.total), bits(result.lam),
+                bits(result.xi), result.notes)
+    root = result.root
+    return (bits(result.matrix), result.case, bits(result.total), result.k,
+            bits(result.row_multipliers), bits(result.col_multipliers), bits(result.lam),
+            bits(result.xi), result.permutation, result.notes,
+            None if root is None else (bits(root.r), root.m))
+
+
+def report_bits(report):
+    return report.ok, [(index_set, bits(u_block), bits(limit))
+                       for index_set, u_block, limit in report.violations]
+
+
+def random_block_problem(rng, n):
+    """Node sums and fixed blocks for a block solve of n nodes.
+
+    The blocks come in no particular order over shuffled index sets: some
+    singletons, some of more than 8 nodes (their row sums add more than 8
+    terms), some all zero; with probability 1/2 some nodes stay uncovered.
+    """
+    nodes = rng.permutation(n)
+    covered = n if rng.random() < 0.5 else int(rng.integers(1, n + 1))
+    u = rng.uniform(1.0, 100.0, n)
+    blocks, start = [], 0
+    while start < covered:
+        k = min(covered - start, int(rng.choice([1, 1, 2, 3, 9, 12])))
+        idx = nodes[start:start + k]
+        start += k
+        W = rng.uniform(0.0, 0.3, (k, k)) * float(u[idx].min()) / k
+        W = np.zeros((k, k)) if rng.random() < 0.2 else (W + W.T) / 2.0
+        u[idx] += W.sum(axis=1)
+        blocks.append(FixedBlock(tuple(idx.tolist()), tuple(map(tuple, W.tolist()))))
+    return u, tuple(blocks)
+
+
+class TestFixedEntries:
+    """The fixed-entry solvers over index arrays against the block walks they
+    replaced: every field bit for bit, or the same error and message."""
+
+    def test_block_solver(self, rng):
+        solved = 0
+        for n in SIZES:
+            for _ in range(2 if n == 2000 else 12):
+                u, blocks = random_block_problem(rng, n)
+                s = float(u.sum())
+                bounds_mode = bool(rng.random() < 0.3)
+                ref = result_or_error(walk_solve_sym_block_diagonal, u, blocks, s, bounds_mode)
+                new = result_or_error(solve_sym_block_diagonal, u, blocks, s, bounds_mode)
+                assert fixed_entry_bits(new) == fixed_entry_bits(ref)
+                solved += not isinstance(ref, tuple)
+                report = consistency_check_blocks(u.tolist(), blocks, s)
+                assert report_bits(report) == report_bits(
+                    walk_consistency_check_blocks(u.tolist(), blocks, s))
+        assert solved >= 40
+
+    def test_through_solve(self, rng):
+        solved = 0
+        for n in SIZES:
+            for _ in range(1 if n == 2000 else 6):
+                u, blocks = random_block_problem(rng, n)
+                kind = "upper" if rng.random() < 0.3 else "equal"
+                spec = validate_spec(make_spec(n, n, row=(kind, u.tolist()), blocks=blocks,
+                                               symmetric=True))
+                if classify(spec) not in (SolverCase.SYM_FIXED_DIAGONAL,
+                                          SolverCase.SYM_BLOCK_DIAGONAL):
+                    continue
+                ref = result_or_error(walk_solve_sym_block_diagonal, u, spec.fixed_blocks,
+                                      float(u.sum()), kind == "upper")
+                assert fixed_entry_bits(result_or_error(solve, spec)) == fixed_entry_bits(ref)
+                solved += not isinstance(ref, tuple)
+        assert solved >= 15
+
+    def test_fixed_diagonal(self, rng):
+        for n in SIZES:
+            for _ in range(2 if n == 2000 else 6):
+                u = rng.uniform(1.0, 100.0, n)
+                m = int(rng.integers(1, n + 1))
+                w = rng.uniform(0.0, 0.5, m) * u[:m]
+                w[rng.random(m) < 0.3] = 0.0
+                args = (u, float(u.sum()), m, w, bool(rng.random() < 0.3))
+                assert fixed_entry_bits(result_or_error(solve_sym_fixed_diagonal, *args)) == \
+                    fixed_entry_bits(result_or_error(walk_solve_sym_fixed_diagonal, *args))
+
+    def test_three_d(self, rng):
+        for n in SIZES:
+            K = 1 if n == 2000 else 3
+            for _ in range(1 if n == 2000 else 4):
+                u = rng.uniform(1.0, 100.0, (n, K))
+                u[:, rng.random(K) < 0.3] = 0.0  # slices with total 0
+                if n > 1 and rng.random() < 0.3:
+                    u[0, 0] = u[1:, 0].sum() * 1.5  # one node outweighs its slice
+                args = (u, float(u.sum()))
+                assert fixed_entry_bits(result_or_error(solve_sym_3d_fixed_diagonal, *args)) == \
+                    fixed_entry_bits(result_or_error(walk_solve_sym_3d_fixed_diagonal, *args))
+
+    def test_errors(self):
+        u = [10.0, 12.0, 14.0, 16.0]
+        one = FixedBlock((0,), ((1.0,),))
+        cases = [
+            (solve_sym_block_diagonal, ([-1.0, 2.0], [one], 1.0)),
+            (solve_sym_block_diagonal, (u, [], 52.0)),
+            (solve_sym_block_diagonal, (u, [FixedBlock((0, 1), ((0.0, 0.0), (0.0, 0.0))),
+                                            FixedBlock((1,), ((0.0,),))], 52.0)),
+            (solve_sym_block_diagonal, (u, [FixedBlock((4,), ((0.0,),))], 52.0)),
+            (solve_sym_block_diagonal, (u, [one], 60.0)),
+            (solve_sym_block_diagonal, (u, [FixedBlock((2, 0), ((0.0, 1.0), (2.0, 0.0)))],
+                                        52.0)),
+            (solve_sym_block_diagonal, (u, [FixedBlock((3, 2, 1), ((0.0,) * 3,) * 3)], 52.0)),
+            (solve_sym_block_diagonal, (u, [FixedBlock((2,), ((15.0,),))], 52.0)),
+            (solve_sym_fixed_diagonal, (u, 52.0, 0, [])),
+            (solve_sym_fixed_diagonal, (u, 52.0, 2, [1.0])),
+            (solve_sym_fixed_diagonal, (u, 52.0, 2, [1.0, -1.0])),
+            (solve_sym_3d_fixed_diagonal, (np.ones(3), 3.0)),
+            (solve_sym_3d_fixed_diagonal, (-np.ones((3, 2)), -6.0)),
+            (solve_sym_3d_fixed_diagonal, (np.ones((3, 2)), 7.0)),
+            (solve_sym_3d_fixed_diagonal, (np.array([[9.0], [1.0], [1.0]]), 11.0)),
+        ]
+        walks = {solve_sym_block_diagonal: walk_solve_sym_block_diagonal,
+                 solve_sym_fixed_diagonal: walk_solve_sym_fixed_diagonal,
+                 solve_sym_3d_fixed_diagonal: walk_solve_sym_3d_fixed_diagonal}
+        for fn, args in cases:
+            ref = result_or_error(walks[fn], *args)
+            assert isinstance(ref, tuple), (fn.__name__, args)
+            assert result_or_error(fn, *args) == ref

@@ -390,6 +390,37 @@ class TestMalformedInput:
         assert captured.err.startswith("error: CountOverflow: ")
 
 
+ZERO_DIAGONAL = {"diagonal_prefix": 3, "values": [0, 0, 0]}
+
+
+class TestFixedEntriesPastTheFloatRange:
+    """A fixed-entry total past the float range solves without a numpy
+    warning and without NaN.  3 x 1e308 splits into entries of 5e307, but
+    the realization count overflows, so solve exits 1 with CountOverflow as
+    gravity does at that size; the other two break the half-total check."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("doc, err", [
+        ({"shape": {"rows": 3, "cols": 3}, "symmetric": True, "fixed_blocks": ZERO_DIAGONAL,
+          "row_sums": {"kind": "equal", "values": [1e308] * 3}},
+         "error: CountOverflow: "),
+        ({"shape": {"rows": 6, "cols": 6, "slices": 3}, "symmetric": True,
+          "fixed_blocks": {"diagonal_prefix": 6, "values": [0] * 6},
+          "row_sums": {"kind": "equal", "values": [[1e308, 1, 1]] * 2 + [[1, 1, 1]] * 4}},
+         "error: ConsistencyViolation: index set (0,): outgoing traffic 1e+308 "),
+        ({"shape": {"rows": 4, "cols": 4}, "symmetric": True,
+          "fixed_blocks": [{"indices": [0, 1], "matrix": [[0, 0], [0, 0]]},
+                           {"indices": [2, 3], "matrix": [[0, 0], [0, 0]]}],
+          "row_sums": {"kind": "equal", "values": [1e308, 1e308, 1e308, 1]}},
+         "error: ConsistencyViolation: index set (0, 1): outgoing traffic inf "),
+    ], ids=["fixed_diagonal", "3d", "blocks"])
+    def test_solve_fails_cleanly(self, tmp_path, capsys, doc, err):
+        assert main(["solve", write(tmp_path, "p.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+
+
 def _residuals_per_marginal(spec, X):
     """One full axis sum per marginal: the reference for ``_residuals``."""
     eq_res, bound_res = 0.0, 0.0

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from likelymat import (
+    BoundedVectorProblem,
     LikelymatError,
     Solution,
     SolverCase,
@@ -26,6 +27,7 @@ from likelymat import (
     solve_sym_total_row_col_bounds,
     solve_total_row_bounds,
     verify_kkt,
+    waterfill_equal_sum,
 )
 from likelymat.constraints import transpose
 from conftest import make_spec
@@ -65,6 +67,20 @@ def test_saturated_row_cases_agree(u):
         assert np.array_equal(sol.matrix, sols[0].matrix)
         assert sol.k == sols[0].k == len(u)
         assert np.array_equal(sol.row_multipliers, np.array(u) / max(u))
+
+
+@given(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=1, max_size=40),
+       st.integers(1, 5), st.just(0.0) | st.floats(0.0, 1e-9))
+def test_a_total_at_the_bound_total_saturates_every_row(u, m, over):
+    # The target is u.sum() itself or above it within the tolerance, never a
+    # Python sum(u): that can fall an ulp short, and then k = n - 1 is right.
+    u = np.array(u)
+    ref = solve_row_bounds(u, m)
+    sol = solve_total_row_bounds(float(u.sum()) * (1 + over), u, m)
+    assert sol.k == ref.k == u.size
+    assert sol.matrix.tobytes() == ref.matrix.tobytes()
+    assert sol.row_multipliers.tobytes() == ref.row_multipliers.tobytes()
+    assert waterfill_equal_sum(BoundedVectorProblem(float(u.sum()), tuple(u))).k == u.size
 
 
 def test_factors_are_continuous_in_the_total():

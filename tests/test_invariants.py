@@ -1,5 +1,6 @@
 """Solver invariants raise typed errors, also under ``python -O``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -80,3 +81,11 @@ def test_invariant_survives_python_dash_o():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
     assert out.stdout.split() == ["1", "InvariantViolation"]
+
+
+def test_no_assert_statement_in_the_package():
+    # ``python -O`` strips assert statements, so a runtime check must raise
+    package = Path(likelymat.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -270,7 +270,29 @@ class TestSymFixedDiagonal:
             assert np.all(sol.matrix.diagonal()[:m_fixed] == 0.0)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_total_past_the_float_range(self):
+        # 3e308 overflows, each entry does not: the problem is solved divided
+        # by a power of two and multiplied back, with no numpy warning
+        sol = solve_sym_fixed_diagonal([1e308] * 3, math.inf, 3, [0.0] * 3)
+        unit = solve_sym_fixed_diagonal([1.0] * 3, 3.0, 3, [0.0] * 3)
+        off = ~np.eye(3, dtype=bool)
+        np.testing.assert_allclose(sol.matrix[off], 5e307, rtol=1e-15)
+        assert np.all(sol.matrix.diagonal() == 0.0) and sol.total == math.inf
+        assert (sol.lam, sol.row_multipliers.tobytes()) == (
+            unit.lam, unit.row_multipliers.tobytes())
+
+
 class TestSym3D:
+    @pytest.mark.filterwarnings("error")
+    def test_total_past_the_float_range(self):
+        u = np.full((4, 2), 1.0)
+        u[:, 0] = 2.0**1023
+        big = solve_sym_3d_fixed_diagonal(u, math.inf)
+        small = solve_sym_3d_fixed_diagonal(u / 2.0**1000, float((u / 2.0**1000).sum()))
+        assert big.values.tobytes() == (small.values * 2.0**1000).tobytes()
+        assert (big.lam, big.xi) == (small.lam, small.xi)
+
     def test_single_slice_matches_2d(self):
         u = np.array(FOUR_NODE_SUMS).reshape(4, 1)
         tensor = solve_sym_3d_fixed_diagonal(u, 130.0)
