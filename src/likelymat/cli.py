@@ -37,7 +37,6 @@ from .constraints import (
     SolverCase,
     TotalConstraint,
     classify,
-    consistency_check_blocks,
     constraint_values,
     validate_spec,
 )
@@ -50,7 +49,7 @@ from .counting import (
 from .errors import LikelymatError
 from .oracle import brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
-from .solve import solve
+from .solve import half_total_check, solve
 from .symmetric import series_approx_xi
 
 __all__ = ["main", "load_problem"]
@@ -393,25 +392,28 @@ def _cmd_check(args) -> int:
     case = classify(spec)
     payload: dict = {"valid": True, "case": case.value}
     if spec.fixed_blocks and spec.axis_complete("row"):
-        # the half-total check needs every row sum, as the block solvers do
-        kinds = spec.axis_kinds("row")
-        u = spec.axis_values("row", kind=next(iter(kinds)))
-        s = float(sum(u))
-        report = consistency_check_blocks(u, spec.fixed_cells, s)
-        payload["consistency"] = {
-            "ok": report.ok,
-            "violations": [
-                {"indices": list(v[0]), "outgoing": v[1], "limit": v[2]}
-                for v in report.violations
-            ],
-        }
-        if not report.ok:
+        # the half-total check needs every row sum, as the block solvers do;
+        # a value past the float range reads null
+        violations = [
+            {"indices": list(index_set), "outgoing": _finite_or_none(u_block),
+             "limit": _finite_or_none(limit), **({} if k is None else {"slice": k})}
+            for k, report in half_total_check(spec)
+            for index_set, u_block, limit in report.violations
+        ]
+        payload["consistency"] = {"ok": not violations, "violations": violations}
+        if violations:
             _emit(payload, args)
-            indices = list(report.first_violation[0])
-            print(f"consistency violation at index set {indices}", file=sys.stderr)
+            first = violations[0]
+            where = "" if "slice" not in first else f" of slice {first['slice']}"
+            print(f"consistency violation at index set {first['indices']}{where}",
+                  file=sys.stderr)
             return 1
     _emit(payload, args)
     return 0
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _cmd_count(args) -> int:

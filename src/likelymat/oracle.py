@@ -2,10 +2,15 @@
 
 Nothing here reuses the closed forms.  :func:`numeric_maxent` maximizes the
 entropy (or, when the total is unknown, the entropy-difference objective)
-over the problem's linear constraints by solving the smooth dual with L-BFGS-B
-plus a projected-Newton polish; :func:`brute_force_most_likely` enumerates
-small integer instances outright; :func:`verify_kkt` checks feasibility,
-product form, multiplier ranges, and complementary slackness of any solution.
+over the problem's linear constraints by solving the smooth dual: L-BFGS-B
+down to a projected gradient of 1e-4 times the largest target, then
+projected-Newton steps by Cholesky (by least squares once a Cholesky step
+fails), its ``iterations`` counting both.  A program whose maximizer scales
+with the data is solved at a power-of-two scale of its own, so that data
+near the ends of the float range solves as well as any.
+:func:`brute_force_most_likely` enumerates small integer instances outright;
+:func:`verify_kkt` checks feasibility, product form, multiplier ranges, and
+complementary slackness of any solution.
 
 scipy is imported inside the two routines that call it, so importing the
 package (or starting the CLI) does not load it.
@@ -14,7 +19,7 @@ package (or starting the CLI) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +56,15 @@ __all__ = [
 # The dual parameterization keeps every free cell strictly positive; final
 # output snaps entries below this threshold to exact zeros.
 ZERO_REPORT = 1e-9
+
+# L-BFGS-B hands off to the Newton polish once its projected gradient is
+# below this fraction of the largest target: float resolution keeps it from
+# getting much further, and it would run on until its line search fails.
+HANDOFF_GTOL = 1e-4
+# Each Newton step adds this fraction of its system's diagonal to the
+# diagonal before the Cholesky factorization: the ridge covers the gauge null
+# space of the symmetric and full-marginal programs.
+NEWTON_RIDGE = 1e-12
 
 
 def entropy(x) -> float:
@@ -284,12 +298,25 @@ def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
 
     The stationary primal point is x_c = exp(-1 - sum of multipliers over
     constraints containing c); the dual is smooth and convex with bound
-    constraints only (inequality multipliers stay nonnegative), solved by
-    L-BFGS-B and polished with a projected Newton step.  A ``total`` adds
-    the equality "the free cells sum to it" after the program's own.
-    Returns the primal vector, the multipliers, the KKT residual, and the
-    iteration count.
+    constraints only (inequality multipliers stay nonnegative).  L-BFGS-B is
+    the global phase: it hands off once its projected gradient is below
+    ``HANDOFF_GTOL`` times the largest target.  A projected-Newton polish
+    then takes the KKT residual to ``tol * 1e-3``.  Each Newton step factors
+    the free block of M diag(x) M^T by Cholesky with a ``NEWTON_RIDGE``
+    ridge; once a Cholesky step fails to lower the residual (or to factor),
+    the remaining steps solve by least squares.  Should the polish stop
+    above ``1e3 * tol``, where :func:`numeric_maxent` would raise
+    :class:`NotConverged`, L-BFGS-B resumes from its point at a gradient
+    tolerance of 1e-12, which in practice runs it until its line search
+    fails, and the polish runs once more; with every target 0 that is the
+    only round.
+
+    A ``total`` adds the equality "the free cells sum to it" after the
+    program's own.  Returns the primal vector, the multipliers, the KKT
+    residual, and the iteration count: L-BFGS-B iterations plus Newton
+    steps.
     """
+    from scipy.linalg import cho_factor, cho_solve  # loaded with scipy.optimize
     from scipy.optimize import minimize  # loaded on first use, not at import
 
     eq_targets = [target for _, target, _ in program.eq]
@@ -307,8 +334,7 @@ def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
         x = primal(theta)
         return float(x.sum() + theta @ targets), targets - M.matvec(x)
 
-    def kkt_residual(theta: np.ndarray) -> float:
-        _, g = value_grad(theta)
+    def kkt_residual(theta: np.ndarray, g: np.ndarray) -> float:
         res = float(np.max(np.abs(g[:n_eq]), initial=0.0))
         # A bound with a positive multiplier must be tight; one at zero may
         # only be slack.  A nan term is skipped (np.fmax), not propagated.
@@ -316,45 +342,64 @@ def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
         ub_res = np.where(theta[n_eq:] > 1e-14, np.abs(g_ub), -g_ub)
         return max(res, float(np.fmax.reduce(ub_res, initial=0.0)))
 
+    def polish(theta: np.ndarray):
+        x = primal(theta)
+        g = targets - M.matvec(x)
+        best_res = kkt_residual(theta, g)
+        cholesky, steps = True, 0
+        for _ in range(40):
+            if best_res <= tol * 1e-3:
+                break
+            active = np.zeros(theta.size, dtype=bool)
+            active[n_eq:] = (theta[n_eq:] <= 1e-14) & (g[n_eq:] >= 0)
+            free = ~active
+            H = M.gram(x)[np.ix_(free, free)]
+            step = np.zeros_like(theta)
+            if cholesky:
+                try:
+                    ridged = H + np.diag(NEWTON_RIDGE * H.diagonal())
+                    step[free] = cho_solve(cho_factor(ridged, check_finite=False), -g[free],
+                                           check_finite=False)
+                except np.linalg.LinAlgError:  # not positive definite
+                    cholesky = False
+            if not cholesky:
+                step[free] = np.linalg.lstsq(H, -g[free], rcond=None)[0]
+            alpha, improved = 1.0, False
+            for _ in range(30):
+                cand = theta + alpha * step
+                cand[n_eq:] = np.maximum(cand[n_eq:], 0.0)
+                cand_x = primal(cand)
+                cand_g = targets - M.matvec(cand_x)
+                cand_res = kkt_residual(cand, cand_g)
+                if cand_res < best_res:
+                    theta, x, g, best_res, improved = cand, cand_x, cand_g, cand_res, True
+                    break
+                alpha *= 0.5
+            steps += 1
+            if not improved:
+                if not cholesky:
+                    break
+                cholesky = False
+        return x, theta, best_res, steps
+
     theta = np.zeros(targets.size) if theta0 is None else np.asarray(theta0, float)
     bounds = [(None, None)] * n_eq + [(0.0, None)] * len(program.ub)
-    res = minimize(
-        value_grad,
-        theta,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 500, "maxfun": 5000, "ftol": 1e-16, "gtol": 1e-12},
-    )
-    theta = res.x
-    iters = int(res.nit)
-
-    best = theta.copy()
-    best_res = kkt_residual(theta)
-    for _ in range(40):
-        if best_res <= tol * 1e-3:
+    largest = float(np.max(targets, initial=0.0))
+    iters = 0
+    for gtol in (HANDOFF_GTOL * largest, 1e-12) if largest > 0 else (1e-12,):
+        res = minimize(
+            value_grad,
+            theta,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"maxiter": 500, "maxfun": 5000, "ftol": 1e-16, "gtol": gtol},
+        )
+        x, theta, residual, steps = polish(res.x)
+        iters += int(res.nit) + steps
+        if residual <= 1e3 * tol:
             break
-        x = primal(theta)
-        grad = targets - M.matvec(x)
-        active = np.zeros(theta.size, dtype=bool)
-        active[n_eq:] = (theta[n_eq:] <= 1e-14) & (grad[n_eq:] >= 0)
-        free = ~active
-        H = M.gram(x)[np.ix_(free, free)]
-        step = np.zeros_like(theta)
-        step[free] = np.linalg.lstsq(H, -grad[free], rcond=None)[0]
-        alpha, improved = 1.0, False
-        for _ in range(30):
-            cand = theta + alpha * step
-            cand[n_eq:] = np.maximum(cand[n_eq:], 0.0)
-            cand_res = kkt_residual(cand)
-            if cand_res < best_res:
-                theta, best, best_res, improved = cand, cand.copy(), cand_res, True
-                break
-            alpha *= 0.5
-        iters += 1
-        if not improved:
-            break
-    return primal(best), best, best_res, iters
+    return x, theta, residual, iters
 
 
 def _max_total(program: _Program) -> float:
@@ -399,25 +444,35 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
     restricted to a fixed total S is concave in S with derivative
     ln S + 1 + (total multiplier), so the optimal total is found by
     monotone bisection, checking the largest feasible total first.
+
+    When the maximizer scales with the data (G always; H when the
+    equalities fix the total), the constraints are solved divided by 2^e,
+    the power of two at or below the largest mean cell value one of them
+    asks for, and the free cells multiplied back, which is exact.  ``tol``
+    and the reported residual are then relative to 2^e, and free cells
+    below ``ZERO_REPORT`` times 2^e read 0.
     """
     if objective not in ("H", "G"):
         raise ValueError(f"objective must be 'H' or 'G', got {objective!r}")
     program = _build_program(spec)
+    e = _exponent(program) if objective == "G" or _fixes_total(spec) else 0
+    scaled = _scaled(program, e)
+
+    def result(x: np.ndarray, converged: bool, iters: int, residual: float) -> OracleResult:
+        if not converged and residual > 1e3 * tol:
+            raise NotConverged(f"dual residual {residual} above tolerance {tol}", residual)
+        X = program.assemble(np.ldexp(x, e))
+        return OracleResult(X, objective, _objective_value(objective, X, e), converged, iters,
+                            residual)
+
     if program.n == 0:
-        X = program.assemble(np.zeros(0))
-        return OracleResult(X, objective, _objective_value(objective, X), True, 0, 0.0)
+        return result(np.zeros(0), True, 0, 0.0)
 
     if objective == "H":
-        x, _, residual, iters = _dual_solve(program, tol=tol)
-        X = program.assemble(_floor_small(x))
-        converged = residual <= tol
-        if not converged and residual > 1e3 * tol:
-            raise NotConverged(
-                f"dual residual {residual} above tolerance {tol}", residual
-            )
-        return OracleResult(X, "H", _objective_value("H", X), converged, iters, residual)
+        x, _, residual, iters = _dual_solve(scaled, tol=tol)
+        return result(_floor_small(x), residual <= tol, iters, residual)
 
-    s_hi = _max_total(program)
+    s_hi = _max_total(scaled)
     if s_hi <= 0:
         X = program.assemble(np.zeros(program.n))
         return OracleResult(X, "G", 0.0, True, 0, 0.0)
@@ -427,7 +482,7 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
 
     def solve_at(s: float):
         nonlocal theta_warm, iters_total
-        x, theta, residual, iters = _dual_solve(program, total=s, theta0=theta_warm, tol=tol)
+        x, theta, residual, iters = _dual_solve(scaled, total=s, theta0=theta_warm, tol=tol)
         theta_warm = theta
         iters_total += iters
         slope = math.log(s) + 1.0 + theta[len(program.eq)]
@@ -454,11 +509,37 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
                     x, residual = x_mid, res_mid
                 else:
                     hi = mid
-    X = program.assemble(_floor_small(x))
-    converged = residual <= tol
-    if not converged and residual > 1e3 * tol:
-        raise NotConverged(f"dual residual {residual} above tolerance {tol}", residual)
-    return OracleResult(X, "G", _objective_value("G", X), converged, iters_total, residual)
+    return result(_floor_small(x), residual <= tol, iters_total, residual)
+
+
+def _fixes_total(spec: ProblemSpec) -> bool:
+    """Whether the equalities fix the total: a total equality, or equality
+    sums on every row (or every column) of every slice."""
+    if spec.total is not None and spec.total.kind == "equal":
+        return True
+    return any(spec.axis_complete(axis) and spec.axis_kinds(axis) == {"equal"}
+               for axis in ("row", "col"))
+
+
+def _exponent(program: _Program) -> int:
+    """e with 2^e at or below the largest finite mean target per member
+    cell, and above half of it; 0 when every target is 0.  Divided by 2^e,
+    the cells the constraints ask for are near the dual's start, 1/e."""
+    means = [t / max(len(m), 1) for m, t, _ in program.eq + program.ub]
+    largest = max((abs(v) for v in means if math.isfinite(v)), default=0.0)
+    return math.frexp(largest)[1] - 1 if largest else 0
+
+
+def _scaled(program: _Program, e: int) -> _Program:
+    """The program with its targets divided by 2^e; the solve reads no fixed
+    value."""
+    if e == 0:
+        return program
+
+    def scale(constraints):
+        return [(members, math.ldexp(t, -e), label) for members, t, label in constraints]
+
+    return replace(program, eq=scale(program.eq), ub=scale(program.ub))
 
 
 def _floor_small(x: np.ndarray) -> np.ndarray:
@@ -467,8 +548,14 @@ def _floor_small(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _objective_value(objective: str, X: np.ndarray) -> float:
-    return entropy(X) if objective == "H" else entropy_difference(X)
+def _objective_value(objective: str, X: np.ndarray, e: int) -> float:
+    """H or G of X; past the float range -inf or inf, without a warning.
+    G is homogeneous of degree 1: it is taken of X / 2^e and multiplied
+    back, so that its total stays in range whenever the result does."""
+    with np.errstate(over="ignore"):
+        if objective == "H":
+            return entropy(X)
+        return float(np.ldexp(entropy_difference(np.ldexp(X, -e)), e))
 
 
 # ----------------------------------------------------------------------

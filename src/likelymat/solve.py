@@ -31,13 +31,14 @@ from .solution import Solution, TensorSolution
 # (perfbench/tracing.py) wraps every solver of this module by name.
 from .symmetric import (
     _total,
+    half_total_reports,
     solve_sym_3d_fixed_diagonal,
     solve_sym_block_diagonal,
     solve_sym_fixed_diagonal,
     solve_sym_total_row_col_bounds,
 )
 
-__all__ = ["solve"]
+__all__ = ["solve", "half_total_check"]
 
 
 def solve(spec: ProblemSpec, tol: float = 1e-12) -> Solution | TensorSolution:
@@ -112,23 +113,38 @@ def _check_block_total(spec: ProblemSpec, s: float) -> None:
     )
 
 
+def _node_sums(spec: ProblemSpec) -> tuple[np.ndarray, float]:
+    """The row sums the fixed-entry solvers read, per row and slice (n x K)
+    in 3-D, and their total."""
+    if spec.shape.is_3d:
+        u = np.zeros((spec.shape.rows, spec.shape.slices))
+        for c in spec.marginals:
+            if c.axis == "row":
+                u[c.index, c.slice_index] = c.value
+    else:
+        u = np.array(spec.axis_values("row", kind=next(iter(spec.axis_kinds("row")))))
+    return u, _total(u)
+
+
+def half_total_check(spec: ProblemSpec) -> list:
+    """The half-total check the fixed-entry solvers run on a spec with fixed
+    blocks and every row sum, without solving: (slice index, report) pairs
+    from :func:`~likelymat.symmetric.half_total_reports`."""
+    spec = validate_spec(spec)
+    u, s = _node_sums(spec)
+    return half_total_reports(u, s, spec.fixed_cells)
+
+
 def _solve_sym_blocks(spec: ProblemSpec, tol: float) -> Solution:
-    kinds = spec.axis_kinds("row")
-    u = np.array(spec.axis_values("row", kind=next(iter(kinds))))
-    s = _total(u)
+    u, s = _node_sums(spec)
     _check_block_total(spec, s)
     return solve_sym_block_diagonal(
-        u, spec.fixed_cells, s, bounds_mode=(kinds == {"upper"}), tol=tol
+        u, spec.fixed_cells, s, bounds_mode=(spec.axis_kinds("row") == {"upper"}), tol=tol
     )
 
 
 def _solve_sym_3d(spec: ProblemSpec, tol: float) -> TensorSolution:
-    n, K = spec.shape.rows, spec.shape.slices
-    u = np.zeros((n, K))
-    for c in spec.marginals:
-        if c.axis == "row":
-            u[c.index, c.slice_index] = c.value
-    s = _total(u)
+    u, s = _node_sums(spec)
     _check_block_total(spec, s)
     return solve_sym_3d_fixed_diagonal(u, s, tol=tol)
 

@@ -21,7 +21,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constraints import REL_TOL, FixedCells, SolverCase, close, consistency_check_blocks
+from .constraints import (
+    REL_TOL,
+    ConsistencyReport,
+    FixedCells,
+    SolverCase,
+    close,
+    consistency_check_blocks,
+)
 from .errors import (
     BracketFailure,
     ConsistencyViolation,
@@ -44,6 +51,7 @@ __all__ = [
     "solve_sym_fixed_diagonal",
     "solve_sym_3d_fixed_diagonal",
     "solve_sym_block_diagonal",
+    "half_total_reports",
 ]
 
 SCAN_LIMIT = 64.0
@@ -386,6 +394,44 @@ def _in_range(u: np.ndarray, s: float, what: str) -> tuple[np.ndarray, float, fl
     return u / unit, _total(u / unit), unit
 
 
+def _half_total(u: np.ndarray, c: FixedCells, total: float, unit: float) -> ConsistencyReport:
+    """The half-total check at ``total`` of sums and cells divided by ``unit``
+    (:func:`_in_range`), its values multiplied back (inf past the float
+    range)."""
+    report = consistency_check_blocks(u, c, total)
+    if unit == 1.0:
+        return report
+    return ConsistencyReport(report.ok, tuple(
+        (index_set, u_block * unit, limit * unit) for index_set, u_block, limit in report.violations))
+
+
+def _zero_diagonal(n: int) -> FixedCells:
+    at = np.arange(n)
+    return FixedCells(at, at, at, at, np.zeros(n))
+
+
+def half_total_reports(u, s: float, c: FixedCells) -> list:
+    """The fixed-entry solvers' half-total check, without solving.
+
+    ``u`` of shape (n,) is checked as :func:`solve_sym_block_diagonal`
+    checks it, at the total ``s`` with the cells ``c`` fixed; ``u`` of shape
+    (n, K) as :func:`solve_sym_3d_fixed_diagonal` does, each slice with a
+    nonzero total at that total, with the zero diagonal whatever ``c``
+    says.  Both run on the sums brought into the float range by
+    :func:`_in_range`, and the reports' values are multiplied back.
+    Returns (slice index, report) pairs, the slice index None in 2-D.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 1:
+        u, s, unit = _in_range(u, s, "sum")
+        return [(None, _half_total(u, replace(c, values=c.values / unit), s, unit))]
+    u, s, unit = _in_range(u, s, "section")
+    zero_diagonal = _zero_diagonal(u.shape[0])
+    totals = [float(u[:, k].sum()) for k in range(u.shape[1])]
+    return [(k, _half_total(u[:, k], zero_diagonal, total, unit))
+            for k, total in enumerate(totals) if total != 0.0]
+
+
 def _fixed_entries(u, c: FixedCells, total: float, scale: float, unit: float, tol: float):
     """The fixed-entry construction over node sums ``u`` with the cells ``c``
     fixed: the matrix, the factors, the root problem and the root.
@@ -395,12 +441,12 @@ def _fixed_entries(u, c: FixedCells, total: float, scale: float, unit: float, to
     (:func:`_in_range`), and the matrix and the half-total check's message
     give them back multiplied by it.
     """
-    report = consistency_check_blocks(u, c, total)
+    report = _half_total(u, c, total, unit)
     if not report.ok:
         index_set, u_block, limit = report.first_violation
         raise ConsistencyViolation(
-            f"index set {index_set}: outgoing traffic {u_block * unit} is not strictly "
-            f"below {limit * unit} (half the total plus half the intra-set traffic)"
+            f"index set {index_set}: outgoing traffic {u_block} is not strictly "
+            f"below {limit} (half the total plus half the intra-set traffic)"
         )
     un, w = u[c.nodes], c.row_sums()
     over = np.flatnonzero(w > un * (1 + REL_TOL))
@@ -465,8 +511,7 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
         raise NegativeValue("section sums must be nonnegative")
     n, K = u.shape
     u, s, unit = _in_range(u, s, "section")
-    at = np.arange(n)
-    zero_diagonal = FixedCells(at, at, at, at, np.zeros(n))
+    zero_diagonal = _zero_diagonal(n)
     values = np.zeros((n, n, K))
     lams: list[float] = []
     xis: list[float] = []

@@ -266,6 +266,29 @@ class TestCheck:
         assert (code, captured.err) == (0, "")
         assert strict_json(captured.out) == {"valid": True, "case": "unsupported"}
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("doc, indices", [
+        ({"shape": {"rows": 4, "cols": 4, "slices": 2}, "symmetric": True,
+          "fixed_blocks": {"diagonal_prefix": 4, "values": [0] * 4},
+          "row_sums": {"kind": "equal", "values": [[9, 1], [1, 1], [1, 1], [1, 1]]}}, [0]),
+        ({"shape": {"rows": 4, "cols": 4}, "symmetric": True,
+          "fixed_blocks": [{"indices": [0, 1], "matrix": [[0, 0], [0, 0]]},
+                           {"indices": [2, 3], "matrix": [[0, 0], [0, 0]]}],
+          "row_sums": {"kind": "equal", "values": [1e308, 1e308, 1e308, 1]}}, [0, 1]),
+    ], ids=["3d_first_slice", "sums_past_the_float_range"])
+    def test_check_agrees_with_solve(self, tmp_path, capsys, doc, indices):
+        # the first document breaks the check in slice 0 only; the second
+        # has a block sum of inf, which the check reports as null
+        path = write(tmp_path, "p.json", doc)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConsistencyViolation: index set {tuple(indices)}: ")
+        assert main(["check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"consistency violation at index set {indices}")
+        violation = strict_json(captured.out)["consistency"]["violations"][0]
+        assert violation["indices"] == indices
+
 
 class TestOracleAndBrute:
     def test_oracle_agrees(self, tmp_path, capsys):
@@ -419,6 +442,17 @@ class TestFixedEntriesPastTheFloatRange:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_oracle_fails_cleanly(self, tmp_path, capsys):
+        # the oracle solves the program scaled into range and matches the
+        # closed form; its entropy, below -1.7e308, cannot be printed
+        doc = {"shape": {"rows": 3, "cols": 3}, "symmetric": True, "fixed_blocks": ZERO_DIAGONAL,
+               "row_sums": {"kind": "equal", "values": [1e308] * 3}}
+        assert main(["oracle", write(tmp_path, "p.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: LikelymatError: result has a non-finite number")
 
 
 def _residuals_per_marginal(spec, X):

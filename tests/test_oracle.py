@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from likelymat import (
     FixedBlock,
@@ -14,13 +15,15 @@ from likelymat import (
     SolverCase,
     UnsupportedCase,
     brute_force_most_likely,
+    classify,
     entropy,
     entropy_difference,
     numeric_maxent,
     solve,
     verify_kkt,
 )
-from conftest import _ratios_below_third, make_spec, zero_diagonal_blocks
+from likelymat.cli import _oracle_objective
+from conftest import CASE_GENERATORS, _ratios_below_third, make_spec, zero_diagonal_blocks
 
 
 class TestNumericMaxent:
@@ -62,6 +65,75 @@ class TestNumericMaxent:
         b = numeric_maxent(spec, "H", 1e-10)
         assert np.array_equal(a.matrix, b.matrix)
         assert a.iterations == b.iterations
+
+
+def power_scaled(spec, k):
+    """The spec with every sum, bound and fixed value multiplied by 2^k."""
+    c = 2.0**k
+    return dataclasses.replace(
+        spec,
+        marginals=tuple(dataclasses.replace(m, value=m.value * c) for m in spec.marginals),
+        total=spec.total and dataclasses.replace(spec.total, value=spec.total.value * c),
+        element_bounds=tuple(dataclasses.replace(e, ub=e.ub * c) for e in spec.element_bounds),
+        fixed_blocks=tuple(FixedBlock(b.index_set, tuple(tuple(v * c for v in row)
+                                                         for row in b.matrix))
+                           for b in spec.fixed_blocks),
+    )
+
+
+class TestScaleAndPolish:
+    """The oracle solves a scale-equivariant program at a power-of-two scale
+    of its own, and its Newton polish falls back from Cholesky to least
+    squares."""
+
+    @settings(max_examples=20)
+    @given(st.sampled_from(list(CASE_GENERATORS.values())), st.integers(0, 2**32 - 1),
+           st.integers(-900, 900))
+    def test_power_of_two_scales_the_result(self, generator, seed, k):
+        # every case's oracle objective is G or H at a fixed total, whose
+        # maximizer scales with the data; a scaled spec gives the same
+        # program, so the same solve, bit for bit
+        spec = generator(np.random.default_rng(seed))
+        objective = _oracle_objective(spec, classify(spec))
+        ref = numeric_maxent(spec, objective)
+        got = numeric_maxent(power_scaled(spec, k), objective)
+        assert got.matrix.tobytes() == np.ldexp(ref.matrix, k).tobytes()
+        assert (got.iterations, got.residual) == (ref.iterations, ref.residual)
+
+    @pytest.mark.filterwarnings("error")
+    def test_past_the_float_range(self):
+        spec = make_spec(3, 3, row=("equal", [1e308] * 3), symmetric=True,
+                         blocks=zero_diagonal_blocks(3))
+        res = numeric_maxent(spec, "H")
+        ref = solve(spec).matrix
+        assert res.converged
+        assert np.all(np.abs(res.matrix - ref) <= 1e-9 * ref.max())
+        assert res.objective_value == -math.inf  # below -1.7e308
+        assert numeric_maxent(spec, "G").objective_value == math.inf
+
+    def test_cholesky_falls_back_to_least_squares(self, monkeypatch):
+        # row bounds around a zero diagonal: a Cholesky step stalls short of
+        # the tolerance, and the polish goes on by least squares
+        u = [5.666043683605985, 4.404597798231686, 4.429366121464452,
+             3.8147166685381144, 4.388315834329043]
+        spec = make_spec(5, 5, row=("upper", u), symmetric=True, blocks=zero_diagonal_blocks(5))
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        res = numeric_maxent(spec, "G")
+        assert calls
+        assert res.converged
+        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
+
+    def test_lbfgs_resumes_when_the_polish_stalls(self):
+        # the total bound is just below the row bounds' sum: from where
+        # L-BFGS-B hands off at the largest feasible total, neither Newton
+        # step lowers the residual (1e-3), so L-BFGS-B has to go on
+        u = [3.8794134470455095, 3.8604978654414213, 1.254301856184208, 0.7725719944428023]
+        spec = make_spec(4, 5, row=("upper", u), total=("upper", 9.764407495878107))
+        res = numeric_maxent(spec, "G")
+        assert res.converged
+        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
 
 
 class TestBruteForce:
