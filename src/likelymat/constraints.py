@@ -239,6 +239,14 @@ class ProblemSpec:
         """The fixed blocks as index arrays, built once per spec."""
         return FixedCells.of(self.fixed_blocks)
 
+    @cached_property
+    def element_caps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The element bounds as arrays of rows, columns and caps, in spec order."""
+        e = self.element_bounds
+        return (np.array([b.i for b in e], dtype=np.intp),
+                np.array([b.j for b in e], dtype=np.intp),
+                np.array([b.ub for b in e], dtype=float))
+
     # -- accessors used throughout the solvers ---------------------------
 
     def marginal_map(self, axis: str) -> dict:
@@ -485,18 +493,22 @@ def _check_marginal_feasibility(spec: ProblemSpec) -> None:
                         f"total {s} exceeds the sum of {name} bounds {axis_total}"
                     )
 
-    # A row whose sum is pinned cannot exceed the caps of its elements.
+    # A row whose sum is pinned cannot exceed the caps of its elements.  Its
+    # caps total is finite only when every cell of the row is capped, and is
+    # added left to right, in column order.
     if spec.element_bounds and not spec.shape.is_3d:
-        caps = [[INF] * spec.shape.cols for _ in range(spec.shape.rows)]
-        for e in spec.element_bounds:
-            caps[e.i][e.j] = min(caps[e.i][e.j], e.ub)
+        n, m = spec.shape.rows, spec.shape.cols
+        i, j, ub = spec.element_caps
+        by_cell = np.lexsort((j, i))
+        capped = np.bincount(i, minlength=n) == m
+        cap = np.where(capped, np.bincount(i[by_cell], ub[by_cell], minlength=n), INF)
         for c in spec.marginals:
             if c.axis != "row" or c.kind != "equal":
                 continue
-            cap = sum(caps[c.index])
-            if math.isfinite(cap) and c.value > cap * (1 + REL_TOL) + REL_TOL:
+            total = float(cap[c.index])
+            if math.isfinite(total) and c.value > total * (1 + REL_TOL) + REL_TOL:
                 raise InfeasibleMarginals(
-                    f"row {c.index} sum {c.value} exceeds its element caps {cap}"
+                    f"row {c.index} sum {c.value} exceeds its element caps {total}"
                 )
 
 

@@ -253,6 +253,8 @@ def _build_program(spec: ProblemSpec) -> _Program:
     def _add(kind: str, members: list[int], target: float, label: str) -> None:
         if target < -REL_TOL:
             raise Infeasible(f"{label}: fixed values exceed the stated sum")
+        if kind == "upper" and target == math.inf:
+            return  # bounds nothing, as an infinite element cap
         target = max(target, 0.0)
         (eq if kind == "equal" else ub).append((members, target, label))
 
@@ -817,7 +819,7 @@ def _product_form_ok(spec, program: _Program, X: np.ndarray, tol: float):
     if not np.isfinite(values[keep]).all():
         return False, math.nan  # no finite factors make a nan or infinite entry
     if spec.element_bounds:
-        i, j, ub = (np.array(a) for a in zip(*((e.i, e.j, e.ub) for e in spec.element_bounds)))
+        i, j, ub = spec.element_caps
         at_cap = np.isfinite(ub) & (X[i, j] - ub >= -tol * np.maximum(1.0, ub))
         capped = np.zeros(shape, dtype=bool)
         capped[i[at_cap], j[at_cap]] = True

@@ -41,8 +41,8 @@ def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarr
 
     A given column's cells are (u_i v_j) / s; the other columns share one
     level v_j and take (u_i / s) v_j; with no column given (``v`` unused)
-    each row splits evenly, u_i / m.  Each cell is written once, in input
-    order.
+    each row splits evenly, u_i / m.  The matrix is written in whole-matrix
+    passes, and each cell's last write is its expression.
     """
     n, m = u.size, given.size
     s = float(u.sum())
@@ -51,17 +51,19 @@ def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarr
     if s == 0.0 or ell == 0:
         X[:] = 0.0 if s == 0.0 else (u / m)[:, None]
         return X
-    cols = slice(None) if ell == m else given
     v_given = v[given]
     # Near the top of the float range u_i * v_j overflows although the
     # entry does not; only then divide the larger factor first, which keeps
     # a symmetric matrix symmetric and ordinary bytes in place.
     if math.isfinite(float(u.max()) * float(v_given.max())):
-        X[:, cols] = np.outer(u, v_given) / s
+        np.multiply.outer(u, np.where(given, v, 0.0), out=X)
+        X /= s
     else:
+        cols = slice(None) if ell == m else given
         X[:, cols] = np.maximum.outer(u, v_given) / s * np.minimum.outer(u, v_given)
     if ell < m:
-        X[:, ~given] = np.outer(u / s, v[~given])
+        level = v[np.argmin(given)]  # the first column not given
+        np.copyto(X, ((u / s) * level)[:, None], where=~given)
     return X
 
 

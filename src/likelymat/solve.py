@@ -90,8 +90,8 @@ def _solve_row_elem(spec: ProblemSpec, tol: float) -> Solution:
     n, m = spec.shape.rows, spec.shape.cols
     u = np.array(spec.axis_values("row"))
     W = np.full((n, m), math.inf)
-    for e in spec.element_bounds:
-        W[e.i, e.j] = min(W[e.i, e.j], e.ub)
+    i, j, ub = spec.element_caps
+    W[i, j] = ub  # validated caps name each cell once
     return solve_row_bounds_elem_bounds(u, W)
 
 

@@ -50,8 +50,8 @@ class WaterfillResult:
     """Solution vector in input order plus saturation diagnostics.
 
     ``k`` entries sit at their bounds (the k smallest after sorting), the
-    rest share the water level ``mu``.  ``permutation`` records the stable
-    ascending sort applied internally.
+    rest share the water level ``mu``.  ``permutation`` is the stable
+    ascending order of the bounds.
     """
 
     x: np.ndarray
@@ -72,29 +72,33 @@ def find_k_vector(a: float, b_sorted) -> int:
     - (n-j)*b_j is monotone nonincreasing in j, so a linear scan suffices.
     """
     b = np.asarray(b_sorted, dtype=float)[None, :]
-    return int(_find_k(_clamp_to_total(np.array([a], dtype=float), b.sum(axis=1)), b)[0])
+    a = _clamp_to_total(np.array([a], dtype=float), b.sum(axis=1))
+    return int(_find_k(a, b, b.shape[1])[0])
 
 
-def _find_k(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
+def _find_k(a: np.ndarray, bs: np.ndarray, n: int) -> np.ndarray:
     """:func:`find_k_vector` of each row of ``bs`` at its target ``a[i]``.
 
-    The prefix sums are a running ``np.cumsum``, the same additions in the
-    same order as a scalar scan, so every slack and every k is the scan's.
-    An unbounded coordinate can never saturate, nor can any after it.  The
+    Each row of ``bs`` holds, ascending, the smallest bounds of a row of
+    ``n`` coordinates, so the j-th has coefficient n - j whatever the width
+    of ``bs``.  The
+    prefix sums are a running ``np.cumsum``, the same additions in the same
+    order as a scalar scan, so every slack and every k is the scan's.  An
+    unbounded coordinate can never saturate, nor can any after it.  The
     targets must not exceed the bound totals: the caller decides saturation.
     """
-    rows, n = bs.shape
-    if n == 0:
+    rows, w = bs.shape
+    if w == 0:
         return np.zeros(rows, dtype=np.intp)
     live = np.logical_and.accumulate(np.isfinite(bs), axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
-        phi = a[:, None] - np.cumsum(bs, axis=1) - np.arange(n - 1, -1, -1) * bs
+        phi = a[:, None] - np.cumsum(bs, axis=1) - np.arange(n - 1, n - 1 - w, -1) * bs
         prev = np.concatenate((a[:, None], phi[:, :-1]), axis=1)  # phi(0) = a
         rising = ~(phi <= prev + 1e-12 * np.maximum(1.0, np.abs(a))[:, None])
     if np.any(rising & live):
         raise InvariantViolation("slack must be nonincreasing")
     hit = (phi >= 0) & live
-    return np.where(hit.any(axis=1), n - np.argmax(hit[:, ::-1], axis=1), 0)
+    return np.where(hit.any(axis=1), w - np.argmax(hit[:, ::-1], axis=1), 0)
 
 
 def _clamp_to_total(a: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -106,69 +110,79 @@ def _clamp_to_total(a: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.minimum(a, total)
 
 
-def _equal_sum_rows(a, B, order):
-    """Equal-sum water-fill of each row of ``B`` (sorted by ``order``) at a
-    finite ``a[i]`` below its row's bound total.
-
-    Returns the rows in input order, each row's k and each row's level mu.
-    """
-    rows, n = B.shape
-    x = np.zeros((rows, n))
-    k = np.zeros(rows, dtype=np.intp)
-    mu = np.zeros(rows)
-    live = np.flatnonzero(a != 0.0)  # a zero target leaves its row at zero
-    if live.size == 0:
-        return x, k, mu
-    a, bs, order = a[live], np.take_along_axis(B[live], order[live], axis=1), order[live]
-    k_live = _find_k(a, bs)
-    mu_live = np.zeros(live.size)
-    for kv in np.unique(k_live[k_live < n]).tolist():
-        at = np.flatnonzero(k_live == kv)
-        # pairwise sum of each row's k smallest bounds, as the one-row case takes it
-        mu_live[at] = (a[at] - bs[at, :kv].sum(axis=1)) / (n - kv)
-    xs = np.where(np.arange(n) < k_live[:, None], bs, mu_live[:, None])
-    x_live = np.empty_like(xs)
-    np.put_along_axis(x_live, order, xs, axis=1)
-    x[live], k[live], mu[live] = x_live, k_live, mu_live
-    return x, k, mu
+def _levels(a, bs, total, n):
+    """Each row's k, its level mu and whether it saturates, for rows of
+    ``n`` coordinates at targets ``a``, whose finite bounds sorted ascending
+    are ``bs`` (padded with +inf) and whose bound totals are ``total``."""
+    # A target at or above its bound total saturates every bound, decided
+    # here once: the k-search never meets a target that its sorted prefix
+    # sums could round past.  Below it the equal-sum solution applies.
+    full = a >= total
+    k = np.where(full, n, 0)
+    mu = np.zeros(a.size)
+    live = np.flatnonzero(~full & (a != 0.0))  # a zero target leaves its row at zero
+    if live.size:
+        a, bs = a[live], bs[live]
+        k_live = _find_k(a, bs, n)
+        k[live] = k_live
+        for kv in np.unique(k_live[k_live < n]).tolist():
+            at = np.flatnonzero(k_live == kv)
+            # pairwise sum of each row's k smallest bounds, as the one-row case takes it
+            mu[live[at]] = (a[at] - bs[at, :kv].sum(axis=1)) / (n - kv)
+    return k, mu, full
 
 
 def waterfill_rows(a, B) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bounded-sum water-fill of every row of ``B`` at its own target ``a[i]``.
 
     Row i is the result of :func:`waterfill_bounded_sum` on ``a[i]`` and
-    ``B[i]``, bit for bit.  Returns the (rows, m) solution in input order,
-    each row's k, its level mu, and its stable ascending sort.  Targets and
-    bounds must already be valid (nonnegative, no NaN).
+    ``B[i]``, bit for bit.  Only the finite bounds are sorted and scanned,
+    since an unbounded coordinate never saturates, so the cost beyond
+    writing the solution grows with their number.  Returns the (rows, m)
+    solution in input order, each row's k and level mu, and ``ranked``: the
+    columns of each row's finite bounds in stable ascending order of bound,
+    row after row.  Targets and bounds must already be valid (nonnegative,
+    no NaN).
     """
     a = np.asarray(a, dtype=float)
     B = np.ascontiguousarray(B, dtype=float)
     rows, n = B.shape
-    x = np.empty((rows, n))
+    # the finite bounds, row-major; a flat nonzero is ~10x a 2-D one's speed
+    row_of, col_of = np.divmod(np.flatnonzero(np.isfinite(B)), max(n, 1))
+    bounds = B[row_of, col_of]
+    count = np.bincount(row_of, minlength=rows)
+    start = np.cumsum(count) - count
     k = np.empty(rows, dtype=np.intp)
     mu = np.empty(rows)
-    order = np.empty((rows, n), dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // max(n, 1))
-    for lo in range(0, rows, step):
-        rs = slice(lo, lo + step)
-        Bb = B[rs]
-        total = Bb.sum(axis=1)
-        order[rs] = np.argsort(Bb, axis=1, kind="stable")
-        # A target at or above its bound total saturates every bound, decided
-        # here once: the k-search never meets a target that its sorted prefix
-        # sums could round past.  Below it the equal-sum solution applies.
-        full = a[rs] >= total
-        x[rs][full], k[rs][full], mu[rs][full] = Bb[full], n, 0.0
-        part = ~full
-        if part.any():
-            x[rs][part], k[rs][part], mu[rs][part] = _equal_sum_rows(
-                a[rs][part], Bb[part], order[rs][part]
-            )
-    return x, k, mu, order
-
-
-def _one_row(x, k, mu, order) -> WaterfillResult:
-    return WaterfillResult(x[0], int(k[0]), float(mu[0]), tuple(order[0].tolist()))
+    full = np.empty(rows, dtype=bool)
+    ranked = np.empty(bounds.size, dtype=np.intp)
+    # Rows go in classes whose bound counts lie within a factor of two, so
+    # padding a class to its widest row at most doubles its cells; each
+    # class goes in blocks of about _BLOCK_CELLS cells.
+    size_class = np.frexp(count)[1]
+    for c in np.unique(size_class).tolist():
+        members = np.flatnonzero(size_class == c)
+        w = int(count[members].max())
+        step = max(1, _BLOCK_CELLS // max(w, 1))
+        for lo in range(0, members.size, step):
+            rs = members[lo:lo + step]
+            at = start[rs, None] + np.arange(w)  # the rows' bounds in ``bounds``
+            pad = np.arange(w) >= count[rs, None]
+            at[pad] = 0
+            C = np.where(pad, np.inf, bounds[at])
+            srt = np.argsort(C, axis=1, kind="stable")
+            bs = np.take_along_axis(C, srt, axis=1)
+            ranked[at[~pad]] = np.take_along_axis(col_of[at], srt, axis=1)[~pad]
+            # a row of n finite bounds is its own row of B, summed alike
+            total = np.where(count[rs] == n, C.sum(axis=1), np.inf)
+            k[rs], mu[rs], full[rs] = _levels(a[rs], bs, total, n)
+    x = np.empty((rows, n))
+    x[:] = mu[:, None]
+    x[full] = B[full]
+    saturated = (np.arange(bounds.size) - start[row_of] < k[row_of]) & ~full[row_of]
+    at = row_of[saturated], ranked[saturated]
+    x[at] = B[at]
+    return x, k, mu, ranked
 
 
 def waterfill_equal_sum(p: BoundedVectorProblem) -> WaterfillResult:
@@ -184,6 +198,11 @@ def waterfill_bounded_sum(p: BoundedVectorProblem) -> WaterfillResult:
     """Most-likely x with sum(x) <= a and 0 <= x_i <= b_i.
 
     When the bounds cannot absorb a, every coordinate saturates; otherwise
-    the sum constraint binds and the equal-sum solution applies.
+    the sum constraint binds and the equal-sum solution applies.  The
+    permutation is the stable order of the finite bounds, then the
+    unbounded coordinates in index order.
     """
-    return _one_row(*waterfill_rows([p.a], [p.b]))
+    b = np.array(p.b, dtype=float)
+    x, k, mu, ranked = waterfill_rows(np.array([p.a]), b[None, :])
+    permutation = ranked.tolist() + np.flatnonzero(~np.isfinite(b)).tolist()
+    return WaterfillResult(x[0], int(k[0]), float(mu[0]), tuple(permutation))

@@ -26,6 +26,12 @@ symmetric total built four blocks.  Those assemblies are kept as references
 for the one water-fill-then-gravity construction that replaced them.  It
 writes the same bits wherever it uses the same expression; the symmetric
 total, whose cells are now x_i x_j / sum(x), stays within 1e-15 relative.
+
+The row water-fill once sorted, summed and scanned every cell of every
+row, +inf ones too, and gravity wrote its columns through boolean column
+masks.  Both are kept as references: the water-fill that now reads only
+the finite caps, and the whole-matrix gravity passes, match them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     CASE_GENERATORS,
@@ -80,6 +87,7 @@ from likelymat.constraints import (
 )
 from likelymat.errors import Infeasible
 from likelymat.oracle import ZERO_REPORT, KktReport
+from likelymat.rect import _gravity
 from likelymat.solution import Solution, TensorSolution
 from likelymat.symmetric import (
     SCAN_LIMIT,
@@ -453,12 +461,14 @@ class TestWaterfill:
         for n in SIZES:
             rows = 4 if n == 2000 else 60
             a, W = random_caps(rng, rows, n)
-            x, k, mu, order = waterfill_rows(a, W)
-            for i in range(rows):
+            x, k, mu, ranked = waterfill_rows(a, W)
+            # each row's finite bounds in stable order, then its +inf columns
+            ends = np.cumsum(np.isfinite(W).sum(axis=1))
+            for i, finite in enumerate(np.split(ranked, ends[:-1])):
+                order = finite.tolist() + np.flatnonzero(np.isinf(W[i])).tolist()
                 rx, rk, rmu, rorder = loop_waterfill_bounded_sum(float(a[i]), W[i])
                 assert bits(x[i]) == bits(rx)
-                assert (int(k[i]), bits(mu[i]), tuple(order[i].tolist())) == (
-                    rk, bits(rmu), rorder)
+                assert (int(k[i]), bits(mu[i]), tuple(order)) == (rk, bits(rmu), rorder)
 
     def test_one_row_functions(self, rng):
         for n in SIZES:
@@ -499,6 +509,169 @@ class TestWaterfill:
             one = waterfill_rows(a[i:i + 1], W[i:i + 1])
             assert bits(x[i]) == bits(one[0][0]) and k[i] == one[1][0]
             assert bits(mu[i]) == bits(one[2][0])
+
+
+# ----------------------------------------------------------------------
+# Reference: the dense row water-fill and the masked gravity assembly
+# ----------------------------------------------------------------------
+
+
+def dense_find_k(a, bs):
+    rows, n = bs.shape
+    if n == 0:
+        return np.zeros(rows, dtype=np.intp)
+    live = np.logical_and.accumulate(np.isfinite(bs), axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        phi = a[:, None] - np.cumsum(bs, axis=1) - np.arange(n - 1, -1, -1) * bs
+        prev = np.concatenate((a[:, None], phi[:, :-1]), axis=1)  # phi(0) = a
+        rising = ~(phi <= prev + 1e-12 * np.maximum(1.0, np.abs(a))[:, None])
+    if np.any(rising & live):
+        raise InvariantViolation("slack must be nonincreasing")
+    hit = (phi >= 0) & live
+    return np.where(hit.any(axis=1), n - np.argmax(hit[:, ::-1], axis=1), 0)
+
+
+def dense_equal_sum_rows(a, B, order):
+    rows, n = B.shape
+    x = np.zeros((rows, n))
+    k = np.zeros(rows, dtype=np.intp)
+    mu = np.zeros(rows)
+    live = np.flatnonzero(a != 0.0)
+    if live.size == 0:
+        return x, k, mu
+    a, bs, order = a[live], np.take_along_axis(B[live], order[live], axis=1), order[live]
+    k_live = dense_find_k(a, bs)
+    mu_live = np.zeros(live.size)
+    for kv in np.unique(k_live[k_live < n]).tolist():
+        at = np.flatnonzero(k_live == kv)
+        mu_live[at] = (a[at] - bs[at, :kv].sum(axis=1)) / (n - kv)
+    xs = np.where(np.arange(n) < k_live[:, None], bs, mu_live[:, None])
+    x_live = np.empty_like(xs)
+    np.put_along_axis(x_live, order, xs, axis=1)
+    x[live], k[live], mu[live] = x_live, k_live, mu_live
+    return x, k, mu
+
+
+def dense_waterfill_rows(a, B):
+    """The row water-fill that sorted, summed and scanned every cell of
+    every row, +inf ones too, in blocks of about 2^16 cells."""
+    a = np.asarray(a, dtype=float)
+    B = np.ascontiguousarray(B, dtype=float)
+    rows, n = B.shape
+    x = np.empty((rows, n))
+    k = np.empty(rows, dtype=np.intp)
+    mu = np.empty(rows)
+    order = np.empty((rows, n), dtype=np.intp)
+    step = max(1, (1 << 16) // max(n, 1))
+    for lo in range(0, rows, step):
+        rs = slice(lo, lo + step)
+        Bb = B[rs]
+        total = Bb.sum(axis=1)
+        order[rs] = np.argsort(Bb, axis=1, kind="stable")
+        full = a[rs] >= total
+        x[rs][full], k[rs][full], mu[rs][full] = Bb[full], n, 0.0
+        part = ~full
+        if part.any():
+            x[rs][part], k[rs][part], mu[rs][part] = dense_equal_sum_rows(
+                a[rs][part], Bb[part], order[rs][part]
+            )
+    return x, k, mu, order
+
+
+def masked_gravity(u, v, given):
+    """The gravity assembly that wrote given and other columns through
+    boolean column masks."""
+    n, m = u.size, given.size
+    s = float(u.sum())
+    X = np.empty((n, m))
+    ell = int(np.count_nonzero(given))
+    if s == 0.0 or ell == 0:
+        X[:] = 0.0 if s == 0.0 else (u / m)[:, None]
+        return X
+    cols = slice(None) if ell == m else given
+    v_given = v[given]
+    if math.isfinite(float(u.max()) * float(v_given.max())):
+        X[:, cols] = np.outer(u, v_given) / s
+    else:
+        X[:, cols] = np.maximum.outer(u, v_given) / s * np.minimum.outer(u, v_given)
+    if ell < m:
+        X[:, ~given] = np.outer(u / s, v[~given])
+    return X
+
+
+def assert_rows_match_dense(a, B):
+    x, k, mu, ranked = waterfill_rows(a, B)
+    rx, rk, rmu, rorder = dense_waterfill_rows(a, B)
+    assert (bits(x), bits(mu)) == (bits(rx), bits(rmu))
+    assert np.array_equal(k, rk)
+    # the dense order lists each row's finite bounds first, in the same order
+    count = np.isfinite(B).sum(axis=1)
+    assert np.array_equal(ranked, rorder[np.arange(B.shape[1]) < count[:, None]])
+
+
+CAP = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]) | st.floats(0.0, 10.0) | st.just(math.inf)
+
+
+@st.composite
+def capped_rows(draw):
+    """Rows of caps with ties, zeros and +inf; some rows have no finite cap
+    and some only finite ones, among them rows at a target of +inf.  Each
+    other target is zero, a share of the finite cap total, that total
+    exactly, three times it, or +inf."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    B = np.array(draw(st.lists(CAP, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    kind = np.array(draw(st.lists(st.sampled_from(["mixed", "uncapped", "capped", "inf"]),
+                                  min_size=rows, max_size=rows)))
+    B[kind == "uncapped"] = math.inf
+    capped = (kind == "capped") | (kind == "inf")
+    B[capped[:, None] & np.isinf(B)] = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    finite_total = np.where(np.isfinite(B), B, 0.0).sum(axis=1)
+    share = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 3.0, math.inf]) | st.floats(0.0, 1.0),
+                                   min_size=rows, max_size=rows)))
+    share[kind == "inf"] = math.inf
+    a = np.multiply(share, finite_total, out=np.full(rows, math.inf), where=share < math.inf)
+    return a, B
+
+
+@given(capped_rows())
+def test_rows_match_the_dense_water_fill(problem):
+    assert_rows_match_dense(*problem)
+
+
+def test_rows_of_every_cap_count_match_the_dense_water_fill(rng):
+    # 600 rows of 300 columns, holding from no finite cap to 300, in every
+    # class of cap counts and across blocks of about 2^16 cells
+    rows, n = 600, 300
+    B = rng.uniform(0.0, 10.0, (rows, n))
+    ties = rng.random((rows, n)) < 0.2
+    B[ties] = rng.choice([1.0, 2.5], np.count_nonzero(ties))
+    B[rng.random((rows, n)) >= rng.permutation(np.linspace(0.0, 1.0, rows))[:, None]] = np.inf
+    finite_total = np.where(np.isfinite(B), B, 0.0).sum(axis=1)
+    a = finite_total * rng.uniform(0.0, 1.2, rows)
+    a[::7] = np.inf
+    assert_rows_match_dense(a, B)
+
+
+@st.composite
+def gravity_marginals(draw):
+    """Row sums u, the given columns and a full column marginal v whose
+    other columns share one level: no column given, every column, or some.
+    Values come from a drawn seed, some of them 0; near 1e300 they take the
+    overflow branch."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    given = np.array(draw(st.sampled_from([[False] * m, [True] * m])
+                          | st.lists(st.booleans(), min_size=m, max_size=m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e300]))
+    u, v = (rng.uniform(1e-3, 1e3, size) * (rng.random(size) > 0.2) * scale for size in (n, m))
+    v[~given] = v[np.argmin(given)]
+    return u, v, given
+
+
+@given(gravity_marginals())
+def test_gravity_matches_the_masked_assembly(marginals):
+    u, v, given = marginals
+    assert bits(_gravity(u, v, given)) == bits(masked_gravity(u, v, given))
 
 
 # ----------------------------------------------------------------------

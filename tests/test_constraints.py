@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from likelymat import (
+    ElementBound,
     FixedBlock,
     IndexOutOfRange,
     InfeasibleMarginals,
@@ -53,6 +54,24 @@ class TestValidateSpec:
         )
         with pytest.raises(InfeasibleMarginals):
             validate_spec(spec)
+
+    def test_first_row_above_its_caps_is_named_with_caps_added_in_column_order(self):
+        # rows 0 and 2 are over their caps, row 1 is not fully capped; the
+        # marginals and caps come out of order
+        spec = ProblemSpec(
+            shape=Shape(3, 3),
+            marginals=tuple(MarginalConstraint("row", i, "equal", 9.0) for i in (2, 1, 0)),
+            element_bounds=tuple(ElementBound(i, j, ub) for i, j, ub in (
+                (2, 2, 0.3), (0, 0, 1.0), (2, 1, 0.2), (1, 0, 1.0), (0, 2, 1.0),
+                (0, 1, 1.0), (2, 0, 0.1))),
+        )
+        # 0.1 + 0.2 + 0.3 left to right; right to left it is 0.6
+        with pytest.raises(InfeasibleMarginals,
+                           match=r"^row 2 sum 9.0 exceeds its element caps 0.6000000000000001$"):
+            validate_spec(spec)
+        at_tolerance = make_spec(1, 2, row=("equal", [5.0 * (1 + 1e-9)]),
+                                 elements=[(0, 0, 2.0), (0, 1, 3.0)])
+        assert validate_spec(at_tolerance).validated
 
     def test_index_out_of_range(self):
         spec = ProblemSpec(

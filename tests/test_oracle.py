@@ -59,6 +59,13 @@ class TestNumericMaxent:
         assert res.objective_value >= entropy_difference(ref.matrix) - 1e-7
         assert entropy_difference(ref.matrix) >= res.objective_value - 1e-7
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_upper_marginal_bounds_nothing(self):
+        # it once reached linprog's b_ub, which rejects +inf
+        spec = make_spec(2, 3, row=("upper", [3.0, math.inf]), col=("upper", [1, 2, 10]))
+        res = numeric_maxent(spec, "G", tol=1e-10)
+        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
+
     def test_deterministic(self):
         spec = make_spec(3, 2, row=("upper", [2, 3, 1]), total=("equal", 4.0))
         a = numeric_maxent(spec, "H", 1e-10)
