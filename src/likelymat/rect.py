@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .constraints import REL_TOL, SolverCase, close
-from .errors import InfeasibleMarginals, NegativeValue
+from .errors import InfeasibleMarginals, InvariantViolation, NegativeValue
 from .solution import Solution
 from .waterfill import BoundedVectorProblem, waterfill_bounded_sum, waterfill_rows
 
@@ -63,6 +63,8 @@ def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarr
         X[:, cols] = np.maximum.outer(u, v_given) / s * np.minimum.outer(u, v_given)
     if ell < m:
         level = v[np.argmin(given)]  # the first column not given
+        if not np.all(v[~given] == level):
+            raise InvariantViolation("the columns not given must share one level")
         np.copyto(X, ((u / s) * level)[:, None], where=~given)
     return X
 

@@ -156,26 +156,22 @@ def waterfill_rows(a, B) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     mu = np.empty(rows)
     full = np.empty(rows, dtype=bool)
     ranked = np.empty(bounds.size, dtype=np.intp)
-    # Rows go in classes whose bound counts lie within a factor of two, so
-    # padding a class to its widest row at most doubles its cells; each
-    # class goes in blocks of about _BLOCK_CELLS cells.
-    size_class = np.frexp(count)[1]
-    for c in np.unique(size_class).tolist():
-        members = np.flatnonzero(size_class == c)
-        w = int(count[members].max())
-        step = max(1, _BLOCK_CELLS // max(w, 1))
-        for lo in range(0, members.size, step):
-            rs = members[lo:lo + step]
-            at = start[rs, None] + np.arange(w)  # the rows' bounds in ``bounds``
-            pad = np.arange(w) >= count[rs, None]
-            at[pad] = 0
-            C = np.where(pad, np.inf, bounds[at])
-            srt = np.argsort(C, axis=1, kind="stable")
-            bs = np.take_along_axis(C, srt, axis=1)
-            ranked[at[~pad]] = np.take_along_axis(col_of[at], srt, axis=1)[~pad]
-            # a row of n finite bounds is its own row of B, summed alike
-            total = np.where(count[rs] == n, C.sum(axis=1), np.inf)
-            k[rs], mu[rs], full[rs] = _levels(a[rs], bs, total, n)
+    # Every row is padded to the widest row's count with +inf and taken in
+    # blocks of about _BLOCK_CELLS cells.
+    w = int(count.max()) if rows else 0
+    step = max(1, _BLOCK_CELLS // max(w, 1))
+    for lo in range(0, rows, step):
+        rs = np.arange(lo, min(lo + step, rows))
+        at = start[rs, None] + np.arange(w)  # the rows' bounds in ``bounds``
+        pad = np.arange(w) >= count[rs, None]
+        at[pad] = 0
+        C = np.where(pad, np.inf, bounds[at])
+        srt = np.argsort(C, axis=1, kind="stable")
+        bs = np.take_along_axis(C, srt, axis=1)
+        ranked[at[~pad]] = np.take_along_axis(col_of[at], srt, axis=1)[~pad]
+        # a row of n finite bounds is its own row of B, summed alike
+        total = np.where(count[rs] == n, C.sum(axis=1), np.inf)
+        k[rs], mu[rs], full[rs] = _levels(a[rs], bs, total, n)
     x = np.empty((rows, n))
     x[:] = mu[:, None]
     x[full] = B[full]

@@ -85,7 +85,7 @@ from likelymat.constraints import (
     is_column_form,
     validate_spec,
 )
-from likelymat.errors import Infeasible
+from likelymat.errors import Infeasible, InvariantViolation
 from likelymat.oracle import ZERO_REPORT, KktReport
 from likelymat.rect import _gravity
 from likelymat.solution import Solution, TensorSolution
@@ -639,8 +639,8 @@ def test_rows_match_the_dense_water_fill(problem):
 
 
 def test_rows_of_every_cap_count_match_the_dense_water_fill(rng):
-    # 600 rows of 300 columns, holding from no finite cap to 300, in every
-    # class of cap counts and across blocks of about 2^16 cells
+    # 600 rows of 300 columns, holding from no finite cap to 300, padded
+    # to the widest row and across blocks of about 2^16 cells
     rows, n = 600, 300
     B = rng.uniform(0.0, 10.0, (rows, n))
     ties = rng.random((rows, n)) < 0.2
@@ -672,6 +672,12 @@ def gravity_marginals(draw):
 def test_gravity_matches_the_masked_assembly(marginals):
     u, v, given = marginals
     assert bits(_gravity(u, v, given)) == bits(masked_gravity(u, v, given))
+
+
+def test_gravity_rejects_columns_not_given_at_different_levels():
+    given = np.array([True, False, False])
+    with pytest.raises(InvariantViolation):
+        _gravity(np.array([1.0, 2.0]), np.array([1.0, 0.5, 1.5]), given)
 
 
 # ----------------------------------------------------------------------
