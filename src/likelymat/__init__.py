@@ -75,12 +75,6 @@ from .symmetric import (
     solve_sym_fixed_diagonal,
     solve_sym_total_row_col_bounds,
 )
-from .waterfill import (
-    BoundedVectorProblem,
-    WaterfillResult,
-    find_k_vector,
-    waterfill_bounded_sum,
-    waterfill_equal_sum,
-)
+from .waterfill import WaterfillResult, waterfill_bounded_sum
 
 __version__ = "0.1.0"

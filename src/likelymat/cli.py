@@ -75,17 +75,24 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _typed(value, types):
+    """``value`` if it is of the JSON ``types``; true and false are no numbers."""
+    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+        raise UsageError(f"wrongly typed value {value!r} in problem document")
+    return value
+
+
 def _number(value) -> float:
-    """A document number as a float; NaN and +-inf are malformed input."""
-    x = float(value)
+    """A document number as a float; "1", true, NaN and +-inf are malformed input."""
+    x = float(_typed(value, (int, float)))
     if not math.isfinite(x):
         raise UsageError(f"non-finite number {value!r} in problem document")
     return x
 
 
 def _integer(value) -> int:
-    """A document integer (shape, index); 2.5 or "3" is malformed input."""
-    i = int(value)
+    """A document integer (shape, index); 2.5, "3" or true is malformed input."""
+    i = int(_typed(value, (int, float)))
     if i != value:
         raise UsageError(f"expected an integer, got {value!r}")
     return i
@@ -98,10 +105,10 @@ def _parse_marginals(doc, axis: str, shape: Shape) -> list[MarginalConstraint]:
         raise UsageError(f"{axis}_sums.kind must be 'equal' or 'upper'")
     out: list[MarginalConstraint] = []
     if "values" in doc:
-        values = doc["values"]
+        values = _typed(doc["values"], list)
         if shape.is_3d:
             for i, per_slice in enumerate(values):
-                for k, v in enumerate(per_slice):
+                for k, v in enumerate(_typed(per_slice, list)):
                     if v is not None:
                         out.append(MarginalConstraint(axis, i, kind, _number(v), k))
         else:
@@ -109,7 +116,7 @@ def _parse_marginals(doc, axis: str, shape: Shape) -> list[MarginalConstraint]:
                 if v is not None:
                     out.append(MarginalConstraint(axis, i, kind, _number(v)))
     elif "sparse" in doc:
-        for entry in doc["sparse"]:
+        for entry in _typed(doc["sparse"], list):
             _require_keys(entry, {"index", "value", "slice"}, f"{axis}_sums.sparse")
             out.append(
                 MarginalConstraint(
@@ -135,12 +142,13 @@ def _parse_blocks(doc, shape: Shape) -> list[FixedBlock]:
             FixedBlock((i,), ((_number(v),),)) for i, v in enumerate(values)
         ]
     out = []
-    for entry in doc:
+    for entry in _typed(doc, list):
         _require_keys(entry, {"indices", "matrix"}, "fixed_blocks[]")
         out.append(
             FixedBlock(
-                tuple(_integer(i) for i in entry["indices"]),
-                tuple(tuple(_number(v) for v in row) for row in entry["matrix"]),
+                tuple(_integer(i) for i in _typed(entry["indices"], list)),
+                tuple(tuple(_number(v) for v in _typed(row, list))
+                      for row in _typed(entry["matrix"], list)),
             )
         )
     return out
@@ -183,7 +191,7 @@ def _read_spec(doc: dict) -> ProblemSpec:
         _require_keys(doc["total"], {"kind", "value"}, "total")
         total = TotalConstraint(doc["total"]["kind"], _number(doc["total"]["value"]))
     elements = []
-    for e in doc.get("element_bounds", ()):
+    for e in _typed(doc.get("element_bounds", []), list):
         _require_keys(e, {"i", "j", "ub"}, "element_bounds[]")
         elements.append(ElementBound(_integer(e["i"]), _integer(e["j"]), _number(e["ub"])))
     blocks = _parse_blocks(doc.get("fixed_blocks", []), shape)
@@ -193,7 +201,7 @@ def _read_spec(doc: dict) -> ProblemSpec:
         total=total,
         element_bounds=tuple(elements),
         fixed_blocks=tuple(blocks),
-        symmetric=bool(doc.get("symmetric", False)),
+        symmetric=_typed(doc.get("symmetric", False), bool),
     )
 
 
@@ -202,7 +210,10 @@ def _read_matrix(doc) -> np.ndarray:
     try:
         if isinstance(doc, dict):
             doc = doc["slices"] if "slices" in doc else doc["matrix"]
-        X = np.asarray(doc, dtype=float)
+        cells = np.asarray(doc, dtype=object)
+        if not {type(v) for v in cells.ravel().tolist()} <= {int, float}:
+            raise UsageError("a matrix document's cells must be numbers")
+        X = cells.astype(float)
     except KeyError as e:
         raise UsageError(f"missing field {e} in matrix document") from e
     except (TypeError, ValueError, OverflowError) as e:
@@ -391,7 +402,7 @@ def _cmd_check(args) -> int:
     spec = load_problem(_read_json(args.file))
     case = classify(spec)
     payload: dict = {"valid": True, "case": case.value}
-    if spec.fixed_blocks and spec.axis_complete("row"):
+    if spec.fixed_blocks and spec.sums["row"].complete:
         # the half-total check needs every row sum, as the block solvers do;
         # a value past the float range reads null
         violations = [
@@ -420,16 +431,17 @@ def _cmd_count(args) -> int:
     doc = _read_json(args.file)
     if isinstance(doc, dict) and "shape" in doc:
         spec = load_problem(doc)
-        kinds = spec.axis_kinds("row")
-        if kinds and spec.axis_complete("row") and not spec.has_axis("col") \
-                and spec.total is None and not spec.element_bounds \
-                and not spec.fixed_blocks and not spec.shape.is_3d:
-            u = spec.axis_values("row")
+        rows = spec.sums["row"]
+        # a symmetric spec's column sums mirror its rows, so it is refused
+        if rows.complete and not len(spec.sums["col"]) and spec.total is None \
+                and not spec.element_bounds and not spec.fixed_blocks \
+                and not spec.shape.is_3d:
+            u = rows.values().tolist()
             m = spec.shape.cols
             payload = {
                 "feasible_saturated": count_feasible_row_bounded(u, m, True).value,
             }
-            if kinds == {"upper"}:
+            if rows.kinds == {"upper"}:
                 payload["feasible_under_bounds"] = count_feasible_row_bounded(
                     u, m, False
                 ).value
@@ -456,7 +468,7 @@ def _oracle_objective(spec: ProblemSpec, case: SolverCase) -> str:
     if case in _H_CASES:
         return "H"
     if case in (SolverCase.SYM_FIXED_DIAGONAL, SolverCase.SYM_BLOCK_DIAGONAL):
-        return "H" if spec.axis_kinds("row") == {"equal"} else "G"
+        return "H" if spec.sums["row"].kinds == {"equal"} else "G"
     return "G"
 
 

@@ -11,16 +11,17 @@ the closed-form solver that handles it.
 Fixed blocks are given as :class:`FixedBlock` objects and read as index
 arrays, one :class:`FixedCells` per spec: validation, classification, the
 consistency check, the fixed-entry solvers and the oracle all read that form.
+Marginals are read the same way, one :class:`AxisSums` per axis
+(:meth:`ProblemSpec.sums`), and element bounds as (row, column, cap) arrays
+(:attr:`ProblemSpec.element_caps`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "ElementBound",
     "FixedBlock",
     "FixedCells",
+    "AxisSums",
     "ProblemSpec",
     "constraint_values",
     "transpose",
@@ -206,6 +208,56 @@ class FixedCells:
         return np.bincount(self.rows, self.values, minlength=self.nodes.size)
 
 
+@dataclass(frozen=True, eq=False)
+class AxisSums:
+    """The stated sums of one axis (rows or columns) as arrays, in spec order.
+
+    ``index``, ``slice`` (0 in 2-D), ``value`` and ``equal`` (whether the
+    kind is ``"equal"``) give each stated sum; ``shape`` is the axis's
+    (n,), or (n, K) in 3-D.  Nothing here is per index of the axis except
+    :meth:`values`.  The counts mean what they say once the spec is
+    validated, when no index repeats or lies out of range.
+    """
+
+    shape: tuple[int, ...]
+    index: np.ndarray
+    slice: np.ndarray
+    value: np.ndarray
+    equal: np.ndarray
+
+    @classmethod
+    def of(cls, marginals: Sequence[MarginalConstraint], shape: tuple[int, ...]) -> AxisSums:
+        return cls(shape,
+                   np.array([c.index for c in marginals], dtype=np.intp),
+                   np.array([c.slice_index or 0 for c in marginals], dtype=np.intp),
+                   np.array([c.value for c in marginals], dtype=float),
+                   np.array([c.kind == "equal" for c in marginals], dtype=bool))
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    @property
+    def kinds(self) -> set[str]:
+        some = (("equal", self.equal.any()), ("upper", not self.equal.all()))
+        return {kind for kind, stated in some if stated}
+
+    @property
+    def complete(self) -> bool:
+        """Whether every index (and slice, in 3-D) has a stated sum."""
+        return len(self) == math.prod(self.shape)
+
+    @property
+    def known(self) -> bool:
+        """Whether every sum is stated and known (of kind ``"equal"``)."""
+        return self.complete and bool(self.equal.all())
+
+    def values(self) -> np.ndarray:
+        """The values placed in an array of ``shape``, +inf where none is stated."""
+        out = np.full(self.shape, INF)
+        out[(self.index, self.slice)[: len(self.shape)]] = self.value
+        return out
+
+
 class SolverCase(enum.Enum):
     """Closed-form case a validated spec routes to."""
 
@@ -247,42 +299,18 @@ class ProblemSpec:
                 np.array([b.j for b in e], dtype=np.intp),
                 np.array([b.ub for b in e], dtype=float))
 
-    # -- accessors used throughout the solvers ---------------------------
-
-    def marginal_map(self, axis: str) -> dict:
-        """Map (index, slice_index) -> constraint for one axis."""
-        return {
-            (c.index, c.slice_index): c for c in self.marginals if c.axis == axis
-        }
-
-    def axis_values(self, axis: str, kind: str | None = None) -> list[float]:
-        """Per-index values for one axis of a 2-D spec, +inf where absent.
-
-        With ``kind`` given, constraints of the other kind raise
-        :class:`ShapeMismatch` (the caller expected a homogeneous axis).
-        """
-        n = self.shape.rows if axis == "row" else self.shape.cols
-        out = [INF] * n
-        for c in self.marginals:
-            if c.axis != axis:
-                continue
-            if kind is not None and c.kind != kind:
-                raise ShapeMismatch(f"expected only {kind!r} {axis} constraints")
-            out[c.index] = c.value
+    @cached_property
+    def sums(self) -> dict[str, AxisSums]:
+        """The stated sums of each axis, ``"row"`` and ``"col"``, as arrays,
+        built once per spec.  A validated symmetric spec's column sums are
+        its row sums, whether or not the columns are spelled out."""
+        out = {}
+        for axis, n in (("row", self.shape.rows), ("col", self.shape.cols)):
+            out[axis] = AxisSums.of([c for c in self.marginals if c.axis == axis],
+                                    (n,) if self.shape.slices is None else (n, self.shape.slices))
+        if self.symmetric and self.validated:
+            out["col"] = out["row"]
         return out
-
-    def axis_kinds(self, axis: str) -> set[str]:
-        return {c.kind for c in self.marginals if c.axis == axis}
-
-    def has_axis(self, axis: str) -> bool:
-        return any(c.axis == axis for c in self.marginals)
-
-    def axis_complete(self, axis: str) -> bool:
-        """True when every index (and slice, in 3-D) on the axis is constrained."""
-        n = self.shape.rows if axis == "row" else self.shape.cols
-        slices = range(self.shape.slices) if self.shape.is_3d else (None,)
-        have = {(c.index, c.slice_index) for c in self.marginals if c.axis == axis}
-        return all((i, k) in have for i in range(n) for k in slices)
 
 
 def constraint_values(spec: ProblemSpec, X) -> list[tuple]:
@@ -333,20 +361,14 @@ def is_column_form(spec: ProblemSpec) -> bool:
     True for a non-symmetric 2-D spec without element bounds or fixed blocks
     that constrains its columns and no row, or that knows every column sum
     but not every row sum; classification and solving go through its
-    transpose.  Validated marginals are unique and list the columns first,
-    so one binary search counts them.
+    transpose.
     """
     if spec.symmetric or spec.shape.is_3d or spec.element_bounds or spec.fixed_blocks:
         return False
-    n_cols = bisect_left(spec.marginals, "row", key=attrgetter("axis"))
-    n_rows = len(spec.marginals) - n_cols
+    n_rows, cols = len(spec.sums["row"]), spec.sums["col"]
     if n_rows == 0:
-        return n_cols > 0
-    return (
-        n_cols == spec.shape.cols
-        and n_rows < spec.shape.rows
-        and spec.axis_kinds("col") == {"equal"}
-    )
+        return len(cols) > 0
+    return cols.known and n_rows < spec.shape.rows
 
 
 def _marginal_sort_key(c: MarginalConstraint):
@@ -415,15 +437,14 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
                 raise IndexOutOfRange(f"fixed block index {i} outside 0..{n - 1}")
             raise ShapeMismatch(f"fixed blocks overlap at index {i}")
 
-    if spec.symmetric and spec.has_axis("col"):
+    rows, cols = spec.sums["row"], spec.sums["col"]
+    if spec.symmetric and len(cols):
         # Symmetric information: column constraints, if spelled out, must
-        # mirror the row constraints exactly.
-        rows = spec.marginal_map("row")
-        cols = spec.marginal_map("col")
-        if set(rows) != set(cols) or any(
-            rows[k].kind != cols[k].kind or not close(rows[k].value, cols[k].value)
-            for k in rows
-        ):
+        # mirror the row constraints exactly (unique indices, so sorting pairs them).
+        r, c = np.lexsort((rows.index, rows.slice)), np.lexsort((cols.index, cols.slice))
+        same = r.size == c.size and all(np.array_equal(a[r], b[c]) for a, b in (
+            (rows.index, cols.index), (rows.slice, cols.slice), (rows.equal, cols.equal)))
+        if not (same and all(map(close, rows.value[r].tolist(), cols.value[c].tolist()))):
             raise ShapeMismatch("symmetric spec has column constraints that differ from rows")
 
     _check_marginal_feasibility(spec)
@@ -439,29 +460,25 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
 
 
 def _check_marginal_feasibility(spec: ProblemSpec) -> None:
-    row_kinds = spec.axis_kinds("row")
-    col_kinds = spec.axis_kinds("col")
-    row_vals = [c.value for c in spec.marginals if c.axis == "row"]
-    col_vals = [c.value for c in spec.marginals if c.axis == "col"]
-    row_total = sum(row_vals)
-    col_total = sum(col_vals)
-
-    rows_complete = row_kinds == {"equal"} and spec.axis_complete("row")
-    cols_complete = col_kinds == {"equal"} and spec.axis_complete("col")
+    rows, cols = spec.sums["row"], spec.sums["col"]
+    row_kinds, col_kinds = rows.kinds, cols.kinds
+    # each side's total adds its values left to right, in spec order
+    row_total = sum(rows.value.tolist())
+    col_total = sum(cols.value.tolist())
 
     # Known sums on one side cannot exceed the network total implied by a
     # fully specified other side.
-    if rows_complete and cols_complete:
+    if rows.known and cols.known:
         if not close(row_total, col_total):
             raise InfeasibleMarginals(
                 f"row sums total {row_total} but column sums total {col_total}"
             )
-    elif rows_complete and col_kinds == {"equal"}:
+    elif rows.known and col_kinds == {"equal"}:
         if col_total > row_total * (1 + REL_TOL):
             raise InfeasibleMarginals(
                 f"column sums total {col_total} exceeds row-sum total {row_total}"
             )
-    elif cols_complete and row_kinds == {"equal"}:
+    elif cols.known and row_kinds == {"equal"}:
         if row_total > col_total * (1 + REL_TOL):
             raise InfeasibleMarginals(
                 f"row sums total {row_total} exceeds column-sum total {col_total}"
@@ -470,8 +487,8 @@ def _check_marginal_feasibility(spec: ProblemSpec) -> None:
     if spec.total is not None:
         s = spec.total.value
         for complete, axis_total, name in (
-            (rows_complete, row_total, "row"),
-            (cols_complete, col_total, "column"),
+            (rows.known, row_total, "row"),
+            (cols.known, col_total, "column"),
         ):
             if not complete:
                 continue
@@ -502,14 +519,15 @@ def _check_marginal_feasibility(spec: ProblemSpec) -> None:
         by_cell = np.lexsort((j, i))
         capped = np.bincount(i, minlength=n) == m
         cap = np.where(capped, np.bincount(i[by_cell], ub[by_cell], minlength=n), INF)
-        for c in spec.marginals:
-            if c.axis != "row" or c.kind != "equal":
-                continue
-            total = float(cap[c.index])
-            if math.isfinite(total) and c.value > total * (1 + REL_TOL) + REL_TOL:
-                raise InfeasibleMarginals(
-                    f"row {c.index} sum {c.value} exceeds its element caps {total}"
-                )
+        index, value = rows.index[rows.equal], rows.value[rows.equal]
+        total = cap[index]
+        over = np.flatnonzero(np.isfinite(total) & (value > total * (1 + REL_TOL) + REL_TOL))
+        if over.size:
+            r = over[0]
+            raise InfeasibleMarginals(
+                f"row {int(index[r])} sum {float(value[r])} exceeds its element caps "
+                f"{float(total[r])}"
+            )
 
 
 @dataclass(frozen=True)
@@ -569,7 +587,7 @@ def _classify_3d(spec: ProblemSpec) -> SolverCase:
         return SolverCase.UNSUPPORTED
     if spec.fixed_blocks and not _blocks_are_zero_diagonal(spec):
         return SolverCase.UNSUPPORTED
-    if spec.axis_kinds("row") == {"equal"} and spec.axis_complete("row"):
+    if spec.sums["row"].known:
         return SolverCase.SYM_3D_FIXED_DIAGONAL
     return SolverCase.UNSUPPORTED
 
@@ -581,12 +599,13 @@ def _blocks_are_zero_diagonal(spec: ProblemSpec) -> bool:
 
 
 def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
-    row_kinds = spec.axis_kinds("row")
+    rows = spec.sums["row"]
+    row_kinds = rows.kinds
     if spec.element_bounds:
         return SolverCase.UNSUPPORTED
 
     if spec.fixed_blocks:
-        if not (spec.axis_complete("row") and len(row_kinds) == 1):
+        if not (rows.complete and len(row_kinds) == 1):
             return SolverCase.UNSUPPORTED
         covered = spec.fixed_cells.nodes.size  # disjoint and in range, once validated
         if covered == len(spec.fixed_blocks):
@@ -601,9 +620,7 @@ def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
         and row_kinds == {"upper"}
     ):
         return SolverCase.SYM_TOTAL_ROW_COL_BOUNDS
-    if row_kinds == {"equal"} and spec.axis_complete("row") and (
-        spec.total is None or spec.total.kind == "equal"
-    ):
+    if rows.known and (spec.total is None or spec.total.kind == "equal"):
         # Symmetric gravity: both marginals known and equal.
         return SolverCase.GRAVITY_PARTIAL_COLS
     if row_kinds == {"upper"} and spec.total is None:
@@ -614,8 +631,8 @@ def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
 def _classify_rect(spec: ProblemSpec) -> SolverCase:
     if is_column_form(spec):
         return _classify_rect(transpose(spec))
-    row_kinds = spec.axis_kinds("row")
-    col_kinds = spec.axis_kinds("col")
+    rows = spec.sums["row"]
+    row_kinds, col_kinds = rows.kinds, spec.sums["col"].kinds
     total = spec.total
 
     if spec.fixed_blocks:
@@ -626,7 +643,7 @@ def _classify_rect(spec: ProblemSpec) -> SolverCase:
             return SolverCase.UNSUPPORTED
         return SolverCase.ROW_BOUNDS_ELEM_BOUNDS
 
-    if row_kinds == {"equal"} and spec.axis_complete("row"):
+    if rows.known:
         if col_kinds in (set(), {"equal"}) and (total is None or total.kind == "equal"):
             return SolverCase.GRAVITY_PARTIAL_COLS
         return SolverCase.UNSUPPORTED

@@ -519,8 +519,7 @@ def _fixes_total(spec: ProblemSpec) -> bool:
     sums on every row (or every column) of every slice."""
     if spec.total is not None and spec.total.kind == "equal":
         return True
-    return any(spec.axis_complete(axis) and spec.axis_kinds(axis) == {"equal"}
-               for axis in ("row", "col"))
+    return spec.sums["row"].known or spec.sums["col"].known
 
 
 def _exponent(program: _Program) -> int:
@@ -712,10 +711,7 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
         if err > tol * scale(v):
             violations.append(f"fixed cell {cell}: {X[cell]} != {v}")
 
-    achieved: dict[tuple, float] = {}
     for c, kind, val, bound in constraint_values(spec, X):
-        if isinstance(c, MarginalConstraint):
-            achieved[(c.axis, c.index, c.slice_index)] = val
         err = val - bound
         if kind == "equal":
             max_res = max(max_res, abs(err))
@@ -737,16 +733,11 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
         for axis, mult in (("row", solution.row_multipliers), ("col", solution.col_multipliers)):
             if mult is None:
                 continue
-            kinds = {c.kind for c in spec.marginals if c.axis == axis}
-            if spec.symmetric and not kinds:
-                kinds = {c.kind for c in spec.marginals if c.axis == "row"}
-            if kinds != {"upper"}:
+            if spec.sums[axis].kinds != {"upper"}:
                 continue
-            bounds = (
-                spec.axis_values("row") if spec.symmetric and axis == "col"
-                else spec.axis_values(axis)
-            )
-            sums = X.sum(axis=1 if axis == "row" else 0) if spec.symmetric else None
+            # a symmetric spec's column bounds are its row bounds
+            bounds = spec.sums[axis].values().tolist()
+            sums = X.sum(axis=1 if axis == "row" else 0)
             for i, f in enumerate(np.asarray(mult, dtype=float)):
                 bound = bounds[i]
                 # a zero bound pins its line at zero: its factor is exactly 0
@@ -756,13 +747,7 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
                     violations.append(f"{axis} {i}: multiplier {f} outside {allowed}")
                 if not math.isfinite(bound):
                     continue
-                key = (axis, i, None)
-                real = achieved.get(key)
-                if real is None and sums is not None:
-                    real = float(sums[i])
-                if real is None:
-                    continue
-                slack = bound - real
+                slack = bound - float(sums[i])
                 if slack > tol * scale(bound) and abs(f - 1.0) > tol:
                     slackness = False
                     violations.append(
@@ -800,14 +785,14 @@ def _product_form_ok(spec, program: _Program, X: np.ndarray, tol: float):
     the gauge freedom, and measures the residual cell by cell.  It reads no
     multiplier of the solver's.
     """
+    spec = validate_spec(spec)  # a symmetric spec's columns mirror its rows
     shape = program.shape
     slices = shape[2] if len(shape) == 3 else 1
     # Which marginals are features, indexed (index, slice) with slice 0 in 2-D
     rows = np.zeros((shape[0], slices), dtype=bool)
     cols = np.zeros((shape[1], slices), dtype=bool)
-    for c in spec.marginals:
-        for axis in ("row", "col") if spec.symmetric else (c.axis,):
-            (rows if axis == "row" else cols)[c.index, c.slice_index or 0] = True
+    for stated, axis in ((rows, "row"), (cols, "col")):
+        stated[spec.sums[axis].index, spec.sums[axis].slice] = True
     # Feature ids: row marginals, column marginals, the total; n_f means none
     has = np.concatenate([rows.ravel(), cols.ravel(), [spec.total is not None]])
     n_f = int(has.sum())

@@ -19,7 +19,7 @@ import numpy as np
 from .constraints import REL_TOL, SolverCase, close
 from .errors import InfeasibleMarginals, InvariantViolation, NegativeValue
 from .solution import Solution
-from .waterfill import BoundedVectorProblem, waterfill_bounded_sum, waterfill_rows
+from .waterfill import waterfill_bounded_sum, waterfill_rows
 
 __all__ = [
     "solve_gravity_partial_cols",
@@ -141,7 +141,7 @@ def _total_target(s: float, u: np.ndarray, name: str) -> float:
 def _rows_water_filled(case: SolverCase, a: float, u: np.ndarray, m: int) -> Solution:
     """Rows water-filled over bounds u at total ``a``, each spread evenly
     over m columns; the total is sum(u) at a = +inf, else the matrix sum."""
-    rows = waterfill_bounded_sum(BoundedVectorProblem(a, tuple(u)))
+    rows = waterfill_bounded_sum(a, u)
     X = _gravity(rows.x, None, np.zeros(m, dtype=bool))
     return Solution(
         X,
@@ -216,7 +216,7 @@ def solve_row_col_bounds(u, v) -> Solution:
         raise InfeasibleMarginals("the saturating side must have finite bounds")
 
     # At equal totals the columns saturate as well: water-fill them at +inf.
-    cols = waterfill_bounded_sum(BoundedVectorProblem(math.inf if tie else u_total, tuple(v)))
+    cols = waterfill_bounded_sum(math.inf if tie else u_total, v)
     saturated = np.zeros(v.size, dtype=bool)
     saturated[list(cols.permutation[: cols.k])] = True
     return Solution(
@@ -230,28 +230,25 @@ def solve_row_col_bounds(u, v) -> Solution:
     )
 
 
-def solve_row_bounds_elem_bounds(u, W) -> Solution:
-    """Upper bounds on row sums and on individual elements.
+def solve_row_bounds_elem_bounds(u, caps, m: int) -> Solution:
+    """Upper bounds on row sums and on individual elements of m columns.
 
-    The constraints separate by row, so each row is the bounded-sum
+    ``u`` holds the row bounds (+inf for none) and ``caps`` arrays of rows,
+    columns and caps, each cell in range and named at most once.  The
+    constraints separate by row, so each row is the bounded-sum
     water-filling of its own element caps, all rows in one batched pass; a
     row whose caps total below its bound simply equals the caps.
     """
     u = np.asarray(u, dtype=float)
-    W = np.asarray(W, dtype=float)
-    _check_nonneg("element bounds", W)
-    n, m = W.shape
-    if u.size != n:
-        raise InfeasibleMarginals(f"{u.size} row bounds for {n} rows")
-    # Find the first row that a one-row water-fill would reject, and solve
-    # the rows above it first, so that errors come in row order.
-    unbounded = ~np.isfinite(u) & ~np.isfinite(W.sum(axis=1))
-    bad = unbounded | ~(u >= 0) | ~np.all(W >= 0, axis=1) | (m == 0)
-    first_bad = int(np.argmax(bad)) if bad.any() else n
-    X = waterfill_rows(u[:first_bad], W[:first_bad])[0]
-    if first_bad < n:
-        i = first_bad
-        if unbounded[i]:
-            raise InfeasibleMarginals(f"row {i} is unbounded in every direction")
-        BoundedVectorProblem(u[i], tuple(W[i]))  # raises on the row's target or caps
+    i, j, ub = (np.asarray(v, dtype=t) for v, t in zip(caps, (np.intp, np.intp, float)))
+    if not np.all(ub >= 0):
+        raise NegativeValue(f"element bounds must be nonnegative, got {ub}")
+    # The first row without a finite, nonnegative bound or a finite cap on every cell is named.
+    unbounded = ~np.isfinite(u) & (np.bincount(i[np.isfinite(ub)], minlength=u.size) < m)
+    bad = np.flatnonzero(unbounded | ~(u >= 0))
+    if bad.size and unbounded[bad[0]]:
+        raise InfeasibleMarginals(f"row {bad[0]} is unbounded in every direction")
+    if bad.size:
+        raise NegativeValue(f"target sum {u[bad[0]]} < 0")
+    X = waterfill_rows(u, (i, j, ub), m)[0]
     return Solution(X, SolverCase.ROW_BOUNDS_ELEM_BOUNDS, total=float(X.sum()))

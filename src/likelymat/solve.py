@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .constraints import (
@@ -61,43 +59,30 @@ def solve(spec: ProblemSpec, tol: float = 1e-12) -> Solution | TensorSolution:
 
 
 def _solve_gravity(spec: ProblemSpec, tol: float) -> Solution:
-    u = np.array(spec.axis_values("row", kind="equal"))
-    v = u if spec.symmetric else np.array(spec.axis_values("col", kind="equal"))
+    u, v = spec.sums["row"].values(), spec.sums["col"].values()
     return solve_gravity_partial_cols(u, v, spec.shape.cols)
 
 
 def _solve_row_bounds(spec: ProblemSpec, tol: float) -> Solution:
-    return solve_row_bounds(np.array(spec.axis_values("row")), spec.shape.cols)
-
-
-def _solve_total_row_bounds(spec: ProblemSpec, tol: float) -> Solution:
-    u = np.array(spec.axis_values("row"))
-    return solve_total_row_bounds(spec.total.value, u, spec.shape.cols)
-
-
-def _solve_bounded_total(spec: ProblemSpec, tol: float) -> Solution:
-    u = np.array(spec.axis_values("row"))
-    return solve_bounded_total_row_bounds(spec.total.value, u, spec.shape.cols)
+    """Row bounds alone, or with a known or a bounded total."""
+    u, m, total = spec.sums["row"].values(), spec.shape.cols, spec.total
+    if total is None:
+        return solve_row_bounds(u, m)
+    solver = solve_total_row_bounds if total.kind == "equal" else solve_bounded_total_row_bounds
+    return solver(total.value, u, m)
 
 
 def _solve_row_col_bounds(spec: ProblemSpec, tol: float) -> Solution:
-    u = np.array(spec.axis_values("row"))
-    v = u.copy() if spec.symmetric else np.array(spec.axis_values("col"))
-    return solve_row_col_bounds(u, v)
+    return solve_row_col_bounds(spec.sums["row"].values(), spec.sums["col"].values())
 
 
 def _solve_row_elem(spec: ProblemSpec, tol: float) -> Solution:
-    n, m = spec.shape.rows, spec.shape.cols
-    u = np.array(spec.axis_values("row"))
-    W = np.full((n, m), math.inf)
-    i, j, ub = spec.element_caps
-    W[i, j] = ub  # validated caps name each cell once
-    return solve_row_bounds_elem_bounds(u, W)
+    u = spec.sums["row"].values()
+    return solve_row_bounds_elem_bounds(u, spec.element_caps, spec.shape.cols)
 
 
 def _solve_sym_total(spec: ProblemSpec, tol: float) -> Solution:
-    u = np.array(spec.axis_values("row"))
-    return solve_sym_total_row_col_bounds(spec.total.value, u)
+    return solve_sym_total_row_col_bounds(spec.total.value, spec.sums["row"].values())
 
 
 def _check_block_total(spec: ProblemSpec, s: float) -> None:
@@ -115,14 +100,8 @@ def _check_block_total(spec: ProblemSpec, s: float) -> None:
 
 def _node_sums(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     """The row sums the fixed-entry solvers read, per row and slice (n x K)
-    in 3-D, and their total."""
-    if spec.shape.is_3d:
-        u = np.zeros((spec.shape.rows, spec.shape.slices))
-        for c in spec.marginals:
-            if c.axis == "row":
-                u[c.index, c.slice_index] = c.value
-    else:
-        u = np.array(spec.axis_values("row", kind=next(iter(spec.axis_kinds("row")))))
+    in 3-D, and their total; every row sum is stated."""
+    u = spec.sums["row"].values()
     return u, _total(u)
 
 
@@ -139,7 +118,7 @@ def _solve_sym_blocks(spec: ProblemSpec, tol: float) -> Solution:
     u, s = _node_sums(spec)
     _check_block_total(spec, s)
     return solve_sym_block_diagonal(
-        u, spec.fixed_cells, s, bounds_mode=(spec.axis_kinds("row") == {"upper"}), tol=tol
+        u, spec.fixed_cells, s, bounds_mode=(spec.sums["row"].kinds == {"upper"}), tol=tol
     )
 
 
@@ -152,8 +131,8 @@ def _solve_sym_3d(spec: ProblemSpec, tol: float) -> TensorSolution:
 _HANDLERS = {
     SolverCase.GRAVITY_PARTIAL_COLS: _solve_gravity,
     SolverCase.ROW_BOUNDS: _solve_row_bounds,
-    SolverCase.TOTAL_ROW_BOUNDS: _solve_total_row_bounds,
-    SolverCase.BOUNDED_TOTAL_ROW_BOUNDS: _solve_bounded_total,
+    SolverCase.TOTAL_ROW_BOUNDS: _solve_row_bounds,
+    SolverCase.BOUNDED_TOTAL_ROW_BOUNDS: _solve_row_bounds,
     SolverCase.ROW_COL_BOUNDS: _solve_row_col_bounds,
     SolverCase.ROW_BOUNDS_ELEM_BOUNDS: _solve_row_elem,
     SolverCase.SYM_TOTAL_ROW_COL_BOUNDS: _solve_sym_total,

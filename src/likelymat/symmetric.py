@@ -39,7 +39,7 @@ from .errors import (
 )
 from .rect import _gauge, _gravity, _total_target
 from .solution import Solution, TensorSolution
-from .waterfill import BoundedVectorProblem, waterfill_bounded_sum
+from .waterfill import waterfill_bounded_sum
 
 __all__ = [
     "RootProblem",
@@ -322,7 +322,7 @@ def solve_sym_total_row_col_bounds(s: float, u) -> Solution:
     bit for bit.
     """
     u = np.asarray(u, dtype=float)
-    wf = waterfill_bounded_sum(BoundedVectorProblem(_total_target(s, u, "bounds"), tuple(u)))
+    wf = waterfill_bounded_sum(_total_target(s, u, "bounds"), u)
     X = _gravity(wf.x, wf.x, np.ones(u.size, dtype=bool))
     mult = _gauge(wf.x, u)
     return Solution(

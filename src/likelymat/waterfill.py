@@ -20,29 +20,10 @@ import numpy as np
 from .errors import InfeasibleSum, InvariantViolation, NegativeValue
 
 __all__ = [
-    "BoundedVectorProblem",
     "WaterfillResult",
-    "find_k_vector",
-    "waterfill_equal_sum",
     "waterfill_bounded_sum",
     "waterfill_rows",
 ]
-
-
-@dataclass(frozen=True)
-class BoundedVectorProblem:
-    """Target sum ``a`` and per-coordinate upper bounds ``b`` (+inf allowed)."""
-
-    a: float
-    b: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.a >= 0:
-            raise NegativeValue(f"target sum {self.a} < 0")
-        if any(not v >= 0 for v in self.b):
-            raise NegativeValue("upper bounds must be nonnegative")
-        if len(self.b) == 0:
-            raise InfeasibleSum("empty bound vector")
 
 
 @dataclass(frozen=True)
@@ -65,27 +46,18 @@ class WaterfillResult:
 _BLOCK_CELLS = 1 << 16
 
 
-def find_k_vector(a: float, b_sorted) -> int:
-    """Largest k in {0..n} with b_1+..+b_k + (n-k)*b_k <= a.
-
-    ``b_sorted`` must be ascending.  The slack phi(j) = a - (b_1+..+b_j)
-    - (n-j)*b_j is monotone nonincreasing in j, so a linear scan suffices.
-    """
-    b = np.asarray(b_sorted, dtype=float)[None, :]
-    a = _clamp_to_total(np.array([a], dtype=float), b.sum(axis=1))
-    return int(_find_k(a, b, b.shape[1])[0])
-
-
 def _find_k(a: np.ndarray, bs: np.ndarray, n: int) -> np.ndarray:
-    """:func:`find_k_vector` of each row of ``bs`` at its target ``a[i]``.
+    """Largest k in {0..n} with b_1+..+b_k + (n-k)*b_k <= a[i], per row.
 
     Each row of ``bs`` holds, ascending, the smallest bounds of a row of
     ``n`` coordinates, so the j-th has coefficient n - j whatever the width
-    of ``bs``.  The
-    prefix sums are a running ``np.cumsum``, the same additions in the same
-    order as a scalar scan, so every slack and every k is the scan's.  An
-    unbounded coordinate can never saturate, nor can any after it.  The
-    targets must not exceed the bound totals: the caller decides saturation.
+    of ``bs``.  The slack phi(j) = a - (b_1+..+b_j) - (n-j)*b_j is
+    nonincreasing in j, so a scan suffices, and a rise raises
+    :class:`InvariantViolation`.  The prefix sums are a running
+    ``np.cumsum``, the same additions in the same order as a scalar scan, so
+    every slack and every k is the scan's.  An unbounded coordinate can
+    never saturate, nor can any after it.  The targets must not exceed the
+    bound totals: the caller decides saturation.
     """
     rows, w = bs.shape
     if w == 0:
@@ -99,15 +71,6 @@ def _find_k(a: np.ndarray, bs: np.ndarray, n: int) -> np.ndarray:
         raise InvariantViolation("slack must be nonincreasing")
     hit = (phi >= 0) & live
     return np.where(hit.any(axis=1), w - np.argmax(hit[:, ::-1], axis=1), 0)
-
-
-def _clamp_to_total(a: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """min(a, total) per row, after rejecting a target above its bound total."""
-    over = (a > total) & ~(a <= total * (1 + 1e-9))
-    if over.any():
-        i = int(np.argmax(over))
-        raise InfeasibleSum(f"target {float(a[i])} exceeds the bound total {float(total[i])}")
-    return np.minimum(a, total)
 
 
 def _levels(a, bs, total, n):
@@ -132,30 +95,33 @@ def _levels(a, bs, total, n):
     return k, mu, full
 
 
-def waterfill_rows(a, B) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bounded-sum water-fill of every row of ``B`` at its own target ``a[i]``.
+def waterfill_rows(a, caps, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bounded-sum water-fill of every row of n coordinates at its own target.
 
-    Row i is the result of :func:`waterfill_bounded_sum` on ``a[i]`` and
-    ``B[i]``, bit for bit.  Only the finite bounds are sorted and scanned,
-    since an unbounded coordinate never saturates, so the cost beyond
-    writing the solution grows with their number.  Returns the (rows, m)
-    solution in input order, each row's k and level mu, and ``ranked``: the
-    columns of each row's finite bounds in stable ascending order of bound,
-    row after row.  Targets and bounds must already be valid (nonnegative,
-    no NaN).
+    ``caps`` holds arrays of rows, columns and bounds, each cell at most
+    once; a cell without a finite bound is unbounded.  Row i is the result
+    of :func:`waterfill_bounded_sum` on ``a[i]`` and that row's bounds, bit
+    for bit.  Only the finite bounds are sorted and scanned, since an
+    unbounded coordinate never saturates, so the cost beyond writing the
+    solution grows with their number.  Returns the (rows, n) solution in
+    input order, each row's k and level mu, and ``ranked``: the columns of
+    each row's finite bounds in stable ascending order of bound, row after
+    row.  Targets and bounds must already be valid (nonnegative, no NaN).
     """
     a = np.asarray(a, dtype=float)
-    B = np.ascontiguousarray(B, dtype=float)
-    rows, n = B.shape
-    # the finite bounds, row-major; a flat nonzero is ~10x a 2-D one's speed
-    row_of, col_of = np.divmod(np.flatnonzero(np.isfinite(B)), max(n, 1))
-    bounds = B[row_of, col_of]
+    rows = a.size
+    i, j, ub = (np.asarray(v, dtype=t) for v, t in zip(caps, (np.intp, np.intp, float)))
+    # the finite bounds, row-major, so that ties rank in column order
+    finite = np.flatnonzero(np.isfinite(ub))
+    cells = finite[np.lexsort((j[finite], i[finite]))]
+    row_of, col_of, bounds = i[cells], j[cells], ub[cells]
     count = np.bincount(row_of, minlength=rows)
     start = np.cumsum(count) - count
     k = np.empty(rows, dtype=np.intp)
     mu = np.empty(rows)
     full = np.empty(rows, dtype=bool)
     ranked = np.empty(bounds.size, dtype=np.intp)
+    ranked_bounds = np.empty(bounds.size)
     # Every row is padded to the widest row's count with +inf and taken in
     # blocks of about _BLOCK_CELLS cells.
     w = int(count.max()) if rows else 0
@@ -169,36 +135,35 @@ def waterfill_rows(a, B) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
         srt = np.argsort(C, axis=1, kind="stable")
         bs = np.take_along_axis(C, srt, axis=1)
         ranked[at[~pad]] = np.take_along_axis(col_of[at], srt, axis=1)[~pad]
-        # a row of n finite bounds is its own row of B, summed alike
+        ranked_bounds[at[~pad]] = bs[~pad]
+        # a row of n finite bounds is summed in column order, as a dense row is
         total = np.where(count[rs] == n, C.sum(axis=1), np.inf)
         k[rs], mu[rs], full[rs] = _levels(a[rs], bs, total, n)
     x = np.empty((rows, n))
     x[:] = mu[:, None]
-    x[full] = B[full]
-    saturated = (np.arange(bounds.size) - start[row_of] < k[row_of]) & ~full[row_of]
-    at = row_of[saturated], ranked[saturated]
-    x[at] = B[at]
+    x[full] = np.inf  # a full row takes its bounds (k = n), +inf where it has none
+    saturated = np.arange(bounds.size) - start[row_of] < k[row_of]
+    x[row_of[saturated], ranked[saturated]] = ranked_bounds[saturated]
     return x, k, mu, ranked
 
 
-def waterfill_equal_sum(p: BoundedVectorProblem) -> WaterfillResult:
-    """Entropy-maximal x with sum(x) = a and 0 <= x_i <= b_i: for a finite a
-    within the bound total, the bounded-sum water-fill."""
-    if not np.isfinite(p.a):
-        raise InfeasibleSum("equal-sum target must be finite")
-    _clamp_to_total(np.array([p.a]), np.sum([p.b], axis=1))  # rejects a above it
-    return waterfill_bounded_sum(p)
-
-
-def waterfill_bounded_sum(p: BoundedVectorProblem) -> WaterfillResult:
-    """Most-likely x with sum(x) <= a and 0 <= x_i <= b_i.
+def waterfill_bounded_sum(a: float, b) -> WaterfillResult:
+    """Most-likely x with sum(x) <= a and 0 <= x_i <= b_i (+inf allowed).
 
     When the bounds cannot absorb a, every coordinate saturates; otherwise
-    the sum constraint binds and the equal-sum solution applies.  The
-    permutation is the stable order of the finite bounds, then the
+    the sum constraint binds and the equal-sum solution applies: for a
+    within the bound total, this is the entropy-maximal x with sum(x) = a.
+    The permutation is the stable order of the finite bounds, then the
     unbounded coordinates in index order.
     """
-    b = np.array(p.b, dtype=float)
-    x, k, mu, ranked = waterfill_rows(np.array([p.a]), b[None, :])
+    b = np.asarray(b, dtype=float)
+    if not a >= 0:
+        raise NegativeValue(f"target sum {a} < 0")
+    if not np.all(b >= 0):
+        raise NegativeValue("upper bounds must be nonnegative")
+    if b.size == 0:
+        raise InfeasibleSum("empty bound vector")
+    cells = np.arange(b.size)
+    x, k, mu, ranked = waterfill_rows([a], (np.zeros_like(cells), cells, b), b.size)
     permutation = ranked.tolist() + np.flatnonzero(~np.isfinite(b)).tolist()
     return WaterfillResult(x[0], int(k[0]), float(mu[0]), tuple(permutation))

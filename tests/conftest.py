@@ -17,6 +17,7 @@ from likelymat import (
     SolverCase,
     TotalConstraint,
 )
+from likelymat.waterfill import _find_k
 
 
 def make_spec(
@@ -58,6 +59,33 @@ def make_spec(
         fixed_blocks=tuple(blocks),
         symmetric=symmetric,
     )
+
+
+def walk_sums(spec, axis):
+    """One axis's stated sums by a walk over ``spec.marginals``, the
+    reference for ``spec.sums``: the values in an (n,) array, or (n, K) in
+    3-D, +inf where none is stated, and the set of kinds."""
+    n = spec.shape.rows if axis == "row" else spec.shape.cols
+    values = np.full((n,) if spec.shape.slices is None else (n, spec.shape.slices), np.inf)
+    kinds = set()
+    for c in spec.marginals:
+        if c.axis == axis:
+            values[(c.index,) if c.slice_index is None else (c.index, c.slice_index)] = c.value
+            kinds.add(c.kind)
+    return values, kinds
+
+
+def find_k(a, b_sorted):
+    """The water-fill's k of one bound vector (ascending, unless the test
+    wants the slack to rise) at a target within its total."""
+    return int(_find_k(np.array([a]), np.array([b_sorted], dtype=float), len(b_sorted))[0])
+
+
+def caps_of(W):
+    """The finite caps of a dense matrix as (row, column, cap) arrays, in
+    reverse row-major order, so that a solver must order them itself."""
+    i, j = np.nonzero(np.isfinite(W))
+    return i[::-1], j[::-1], np.asarray(W)[i, j][::-1]
 
 
 # Property tests draw the same examples on every run, and few enough of them

@@ -48,13 +48,15 @@ from hypothesis import given, strategies as st
 from conftest import (
     CASE_GENERATORS,
     _ratios_below_third,
+    caps_of,
+    find_k,
     make_spec,
     random_sym_blocks,
     random_sym_fixed_diagonal,
+    walk_sums,
     zero_diagonal_blocks,
 )
 from likelymat import (
-    BoundedVectorProblem,
     BracketFailure,
     ConsistencyViolation,
     FixedBlock,
@@ -96,12 +98,7 @@ from likelymat.symmetric import (
     series_approx_xi,
     solve_root_lambda,
 )
-from likelymat.waterfill import (
-    find_k_vector,
-    waterfill_bounded_sum,
-    waterfill_equal_sum,
-    waterfill_rows,
-)
+from likelymat.waterfill import waterfill_bounded_sum, waterfill_rows
 
 SIZES = (1, 7, 8, 9, 127, 128, 129, 2000)
 
@@ -461,7 +458,7 @@ class TestWaterfill:
         for n in SIZES:
             rows = 4 if n == 2000 else 60
             a, W = random_caps(rng, rows, n)
-            x, k, mu, ranked = waterfill_rows(a, W)
+            x, k, mu, ranked = waterfill_rows(a, caps_of(W), n)
             # each row's finite bounds in stable order, then its +inf columns
             ends = np.cumsum(np.isfinite(W).sum(axis=1))
             for i, finite in enumerate(np.split(ranked, ends[:-1])):
@@ -474,19 +471,17 @@ class TestWaterfill:
         for n in SIZES:
             a, W = random_caps(rng, 3 if n == 2000 else 20, n)
             for ai, b in zip(a.tolist(), W):
-                p = BoundedVectorProblem(ai, tuple(b.tolist()))
-                res = waterfill_bounded_sum(p)
+                res = waterfill_bounded_sum(ai, b)
                 ref = loop_waterfill_bounded_sum(ai, b)
                 assert (bits(res.x), res.k, bits(res.mu), res.permutation) == (
                     bits(ref[0]), ref[1], bits(ref[2]), ref[3])
                 if math.isfinite(ai) and ai <= float(b.sum()):
-                    res = waterfill_equal_sum(p)
                     ref = loop_waterfill_equal_sum(ai, b)
                     assert (bits(res.x), res.k, bits(res.mu), res.permutation) == (
                         bits(ref[0]), ref[1], bits(ref[2]), ref[3])
                 bs = np.sort(b)
                 target = min(ai, float(bs.sum()))
-                assert find_k_vector(target, bs) == loop_find_k_vector(target, bs)
+                assert find_k(target, bs) == loop_find_k_vector(target, bs)
 
     def test_unsorted_bounds_fail_alike(self, rng):
         for _ in range(200):
@@ -497,16 +492,16 @@ class TestWaterfill:
                 expected = loop_find_k_vector(a, b)
             except InvariantViolation:
                 with pytest.raises(InvariantViolation, match="nonincreasing"):
-                    find_k_vector(a, b)
+                    find_k(a, b)
             else:
-                assert find_k_vector(a, b) == expected
+                assert find_k(a, b) == expected
 
     def test_blocks_of_rows_agree_with_one_block(self, rng):
         # 400 rows of 200 columns span two blocks of about 2^16 cells
         a, W = random_caps(rng, 400, 200)
-        x, k, mu, order = waterfill_rows(a, W)
+        x, k, mu, order = waterfill_rows(a, caps_of(W), 200)
         for i in (0, 1, 327, 328, 399):
-            one = waterfill_rows(a[i:i + 1], W[i:i + 1])
+            one = waterfill_rows(a[i:i + 1], caps_of(W[i:i + 1]), 200)
             assert bits(x[i]) == bits(one[0][0]) and k[i] == one[1][0]
             assert bits(mu[i]) == bits(one[2][0])
 
@@ -600,7 +595,7 @@ def masked_gravity(u, v, given):
 
 
 def assert_rows_match_dense(a, B):
-    x, k, mu, ranked = waterfill_rows(a, B)
+    x, k, mu, ranked = waterfill_rows(a, caps_of(B), B.shape[1])
     rx, rk, rmu, rorder = dense_waterfill_rows(a, B)
     assert (bits(x), bits(mu)) == (bits(rx), bits(rmu))
     assert np.array_equal(k, rk)
@@ -687,7 +682,7 @@ def test_gravity_rejects_columns_not_given_at_different_levels():
 
 def tile_total_row_bounds(s, u, m):
     """Known total over row bounds: each water-filled row tiled across."""
-    wf = waterfill_bounded_sum(BoundedVectorProblem(min(s, float(u.sum())), tuple(u)))
+    wf = waterfill_bounded_sum(min(s, float(u.sum())), u)
     return np.tile((wf.x / m)[:, None], (1, m))
 
 
@@ -698,7 +693,7 @@ def scatter_row_col_bounds(u, v):
     u_total = float(u.sum())
     order = np.argsort(v, kind="stable")
     vs = v[order]
-    k = find_k_vector(u_total, vs)
+    k = loop_find_k_vector(u_total, vs)
     leftover = max(0.0, u_total - float(vs[:k].sum()))
     Xs = np.empty((n, m))
     if u_total == 0.0:
@@ -715,7 +710,7 @@ def scatter_row_col_bounds(u, v):
 def scatter_gravity(spec):
     """Gravity with the known columns moved to the front, then scattered."""
     n, m = spec.shape.rows, spec.shape.cols
-    u = np.array(spec.axis_values("row", kind="equal"))
+    u = walk_sums(spec, "row")[0]
     col_map = {c.index: c.value for c in spec.marginals if c.axis == "col"}
     cols = sorted(col_map)
     v = np.array([col_map[j] for j in cols])
@@ -738,7 +733,7 @@ def blocks_sym_total(s, u):
     constant block over the sorted bounds, scattered back."""
     n = u.size
     s = min(s, float(u.sum()))
-    k = waterfill_bounded_sum(BoundedVectorProblem(s, tuple(u))).k
+    k = waterfill_bounded_sum(s, u).k
     order = np.argsort(u, kind="stable")
     us = u[order]
     Xs = np.zeros((n, n))
@@ -1115,10 +1110,7 @@ def walk_verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport
                 kinds = {c.kind for c in spec.marginals if c.axis == "row"}
             if kinds != {"upper"}:
                 continue
-            bounds = (
-                spec.axis_values("row") if spec.symmetric and axis == "col"
-                else spec.axis_values(axis)
-            )
+            bounds = walk_sums(spec, "row" if spec.symmetric else axis)[0].tolist()
             for i, f in enumerate(np.asarray(mult, dtype=float)):
                 if not 0.0 < f <= 1.0 + tol:
                     multiplier_range = False

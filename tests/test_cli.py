@@ -7,14 +7,16 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import likelymat
-from likelymat import LikelymatError, MarginalConstraint, ProblemSpec, Shape
-from likelymat.cli import _dumps, _emit, _residuals, main
+from likelymat import (
+    LikelymatError, MarginalConstraint, ProblemSpec, Shape, SolverCase, classify)
+from likelymat.cli import _dumps, _emit, _residuals, load_problem, main
 from conftest import make_spec
 
 TEN_BOUNDS = [20, 20, 24, 30, 30, 36, 36, 36, 36, 40]
@@ -217,6 +219,18 @@ class TestCount:
         _, counted = run_json(capsys, ["count", mpath])
         assert abs(counted["log10_realizations"] - solved["log10_realizations"]) <= 1e-9
 
+    @pytest.mark.parametrize("cols", [False, True])
+    def test_symmetric_spec_is_refused(self, cols, tmp_path, capsys):
+        # symmetric information admits 2 of the 4 matrices row sums [1, 1] allow
+        doc = {"shape": {"rows": 2, "cols": 2},
+               "row_sums": {"kind": "equal", "values": [1, 1]}, "symmetric": True}
+        if cols:
+            doc["col_sums"] = doc["row_sums"]
+        assert main(["count", write(tmp_path, "p.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: count on a problem file needs a row-sums-only spec\n"
+
     def test_exact_count_above_the_int_to_str_digit_limit(self, tmp_path, capsys):
         X = np.random.default_rng(0).integers(0, 51, size=(20, 20))
         expected = math.factorial(int(X.sum()))
@@ -353,6 +367,17 @@ MALFORMED = {
     "unindexable_3d_shape": json.dumps(
         {"shape": {"rows": 2**32, "cols": 2**31, "slices": 2},
          "total": {"kind": "equal", "value": 3}}),
+    # wrongly typed values: a string is no list or number, true is no number
+    "string_row_sums": json.dumps(
+        {"shape": {"rows": 2, "cols": 2}, "row_sums": {"kind": "equal", "values": "57"}}),
+    "string_total": json.dumps(
+        {"shape": {"rows": 2, "cols": 2}, "total": {"kind": "equal", "value": "12"}}),
+    "boolean_rows": json.dumps(dict(ROW_BOUND_PROBLEM, shape={"rows": True, "cols": 10})),
+    "boolean_cap_row": json.dumps(dict(
+        ROW_BOUND_PROBLEM, element_bounds=[{"i": True, "j": 0, "ub": 1.0}])),
+    "string_symmetric": json.dumps(
+        {"shape": {"rows": 2, "cols": 3}, "row_sums": {"kind": "upper", "values": [1, 2]},
+         "symmetric": "false"}),
 }
 
 
@@ -367,7 +392,8 @@ class TestMalformedInput:
         assert captured.err.startswith("usage error:")
 
     @pytest.mark.parametrize(
-        "text", ['[[1, Infinity]]', '{"rows": [[1]]}', '[[1, "a"]]', f"[[1, {10**400}]]"])
+        "text", ['[[1, Infinity]]', '{"rows": [[1]]}', '[[1, "a"]]', f"[[1, {10**400}]]",
+                 '[[1, "2"], [true, 3]]'])
     def test_count_matrix_exits_two(self, text, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(text)
@@ -414,6 +440,39 @@ class TestMalformedInput:
 
 
 ZERO_DIAGONAL = {"diagonal_prefix": 3, "values": [0, 0, 0]}
+
+
+class TestSparseMarginals:
+    """A spec states only what it knows: one row sum of 10^9 rows must not
+    cost memory per row in classification, ``check`` or ``solve``."""
+
+    DOC = {"shape": {"rows": 10**9, "cols": 1},
+           "row_sums": {"kind": "equal", "sparse": [{"index": 3, "value": 2.5}]}}
+    PEAK = 4 << 20  # bytes; one float per row would be 8 GB
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_classify_reads_counts(self):
+        spec = load_problem(self.DOC)
+        case, peak = self.traced_peak(lambda: classify(spec))
+        assert case is SolverCase.UNSUPPORTED and peak < self.PEAK
+
+    @pytest.mark.parametrize("command, expected", [("check", 0), ("solve", 1)])
+    def test_cli_exit_codes(self, command, expected, tmp_path, capsys):
+        path = write(tmp_path, "p.json", self.DOC)
+        code, peak = self.traced_peak(lambda: main([command, path]))
+        assert (code, peak < self.PEAK) == (expected, True)
+        captured = capsys.readouterr()
+        if expected:
+            assert captured.err.startswith("error: UnsupportedCase")
+        else:
+            assert json.loads(captured.out) == {"case": "unsupported", "valid": True}
 
 
 class TestFixedEntriesPastTheFloatRange:

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from likelymat import (
-    BoundedVectorProblem,
     LikelymatError,
     Solution,
     SolverCase,
@@ -27,7 +26,7 @@ from likelymat import (
     solve_sym_total_row_col_bounds,
     solve_total_row_bounds,
     verify_kkt,
-    waterfill_equal_sum,
+    waterfill_bounded_sum,
 )
 from likelymat.constraints import transpose
 from conftest import make_spec
@@ -80,7 +79,7 @@ def test_a_total_at_the_bound_total_saturates_every_row(u, m, over):
     assert sol.k == ref.k == u.size
     assert sol.matrix.tobytes() == ref.matrix.tobytes()
     assert sol.row_multipliers.tobytes() == ref.row_multipliers.tobytes()
-    assert waterfill_equal_sum(BoundedVectorProblem(float(u.sum()), tuple(u))).k == u.size
+    assert waterfill_bounded_sum(float(u.sum()), u).k == u.size
 
 
 def test_factors_are_continuous_in_the_total():

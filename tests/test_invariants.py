@@ -18,7 +18,7 @@ from likelymat.symmetric import (
     solve_sym_block_diagonal,
     solve_sym_fixed_diagonal,
 )
-from likelymat.waterfill import find_k_vector
+from likelymat.waterfill import _find_k
 
 # Four equal ratios: the bracket is guaranteed and its lower end is the
 # branch point, so f there comes from ``f_at_branch_point``.
@@ -65,15 +65,16 @@ class TestCountInvariants:
     def test_slack_increasing(self):
         # bounds out of ascending order make the slack rise from j = 1 to 2
         with pytest.raises(InvariantViolation, match="nonincreasing"):
-            find_k_vector(6.0, [5.0, 1.0])
+            _find_k(np.array([6.0]), np.array([[5.0, 1.0]]), 2)
 
 
 def test_invariant_survives_python_dash_o():
     code = (
         "import sys\n"
-        "from likelymat.waterfill import find_k_vector\n"
+        "import numpy as np\n"
+        "from likelymat.waterfill import _find_k\n"
         "try:\n"
-        "    find_k_vector(6.0, [5.0, 1.0])\n"
+        "    _find_k(np.array([6.0]), np.array([[5.0, 1.0]]), 2)\n"
         "except Exception as e:\n"
         "    print(sys.flags.optimize, type(e).__name__)\n"
     )

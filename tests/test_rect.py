@@ -16,7 +16,7 @@ from likelymat import (
     solve_row_col_bounds,
     solve_total_row_bounds,
 )
-from conftest import make_spec
+from conftest import caps_of, make_spec
 
 INF = math.inf
 TEN_BOUNDS = [20.0, 20, 24, 30, 30, 36, 36, 36, 36, 40]
@@ -179,23 +179,24 @@ class TestRowColBounds:
 
 class TestRowElemBounds:
     def test_binding_sum(self):
-        sol = solve_row_bounds_elem_bounds([10.0], [[2.0, 5.0, 9.0]])
+        sol = solve_row_bounds_elem_bounds([10.0], ([0, 0, 0], [0, 1, 2], [2.0, 5.0, 9.0]), 3)
         np.testing.assert_allclose(sol.matrix, [[2, 4, 4]])
 
     def test_binding_caps(self):
-        sol = solve_row_bounds_elem_bounds([100.0], [[2.0, 5.0, 9.0]])
+        sol = solve_row_bounds_elem_bounds([100.0], ([0, 0, 0], [2, 1, 0], [9.0, 5.0, 2.0]), 3)
         np.testing.assert_allclose(sol.matrix, [[2, 5, 9]])
 
     def test_infinite_caps_degenerate_to_row_bounds(self):
-        sol = solve_row_bounds_elem_bounds([6.0, 4.0], np.full((2, 2), INF))
+        caps = ([0, 0, 1, 1], [0, 1, 0, 1], np.full(4, INF))
+        sol = solve_row_bounds_elem_bounds([6.0, 4.0], caps, 2)
         np.testing.assert_allclose(sol.matrix, [[3, 3], [2, 2]])
 
     def test_rows_are_independent(self, rng):
         W = rng.uniform(0.5, 2.0, (3, 4))
         u = [3.0, 2.0, 100.0]
-        sol = solve_row_bounds_elem_bounds(u, W)
+        sol = solve_row_bounds_elem_bounds(u, caps_of(W), 4)
         for i in range(3):
-            alone = solve_row_bounds_elem_bounds([u[i]], W[i : i + 1])
+            alone = solve_row_bounds_elem_bounds([u[i]], caps_of(W[i : i + 1]), 4)
             np.testing.assert_allclose(sol.matrix[i], alone.matrix[0])
 
 

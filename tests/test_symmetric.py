@@ -25,7 +25,7 @@ from likelymat import (
     verify_kkt,
 )
 from likelymat.cli import load_problem
-from conftest import make_spec, random_sym_fixed_diagonal
+from conftest import make_spec, random_sym_fixed_diagonal, walk_sums
 
 FOUR_NODE_SUMS = [40.0, 20.0, 30.0, 40.0]
 FOUR_NODE_RATIOS = (4 / 13, 2 / 13, 3 / 13, 4 / 13)
@@ -494,7 +494,7 @@ class TestRootOnSolution:
         specs += [random_sym_fixed_diagonal(rng) for _ in range(20)]
         for spec in specs:
             sol = solve(spec)
-            u = np.array(spec.axis_values("row", kind=next(iter(spec.axis_kinds("row")))))
+            u = walk_sums(spec, "row")[0]
             s = float(u.sum())
             fixed = {b.index_set[0]: float(b.matrix[0][0]) for b in spec.fixed_blocks}
             r = [(u[i] - fixed[i]) / s if i in fixed else u[i] / s for i in range(u.size)]
