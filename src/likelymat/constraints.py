@@ -501,11 +501,11 @@ def _check_marginal_feasibility(spec: ProblemSpec) -> None:
                     f"{name} sums total {axis_total} exceeds the total bound {s}"
                 )
         if spec.total.kind == "equal":
-            for kinds, axis_total, name in (
-                (row_kinds, row_total, "row"),
-                (col_kinds, col_total, "column"),
-            ):
-                if kinds == {"upper"} and math.isfinite(axis_total) and s > axis_total * (1 + REL_TOL):
+            # only bounds on every row (or column) cap the total: an
+            # unbounded one can take any mass
+            for side, axis_total, name in ((rows, row_total, "row"), (cols, col_total, "column")):
+                if (side.complete and side.kinds == {"upper"} and math.isfinite(axis_total)
+                        and s > axis_total * (1 + REL_TOL)):
                     raise InfeasibleMarginals(
                         f"total {s} exceeds the sum of {name} bounds {axis_total}"
                     )

@@ -12,6 +12,12 @@ near the ends of the float range solves as well as any.
 :func:`verify_kkt` checks feasibility, product form, multiplier ranges, and
 complementary slackness of any solution.
 
+All three read one program, built from the validated spec in whole-array
+passes: the free cells, the fixed cells as index arrays and values, one
+incidence list over every constraint (equalities, then bounds, element caps
+last) and one array of targets.  The product-form fit runs over the
+program's own marginal and total rows.
+
 scipy is imported inside the two routines that call it, so importing the
 package (or starting the CLI) does not load it.
 """
@@ -128,19 +134,13 @@ class KktReport:
 @dataclass(frozen=True)
 class _Incidence:
     """A 0/1 constraint matrix ``M`` kept as its nonzeros: constraint
-    ``con[t]`` contains free cell ``cell[t]``, in order of the constraints."""
+    ``con[t]`` contains free cell ``cell[t]``, in order of the constraints and,
+    within one, of the cells."""
 
     con: np.ndarray
     cell: np.ndarray
     k: int  # constraints
     n: int  # free cells
-
-    @classmethod
-    def of(cls, members: list, n: int) -> _Incidence:
-        runs = [np.asarray(m, dtype=np.intp) for m in members]
-        cell = np.concatenate(runs) if runs else np.zeros(0, np.intp)
-        con = np.repeat(np.arange(len(members)), [len(m) for m in members])
-        return cls(con, cell, len(members), n)
 
     @cached_property
     def _segments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +169,8 @@ class _Incidence:
         con, cell = self.con[order], self.cell[order]
         deg = np.bincount(cell, minlength=self.n)
         first = np.cumsum(deg) - deg  # each cell's first entry in the sorted lists
-        reps = deg[cell]  # an entry pairs with every entry of its cell
-        left = np.repeat(np.arange(cell.size), reps)
-        right = first[cell[left]] + np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        left = np.repeat(np.arange(cell.size), deg[cell])  # an entry pairs with its cell's
+        right = _runs(first[cell], deg[cell])
         return con[left] * self.k + con[right], cell[left]
 
     def gram(self, x: np.ndarray) -> np.ndarray:
@@ -180,33 +179,44 @@ class _Incidence:
         return np.bincount(key, x[cell], minlength=self.k * self.k).reshape(self.k, self.k)
 
 
-@dataclass
+def _runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The positions start[r], ..., start[r] + length[r] - 1 of every run r, in order."""
+    ends = np.cumsum(length)
+    return np.repeat(start - (ends - length), length) + np.arange(ends[-1] if ends.size else 0)
+
+
+@dataclass(frozen=True)
 class _Program:
+    """The free cells, the fixed ones, and every constraint over the free
+    cells: the equalities (``n_eq``), then the bounds, the ``n_caps``
+    element caps last, one cell each."""
+
     shape: tuple[int, ...]
     cells: np.ndarray  # (n, ndim) coordinates of the free cells, row-major
-    fixed: dict[tuple[int, ...], float]
-    eq: list[tuple[list[int], float, str]]
-    ub: list[tuple[list[int], float, str]]
+    fixed: tuple[np.ndarray, ...]  # the fixed cells' coordinates, one array per axis
+    fixed_values: np.ndarray
+    incidence: _Incidence
+    targets: np.ndarray
+    n_eq: int
+    n_caps: int
 
     @property
     def n(self) -> int:
         return len(self.cells)
 
     @cached_property
-    def incidence(self) -> _Incidence:
-        """The constraints eq, then ub."""
-        return _Incidence.of([m for m, _, _ in self.eq + self.ub], self.n)
-
-    @cached_property
     def search_incidence(self) -> _Incidence:
-        """eq, a total over every free cell, then ub: the G path's line search."""
-        eq, ub = [m for m, _, _ in self.eq], [m for m, _, _ in self.ub]
-        return _Incidence.of(eq + [np.arange(self.n)] + ub, self.n)
+        """The constraints with a total over every free cell inserted after
+        the equalities: the G path's line search."""
+        M = self.incidence
+        at = np.searchsorted(M.con, self.n_eq)
+        con = np.concatenate([M.con[:at], np.full(self.n, self.n_eq), M.con[at:] + 1])
+        cell = np.concatenate([M.cell[:at], np.arange(self.n), M.cell[at:]])
+        return _Incidence(con, cell, M.k + 1, self.n)
 
     def assemble(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape)
-        for cell, v in self.fixed.items():
-            out[cell] = v
+        out[self.fixed] = self.fixed_values
         out[tuple(self.cells.T)] = x
         return out
 
@@ -215,79 +225,99 @@ def _build_program(spec: ProblemSpec) -> _Program:
     spec = validate_spec(spec)
     sh = spec.shape
     shape = (sh.rows, sh.cols, sh.slices) if sh.is_3d else (sh.rows, sh.cols)
+    K = sh.slices or 1
     if sh.is_3d and spec.element_bounds:
         raise UnsupportedCase("element bounds on a 3-D spec name no cell")
 
     if sh.is_3d:  # the zero diagonal of every slice, whatever the blocks say
-        fixed = dict.fromkeys(((i, i, k) for i in range(sh.rows) for k in range(sh.slices)), 0.0)
+        i, k = np.divmod(np.arange(sh.rows * K), K)
+        fixed, values = (i, i, k), 0.0
     else:
         c = spec.fixed_cells
-        fixed = dict(zip(zip(c.nodes[c.rows].tolist(), c.nodes[c.cols].tolist()),
-                         c.values.tolist()))
-    # Zero element caps pin the cell outright; keeping them as inequality
-    # constraints would push the dual to infinity.
-    for e in spec.element_bounds:
-        if e.ub == 0.0:
-            if fixed.get((e.i, e.j), 0.0) != 0.0:
-                raise Infeasible(f"cell ({e.i},{e.j}) is fixed above its zero cap")
-            fixed[(e.i, e.j)] = 0.0
-
-    # The free cells as a mask, numbered row-major by ``pos``.
-    free = np.ones(shape, dtype=bool)
+        fixed, values = (c.nodes[c.rows], c.nodes[c.cols]), c.values
     grid = np.zeros(shape)
-    if fixed:
-        at = tuple(np.array(list(fixed)).T)
-        free[at] = False
-        grid[at] = list(fixed.values())
-    pos = np.zeros(shape, dtype=np.intp)
-    pos[free] = np.arange(np.count_nonzero(free))
+    grid[fixed] = values
+    free = np.ones(shape, dtype=bool)
+    free[fixed] = False
+    ci, cj, ub = spec.element_caps
+    if spec.element_bounds:
+        # Zero element caps pin the cell outright; keeping them as inequality
+        # constraints would push the dual to infinity.
+        zero = ub == 0.0
+        over = np.flatnonzero(zero & (grid[ci, cj] != 0.0))
+        if over.size:
+            raise Infeasible(f"cell ({ci[over[0]]},{cj[over[0]]}) is fixed above its zero cap")
+        newly = zero & free[ci, cj]
+        fixed = (np.concatenate([fixed[0], ci[newly]]), np.concatenate([fixed[1], cj[newly]]))
+        grid[ci[zero], cj[zero]] = 0.0
+        free[ci[zero], cj[zero]] = False
+    fixed_values = grid[fixed]
+
+    # The free cells, numbered row-major by ``pos``.  Each lies on three
+    # lines: its row (line i K + slice), its column (line R + j K + slice) and
+    # the total (line R + C); ``by_line`` lists the cells line by line.
     cells = np.argwhere(free)
-    # A marginal's pinned mass, added left to right along its axis (np.sum
-    # would add pairwise); 0.0 + grid turns a fixed -0.0 into 0.0, as adding
-    # it to a running 0.0 does.
-    pinned_along = [np.take(np.cumsum(0.0 + grid, axis=ax), -1, axis=ax) for ax in (0, 1)]
+    n = len(cells)
+    pos = np.zeros(shape, dtype=np.intp)
+    pos[free] = np.arange(n)
+    cap_cell, cap = np.zeros(0, dtype=np.intp), np.zeros(0)
+    if spec.element_bounds:  # the finite caps of free cells
+        capped = np.isfinite(ub) & free[ci, cj]
+        cap_cell, cap = pos[ci[capped], cj[capped]], ub[capped]
+    R, C = sh.rows * K, sh.cols * K
+    on_slice = cells[:, 2] if sh.is_3d else 0
+    line_of = np.concatenate([cells[:, 0] * K + on_slice, R + cells[:, 1] * K + on_slice,
+                              np.full(n, R + C)])
+    by_line = np.tile(np.arange(n), 3)[np.argsort(line_of, kind="stable")]
+    count = np.bincount(line_of, minlength=R + C + 1)
+    # A line's pinned mass, added left to right along it (np.sum would add
+    # pairwise); 0.0 + grid turns a fixed -0.0 into 0.0, as adding it to a
+    # running 0.0 does.  The total's adds the fixed values in their order.
+    pinned = np.concatenate([np.take(np.cumsum(0.0 + grid, axis=ax), -1, axis=ax).ravel()
+                             for ax in (1, 0)] + [[sum(fixed_values.tolist())]])
 
-    eq: list[tuple[list[int], float, str]] = []
-    ub: list[tuple[list[int], float, str]] = []
-
-    def _add(kind: str, members: list[int], target: float, label: str) -> None:
-        if target < -REL_TOL:
-            raise Infeasible(f"{label}: fixed values exceed the stated sum")
-        if kind == "upper" and target == math.inf:
-            return  # bounds nothing, as an infinite element cap
-        target = max(target, 0.0)
-        (eq if kind == "equal" else ub).append((members, target, label))
-
-    def _axis_cells(axis: str, idx: int, slice_idx) -> tuple[list[int], float]:
-        ax = 1 if axis == "row" else 0  # the axis the sum runs along
-        rest = () if slice_idx is None else (slice_idx,)
-        at = ((idx, slice(None)) if ax == 1 else (slice(None), idx)) + rest
-        return pos[at][free[at]].tolist(), float(pinned_along[ax][(idx, *rest)])
-
-    stated = {(c.axis, c.index, c.slice_index) for c in spec.marginals}
-    for c in spec.marginals:
-        members, pinned = _axis_cells(c.axis, c.index, c.slice_index)
-        _add(c.kind, members, c.value - pinned, f"{c.axis} {c.index}/{c.slice_index}")
-        if spec.symmetric:
-            other = "col" if c.axis == "row" else "row"
-            if (other, c.index, c.slice_index) not in stated:
-                members, pinned = _axis_cells(other, c.index, c.slice_index)
-                _add(c.kind, members, c.value - pinned, f"{other} {c.index}/{c.slice_index} (mirror)")
-
+    # The stated sums in spec order, each followed by its mirror when a
+    # symmetric spec states rows only, then the total.
+    m = spec.marginals
+    col, index, at = np.array([(c.axis == "col", c.index, c.slice_index or 0) for c in m],
+                              dtype=np.intp).reshape(-1, 3).T
+    line = col * R + index * K + at
+    value = np.array([c.value for c in m], dtype=float)
+    equal = np.array([c.kind == "equal" for c in m], dtype=bool)
+    mirrored = spec.symmetric and not col.any()
+    if mirrored:
+        line = np.stack([line, line + R], axis=1).ravel()
+        value, equal = np.repeat(value, 2), np.repeat(equal, 2)
     if spec.total is not None:
-        pinned = sum(fixed.values())
-        _add(
-            spec.total.kind,
-            list(range(len(cells))),
-            spec.total.value - pinned,
-            "total",
-        )
+        line = np.append(line, R + C)
+        value = np.append(value, spec.total.value)
+        equal = np.append(equal, spec.total.kind == "equal")
+    target = value - pinned[line]
+    short = np.flatnonzero(target < -REL_TOL)
+    if short.size:
+        label = _label(spec, int(short[0]), mirrored)
+        raise Infeasible(f"{label}: fixed values exceed the stated sum")
+    bound = ~equal & (target != math.inf)  # an infinite bound bounds nothing, as an infinite cap
+    order = np.concatenate([np.flatnonzero(equal), np.flatnonzero(bound)])
+    line, target = line[order], np.where(target[order] < 0.0, 0.0, target[order])
 
-    for e in spec.element_bounds:
-        if e.ub > 0.0 and math.isfinite(e.ub) and free[e.i, e.j]:
-            ub.append(([int(pos[e.i, e.j])], e.ub, f"element ({e.i},{e.j})"))
+    con = np.repeat(np.arange(line.size), count[line])
+    cell = by_line[_runs((np.cumsum(count) - count)[line], count[line])]
+    M = _Incidence(np.concatenate([con, line.size + np.arange(cap.size)]),
+                   np.concatenate([cell, cap_cell]), line.size + cap.size, n)
+    return _Program(shape, cells, fixed, fixed_values, M, np.concatenate([target, cap]),
+                    int(np.count_nonzero(equal)), cap.size)
 
-    return _Program(shape, cells, fixed, eq, ub)
+
+def _label(spec: ProblemSpec, t: int, mirrored: bool) -> str:
+    """The name of constraint ``t`` of the stated sums (mirrors included) and the total."""
+    marginal, mirror = divmod(t, 2) if mirrored else (t, 0)
+    if marginal == len(spec.marginals):
+        return "total"
+    c = spec.marginals[marginal]
+    if mirror:
+        return f"col {c.index}/{c.slice_index} (mirror)"
+    return f"{c.axis} {c.index}/{c.slice_index}"
 
 
 # ----------------------------------------------------------------------
@@ -321,13 +351,9 @@ def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
     from scipy.linalg import cho_factor, cho_solve  # loaded with scipy.optimize
     from scipy.optimize import minimize  # loaded on first use, not at import
 
-    eq_targets = [target for _, target, _ in program.eq]
-    if total is None:
-        M = program.incidence
-    else:
-        M, eq_targets = program.search_incidence, eq_targets + [total]
-    n_eq = len(eq_targets)
-    targets = np.array(eq_targets + [target for _, target, _ in program.ub], dtype=float)
+    M, targets, n_eq = program.incidence, program.targets, program.n_eq
+    if total is not None:
+        M, targets, n_eq = program.search_incidence, np.insert(targets, n_eq, total), n_eq + 1
 
     def primal(theta: np.ndarray) -> np.ndarray:
         return np.exp(np.clip(-1.0 - M.rmatvec(theta), -700.0, 700.0))
@@ -385,7 +411,7 @@ def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
         return x, theta, best_res, steps
 
     theta = np.zeros(targets.size) if theta0 is None else np.asarray(theta0, float)
-    bounds = [(None, None)] * n_eq + [(0.0, None)] * len(program.ub)
+    bounds = [(None, None)] * n_eq + [(0.0, None)] * (M.k - n_eq)
     largest = float(np.max(targets, initial=0.0))
     iters = 0
     for gtol in (HANDOFF_GTOL * largest, 1e-12) if largest > 0 else (1e-12,):
@@ -412,7 +438,7 @@ def _max_total(program: _Program) -> float:
     n = program.n
     if n == 0:
         return 0.0
-    M, n_eq = program.incidence, len(program.eq)
+    M, n_eq, targets = program.incidence, program.n_eq, program.targets
 
     def rows(lo: int, hi: int):
         """Constraints lo..hi-1 as a sparse 0/1 matrix over the free cells."""
@@ -422,13 +448,12 @@ def _max_total(program: _Program) -> float:
         data = np.ones(np.count_nonzero(at))
         return csr_array((data, (M.con[at] - lo, M.cell[at])), shape=(hi - lo, n))
 
-    ub, eq = program.ub, program.eq
     res = linprog(
         -np.ones(n),
         A_ub=rows(n_eq, M.k),
-        b_ub=np.array([target for _, target, _ in ub]) if ub else None,
+        b_ub=targets[n_eq:] if M.k > n_eq else None,
         A_eq=rows(0, n_eq),
-        b_eq=np.array([target for _, target, _ in eq]) if eq else None,
+        b_eq=targets[:n_eq] if n_eq else None,
         bounds=(0, None),
         method="highs",
     )
@@ -487,7 +512,7 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
         x, theta, residual, iters = _dual_solve(scaled, total=s, theta0=theta_warm, tol=tol)
         theta_warm = theta
         iters_total += iters
-        slope = math.log(s) + 1.0 + theta[len(program.eq)]
+        slope = math.log(s) + 1.0 + theta[program.n_eq]
         return x, residual, slope
 
     # Probe the slope strictly inside the boundary: at the largest total the
@@ -526,21 +551,16 @@ def _exponent(program: _Program) -> int:
     """e with 2^e at or below the largest finite mean target per member
     cell, and above half of it; 0 when every target is 0.  Divided by 2^e,
     the cells the constraints ask for are near the dual's start, 1/e."""
-    means = [t / max(len(m), 1) for m, t, _ in program.eq + program.ub]
-    largest = max((abs(v) for v in means if math.isfinite(v)), default=0.0)
+    M = program.incidence
+    means = program.targets / np.maximum(np.bincount(M.con, minlength=M.k), 1)
+    largest = float(np.max(means[np.isfinite(means)], initial=0.0))
     return math.frexp(largest)[1] - 1 if largest else 0
 
 
 def _scaled(program: _Program, e: int) -> _Program:
     """The program with its targets divided by 2^e; the solve reads no fixed
     value."""
-    if e == 0:
-        return program
-
-    def scale(constraints):
-        return [(members, math.ldexp(t, -e), label) for members, t, label in constraints]
-
-    return replace(program, eq=scale(program.eq), ub=scale(program.ub))
+    return replace(program, targets=np.ldexp(program.targets, -e)) if e else program
 
 
 def _floor_small(x: np.ndarray) -> np.ndarray:
@@ -572,62 +592,48 @@ def brute_force_most_likely(spec: ProblemSpec, limit: int = 10_000_000) -> Brute
     the search space above ``limit`` raises before any work is done.
     """
     program = _build_program(spec)
-    eq, ub = program.eq, program.ub
-    for members, target, label in eq + ub:
-        if abs(target - round(target)) > 1e-9:
-            raise LikelymatError(f"enumeration needs integer data ({label} = {target})")
-    for cell, v in program.fixed.items():
-        if abs(v - round(v)) > 1e-9:
-            raise LikelymatError(f"enumeration needs integer data (fixed {cell} = {v})")
+    M, n, n_eq = program.incidence, program.n, program.n_eq
+    targets, fixed = np.round(program.targets), np.round(program.fixed_values)
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite value is no integer either
+        off_target = np.flatnonzero(~(np.abs(program.targets - targets) <= 1e-9))
+        off_fixed = np.flatnonzero(~(np.abs(program.fixed_values - fixed) <= 1e-9))
+    if off_target.size:
+        raise LikelymatError(
+            f"enumeration needs integer data (target {program.targets[off_target[0]]})")
+    if off_fixed.size:
+        cell = tuple(int(a[off_fixed[0]]) for a in program.fixed)
+        raise LikelymatError(
+            f"enumeration needs integer data (fixed {cell} = {program.fixed_values[off_fixed[0]]})")
 
-    n = program.n
+    # A cell's cap: the least target of the constraints that contain it.
     caps = np.full(n, np.inf)
-    for members, target, _ in eq + ub:
-        for c in members:
-            caps[c] = min(caps[c], target)
+    np.minimum.at(caps, M.cell, targets[M.con])
     if np.any(np.isinf(caps)):
         raise SearchSpaceTooLarge("some cell has no finite cap; enumeration is infinite")
-    caps = caps.astype(int)
+    if math.prod((caps + 1.0).tolist()) > limit:
+        raise SearchSpaceTooLarge(f"search space above the {limit} guard")
+    caps = caps.astype(np.int64)
 
-    space = 1.0
-    for c in caps:
-        space *= c + 1
-        if space > limit:
-            raise SearchSpaceTooLarge(f"search space above the {limit} guard")
-
-    eq_members = [np.asarray(m, dtype=int) for m, _, _ in eq]
-    eq_targets = [int(round(t)) for _, t, _ in eq]
-    ub_members = [np.asarray(m, dtype=int) for m, _, _ in ub]
-    ub_targets = [int(round(t)) for _, t, _ in ub]
-
-    # remaining_cap[i][c]: how much constraint i can still absorb from cells >= c
-    suffix_cap = []
-    for members, _, _ in eq:
-        marks = np.zeros(n + 1, dtype=np.int64)
-        for c in members:
-            marks[c] = caps[c]
-        suffix_cap.append(np.flip(np.cumsum(np.flip(marks))))
+    # room[t]: what constraint t can still take; reach[t][c]: what the cells
+    # c and after can still give equality t, at their caps.
+    room = list(map(int, targets.tolist()))
+    eq = M.con < n_eq
+    reach = np.zeros((n_eq, n + 1), dtype=np.int64)
+    np.add.at(reach, (M.con[eq], M.cell[eq]), caps[M.cell[eq]])
+    reach = np.flip(np.cumsum(np.flip(reach, axis=1), axis=1), axis=1).tolist()
+    order = np.argsort(M.cell, kind="stable")
+    cons_of = np.split(M.con[order], np.cumsum(np.bincount(M.cell, minlength=n))[:-1])
+    cons_of = [c.tolist() for c in cons_of]
 
     x = np.zeros(n, dtype=int)
-    eq_running = [0] * len(eq)
-    ub_running = [0] * len(ub)
-    eq_by_cell = [[] for _ in range(n)]
-    ub_by_cell = [[] for _ in range(n)]
-    for i, members in enumerate(eq_members):
-        for c in members:
-            eq_by_cell[c].append(i)
-    for i, members in enumerate(ub_members):
-        for c in members:
-            ub_by_cell[c].append(i)
-
     best_count = -1
     argmax: list[np.ndarray] = []
     n_feasible = 0
-    log_fact = None  # exact integer counting below
+    fixed = list(map(int, fixed.tolist()))
 
     def realization_count(vec: np.ndarray) -> int:
         running, out = 0, 1
-        for v in [int(round(f)) for f in program.fixed.values()] + list(vec):
+        for v in fixed + vec.tolist():
             running += v
             out *= math.comb(running, v)
         return out
@@ -643,30 +649,16 @@ def brute_force_most_likely(spec: ProblemSpec, limit: int = 10_000_000) -> Brute
             elif cnt == best_count:
                 argmax.append(program.assemble(x.astype(float)))
             return
-        hi = int(caps[c])
-        for i in eq_by_cell[c]:
-            hi = min(hi, eq_targets[i] - eq_running[i])
-        for i in ub_by_cell[c]:
-            hi = min(hi, ub_targets[i] - ub_running[i])
-        if hi < 0:
-            return
-        for v in range(hi + 1):
-            for i in eq_by_cell[c]:
-                eq_running[i] += v
-            for i in ub_by_cell[c]:
-                ub_running[i] += v
+        mine = cons_of[c]  # never empty: a cell outside every constraint has no cap
+        for v in range(min(room[t] for t in mine) + 1):
+            for t in mine:
+                room[t] -= v
             # an equality must still be reachable from the remaining cells
-            ok = all(
-                eq_running[i] + suffix_cap[i][c + 1] >= eq_targets[i]
-                for i in range(len(eq))
-            )
-            if ok:
+            if all(room[t] <= reach[t][c + 1] for t in range(n_eq)):
                 x[c] = v
                 rec(c + 1)
-            for i in eq_by_cell[c]:
-                eq_running[i] -= v
-            for i in ub_by_cell[c]:
-                ub_running[i] -= v
+            for t in mine:
+                room[t] += v
         x[c] = 0
 
     rec(0)
@@ -705,11 +697,12 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     if np.any(X < -tol):
         violations.append("negative entries")
 
-    for cell, v in program.fixed.items():
-        err = abs(X[cell] - v)
-        max_res = max(max_res, err)
-        if err > tol * scale(v):
-            violations.append(f"fixed cell {cell}: {X[cell]} != {v}")
+    got, want = X[program.fixed], program.fixed_values
+    err = np.abs(got - want)
+    max_res = float(np.max(err, initial=max_res))
+    for f in np.flatnonzero(err > tol * np.maximum(1.0, np.abs(want))).tolist():
+        cell = tuple(int(a[f]) for a in program.fixed)
+        violations.append(f"fixed cell {cell}: {got[f]} != {want[f]}")
 
     for c, kind, val, bound in constraint_values(spec, X):
         err = val - bound
@@ -722,7 +715,7 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
             violations.append(_violation(c, val, "> bound"))
     feasible = not violations
 
-    product_form, pf_res = _product_form_ok(spec, program, X, tol)
+    product_form, pf_res = _product_form_ok(program, X, tol)
     if not product_form:
         violations.append(f"product form residual {pf_res}")
     # max() skips a nan residual, so a non-finite entry sets it outright
@@ -772,54 +765,31 @@ def _violation(c, val: float, relation: str) -> str:
     return f"{what} {val} {relation} {c.value}"
 
 
-def _product_form_ok(spec, program: _Program, X: np.ndarray, tol: float):
-    """Least-squares fit of log-entries on per-constraint indicators.
+def _product_form_ok(program: _Program, X: np.ndarray, tol: float):
+    """Least-squares fit of log-entries on the program's marginal and total rows.
 
     The log of every positive free entry should be a sum of one factor per
     marginal and total touching it, plus one for its element cap.  A cap's
     factor touches its cell alone, so a cell at (or over, which feasibility
-    reports) a finite cap fits exactly and leaves the fit; an infinite or
-    slack cap has factor 1, so its cell stays in.  Each remaining cell has at
-    most three features (row, column, total); the fit solves the features x
-    features normal equations, whose least-squares solution takes care of
-    the gauge freedom, and measures the residual cell by cell.  It reads no
-    multiplier of the solver's.
+    reports) its cap fits exactly and leaves the fit; a slack cap has factor
+    1, so its cell stays in.  The fit solves the normal equations
+    M_w M_w^T theta = M_w log x over those rows, with M_w the incidence
+    restricted to the cells in the fit; their least-squares solution takes
+    care of the gauge freedom.  The residual is measured cell by cell.  It
+    reads no multiplier of the solver's.
     """
-    spec = validate_spec(spec)  # a symmetric spec's columns mirror its rows
-    shape = program.shape
-    slices = shape[2] if len(shape) == 3 else 1
-    # Which marginals are features, indexed (index, slice) with slice 0 in 2-D
-    rows = np.zeros((shape[0], slices), dtype=bool)
-    cols = np.zeros((shape[1], slices), dtype=bool)
-    for stated, axis in ((rows, "row"), (cols, "col")):
-        stated[spec.sums[axis].index, spec.sums[axis].slice] = True
-    # Feature ids: row marginals, column marginals, the total; n_f means none
-    has = np.concatenate([rows.ravel(), cols.ravel(), [spec.total is not None]])
-    n_f = int(has.sum())
-    fid = np.where(has, np.cumsum(has) - 1, n_f)
-    row_id, col_id = fid[:rows.size].reshape(rows.shape), fid[rows.size:-1].reshape(cols.shape)
-
+    M, rows = program.incidence, program.incidence.k - program.n_caps
     values = X[tuple(program.cells.T)]
     keep = ~(values <= ZERO_REPORT)
     if not np.isfinite(values[keep]).all():
         return False, math.nan  # no finite factors make a nan or infinite entry
-    if spec.element_bounds:
-        i, j, ub = spec.element_caps
-        at_cap = np.isfinite(ub) & (X[i, j] - ub >= -tol * np.maximum(1.0, ub))
-        capped = np.zeros(shape, dtype=bool)
-        capped[i[at_cap], j[at_cap]] = True
-        keep &= ~capped[tuple(program.cells.T)]
-    cells = program.cells[keep]
-    if not len(cells):
+    cell, cap = M.cell[M.cell.size - program.n_caps:], program.targets[rows:]
+    keep[cell[values[cell] - cap >= -tol * np.maximum(1.0, cap)]] = False
+    if not keep.any():
         return True, 0.0
-    sl = cells[:, 2] if len(shape) == 3 else 0
-    ids = np.stack([row_id[cells[:, 0], sl], col_id[cells[:, 1], sl],
-                    np.full(len(cells), fid[-1])], axis=1)
-    w = n_f + 1  # id n_f collects the absent features, then is cut off
-    AtA = np.bincount((ids[:, :, None] * w + ids[:, None, :]).ravel(), minlength=w * w)
-    AtA = AtA.reshape(w, w)[:n_f, :n_f].astype(float)
-    b = np.log(values[keep])
-    Atb = np.bincount(ids.ravel(), np.repeat(b, 3), minlength=w)[:n_f]
-    theta = np.append(np.linalg.lstsq(AtA, Atb, rcond=None)[0], 0.0)
-    resid = float(np.max(np.abs(theta[ids].sum(axis=1) - b)))
+    b = np.log(values, out=np.zeros(program.n), where=keep)
+    w = keep.astype(float)
+    theta = np.zeros(M.k)
+    theta[:rows] = np.linalg.lstsq(M.gram(w)[:rows, :rows], M.matvec(w * b)[:rows], rcond=None)[0]
+    resid = float(np.max(np.abs(M.rmatvec(theta) - b)[keep]))
     return resid <= max(tol, 1e-7), resid

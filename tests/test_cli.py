@@ -338,6 +338,32 @@ class TestOracleAndBrute:
         assert doc["converged"] is True and doc["kkt_ok"] is True
         assert doc["linf_gap"] <= 1e-6
 
+    def test_known_total_over_partial_row_bounds(self, tmp_path, capsys):
+        # row 1 states no bound and takes the mass that row 0's bound cannot
+        problem = {
+            "shape": {"rows": 2, "cols": 2},
+            "row_sums": {"kind": "upper", "sparse": [{"index": 0, "value": 1}]},
+            "total": {"kind": "equal", "value": 5},
+        }
+        path = write(tmp_path, "p.json", problem)
+        code, doc = run_json(capsys, ["solve", path])
+        assert code == 0
+        assert doc["matrix"] == [[0.5, 0.5], [2.0, 2.0]]
+        code, doc = run_json(capsys, ["oracle", path])
+        assert code == 0
+        assert doc["kkt_ok"] is True and doc["linf_gap"] <= 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_brute_past_the_int64_range_hits_the_guard(self, tmp_path, capsys):
+        # [[1e19]] is the one feasible matrix; its caps once overflowed int64
+        problem = {"shape": {"rows": 1, "cols": 1},
+                   "row_sums": {"kind": "equal", "values": [1e19]}}
+        path = write(tmp_path, "p.json", problem)
+        assert main(["brute", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SearchSpaceTooLarge: search space above the 10000000 guard\n"
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["solve", "/nonexistent/problem.json"]) == 2
 

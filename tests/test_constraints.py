@@ -16,7 +16,9 @@ from likelymat import (
     SolverCase,
     classify,
     consistency_check_blocks,
+    solve,
     validate_spec,
+    verify_kkt,
 )
 from conftest import make_spec, zero_diagonal_blocks
 
@@ -37,6 +39,20 @@ class TestValidateSpec:
         spec = make_spec(10, 10, row=("upper", EX31_BOUNDS), total=("equal", 309))
         with pytest.raises(InfeasibleMarginals):
             validate_spec(spec)
+
+    def test_total_above_partial_row_bounds_accepted(self):
+        # a row without a bound can take any mass: only bounds on every row cap the total
+        spec = make_spec(10, 10, row=("upper", EX31_BOUNDS[:9] + [None]), total=("equal", 1e6))
+        assert validate_spec(spec).validated
+
+    def test_symmetric_total_over_one_row_bound_solves(self):
+        spec = make_spec(3, 3, row=("upper", [1.0, None, None]), symmetric=True,
+                         total=("equal", 9.0))
+        sol = solve(spec)
+        assert sol.case is SolverCase.SYM_TOTAL_ROW_COL_BOUNDS
+        assert np.array_equal(sol.matrix, sol.matrix.T)
+        assert abs(sol.matrix.sum() - 9.0) <= 1e-12 and sol.matrix[0].sum() <= 1.0 + 1e-12
+        assert verify_kkt(sol, spec).ok
 
     def test_idempotent(self):
         spec = make_spec(3, 4, row=("equal", [1, 2, 3]), col=("equal", [2, None, 1, None]))

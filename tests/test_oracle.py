@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from likelymat import (
     FixedBlock,
+    LikelymatError,
     SearchSpaceTooLarge,
     Solution,
     SolverCase,
@@ -172,6 +173,12 @@ class TestBruteForce:
             brute_force_most_likely(
                 make_spec(4, 4, row=("equal", [40, 40, 40, 40])), limit=10_000
             )
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_sum_is_not_integer_data(self):
+        for col in (None, ("upper", [1, 2])):
+            with pytest.raises(LikelymatError, match=r"integer data \(target inf\)"):
+                brute_force_most_likely(make_spec(1, 2, row=("equal", [math.inf]), col=col))
 
     def test_matches_continuous_solution_when_integral(self):
         spec = make_spec(2, 2, row=("equal", [7, 3]), col=("equal", [6, 4]))

@@ -1,10 +1,13 @@
-"""Permutation equivariance of row bounds with element caps and of row and
-column bounds.
+"""Permutation equivariance of the row and column cases.
 
-Hypothesis draws small specs of the two cases, with ties, zeros and absent
-bounds, and a permutation of the rows and one of the columns.  Relabelling
-the rows and columns of a spec must relabel its solution: the same entries
-to 1e-12 relative, the same k, or the same error.
+Hypothesis draws small specs of gravity (every row sum known, some column
+sums), of row bounds under a known or bounded total, of row bounds with
+element caps and of row and column bounds, with ties, zeros and absent
+bounds, and a permutation of the rows and one of the columns.  An absent
+row bound leaves its row free to take any mass, so a known total may lie
+above the stated bounds.  Relabelling the rows and columns of a spec must
+relabel its solution: the same entries to 1e-12 relative, the same k, or
+the same error.
 """
 
 import numpy as np
@@ -41,6 +44,28 @@ def row_col_bounds(draw):
     return n, m, dict(row=("upper", u), col=("upper", v))
 
 
+@st.composite
+def gravity(draw):
+    n, m = draw(SIZE), draw(SIZE)
+    u, v = draw(st.lists(VALUE, min_size=n, max_size=n)), draw(values(m))
+    total_u, total_v = sum(u), sum(x for x in v if x is not None)
+    if total_v > 0:  # column sums within the row total, all of it when every one is known
+        share = 1.0 if None not in v else draw(st.sampled_from([0.5, 1.0]))
+        v = [None if x is None else x * share * total_u / total_v for x in v]
+    return n, m, dict(row=("equal", u), col=("equal", v))
+
+
+@st.composite
+def row_bounds_total(draw):
+    n, m = draw(SIZE), draw(SIZE)
+    u = draw(values(n))
+    scale = draw(st.sampled_from([2.0, 1.0, 0.5]))
+    if scale > 1.0:  # a total above the stated bounds, which an absent one makes feasible
+        u[draw(st.integers(0, n - 1))] = None
+    total = scale * sum(x for x in u if x is not None) or draw(VALUE)
+    return n, m, dict(row=("upper", u), total=(draw(st.sampled_from(["equal", "upper"])), total))
+
+
 def relabelled(n, m, kw, p, q):
     """The spec whose row p[i] and column q[j] are row i and column j of kw's."""
     out = dict(kw)
@@ -63,7 +88,8 @@ def outcome(spec):
         return type(e)
 
 
-@given(row_elem_bounds() | row_col_bounds(), st.randoms(use_true_random=False))
+@given(gravity() | row_bounds_total() | row_elem_bounds() | row_col_bounds(),
+       st.randoms(use_true_random=False))
 def test_relabelled_spec_relabels_the_solution(problem, random):
     n, m, kw = problem
     rng = np.random.default_rng(random.getrandbits(32))
