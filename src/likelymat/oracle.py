@@ -1,13 +1,16 @@
 """Independent verification: numerical optimization, enumeration, KKT checks.
 
 Nothing here reuses the closed forms.  :func:`numeric_maxent` maximizes the
-entropy (or, when the total is unknown, the entropy-difference objective)
-over the problem's linear constraints by solving the smooth dual: L-BFGS-B
-down to a projected gradient of 1e-4 times the largest target, then
-projected-Newton steps by Cholesky (by least squares once a Cholesky step
-fails), its ``iterations`` counting both.  A program whose maximizer scales
-with the data is solved at a power-of-two scale of its own, so that data
-near the ends of the float range solves as well as any.
+entropy over the problem's linear constraints by solving the smooth dual:
+L-BFGS-B down to a projected gradient of 1e-4 times the largest target,
+then projected-Newton steps by Cholesky (by least squares once a Cholesky
+step fails or is cut short), its ``iterations`` counting both.  When the
+total is unknown it climbs the entropy-difference objective by
+minorize-maximize rounds of the same dual solve, warm-started, with
+``iterations`` summed over them.  A program whose maximizer scales with the
+data is solved at a power-of-two scale of its own, so that data near the
+ends of the float range solves as well as any.  A linear program checks
+feasibility only after a solve fails.
 :func:`brute_force_most_likely` enumerates small integer instances outright;
 :func:`verify_kkt` checks feasibility, product form, multiplier ranges, and
 complementary slackness of any solution.
@@ -71,6 +74,9 @@ HANDOFF_GTOL = 1e-4
 # diagonal before the Cholesky factorization: the ridge covers the gauge null
 # space of the symmetric and full-marginal programs.
 NEWTON_RIDGE = 1e-12
+# The G objective's minorize-maximize rounds stop here if the total still
+# moves.
+MM_ROUNDS = 100
 
 
 def entropy(x) -> float:
@@ -204,16 +210,6 @@ class _Program:
     def n(self) -> int:
         return len(self.cells)
 
-    @cached_property
-    def search_incidence(self) -> _Incidence:
-        """The constraints with a total over every free cell inserted after
-        the equalities: the G path's line search."""
-        M = self.incidence
-        at = np.searchsorted(M.con, self.n_eq)
-        con = np.concatenate([M.con[:at], np.full(self.n, self.n_eq), M.con[at:] + 1])
-        cell = np.concatenate([M.cell[:at], np.arange(self.n), M.cell[at:]])
-        return _Incidence(con, cell, M.k + 1, self.n)
-
     def assemble(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape)
         out[self.fixed] = self.fixed_values
@@ -325,38 +321,38 @@ def _label(spec: ProblemSpec, t: int, mirrored: bool) -> str:
 # ----------------------------------------------------------------------
 
 
-def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
-    """Maximize entropy over the program's constraints via the dual.
+def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float = 1e-9,
+                warm: bool = False):
+    """Maximize -sum(x ln x) + reward * sum(x) over the program's constraints
+    via the dual.
 
-    The stationary primal point is x_c = exp(-1 - sum of multipliers over
-    constraints containing c); the dual is smooth and convex with bound
+    The stationary primal point is x_c = exp(reward - 1 - sum of multipliers
+    over constraints containing c); the dual is smooth and convex with bound
     constraints only (inequality multipliers stay nonnegative).  L-BFGS-B is
     the global phase: it hands off once its projected gradient is below
     ``HANDOFF_GTOL`` times the largest target.  A projected-Newton polish
     then takes the KKT residual to ``tol * 1e-3``.  Each Newton step factors
     the free block of M diag(x) M^T by Cholesky with a ``NEWTON_RIDGE``
-    ridge; once a Cholesky step fails to lower the residual (or to factor),
-    the remaining steps solve by least squares.  Should the polish stop
-    above ``1e3 * tol``, where :func:`numeric_maxent` would raise
-    :class:`NotConverged`, L-BFGS-B resumes from its point at a gradient
-    tolerance of 1e-12, which in practice runs it until its line search
-    fails, and the polish runs once more; with every target 0 that is the
-    only round.
+    ridge; once a Cholesky step is accepted only at a shortened step, or
+    fails to lower the residual (or to factor), the remaining steps solve by
+    least squares.  Should the polish stop above ``1e3 * tol``, where
+    :func:`numeric_maxent` would raise, L-BFGS-B resumes from its point at a
+    gradient tolerance of 1e-12, which in practice runs it until its line
+    search fails, and the polish runs once more; with every target 0 that is
+    the only round.  L-BFGS-B starts from ``theta0`` (default zero); a
+    ``warm`` solve polishes ``theta0`` first, and runs L-BFGS-B only if that
+    stops above ``1e3 * tol``.
 
-    A ``total`` adds the equality "the free cells sum to it" after the
-    program's own.  Returns the primal vector, the multipliers, the KKT
-    residual, and the iteration count: L-BFGS-B iterations plus Newton
-    steps.
+    Returns the primal vector, the multipliers, the KKT residual, and the
+    iteration count: L-BFGS-B iterations plus Newton steps.
     """
     from scipy.linalg import cho_factor, cho_solve  # loaded with scipy.optimize
     from scipy.optimize import minimize  # loaded on first use, not at import
 
     M, targets, n_eq = program.incidence, program.targets, program.n_eq
-    if total is not None:
-        M, targets, n_eq = program.search_incidence, np.insert(targets, n_eq, total), n_eq + 1
 
     def primal(theta: np.ndarray) -> np.ndarray:
-        return np.exp(np.clip(-1.0 - M.rmatvec(theta), -700.0, 700.0))
+        return np.exp(np.clip(reward - 1.0 - M.rmatvec(theta), -700.0, 700.0))
 
     def value_grad(theta: np.ndarray):
         x = primal(theta)
@@ -404,16 +400,22 @@ def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
                     break
                 alpha *= 0.5
             steps += 1
-            if not improved:
-                if not cholesky:
+            # A step cut short follows a near-null direction of a nearly
+            # singular system; least squares' minimum-norm step does not.
+            if not improved or alpha < 1.0:
+                if not (improved or cholesky):
                     break
                 cholesky = False
         return x, theta, best_res, steps
 
     theta = np.zeros(targets.size) if theta0 is None else np.asarray(theta0, float)
+    iters = 0
+    if warm:
+        x, polished, residual, iters = polish(theta)
+        if residual <= 1e3 * tol:
+            return x, polished, residual, iters
     bounds = [(None, None)] * n_eq + [(0.0, None)] * (M.k - n_eq)
     largest = float(np.max(targets, initial=0.0))
-    iters = 0
     for gtol in (HANDOFF_GTOL * largest, 1e-12) if largest > 0 else (1e-12,):
         res = minimize(
             value_grad,
@@ -430,14 +432,12 @@ def _dual_solve(program: _Program, total=None, theta0=None, tol: float = 1e-9):
     return x, theta, residual, iters
 
 
-def _max_total(program: _Program) -> float:
-    """Largest feasible total of the free cells (linear program)."""
+def _check_feasible(program: _Program) -> None:
+    """Raise :class:`Infeasible` when no matrix meets the constraints (a
+    linear program with no objective)."""
     from scipy.optimize import linprog  # loaded on first use, not at import
     from scipy.sparse import csr_array  # already loaded by scipy.optimize
 
-    n = program.n
-    if n == 0:
-        return 0.0
     M, n_eq, targets = program.incidence, program.n_eq, program.targets
 
     def rows(lo: int, hi: int):
@@ -446,10 +446,10 @@ def _max_total(program: _Program) -> float:
             return None
         at = (M.con >= lo) & (M.con < hi)
         data = np.ones(np.count_nonzero(at))
-        return csr_array((data, (M.con[at] - lo, M.cell[at])), shape=(hi - lo, n))
+        return csr_array((data, (M.con[at] - lo, M.cell[at])), shape=(hi - lo, M.n))
 
     res = linprog(
-        -np.ones(n),
+        np.zeros(M.n),
         A_ub=rows(n_eq, M.k),
         b_ub=targets[n_eq:] if M.k > n_eq else None,
         A_eq=rows(0, n_eq),
@@ -457,27 +457,32 @@ def _max_total(program: _Program) -> float:
         bounds=(0, None),
         method="highs",
     )
-    if res.status == 3:
-        raise Infeasible("the total sum is unbounded under these constraints")
     if not res.success:
         raise Infeasible(f"no feasible matrix: {res.message}")
-    return float(-res.fun)
 
 
 def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -> OracleResult:
     """Numerically maximize H (known total) or G (unknown total) over a spec.
 
-    The G path reduces to a line of H problems: the value of the G program
-    restricted to a fixed total S is concave in S with derivative
-    ln S + 1 + (total multiplier), so the optimal total is found by
-    monotone bisection, checking the largest feasible total first.
+    G = S ln S - sum(x ln x) is maximized by minorize-maximize rounds: S ln S
+    is convex, so its tangent at a total t bounds it from below, and each
+    round maximizes -sum(x ln x) + (1 + ln t) S over the program's own
+    constraints, a dual solve warm-started from the last round's
+    multipliers, then sets t to the new S.  The first t, the sum of every
+    target, is at or above any feasible total.  The rounds stop once one
+    moves S by at most ``1e-3 * tol`` relative; ``iterations`` sums over
+    them.  A free cell in no constraint leaves G unbounded, and when every
+    free cell lies in a constraint with target 0 the zero matrix is the only
+    candidate.
 
     When the maximizer scales with the data (G always; H when the
     equalities fix the total), the constraints are solved divided by 2^e,
     the power of two at or below the largest mean cell value one of them
     asks for, and the free cells multiplied back, which is exact.  ``tol``
     and the reported residual are then relative to 2^e, and free cells
-    below ``ZERO_REPORT`` times 2^e read 0.
+    below ``ZERO_REPORT`` times 2^e read 0.  A solve that stops above
+    ``1e3 * tol`` raises :class:`Infeasible` when a linear program finds no
+    feasible matrix, and :class:`NotConverged` otherwise.
     """
     if objective not in ("H", "G"):
         raise ValueError(f"objective must be 'H' or 'G', got {objective!r}")
@@ -485,58 +490,45 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
     e = _exponent(program) if objective == "G" or _fixes_total(spec) else 0
     scaled = _scaled(program, e)
 
-    def result(x: np.ndarray, converged: bool, iters: int, residual: float) -> OracleResult:
-        if not converged and residual > 1e3 * tol:
+    def result(x: np.ndarray, iters: int, residual: float) -> OracleResult:
+        if residual > 1e3 * tol:
+            _check_feasible(scaled)
             raise NotConverged(f"dual residual {residual} above tolerance {tol}", residual)
-        X = program.assemble(np.ldexp(x, e))
-        return OracleResult(X, objective, _objective_value(objective, X, e), converged, iters,
-                            residual)
+        X = program.assemble(np.ldexp(_floor_small(x), e))
+        return OracleResult(X, objective, _objective_value(objective, X, e), residual <= tol,
+                            iters, residual)
 
     if program.n == 0:
-        return result(np.zeros(0), True, 0, 0.0)
-
+        return result(np.zeros(0), 0, 0.0)
     if objective == "H":
         x, _, residual, iters = _dual_solve(scaled, tol=tol)
-        return result(_floor_small(x), residual <= tol, iters, residual)
+        return result(x, iters, residual)
 
-    s_hi = _max_total(scaled)
-    if s_hi <= 0:
-        X = program.assemble(np.zeros(program.n))
-        return OracleResult(X, "G", 0.0, True, 0, 0.0)
-
-    theta_warm = None
-    iters_total = 0
-
-    def solve_at(s: float):
-        nonlocal theta_warm, iters_total
-        x, theta, residual, iters = _dual_solve(scaled, total=s, theta0=theta_warm, tol=tol)
-        theta_warm = theta
-        iters_total += iters
-        slope = math.log(s) + 1.0 + theta[program.n_eq]
-        return x, residual, slope
-
-    # Probe the slope strictly inside the boundary: at the largest total the
-    # active bounds tile every cell and the total multiplier is not unique,
-    # so its value there cannot be trusted for the sign test.
-    s_probe = s_hi * (1.0 - 1e-9)
-    _, _, slope = solve_at(s_probe)
-    if slope >= -tol:
-        x, residual, _ = solve_at(s_hi)
-    else:
-        lo, hi = s_hi * 1e-9, s_probe
-        x, residual, slope_lo = solve_at(lo)
-        if slope_lo > 0:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                x_mid, res_mid, slope_mid = solve_at(mid)
-                if slope_mid >= 0:
-                    lo = mid
-                    x, residual = x_mid, res_mid
-                else:
-                    hi = mid
-    return result(_floor_small(x), residual <= tol, iters_total, residual)
+    M, targets = scaled.incidence, scaled.targets
+    if np.bincount(M.cell, minlength=M.n).min() == 0:
+        raise Infeasible("the total sum is unbounded under these constraints")
+    zero = np.zeros(M.n, dtype=bool)
+    zero[M.cell[targets[M.con] == 0.0]] = True
+    if zero.all():
+        if np.any(targets[:scaled.n_eq]):
+            _check_feasible(scaled)
+        return result(np.zeros(M.n), 0, 0.0)
+    # Adding (r' - r) w to the multipliers, with M^T w = 1 as nearly as
+    # least squares gets, moves every cell's exponent by r' - r: each round
+    # starts where the last one ended, and the first near cells of 1.
+    ones = np.ones(M.n)
+    w = np.linalg.lstsq(M.gram(ones), M.matvec(ones), rcond=None)[0]
+    t, reward, theta, iters = float(targets.sum()), 1.0, np.zeros(M.k), 0
+    for round_ in range(MM_ROUNDS):
+        last, reward = reward, 1.0 + math.log(t)
+        theta = theta + (reward - last) * w
+        theta[scaled.n_eq:] = np.maximum(theta[scaled.n_eq:], 0.0)
+        x, theta, residual, steps = _dual_solve(scaled, reward, theta, tol, warm=round_ > 0)
+        iters += steps
+        s, t = t, float(x.sum())
+        if residual > 1e3 * tol or abs(t - s) <= 1e-3 * tol * s:
+            return result(x, iters, residual)
+    raise NotConverged(f"the total still moves after {MM_ROUNDS} rounds", residual)
 
 
 def _fixes_total(spec: ProblemSpec) -> bool:

@@ -23,6 +23,13 @@ the programs are compared member by member, target by target and fixed
 cell by fixed cell.  The arrays keep no constraint labels, so a label is
 compared only where an error message names it.
 
+The G objective (free total) was once maximized by a line search over
+the total: a linear program for the largest feasible total, a slope probe
+just inside it and a bisection, each step an H program with the total
+inserted.  It is kept as the reference for the minorize-maximize rounds
+that replaced it, through the oracle's own dual solve; the two agree to the
+dual solve's tolerance.
+
 The bound cases' matrices were once assembled case by case: two-sided
 bounds sorted the columns and scattered them back, a known total tiled its
 water-filled rows, gravity moved its known columns to the front, and the
@@ -91,7 +98,7 @@ from likelymat.constraints import (
     is_column_form,
     validate_spec,
 )
-from likelymat.errors import Infeasible, InvariantViolation
+from likelymat.errors import Infeasible, InvariantViolation, NotConverged
 from likelymat.oracle import ZERO_REPORT, KktReport
 from likelymat.rect import _gravity
 from likelymat.solution import Solution, TensorSolution
@@ -1363,15 +1370,21 @@ class TestOracle:
             assert ref[0] is Infeasible and new == ref
 
     def test_results(self, rng, monkeypatch):
-        def walk_dual(program, total=None, theta0=None, tol=1e-9):
-            extra = None if total is None else [(list(range(program.n)), total, "total (search)")]
-            return walk_dual_solve(walk_form(program), extra, theta0, tol)
+        def walk_dual(program, reward=0.0, theta0=None, tol=1e-9, warm=False):
+            # The walk maximizes entropy alone.  With a reward r on every
+            # cell, the maximizer is e^r times the entropy maximizer at the
+            # targets over e^r, with the same multipliers.  It always starts
+            # with L-BFGS-B, warm or not.
+            c = math.exp(reward)
+            x, theta, residual, iters = walk_dual_solve(
+                walk_form(dataclasses.replace(program, targets=program.targets / c)), None,
+                theta0, tol / c)
+            return x * c, theta, residual * c, iters
 
         def walk_maxent(spec, objective):
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_build_program", lambda s: array_form(walk_build_program(s)))
                 m.setattr(oracle, "_dual_solve", walk_dual)
-                m.setattr(oracle, "_max_total", lambda p: walk_max_total(walk_form(p)))
                 return result_or_error(oracle.numeric_maxent, spec, objective)
 
         reports = 0
@@ -1418,6 +1431,109 @@ class TestOracle:
                 want_ok, want = walk_product_form_ok(spec, walk, Y, 1e-6)
                 assert ok == want_ok
                 assert abs(resid - want) <= max(1e-9 * abs(want), 1e-12), (resid, want)
+
+
+# ----------------------------------------------------------------------
+# Reference: the G objective by a line search over the total
+# ----------------------------------------------------------------------
+
+
+def search_program(program, total):
+    """The program with "the free cells sum to ``total``" inserted after its
+    equalities."""
+    M, n_eq = program.incidence, program.n_eq
+    at = np.searchsorted(M.con, n_eq)
+    con = np.concatenate([M.con[:at], np.full(program.n, n_eq), M.con[at:] + 1])
+    cell = np.concatenate([M.cell[:at], np.arange(program.n), M.cell[at:]])
+    return dataclasses.replace(program, incidence=oracle._Incidence(con, cell, M.k + 1, program.n),
+                               targets=np.insert(program.targets, n_eq, total), n_eq=n_eq + 1)
+
+
+def line_search_maxent(spec, tol: float = 1e-9):
+    """The G objective as the oracle maximized it before its minorize-maximize
+    rounds.  The value of G restricted to a total S is concave in S with
+    derivative ln S + 1 + (total multiplier); a linear program gives the
+    largest feasible total, a solve just inside it gives the slope there,
+    and a negative slope starts a bisection.  Each solve is the H program
+    with the total inserted, warm-started through L-BFGS-B by the last one's
+    multipliers; the dual solve is the oracle's own."""
+    program = oracle._build_program(spec)
+    e = oracle._exponent(program)
+    scaled = oracle._scaled(program, e)
+    s_hi = walk_max_total(walk_form(scaled))
+    if s_hi <= 0:
+        return oracle.OracleResult(program.assemble(np.zeros(program.n)), "G", 0.0, True, 0, 0.0)
+
+    theta_warm, iters_total = None, 0
+
+    def solve_at(s: float):
+        nonlocal theta_warm, iters_total
+        x, theta, residual, iters = oracle._dual_solve(search_program(scaled, s), theta0=theta_warm,
+                                                       tol=tol)
+        theta_warm = theta
+        iters_total += iters
+        return x, residual, math.log(s) + 1.0 + theta[program.n_eq]
+
+    # At the largest total the active bounds tile every cell and the total
+    # multiplier is not unique, so the slope is probed just inside it.
+    s_probe = s_hi * (1.0 - 1e-9)
+    _, _, slope = solve_at(s_probe)
+    if slope >= -tol:
+        x, residual, _ = solve_at(s_hi)
+    else:
+        lo, hi = s_hi * 1e-9, s_probe
+        x, residual, slope_lo = solve_at(lo)
+        if slope_lo > 0:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                x_mid, res_mid, slope_mid = solve_at(mid)
+                if slope_mid >= 0:
+                    lo = mid
+                    x, residual = x_mid, res_mid
+                else:
+                    hi = mid
+    if residual > 1e3 * tol:
+        raise NotConverged(f"dual residual {residual} above tolerance {tol}", residual)
+    X = program.assemble(np.ldexp(oracle._floor_small(x), e))
+    return oracle.OracleResult(X, "G", oracle._objective_value("G", X, e), residual <= tol,
+                               iters_total, residual)
+
+
+def random_staircase(rng):
+    """Bounds on some rows and on some columns, and a zero cap on each cell
+    that neither bounds: every cell is bounded, and the best total can lie
+    below the largest feasible one (x + y <= 1 and y + z <= 1 take the total
+    2 at y = 0, but G peaks at y = 1 - 1/sqrt 2)."""
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    rows = [float(v) if rng.random() < 0.6 else None for v in rng.uniform(0.5, 4.0, n)]
+    cols = [float(v) if rng.random() < 0.6 else None for v in rng.uniform(0.5, 4.0, m)]
+    caps = [(i, j, 0.0) for i in range(n) for j in range(m) if rows[i] is None and cols[j] is None]
+    return make_spec(n, m, row=("upper", rows), col=("upper", cols), elements=caps)
+
+
+G_GENERATORS = [CASE_GENERATORS[case] for case in (
+    SolverCase.ROW_BOUNDS, SolverCase.BOUNDED_TOTAL_ROW_BOUNDS, SolverCase.ROW_COL_BOUNDS,
+    SolverCase.ROW_BOUNDS_ELEM_BOUNDS)] + [
+    lambda rng: random_sym_fixed_diagonal(rng, "upper"),
+    lambda rng: random_sym_blocks(rng, "upper"), random_staircase]
+
+
+@given(st.sampled_from(G_GENERATORS), st.integers(0, 2**32 - 1))
+def test_minorize_maximize_matches_the_line_search(generator, seed):
+    spec = generator(np.random.default_rng(seed))
+    assert_close_results(result_or_error(oracle.numeric_maxent, spec, "G"),
+                         result_or_error(line_search_maxent, spec))
+
+
+def test_the_best_total_inside_the_largest():
+    spec = make_spec(2, 2, row=("upper", [1.0, None]), col=("upper", [None, 1.0]),
+                     elements=[(1, 0, 0.0)])
+    res = oracle.numeric_maxent(spec, "G")
+    a = 1.0 - math.sqrt(0.5)
+    assert np.all(np.abs(res.matrix - [[1.0 - a, a], [0.0, 1.0 - a]]) <= 1e-12)
+    assert_close_results(res, line_search_maxent(spec))
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,10 @@ Four entries pin the independent check: ``oracle`` on ``bounded_total``
 ``sym_blocks`` (fixed cells), and ``brute`` on ``brute_caps``, a small
 integer document with a zero and a finite element cap.  They were written
 before the oracle's program became arrays only, and that rewrite kept them
-byte for byte.
+byte for byte.  When the G objective moved from a line search over the
+total to minorize-maximize rounds, the two G outputs, ``bounded_total`` and
+``row_elem_bounds``, were rewritten on purpose: their ``iterations`` moved,
+and so did the last bits of ``row_elem_bounds``'s ``residual``.
 
 A second table, ``ERROR_CASES``, pins the exit code and the stderr bytes of
 documents that fail the feasibility checks, stored as ``<id>.err``.  Their

@@ -6,11 +6,14 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from likelymat import (
     FixedBlock,
+    Infeasible,
     LikelymatError,
+    NotConverged,
     SearchSpaceTooLarge,
     Solution,
     SolverCase,
@@ -23,6 +26,7 @@ from likelymat import (
     solve,
     verify_kkt,
 )
+from likelymat import oracle
 from likelymat.cli import _oracle_objective
 from conftest import CASE_GENERATORS, _ratios_below_third, make_spec, zero_diagonal_blocks
 
@@ -77,7 +81,11 @@ class TestNumericMaxent:
 
 def power_scaled(spec, k):
     """The spec with every sum, bound and fixed value multiplied by 2^k."""
-    c = 2.0**k
+    return scaled_by(spec, 2.0**k)
+
+
+def scaled_by(spec, c):
+    """The spec with every sum, bound and fixed value multiplied by c."""
     return dataclasses.replace(
         spec,
         marginals=tuple(dataclasses.replace(m, value=m.value * c) for m in spec.marginals),
@@ -120,28 +128,111 @@ class TestScaleAndPolish:
         assert numeric_maxent(spec, "G").objective_value == math.inf
 
     def test_cholesky_falls_back_to_least_squares(self, monkeypatch):
-        # row bounds around a zero diagonal: a Cholesky step stalls short of
-        # the tolerance, and the polish goes on by least squares
-        u = [5.666043683605985, 4.404597798231686, 4.429366121464452,
-             3.8147166685381144, 4.388315834329043]
-        spec = make_spec(5, 5, row=("upper", u), symmetric=True, blocks=zero_diagonal_blocks(5))
+        # a symmetric total under row bounds: a Cholesky step is accepted
+        # only at half its length, and the polish goes on by least squares
+        # (the H objective calls lstsq nowhere else)
+        u = [2.272128045000073, 2.3173191037039906, 1.4282112487802385,
+             0.9522757569814193, 0.5725586140190307, 1.8783978632328038]
+        spec = make_spec(6, 6, row=("upper", u), total=("equal", 5.333731640846359),
+                         symmetric=True)
+        assert self.lstsq_calls(monkeypatch, spec, "H") > 0
+
+    def test_a_failed_cholesky_step_falls_back_too(self, monkeypatch):
+        # a total bound below the row bounds' sum: in the second round a
+        # Cholesky step lowers the residual at no length (the G objective
+        # calls lstsq once more, for the rounds' multiplier shift)
+        u = [1.5038602318064438, 2.6110185251804667, 3.221369290220626, 3.0062612036124783]
+        spec = make_spec(4, 6, row=("upper", u), total=("upper", 12.570080139435818))
+        assert self.lstsq_calls(monkeypatch, spec, "G") > 1
+
+    @staticmethod
+    def lstsq_calls(monkeypatch, spec, objective) -> int:
+        """How often the solve calls lstsq; the solve must match ``solve``."""
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        res = numeric_maxent(spec, objective)
+        assert res.converged
+        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
+        return len(calls)
+
+    def test_lbfgs_resumes_when_the_polish_stalls(self, monkeypatch):
+        # the total bound is below the row bounds' sum: from where L-BFGS-B
+        # hands off in the first round, the polish stalls above 1e3 * tol,
+        # so L-BFGS-B goes on at its final gradient tolerance
+        u = [2.8866398763697445, 2.3148435132590937, 1.9642257554497569,
+             2.9370919044224033, 0.9388668101427494]
+        spec = make_spec(5, 3, row=("upper", u), total=("upper", 11.039954344988155))
+        gtols = []
+        minimize = scipy.optimize.minimize
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: gtols.append(
+            kw["options"]["gtol"]) or minimize(*a, **kw))
         res = numeric_maxent(spec, "G")
-        assert calls
+        assert gtols[0] > 1e-12 and gtols[1] == 1e-12  # the first round resumed
         assert res.converged
         assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
 
-    def test_lbfgs_resumes_when_the_polish_stalls(self):
-        # the total bound is just below the row bounds' sum: from where
-        # L-BFGS-B hands off at the largest feasible total, neither Newton
-        # step lowers the residual (1e-3), so L-BFGS-B has to go on
-        u = [3.8794134470455095, 3.8604978654414213, 1.254301856184208, 0.7725719944428023]
-        spec = make_spec(4, 5, row=("upper", u), total=("upper", 9.764407495878107))
-        res = numeric_maxent(spec, "G")
-        assert res.converged
-        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
+
+class TestMinorizeMaximize:
+    """The G objective by rounds of H-type dual solves: no linear program
+    when it converges, and the structural cases decided up front."""
+
+    def test_no_linear_program(self, rng, monkeypatch):
+        calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+        for case, generator in CASE_GENERATORS.items():
+            spec = generator(rng)
+            if _oracle_objective(spec, case) == "G":
+                assert numeric_maxent(spec, "G").converged
+        assert not calls
+
+    def test_a_cell_in_no_constraint_is_unbounded(self):
+        spec = make_spec(2, 3, row=("upper", [3.0, None]), col=("upper", [1.0, 2.0, None]))
+        with pytest.raises(Infeasible, match="^the total sum is unbounded under these constraints$"):
+            numeric_maxent(spec, "G")
+        assert numeric_maxent(spec, "H").converged  # bounded: such a cell sits at 1/e
+
+    def test_zero_bounds_give_the_zero_matrix(self):
+        for spec in (make_spec(2, 3, row=("upper", [0.0, 0.0])),
+                     make_spec(2, 3, row=("upper", [0.0, 0.0]), col=("upper", [1.0, 2.0, 3.0])),
+                     make_spec(3, 3, total=("upper", 0.0))):
+            res = numeric_maxent(spec, "G")
+            assert np.array_equal(res.matrix, np.zeros((spec.shape.rows, 3)))
+            assert (res.objective_value, res.converged, res.iterations) == (0.0, True, 0)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_far_scales_against_solve(self, rng, scale):
+        # against the closed form at scale 1, scaled: near 1e-300, solve's
+        # gravity products u_i v_j underflow
+        for case in (SolverCase.ROW_BOUNDS, SolverCase.BOUNDED_TOTAL_ROW_BOUNDS,
+                     SolverCase.ROW_COL_BOUNDS, SolverCase.ROW_BOUNDS_ELEM_BOUNDS):
+            spec = CASE_GENERATORS[case](rng)
+            ref = solve(spec).matrix * scale
+            res = numeric_maxent(scaled_by(spec, scale), "G")
+            assert res.converged
+            assert np.all(np.abs(res.matrix - ref) <= 1e-9 * ref.max())
+
+
+class TestInfeasible:
+    """A dual solve that stops above the tolerance on a program that no
+    matrix meets reports Infeasible, for either objective."""
+
+    def test_zero_diagonal_with_a_heavy_node(self):
+        # row 0 needs 10 from columns 1 and 2, whose rows allow 1 each
+        spec = make_spec(3, 3, row=("equal", [10.0, 1.0, 1.0]), symmetric=True,
+                         blocks=zero_diagonal_blocks(3))
+        for objective in ("H", "G"):
+            with pytest.raises(Infeasible, match="^no feasible matrix: "):
+                numeric_maxent(spec, objective)
+
+    def test_a_feasible_program_still_reports_non_convergence(self, monkeypatch):
+        spec = make_spec(2, 2, row=("equal", [7.0, 3.0]), col=("equal", [6.0, 4.0]))
+        monkeypatch.setattr(oracle, "_dual_solve",
+                            lambda *a, **kw: (np.ones(4), np.zeros(4), 1.0, 0))
+        with pytest.raises(NotConverged, match="^dual residual 1.0 above tolerance 1e-09$"):
+            numeric_maxent(spec, "H")
 
 
 class TestBruteForce:
