@@ -47,7 +47,7 @@ from .counting import (
     log10_realizations,
 )
 from .errors import LikelymatError
-from .oracle import brute_force_most_likely, numeric_maxent, verify_kkt
+from .oracle import _fixes_total, brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
 from .solve import half_total_check, solve
 from .symmetric import series_approx_xi
@@ -363,12 +363,7 @@ def _dumps(o, indent: str = "\n") -> str:
 
 def _emit(payload, args) -> None:
     if getattr(args, "format", "json") == "csv":
-        if "matrix" in payload:
-            sheets = [payload["matrix"]]
-        elif "slices" in payload:
-            sheets = payload["slices"]
-        else:
-            raise UsageError("csv format applies only to solve results")
+        sheets = [payload["matrix"]] if "matrix" in payload else payload["slices"]
         chunks = []
         for sheet in sheets:
             cells = _float_cells(np.asarray(sheet, dtype=np.float64))
@@ -393,7 +388,7 @@ def _emit(payload, args) -> None:
 
 def _cmd_solve(args) -> int:
     spec = load_problem(_read_json(args.file))
-    sol = solve(spec, tol=args.tol)
+    sol = solve(spec)
     _emit(_solution_payload(sol, spec, args.series_order), args)
     return 0
 
@@ -456,28 +451,19 @@ def _cmd_count(args) -> int:
     return 0
 
 
-_H_CASES = {
-    SolverCase.GRAVITY_PARTIAL_COLS,
-    SolverCase.TOTAL_ROW_BOUNDS,
-    SolverCase.SYM_TOTAL_ROW_COL_BOUNDS,
-    SolverCase.SYM_3D_FIXED_DIAGONAL,
-}
-
-
 def _oracle_objective(spec: ProblemSpec, case: SolverCase) -> str:
-    if case in _H_CASES:
-        return "H"
-    if case in (SolverCase.SYM_FIXED_DIAGONAL, SolverCase.SYM_BLOCK_DIAGONAL):
-        return "H" if spec.sums["row"].kinds == {"equal"} else "G"
-    return "G"
+    """The objective the closed form of ``spec`` maximizes: H (entropy) when
+    the equalities fix the total, else G (the entropy difference).  ``case``
+    does not enter the rule."""
+    return "H" if _fixes_total(spec) else "G"
 
 
 def _cmd_oracle(args) -> int:
     spec = load_problem(_read_json(args.file))
     case = classify(spec)
-    sol = solve(spec, tol=args.tol)
+    sol = solve(spec)
     objective = _oracle_objective(spec, case)
-    result = numeric_maxent(spec, objective, tol=min(1e-9, args.tol * 1e3))
+    result = numeric_maxent(spec, objective)
     analytic = sol.values if isinstance(sol, TensorSolution) else sol.matrix
     gap = float(np.abs(analytic - result.matrix).max())
     payload = {
@@ -515,6 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Most-likely matrices from sums, bounds, and fixed blocks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, fn, extra in (
         ("solve", _cmd_solve, "solve a problem file and emit the matrix"),
         ("count", _cmd_count, "realization counts for a matrix or problem file"),
@@ -522,20 +509,19 @@ def _build_parser() -> argparse.ArgumentParser:
         ("oracle", _cmd_oracle, "compare the closed form against the numerical optimizer"),
         ("brute", _cmd_brute, "enumerate small integer instances exhaustively"),
     ):
-        p = sub.add_parser(name, help=extra)
+        p = commands[name] = sub.add_parser(name, help=extra)
         p.add_argument("file", help="path to a JSON problem (or matrix) document")
         p.add_argument("--out", default=None, help="write the result here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance")
-        p.add_argument(
-            "--series-order", type=int, choices=(0, 1, 2), default=None,
-            help="also report the power-series root approximation of this order",
-        )
-        p.add_argument(
-            "--exact", action="store_true",
-            help="force exact big-integer counting where applicable",
-        )
         p.set_defaults(fn=fn)
+    commands["solve"].add_argument("--format", choices=("json", "csv"), default="json")
+    commands["solve"].add_argument(
+        "--series-order", type=int, choices=(0, 1, 2), default=None,
+        help="also report the power-series root approximation of this order",
+    )
+    commands["count"].add_argument(
+        "--exact", action="store_true",
+        help="force exact big-integer counting where applicable",
+    )
     return parser
 
 

@@ -12,6 +12,7 @@ its factors in one gauge (:func:`_gauge`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -52,10 +53,13 @@ def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarr
         X[:] = 0.0 if s == 0.0 else (u / m)[:, None]
         return X
     v_given = v[given]
-    # Near the top of the float range u_i * v_j overflows although the
-    # entry does not; only then divide the larger factor first, which keeps
-    # a symmetric matrix symmetric and ordinary bytes in place.
-    if math.isfinite(float(u.max()) * float(v_given.max())):
+    # Near the top of the float range u_i * v_j overflows, and near the
+    # bottom it underflows, although the entry does neither; only then
+    # divide the larger factor first, which keeps a symmetric matrix
+    # symmetric and ordinary bytes in place.
+    u_low, v_low = (float(np.min(a, where=a > 0, initial=math.inf)) for a in (u, v_given))
+    if (math.isfinite(float(u.max()) * float(v_given.max()))
+            and not u_low * v_low < sys.float_info.min):
         np.multiply.outer(u, np.where(given, v, 0.0), out=X)
         X /= s
     else:

@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 SCAN_LIMIT = 64.0
+# |f| above which the bisected root takes one guarded Newton step
+NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,25 +146,25 @@ def _left_sum(terms: np.ndarray, start: float = 0.0) -> float:
     return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
-def solve_root_lambda(p: RootProblem, tol: float = 1e-12) -> float:
+def solve_root_lambda(p: RootProblem) -> float:
     """Unique root of the saturation equation.
 
     Bisects inside the analytic bracket when its sign conditions hold,
     otherwise scans upward from the first point where every square root is
     real (the function is increasing there, so a sign change still pins the
-    root).  Bisection runs to floating-point exhaustion, then one guarded
-    Newton step polishes the result.  A root sitting exactly on the branch
-    point of the largest ratio is detected and returned as such.
+    root).  Bisection runs to floating-point exhaustion, so the root takes
+    no tolerance; only when |f| there is above ``NEWTON_TOL`` does one
+    guarded Newton step try to improve it.  A root sitting exactly on the
+    branch point of the largest ratio is detected and returned as such.
     """
     if p.sigma == 0.0:
         raise BracketFailure("the saturation equation has no root: every ratio is zero")
     lo, hi = p.bracket
-    branch = _fixed_branch_point(p)
     if lo == 0.0:
         # Every square-root ratio is zero, so the tail drives f(0+) to -inf.
         flo = -math.inf
-    elif branch is not None and lo == branch:
-        flo = p.f_at_branch_point()
+    elif p.m:
+        flo = p.f_at_branch_point()  # lo is the branch point 2 sqrt(r_max)
     else:
         flo = p.f(lo)
     fhi = p.f(hi)
@@ -188,7 +190,7 @@ def solve_root_lambda(p: RootProblem, tol: float = 1e-12) -> float:
 
     lam = lo
     fv = p.f(lam)
-    if fv != 0.0 and abs(fv) > tol:
+    if fv != 0.0 and abs(fv) > NEWTON_TOL:
         d = p.f_prime(lam)
         if d > 0 and math.isfinite(d):
             cand = lam - fv / d
@@ -197,20 +199,13 @@ def solve_root_lambda(p: RootProblem, tol: float = 1e-12) -> float:
     return lam
 
 
-def _fixed_branch_point(p: RootProblem) -> float | None:
-    if p.m == 0 or p.r_max <= 0:
-        return None
-    return 2.0 * math.sqrt(p.r_max)
-
-
 def _scan_for_sign_change(p: RootProblem) -> tuple[float, float]:
     """Search [first real point, SCAN_LIMIT] for a bracketing interval.
 
     Returns a degenerate interval when the root sits on the branch point.
     """
-    branch = _fixed_branch_point(p)
-    if branch is not None:
-        base = branch
+    if p.m and p.r_max > 0:
+        base = p.bracket[0]
         fb = p.f_at_branch_point()
         if fb == 0.0:
             return base, base
@@ -337,7 +332,7 @@ def solve_sym_total_row_col_bounds(s: float, u) -> Solution:
 
 
 def _root_factors(
-    r: np.ndarray, nodes: np.ndarray, block: np.ndarray, tol: float
+    r: np.ndarray, nodes: np.ndarray, block: np.ndarray
 ) -> tuple[RootProblem | None, float, np.ndarray]:
     """Saturation-equation root and per-node factors over fixed blocks.
 
@@ -362,7 +357,7 @@ def _root_factors(
     if problem.sigma == 0.0:
         # Nothing is left unfixed: no equation to solve, every free entry is 0.
         return None, math.nan, np.zeros(r.size)
-    lam = solve_root_lambda(problem, tol)
+    lam = solve_root_lambda(problem)
     q = branch_factors(problem, lam)
     f_group = 2.0 * r_group / (lam * (1.0 + q))
 
@@ -432,7 +427,7 @@ def half_total_reports(u, s: float, c: FixedCells) -> list:
             for k, total in enumerate(totals) if total != 0.0]
 
 
-def _fixed_entries(u, c: FixedCells, total: float, scale: float, unit: float, tol: float):
+def _fixed_entries(u, c: FixedCells, total: float, scale: float, unit: float):
     """The fixed-entry construction over node sums ``u`` with the cells ``c``
     fixed: the matrix, the factors, the root problem and the root.
 
@@ -455,7 +450,7 @@ def _fixed_entries(u, c: FixedCells, total: float, scale: float, unit: float, to
             f"node {c.nodes[over[0]]}: fixed values in its block exceed its sum")
     r = u / scale
     r[c.nodes] = (un - w) / scale
-    problem, lam, factors = _root_factors(np.maximum(0.0, r), c.nodes, c.block, tol)
+    problem, lam, factors = _root_factors(np.maximum(0.0, r), c.nodes, c.block)
     X = scale * np.outer(factors, factors)
     X[c.nodes[c.rows], c.nodes[c.cols]] = c.values
     if unit != 1.0:
@@ -464,7 +459,7 @@ def _fixed_entries(u, c: FixedCells, total: float, scale: float, unit: float, to
 
 
 def solve_sym_fixed_diagonal(
-    u, s: float, m_fixed: int, w_diag, bounds_mode: bool = False, tol: float = 1e-12
+    u, s: float, m_fixed: int, w_diag, bounds_mode: bool = False
 ) -> Solution:
     """Equal row and column sums with the first m diagonal entries fixed.
 
@@ -488,10 +483,10 @@ def solve_sym_fixed_diagonal(
         raise NegativeValue(f"fixed block value {negative[0]} < 0")
     at = np.arange(m_fixed)  # the prefix's nodes, and their positions among them
     cells = FixedCells(at, at, at, at, np.array(w_diag))
-    return solve_sym_block_diagonal(u, cells, s, bounds_mode=bounds_mode, tol=tol)
+    return solve_sym_block_diagonal(u, cells, s, bounds_mode=bounds_mode)
 
 
-def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSolution:
+def solve_sym_3d_fixed_diagonal(u, s: float) -> TensorSolution:
     """Zero-diagonal 3-D array from symmetric per-slice section sums.
 
     ``u[i, k]`` is the sum of slice k's row i (equal to its column i).  The
@@ -523,7 +518,7 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
             xis.append(math.nan)
             continue
         values[:, :, k], _, problem, lam = _fixed_entries(
-            u[:, k], zero_diagonal, slice_total, s, unit, tol
+            u[:, k], zero_diagonal, slice_total, s, unit
         )
         lams.append(lam)
         xis.append(4.0 / (lam * lam))
@@ -539,9 +534,7 @@ def solve_sym_3d_fixed_diagonal(u, s: float, tol: float = 1e-12) -> TensorSoluti
     )
 
 
-def solve_sym_block_diagonal(
-    u, blocks, s: float, bounds_mode: bool = False, tol: float = 1e-12
-) -> Solution:
+def solve_sym_block_diagonal(u, blocks, s: float, bounds_mode: bool = False) -> Solution:
     """Equal row and column sums with disjoint diagonal blocks fixed.
 
     ``blocks`` are :class:`FixedBlock` objects or their :class:`FixedCells`.
@@ -572,7 +565,7 @@ def solve_sym_block_diagonal(
             "sums differ, so the shared row/column totals cannot both hold"
         )
     c = replace(c, values=c.values / unit)
-    X, factors, problem, lam = _fixed_entries(u, c, s, s, unit, tol)
+    X, factors, problem, lam = _fixed_entries(u, c, s, s, unit)
     if bounds_mode and not np.all(factors <= 1.0 + 1e-9):
         raise InvariantViolation("bound-mode factors must stay in (0, 1]")
 

@@ -440,9 +440,9 @@ class TestRootEvaluators:
                     ref = loop_root_factors(r, groups, 1e-12)
                 except AssertionError:
                     with pytest.raises(Exception):
-                        _root_factors(r, nodes, block, 1e-12)
+                        _root_factors(r, nodes, block)
                     continue
-                problem, lam, factors = _root_factors(r, nodes, block, 1e-12)
+                problem, lam, factors = _root_factors(r, nodes, block)
                 assert problem.r == ref[0].r and problem.m == ref[0].m
                 assert bits(lam) == bits(ref[1]) and bits(factors) == bits(ref[2])
                 solved += 1
@@ -1582,7 +1582,7 @@ def walk_root_factors(r, groups, tol):
     problem = RootProblem(r=tuple(r_group) + tuple(r[tail].tolist()), m=len(r_group))
     if problem.sigma == 0.0:
         return None, math.nan, np.zeros(r.size)
-    lam = solve_root_lambda(problem, tol)
+    lam = solve_root_lambda(problem)
     q = branch_factors(problem, lam)
     f_group = 2.0 * np.array(r_group) / (lam * (1.0 + q))
     factors = np.zeros(r.size)

@@ -16,10 +16,14 @@ import pytest
 import likelymat
 from likelymat import (
     LikelymatError, MarginalConstraint, ProblemSpec, Shape, SolverCase, classify)
-from likelymat.cli import _dumps, _emit, _residuals, load_problem, main
+from likelymat.cli import (
+    _build_parser, _dumps, _emit, _oracle_objective, _residuals, load_problem, main)
+from likelymat.oracle import _fixes_total
 from conftest import make_spec
 
 TEN_BOUNDS = [20, 20, 24, 30, 30, 36, 36, 36, 36, 40]
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 ROW_BOUND_PROBLEM = {
     "shape": {"rows": 10, "cols": 10},
@@ -367,6 +371,63 @@ class TestOracleAndBrute:
     def test_missing_file_exits_two(self, capsys):
         assert main(["solve", "/nonexistent/problem.json"]) == 2
 
+    def test_objective_is_the_oracles_rule_on_golden_documents(self):
+        # H exactly when the equalities fix the total; stored outputs agree
+        seen = 0
+        for path in sorted(GOLDEN.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if "shape" not in doc or path.stem.startswith("err_"):
+                continue
+            spec = load_problem(doc)
+            case = classify(spec)
+            if case is SolverCase.UNSUPPORTED:
+                continue  # oracle solves first, and fails there
+            objective = _oracle_objective(spec, case)
+            assert objective == ("H" if _fixes_total(spec) else "G"), path.name
+            stored = GOLDEN / f"{path.stem}.oracle.out"
+            if stored.exists():
+                assert json.loads(stored.read_text())["objective"] == objective, path.name
+                seen += 1
+        assert seen == 3
+
+    def test_upper_rows_under_an_equal_total_take_h(self, tmp_path, capsys):
+        # fixed diagonal, row bounds and a total equal to their sum: the
+        # total is fixed, so the oracle maximizes H
+        problem = {"shape": {"rows": 4, "cols": 4}, "symmetric": True,
+                   "row_sums": {"kind": "upper", "values": [3, 4, 5, 6]},
+                   "total": {"kind": "equal", "value": 18},
+                   "fixed_blocks": {"diagonal_prefix": 2, "values": [0.5, 1.0]}}
+        code, doc = run_json(capsys, ["oracle", write(tmp_path, "p.json", problem)])
+        assert code == 0
+        assert (doc["objective"], doc["converged"]) == ("H", True)
+        assert doc["linf_gap"] <= 1e-9
+
+
+class TestFlags:
+    """Each flag belongs to the subcommand that reads it."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("check", ["--exact"]), ("count", ["--series-order", "1"]),
+        ("oracle", ["--tol", "1e-6"]), ("brute", ["--format", "csv"]),
+        ("solve", ["--tol", "1e-12"]), ("solve", ["--exact"])])
+    def test_flag_of_another_subcommand_exits_two(self, command, flags, tmp_path, capsys):
+        path = write(tmp_path, "p.json", ROW_BOUND_PROBLEM)
+        assert main([command, path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_readme_commands_parse(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+        assert len(commands) >= 8
+        for argv in commands:
+            assert argv[0] == "likelymat"
+            args = _build_parser().parse_args(argv[1:])
+            assert args.command == argv[1]
+
 
 MALFORMED = {
     "element_bound_without_j": json.dumps(dict(
@@ -489,16 +550,32 @@ class TestSparseMarginals:
         case, peak = self.traced_peak(lambda: classify(spec))
         assert case is SolverCase.UNSUPPORTED and peak < self.PEAK
 
+    # The command runs in a child under a 2 GiB address-space cap, so a
+    # per-row array fails it with MemoryError instead of exhausting the host.
+    CHILD = ("import sys, tracemalloc; from likelymat.cli import main; tracemalloc.start(); "
+             "code = main(sys.argv[1:]); "
+             "print(f'peak {tracemalloc.get_traced_memory()[1]}', file=sys.stderr); "
+             "sys.exit(code)")
+
     @pytest.mark.parametrize("command, expected", [("check", 0), ("solve", 1)])
-    def test_cli_exit_codes(self, command, expected, tmp_path, capsys):
+    def test_cli_exit_codes(self, command, expected, tmp_path):
         path = write(tmp_path, "p.json", self.DOC)
-        code, peak = self.traced_peak(lambda: main([command, path]))
-        assert (code, peak < self.PEAK) == (expected, True)
-        captured = capsys.readouterr()
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(likelymat.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", self.CHILD, command, path],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in out.stderr, out.stderr
+        err, _, peak = out.stderr.rpartition("peak ")
+        assert (out.returncode, int(peak) < self.PEAK) == (expected, True)
         if expected:
-            assert captured.err.startswith("error: UnsupportedCase")
+            assert err.startswith("error: UnsupportedCase")
         else:
-            assert json.loads(captured.out) == {"case": "unsupported", "valid": True}
+            assert json.loads(out.stdout) == {"case": "unsupported", "valid": True}
 
 
 class TestFixedEntriesPastTheFloatRange:

@@ -1,10 +1,43 @@
 """End-to-end solve(): classification routing, transposes, permutations."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from likelymat import SolverCase, UnsupportedCase, solve
-from conftest import make_spec, zero_diagonal_blocks
+from conftest import CASE_GENERATORS, make_spec, zero_diagonal_blocks
+
+# The solver each case calls, by its name in likelymat.solve.
+SOLVER_OF = {
+    SolverCase.GRAVITY_PARTIAL_COLS: "solve_gravity_partial_cols",
+    SolverCase.ROW_BOUNDS: "solve_row_bounds",
+    SolverCase.TOTAL_ROW_BOUNDS: "solve_total_row_bounds",
+    SolverCase.BOUNDED_TOTAL_ROW_BOUNDS: "solve_bounded_total_row_bounds",
+    SolverCase.ROW_COL_BOUNDS: "solve_row_col_bounds",
+    SolverCase.ROW_BOUNDS_ELEM_BOUNDS: "solve_row_bounds_elem_bounds",
+    SolverCase.SYM_TOTAL_ROW_COL_BOUNDS: "solve_sym_total_row_col_bounds",
+    SolverCase.SYM_FIXED_DIAGONAL: "solve_sym_block_diagonal",
+    SolverCase.SYM_BLOCK_DIAGONAL: "solve_sym_block_diagonal",
+    SolverCase.SYM_3D_FIXED_DIAGONAL: "solve_sym_3d_fixed_diagonal",
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVER_OF), ids=lambda case: case.value)
+def test_solve_calls_the_module_attribute(case, rng, monkeypatch):
+    """``solve`` looks each solver up in its module at call time, so a wrapper
+    put there (as the benchmark's traced run puts one) sees the call."""
+    module, name = sys.modules["likelymat.solve"], SOLVER_OF[case]
+    original, calls = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    # a drawn block spec may hold singletons only, a fixed diagonal
+    assert SOLVER_OF[solve(CASE_GENERATORS[case](rng)).case] == name
+    assert calls == [name]
 
 
 class TestRouting:

@@ -1,5 +1,6 @@
 """Rectangular closed forms: frozen examples, structure, degenerations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from likelymat import (
     solve_row_col_bounds,
     solve_total_row_bounds,
 )
-from conftest import caps_of, make_spec
+from conftest import caps_of, make_spec, random_gravity, random_sym_total
 
 INF = math.inf
 TEN_BOUNDS = [20.0, 20, 24, 30, 30, 36, 36, 36, 36, 40]
@@ -81,6 +82,30 @@ class TestGravityPartialCols:
         np.testing.assert_array_equal(sol.col_multipliers[[0, 2]], 1.0)
         spec = make_spec(2, 3, row=("equal", [6.0, 4.0]), col=("equal", [None, 5.0, None]))
         assert np.array_equal(solve(spec).matrix, sol.matrix)
+
+
+class TestGravityNearTheFloatFloor:
+    """Near the bottom of the float range u_i v_j underflows although the
+    entry u_i v_j / s does not: the solution is the unit-scale one, scaled."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    @pytest.mark.parametrize("generator", [random_gravity, random_sym_total])
+    def test_scaled_unit_solution(self, rng, generator, scale):
+        for _ in range(20):
+            spec = generator(rng)
+            far = dataclasses.replace(
+                spec,
+                marginals=tuple(dataclasses.replace(m, value=m.value * scale)
+                                for m in spec.marginals),
+                total=spec.total and dataclasses.replace(spec.total,
+                                                         value=spec.total.value * scale),
+            )
+            ref = solve(spec).matrix * scale
+            np.testing.assert_allclose(solve(far).matrix, ref, rtol=1e-12, atol=0)
+
+    def test_two_by_two(self):
+        X = solve_gravity_partial_cols([1e-170, 2e-170], [1e-170, 2e-170], 2).matrix
+        np.testing.assert_allclose(X, np.outer([1, 2], [1, 2]) / 3 * 1e-170, rtol=1e-15)
 
 
 class TestRowBounds:
