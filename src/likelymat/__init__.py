@@ -39,6 +39,7 @@ from .errors import (
     LikelymatError,
     NegativeEntry,
     NegativeValue,
+    NonIntegerEntry,
     NotConverged,
     SearchSpaceTooLarge,
     SeriesDomainError,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CountOverflow, NegativeEntry
+from .errors import CountOverflow, NegativeEntry, NonIntegerEntry
 
 __all__ = [
     "ExactCount",
@@ -65,8 +65,11 @@ def _as_matrix(X) -> np.ndarray:
 def _as_int_matrix(X) -> np.ndarray:
     A = _as_matrix(X)
     R = np.rint(A)
-    if not np.allclose(A, R, rtol=0, atol=1e-9):
-        raise NegativeEntry(f"exact counting needs integer entries, got {A}")
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite entry is no integer either
+        off = np.argwhere(~(np.abs(A - R) <= 1e-9))
+    if off.size:
+        cell = tuple(off[0].tolist())
+        raise NonIntegerEntry(f"exact counting needs integer entries; cell {cell} is {A[cell]}")
     return R.astype(object)
 
 
@@ -131,7 +134,7 @@ def count_feasible_row_bounded(u, m: int, equality: bool) -> ExactCount:
     for ui in u:
         vi = int(round(float(ui)))
         if abs(vi - float(ui)) > 1e-9:
-            raise NegativeEntry(f"row bound {ui} is not an integer")
+            raise NonIntegerEntry(f"row bound {ui} is not an integer")
         if vi < 0:
             raise NegativeEntry(f"row bound {ui} < 0")
         out *= math.comb(vi + m - 1, m - 1) if equality else math.comb(vi + m, m)

@@ -15,6 +15,7 @@ __all__ = [
     "InvariantViolation",
     "SeriesDomainError",
     "NegativeEntry",
+    "NonIntegerEntry",
     "CountOverflow",
     "NotConverged",
     "Infeasible",
@@ -78,6 +79,10 @@ class SeriesDomainError(LikelymatError):
 
 class NegativeEntry(LikelymatError):
     """A matrix passed to a counting routine has a negative entry."""
+
+
+class NonIntegerEntry(LikelymatError):
+    """Exact counting was asked of a matrix, or a row bound, that is not integer."""
 
 
 class CountOverflow(LikelymatError):

@@ -18,10 +18,12 @@ complementary slackness of any solution.
 All three read one program, built from the validated spec in whole-array
 passes: the free cells, the fixed cells as index arrays and values, one
 incidence list over every constraint (equalities, then bounds, element caps
-last) and one array of targets.  The product-form fit runs over the
-program's own marginal and total rows.
+last) and one array of targets.  It is built once per spec object and kept
+on it, read-only, so every oracle call on that object reads the one build.
+The product-form fit runs over the program's own marginal and total rows,
+solved by pivoted Cholesky.
 
-scipy is imported inside the two routines that call it, so importing the
+scipy is imported inside the routines that call it, so importing the
 package (or starting the CLI) does not load it.
 """
 
@@ -152,7 +154,7 @@ class _Incidence:
     def _segments(self) -> tuple[np.ndarray, np.ndarray]:
         """The constraints with members, and where each one's run starts."""
         nonempty = np.flatnonzero(np.bincount(self.con, minlength=self.k))
-        return nonempty, np.searchsorted(self.con, nonempty)
+        return _read_only(nonempty, np.searchsorted(self.con, nonempty))
 
     def rmatvec(self, theta: np.ndarray) -> np.ndarray:
         """M^T theta: per cell, the sum of its constraints' multipliers."""
@@ -177,12 +179,20 @@ class _Incidence:
         first = np.cumsum(deg) - deg  # each cell's first entry in the sorted lists
         left = np.repeat(np.arange(cell.size), deg[cell])  # an entry pairs with its cell's
         right = _runs(first[cell], deg[cell])
-        return con[left] * self.k + con[right], cell[left]
+        return _read_only(con[left] * self.k + con[right], cell[left])
 
     def gram(self, x: np.ndarray) -> np.ndarray:
         """M diag(x) M^T, constraints x constraints."""
         key, cell = self._pairs
         return np.bincount(key, x[cell], minlength=self.k * self.k).reshape(self.k, self.k)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each flagged read-only, so that a stray in-place write
+    raises instead of corrupting the program that every later call reads."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -218,6 +228,21 @@ class _Program:
 
 
 def _build_program(spec: ProblemSpec) -> _Program:
+    """The program of ``spec``, built on the first call and kept in that spec
+    object's ``__dict__``, as ``cached_property`` keeps its ``fixed_cells``:
+    every oracle call on one spec object reads one build.  A build that
+    raises keeps nothing."""
+    program = spec.__dict__.get("_oracle_program")
+    if program is None:
+        program = _new_program(spec)
+        M = program.incidence
+        _read_only(program.cells, *program.fixed, program.fixed_values, program.targets,
+                   M.con, M.cell)
+        spec.__dict__["_oracle_program"] = program
+    return program
+
+
+def _new_program(spec: ProblemSpec) -> _Program:
     spec = validate_spec(spec)
     sh = spec.shape
     shape = (sh.rows, sh.cols, sh.slices) if sh.is_3d else (sh.rows, sh.cols)
@@ -673,8 +698,8 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     except that a zero bound's is exactly 0, and (d) complementary
     slackness: a slack bound carries multiplier 1.
     """
+    program = _build_program(spec)  # on the caller's spec object, which keeps it
     spec = validate_spec(spec)
-    program = _build_program(spec)
     X = solution.values if isinstance(solution, TensorSolution) else solution.matrix
     X = np.asarray(X, dtype=float)
     violations: list[str] = []
@@ -766,10 +791,16 @@ def _product_form_ok(program: _Program, X: np.ndarray, tol: float):
     reports) its cap fits exactly and leaves the fit; a slack cap has factor
     1, so its cell stays in.  The fit solves the normal equations
     M_w M_w^T theta = M_w log x over those rows, with M_w the incidence
-    restricted to the cells in the fit; their least-squares solution takes
-    care of the gauge freedom.  The residual is measured cell by cell.  It
-    reads no multiplier of the solver's.
+    restricted to the cells in the fit, by pivoted Cholesky (LAPACK's
+    ``dpstrf``) on the leading rank x rank block, with the pivoted-out
+    multipliers left at 0: that takes care of the gauge freedom, and since
+    the system is consistent, every solution fits the same values.  The
+    residual is measured cell by cell.  It reads no multiplier of the
+    solver's.
     """
+    from scipy.linalg import solve_triangular  # loaded with _dual_solve's scipy.linalg
+    from scipy.linalg.lapack import dpstrf
+
     M, rows = program.incidence, program.incidence.k - program.n_caps
     values = X[tuple(program.cells.T)]
     keep = ~(values <= ZERO_REPORT)
@@ -781,7 +812,10 @@ def _product_form_ok(program: _Program, X: np.ndarray, tol: float):
         return True, 0.0
     b = np.log(values, out=np.zeros(program.n), where=keep)
     w = keep.astype(float)
+    L, piv, rank, _ = dpstrf(M.gram(w)[:rows, :rows], lower=1, tol=-1.0)
+    kept, L = piv[:rank] - 1, L[:rank, :rank]
+    z = solve_triangular(L, M.matvec(w * b)[kept], lower=True, check_finite=False)
     theta = np.zeros(M.k)
-    theta[:rows] = np.linalg.lstsq(M.gram(w)[:rows, :rows], M.matvec(w * b)[:rows], rcond=None)[0]
+    theta[kept] = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
     resid = float(np.max(np.abs(M.rmatvec(theta) - b)[keep]))
     return resid <= max(tol, 1e-7), resid

@@ -213,7 +213,11 @@ def solve_row_col_bounds(u, v) -> Solution:
     u_total, v_total = float(u.sum()), float(v.sum())
     if not (math.isfinite(u_total) or math.isfinite(v_total)):
         raise InfeasibleMarginals("at least one side must be fully bounded")
-    tie = close(u_total, v_total)
+    # Tied to REL_TOL relative at every scale, with no absolute floor, so
+    # that totals near 1e-300 tie only when they are near each other; +inf
+    # ties +inf alone.
+    top = max(u_total, v_total)
+    tie = u_total == v_total or (math.isfinite(top) and abs(u_total - v_total) <= REL_TOL * top)
     if u_total > v_total and not tie:
         return solve_row_col_bounds(v, u).transposed()
     if not np.all(np.isfinite(u)):

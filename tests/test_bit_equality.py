@@ -1424,13 +1424,132 @@ class TestOracle:
         ):
             sol = solve(spec)
             X = sol.values if isinstance(sol, TensorSolution) else sol.matrix
-            program = oracle._build_program(spec)
-            walk = SimpleNamespace(cells=[tuple(c) for c in program.cells.tolist()])
             for Y in (X, X * rng.uniform(0.9, 1.1, X.shape)):
-                ok, resid = oracle._product_form_ok(program, Y, 1e-6)
-                want_ok, want = walk_product_form_ok(spec, walk, Y, 1e-6)
-                assert ok == want_ok
-                assert abs(resid - want) <= max(1e-9 * abs(want), 1e-12), (resid, want)
+                assert_fit_matches_the_walk(spec, Y)
+
+    def test_product_form_rank_deficient(self, rng):
+        # Normal equations with a null space: the pivoted Cholesky fit drops
+        # the pivoted-out multipliers, lstsq (the walk's) takes the minimum norm.
+        caps = [(0, j, 0.5 + 0.25 * j) for j in range(5)] + [(2, 1, 0.3), (3, 4, math.inf)]
+        full_cols = rng.uniform(5.0, 9.0, 5)
+        u = rng.uniform(10.0, 20.0, 6).tolist()
+        zero_cols = [float(v) if j % 2 else None for j, v in enumerate(rng.uniform(1.0, 9.0, 6))]
+        zero_cols[3] = 0.0
+        for spec, frozen in (
+            # row 0's every cell sits at its cap, so no cell of row 0 is in the fit
+            (make_spec(4, 5, row=("upper", [9.0, 4.0, 5.0, 6.0]), elements=caps), [0]),
+            # row 1 and column 3 hold only zeros, at or below ZERO_REPORT
+            (make_spec(5, 6, row=("equal", [7.0, 0.0, 5.0, 6.0, 8.0]), col=("equal", zero_cols)),
+             [1]),
+            (make_spec(4, 3, row=("upper", [2.0, 0.0, 3.0, 1.0]), col=("upper", [3.0, 2.0, 1.0])),
+             [1]),
+            # every row and column sum: the gauge shifts rows against columns
+            (make_spec(4, 5, row=("equal", (full_cols.sum() * rng.dirichlet(np.ones(4))).tolist()),
+                       col=("equal", full_cols.tolist())), []),
+            # symmetric: mirrored rows and columns, with the total on top
+            (make_spec(6, 6, row=("upper", u), col=("upper", u), symmetric=True,
+                       total=("equal", 40.0)), []),
+            (random_sym_blocks(rng, "equal"), []),
+            (random_sym_fixed_diagonal(rng, "upper"), []),
+        ):
+            sol = solve(spec)
+            noise = rng.uniform(0.9, 1.1, sol.matrix.shape)
+            noise[frozen] = 1.0  # the frozen rows keep their caps or zeros
+            for Y in (sol.matrix, sol.matrix * noise):
+                assert_fit_matches_the_walk(spec, Y)
+            G = self.fit_gram(spec, sol.matrix)
+            assert np.linalg.matrix_rank(G) < len(G)
+
+    @staticmethod
+    def fit_gram(spec, X):
+        """The normal equations' matrix of the fit of ``X``, over the
+        marginal and total rows."""
+        program = oracle._build_program(spec)
+        M, rows = program.incidence, program.incidence.k - program.n_caps
+        values = X[tuple(program.cells.T)]
+        keep = values > ZERO_REPORT
+        cell, cap = M.cell[M.cell.size - program.n_caps:], program.targets[rows:]
+        keep[cell[values[cell] - cap >= -1e-6 * np.maximum(1.0, cap)]] = False
+        return M.gram(keep.astype(float))[:rows, :rows]
+
+
+def assert_fit_matches_the_walk(spec, Y):
+    """The product-form fit of ``Y`` against the walk's dense least squares:
+    the same verdict, and the residual to 1e-9 relative or 1e-12 absolute."""
+    program = oracle._build_program(spec)
+    walk = SimpleNamespace(cells=[tuple(c) for c in program.cells.tolist()])
+    ok, resid = oracle._product_form_ok(program, Y, 1e-6)
+    want_ok, want = walk_product_form_ok(spec, walk, Y, 1e-6)
+    assert ok == want_ok
+    assert abs(resid - want) <= max(1e-9 * abs(want), 1e-12), (resid, want)
+
+
+class TestProgramReuse:
+    """One program per spec object: built by the first oracle call, then
+    read, read-only, by every later one, bit for bit as a fresh build."""
+
+    # Small integer specs, which brute force enumerates (it refuses the drawn ones)
+    INTEGER_SPECS = (
+        make_spec(2, 3, row=("equal", [2.0, 3.0]), col=("equal", [1.0, 2.0, 2.0])),
+        make_spec(2, 3, row=("upper", [3.0, 2.0]), elements=[(0, 1, 0.0), (1, 2, 1.0)]),
+    )
+
+    @staticmethod
+    def every_entry_point(spec):
+        """The outcome of every oracle entry point on ``spec``, in turn."""
+        brute = result_or_error(oracle.brute_force_most_likely, spec)
+        if isinstance(brute, oracle.BruteForceResult):
+            brute = bits(np.stack(brute.argmax)), brute.count, brute.n_feasible
+        return (outcome(oracle.numeric_maxent, spec, "H"),
+                outcome(oracle.numeric_maxent, spec, "G"),
+                outcome(oracle.verify_kkt, solve(spec), spec),
+                brute)
+
+    def specs(self, rng, draws):
+        """``draws`` specs from each of criterion 7's generators, then the integer ones."""
+        for generator in CASE_GENERATORS.values():
+            for _ in range(draws):
+                yield generator(rng)
+        yield from (dataclasses.replace(spec) for spec in self.INTEGER_SPECS)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The spec of every program build, in order."""
+        out, build = [], oracle._new_program
+        monkeypatch.setattr(oracle, "_new_program", lambda spec: out.append(spec) or build(spec))
+        return out
+
+    def test_one_build_per_spec(self, rng, builds):
+        for spec in self.specs(rng, 1):
+            self.every_entry_point(spec)
+            self.every_entry_point(spec)
+            assert len(builds) == 1 and builds[0] is spec
+            builds.clear()
+
+    def test_a_build_that_raises_keeps_nothing(self, builds):
+        over = (FixedBlock((0,), ((2.0,),)),)
+        spec = make_spec(3, 3, row=("equal", [1.0, 5.0, 5.0]), symmetric=True, blocks=over)
+        for _ in range(2):
+            with pytest.raises(Infeasible):
+                oracle.numeric_maxent(spec)
+        assert len(builds) == 2 and "_oracle_program" not in spec.__dict__
+
+    def test_cached_arrays_are_read_only(self, rng):
+        for spec in self.specs(rng, 1):
+            oracle.verify_kkt(solve(spec), spec)  # the fit fills the pair lists
+            program = oracle._build_program(spec)
+            M = program.incidence
+            M.matvec(np.ones(M.n))  # and the segments
+            for a in (program.cells, *program.fixed, program.fixed_values, program.targets,
+                      M.con, M.cell, *M._pairs, *M._segments):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+    def test_reused_program_matches_a_fresh_one(self, rng):
+        for spec in self.specs(rng, 3):
+            first = self.every_entry_point(spec)
+            assert self.every_entry_point(spec) == first
+            assert self.every_entry_point(dataclasses.replace(spec)) == first
 
 
 # ----------------------------------------------------------------------

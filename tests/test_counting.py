@@ -8,6 +8,7 @@ import pytest
 from likelymat import (
     CountOverflow,
     NegativeEntry,
+    NonIntegerEntry,
     count_feasible_row_bounded,
     exact_realizations,
     likelihood_ratio,
@@ -69,8 +70,19 @@ class TestExactRealizations:
             exact_realizations([[1, -1]])
 
     def test_non_integer_rejected(self):
-        with pytest.raises(NegativeEntry):
+        # named by its own error and its first offending cell, not the whole matrix
+        with pytest.raises(NonIntegerEntry, match=r"^exact counting needs integer entries; "
+                                                  r"cell \(0, 0\) is 1\.5$"):
             exact_realizations([[1.5, 2.5]])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_is_no_integer(self, value):
+        with pytest.raises(NonIntegerEntry, match=r"cell \(1, 0\)"):
+            exact_realizations([[1.0, 2.0], [value, 3.0]])
+
+    def test_non_integer_row_bound_rejected(self):
+        with pytest.raises(NonIntegerEntry, match="row bound 2.5 is not an integer"):
+            count_feasible_row_bounded([1, 2.5], 3, equality=True)
 
     def test_log10_past_the_int_to_str_digit_limit(self):
         X = np.full((20, 20), 50)

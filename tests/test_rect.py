@@ -17,7 +17,7 @@ from likelymat import (
     solve_row_col_bounds,
     solve_total_row_bounds,
 )
-from conftest import caps_of, make_spec, random_gravity, random_sym_total
+from conftest import caps_of, make_spec, random_gravity, random_row_col_bounds, random_sym_total
 
 INF = math.inf
 TEN_BOUNDS = [20.0, 20, 24, 30, 30, 36, 36, 36, 36, 40]
@@ -86,10 +86,13 @@ class TestGravityPartialCols:
 
 class TestGravityNearTheFloatFloor:
     """Near the bottom of the float range u_i v_j underflows although the
-    entry u_i v_j / s does not: the solution is the unit-scale one, scaled."""
+    entry u_i v_j / s does not, and two bound totals tie only when they are
+    near each other, not because both are below 1e-9: the solution is the
+    unit-scale one, scaled."""
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-300])
-    @pytest.mark.parametrize("generator", [random_gravity, random_sym_total])
+    @pytest.mark.parametrize("generator",
+                             [random_gravity, random_sym_total, random_row_col_bounds])
     def test_scaled_unit_solution(self, rng, generator, scale):
         for _ in range(20):
             spec = generator(rng)
