@@ -46,7 +46,7 @@ from .counting import (
     exact_realizations,
     log10_realizations,
 )
-from .errors import LikelymatError
+from .errors import CountOverflow, LikelymatError
 from .oracle import _fixes_total, brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
 from .solve import half_total_check, solve
@@ -446,7 +446,11 @@ def _cmd_count(args) -> int:
     X = _read_matrix(doc)
     payload = {"log10_realizations": log10_realizations(X).log10, "total": float(X.sum())}
     if args.exact or np.allclose(X, np.rint(X), rtol=0, atol=1e-9):
-        payload["exact"] = exact_realizations(X).value
+        try:
+            payload["exact"] = exact_realizations(X).value
+        except CountOverflow:  # too many digits: unasked, the log10 count stands alone
+            if args.exact:
+                raise
     _emit(payload, args)
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 LN10 = math.log(10.0)
+# An exact count past this many decimal digits raises CountOverflow before any
+# big-integer work: math.comb(2x, x) near 60,000 digits takes about 0.5 s.
+MAX_EXACT_DIGITS = 60_000
 
 
 @dataclass(frozen=True)
@@ -70,18 +74,36 @@ def _as_int_matrix(X) -> np.ndarray:
     if off.size:
         cell = tuple(off[0].tolist())
         raise NonIntegerEntry(f"exact counting needs integer entries; cell {cell} is {A[cell]}")
-    return R.astype(object)
+    return R
+
+
+def _check_digits(a, b) -> None:
+    """Raise :class:`CountOverflow` when the product of the binomials C(a + b, b)
+    has more than ``MAX_EXACT_DIGITS`` digits.  Each ln((m + 1)...(m + k)),
+    k = min(a, b) > 0 and m = max(a, b), is lgamma's difference held between
+    k ln(m + 1) and k ln(m + k), as it loses every digit once m >> k; past 2^53,
+    k ln(m + 1)."""
+    k, m = np.minimum(a, b), np.maximum(a, b)
+    k, m = k[k > 0], m[k > 0]  # C(m, 0) = 1
+    near = m < 2.0**53
+    rise = np.full(k.size, np.nan)
+    rise[near] = np.subtract(_ln_factorials((m[near] + k[near]).tolist()),
+                             _ln_factorials(m[near].tolist()))
+    rise = np.fmin(np.fmax(rise, k * np.log1p(m)), k * np.log(m + k))  # nan takes the lower
+    digits = float(np.sum(rise - _ln_factorials(k.tolist()))) / LN10
+    if not digits <= MAX_EXACT_DIGITS:
+        raise CountOverflow(f"the exact count has about {digits:.4g} digits, "
+                            f"above {MAX_EXACT_DIGITS}; use the log10 count")
 
 
 def exact_realizations(X) -> ExactCount:
-    """Exact multinomial count s!/prod(x!) for an integer matrix."""
-    flat = [int(v) for v in _as_int_matrix(X).ravel()]
-    running = 0
-    out = 1
-    for v in flat:
-        running += v
-        out *= math.comb(running, v)
-    return ExactCount(out)
+    """Exact multinomial count s!/prod(x!) for an integer matrix, up to
+    ``MAX_EXACT_DIGITS`` digits: the product over cells of C(running sum, x)."""
+    a = _as_int_matrix(X).ravel()
+    with np.errstate(over="ignore"):  # sums past the float range are inf, and raise
+        _check_digits(np.concatenate([[0.0], np.cumsum(a)[:-1]]), a)  # the sum before each cell
+    flat = [int(v) for v in a.tolist()]
+    return ExactCount(math.prod(map(math.comb, accumulate(flat), flat)))
 
 
 def distinct_values(X) -> tuple[np.ndarray, np.ndarray]:
@@ -128,17 +150,17 @@ def count_feasible_row_bounded(u, m: int, equality: bool) -> ExactCount:
 
     Row i alone admits C(u_i + m - 1, m - 1) compositions when its sum must
     equal u_i, and C(u_i + m, m) when the sum may be anything up to u_i; rows
-    are independent, so the counts multiply.
+    are independent, so the counts multiply, up to ``MAX_EXACT_DIGITS`` digits.
     """
-    out = 1
-    for ui in u:
-        vi = int(round(float(ui)))
+    k = m - 1 if equality else m  # each row's count is C(u_i + k, k)
+    rows = [int(round(float(ui))) for ui in u]
+    for ui, vi in zip(u, rows):
         if abs(vi - float(ui)) > 1e-9:
             raise NonIntegerEntry(f"row bound {ui} is not an integer")
         if vi < 0:
             raise NegativeEntry(f"row bound {ui} < 0")
-        out *= math.comb(vi + m - 1, m - 1) if equality else math.comb(vi + m, m)
-    return ExactCount(out)
+    _check_digits(np.array(rows, dtype=float), np.full(len(rows), float(k)))
+    return ExactCount(math.prod(math.comb(vi + k, k) for vi in rows))
 
 
 def likelihood_ratio(X1, X2, log_domain: bool = False) -> float:
@@ -152,4 +174,7 @@ def likelihood_ratio(X1, X2, log_domain: bool = False) -> float:
     B = _as_matrix(X2)
     ln_sa, ln_sb = _ln_factorials([float(A.sum()), float(B.sum())])
     log10r = (ln_sa - ln_sb - _sum_ln_factorials(A) + _sum_ln_factorials(B)) / LN10
-    return log10r if log_domain else 10.0 ** log10r
+    try:
+        return log10r if log_domain else 10.0 ** log10r
+    except OverflowError as e:
+        raise CountOverflow(f"ratio 10^{log10r:.6g} overflows a float; use log_domain=True") from e

@@ -2,9 +2,8 @@
 
 Nothing here reuses the closed forms.  :func:`numeric_maxent` maximizes the
 entropy over the problem's linear constraints by solving the smooth dual:
-L-BFGS-B down to a projected gradient of 1e-4 times the largest target,
-then projected-Newton steps by Cholesky (by least squares once a Cholesky
-step fails or is cut short), its ``iterations`` counting both.  When the
+one L-BFGS-B round down to a projected gradient of 1e-4 times the largest
+target, then projected-Newton steps, ``iterations`` counting both.  When the
 total is unknown it climbs the entropy-difference objective by
 minorize-maximize rounds of the same dual solve, warm-started, with
 ``iterations`` summed over them.  A program whose maximizer scales with the
@@ -20,8 +19,8 @@ passes: the free cells, the fixed cells as index arrays and values, one
 incidence list over every constraint (equalities, then bounds, element caps
 last) and one array of targets.  It is built once per spec object and kept
 on it, read-only, so every oracle call on that object reads the one build.
-The product-form fit runs over the program's own marginal and total rows,
-solved by pivoted Cholesky.
+The product-form fit runs over the program's own marginal and total rows;
+it, the Newton steps and the G rounds' shift share one pivoted-Cholesky solve.
 
 scipy is imported inside the routines that call it, so importing the
 package (or starting the CLI) does not load it.
@@ -32,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,10 +72,6 @@ ZERO_REPORT = 1e-9
 # below this fraction of the largest target: float resolution keeps it from
 # getting much further, and it would run on until its line search fails.
 HANDOFF_GTOL = 1e-4
-# Each Newton step adds this fraction of its system's diagonal to the
-# diagonal before the Cholesky factorization: the ridge covers the gauge null
-# space of the symmetric and full-marginal programs.
-NEWTON_RIDGE = 1e-12
 # The G objective's minorize-maximize rounds stop here if the total still
 # moves.
 MM_ROUNDS = 100
@@ -346,6 +342,21 @@ def _label(spec: ProblemSpec, t: int, mirrored: bool) -> str:
 # ----------------------------------------------------------------------
 
 
+def _psd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A basic solution of G y = b, G positive semidefinite with a gauge null
+    space: pivoted Cholesky (LAPACK's ``dpstrf``) and two triangular solves on
+    the leading rank x rank block, the pivoted-out entries left at 0."""
+    from scipy.linalg import solve_triangular  # loaded on first use, not at import
+    from scipy.linalg.lapack import dpstrf
+
+    L, piv, rank, _ = dpstrf(G, lower=1, tol=-1.0)
+    kept, L = piv[:rank] - 1, L[:rank, :rank]
+    z = solve_triangular(L, b[kept], lower=True, check_finite=False)
+    y = np.zeros(b.size)
+    y[kept] = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+    return y
+
+
 def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float = 1e-9,
                 warm: bool = False):
     """Maximize -sum(x ln x) + reward * sum(x) over the program's constraints
@@ -353,25 +364,19 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
 
     The stationary primal point is x_c = exp(reward - 1 - sum of multipliers
     over constraints containing c); the dual is smooth and convex with bound
-    constraints only (inequality multipliers stay nonnegative).  L-BFGS-B is
-    the global phase: it hands off once its projected gradient is below
-    ``HANDOFF_GTOL`` times the largest target.  A projected-Newton polish
-    then takes the KKT residual to ``tol * 1e-3``.  Each Newton step factors
-    the free block of M diag(x) M^T by Cholesky with a ``NEWTON_RIDGE``
-    ridge; once a Cholesky step is accepted only at a shortened step, or
-    fails to lower the residual (or to factor), the remaining steps solve by
-    least squares.  Should the polish stop above ``1e3 * tol``, where
-    :func:`numeric_maxent` would raise, L-BFGS-B resumes from its point at a
-    gradient tolerance of 1e-12, which in practice runs it until its line
-    search fails, and the polish runs once more; with every target 0 that is
-    the only round.  L-BFGS-B starts from ``theta0`` (default zero); a
-    ``warm`` solve polishes ``theta0`` first, and runs L-BFGS-B only if that
-    stops above ``1e3 * tol``.
+    constraints only (inequality multipliers stay nonnegative).  One
+    L-BFGS-B round is the global phase: it hands off once its projected
+    gradient is below ``HANDOFF_GTOL`` times the largest target (1e-12 when
+    every target is 0).  A projected-Newton polish then takes the KKT
+    residual to ``tol * 1e-3``: each step solves the free block of
+    M diag(x) M^T by :func:`_psd_solve`, and the polish stops once a step
+    no longer lowers the residual.  L-BFGS-B starts from ``theta0`` (default
+    zero); a ``warm`` solve polishes ``theta0`` first, and runs L-BFGS-B only
+    if that stops above ``1e3 * tol``.
 
     Returns the primal vector, the multipliers, the KKT residual, and the
     iteration count: L-BFGS-B iterations plus Newton steps.
     """
-    from scipy.linalg import cho_factor, cho_solve  # loaded with scipy.optimize
     from scipy.optimize import minimize  # loaded on first use, not at import
 
     M, targets, n_eq = program.incidence, program.targets, program.n_eq
@@ -395,25 +400,14 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
         x = primal(theta)
         g = targets - M.matvec(x)
         best_res = kkt_residual(theta, g)
-        cholesky, steps = True, 0
-        for _ in range(40):
-            if best_res <= tol * 1e-3:
-                break
-            active = np.zeros(theta.size, dtype=bool)
-            active[n_eq:] = (theta[n_eq:] <= 1e-14) & (g[n_eq:] >= 0)
-            free = ~active
-            H = M.gram(x)[np.ix_(free, free)]
+        steps = 0
+        while best_res > tol * 1e-3 and steps < 40:
+            free = np.ones(theta.size, dtype=bool)  # all but the active bounds
+            free[n_eq:] = ~((theta[n_eq:] <= 1e-14) & (g[n_eq:] >= 0))
             step = np.zeros_like(theta)
-            if cholesky:
-                try:
-                    ridged = H + np.diag(NEWTON_RIDGE * H.diagonal())
-                    step[free] = cho_solve(cho_factor(ridged, check_finite=False), -g[free],
-                                           check_finite=False)
-                except np.linalg.LinAlgError:  # not positive definite
-                    cholesky = False
-            if not cholesky:
-                step[free] = np.linalg.lstsq(H, -g[free], rcond=None)[0]
-            alpha, improved = 1.0, False
+            step[free] = _psd_solve(M.gram(x)[np.ix_(free, free)], -g[free])
+            steps += 1
+            alpha = 1.0
             for _ in range(30):
                 cand = theta + alpha * step
                 cand[n_eq:] = np.maximum(cand[n_eq:], 0.0)
@@ -421,16 +415,11 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
                 cand_g = targets - M.matvec(cand_x)
                 cand_res = kkt_residual(cand, cand_g)
                 if cand_res < best_res:
-                    theta, x, g, best_res, improved = cand, cand_x, cand_g, cand_res, True
+                    theta, x, g, best_res = cand, cand_x, cand_g, cand_res
                     break
                 alpha *= 0.5
-            steps += 1
-            # A step cut short follows a near-null direction of a nearly
-            # singular system; least squares' minimum-norm step does not.
-            if not improved or alpha < 1.0:
-                if not (improved or cholesky):
-                    break
-                cholesky = False
+            else:  # no step length lowers the residual
+                break
         return x, theta, best_res, steps
 
     theta = np.zeros(targets.size) if theta0 is None else np.asarray(theta0, float)
@@ -439,22 +428,13 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
         x, polished, residual, iters = polish(theta)
         if residual <= 1e3 * tol:
             return x, polished, residual, iters
-    bounds = [(None, None)] * n_eq + [(0.0, None)] * (M.k - n_eq)
     largest = float(np.max(targets, initial=0.0))
-    for gtol in (HANDOFF_GTOL * largest, 1e-12) if largest > 0 else (1e-12,):
-        res = minimize(
-            value_grad,
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 500, "maxfun": 5000, "ftol": 1e-16, "gtol": gtol},
-        )
-        x, theta, residual, steps = polish(res.x)
-        iters += int(res.nit) + steps
-        if residual <= 1e3 * tol:
-            break
-    return x, theta, residual, iters
+    gtol = HANDOFF_GTOL * largest if largest > 0 else 1e-12
+    res = minimize(value_grad, theta, jac=True, method="L-BFGS-B",
+                   bounds=[(None, None)] * n_eq + [(0.0, None)] * (M.k - n_eq),
+                   options={"maxiter": 500, "maxfun": 5000, "ftol": 1e-16, "gtol": gtol})
+    x, theta, residual, steps = polish(res.x)
+    return x, theta, residual, iters + int(res.nit) + steps
 
 
 def _check_feasible(program: _Program) -> None:
@@ -519,7 +499,7 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
         if residual > 1e3 * tol:
             _check_feasible(scaled)
             raise NotConverged(f"dual residual {residual} above tolerance {tol}", residual)
-        X = program.assemble(np.ldexp(_floor_small(x), e))
+        X = program.assemble(np.ldexp(np.where(x < ZERO_REPORT, 0.0, x), e))
         return OracleResult(X, objective, _objective_value(objective, X, e), residual <= tol,
                             iters, residual)
 
@@ -542,7 +522,7 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
     # least squares gets, moves every cell's exponent by r' - r: each round
     # starts where the last one ended, and the first near cells of 1.
     ones = np.ones(M.n)
-    w = np.linalg.lstsq(M.gram(ones), M.matvec(ones), rcond=None)[0]
+    w = _psd_solve(M.gram(ones), M.matvec(ones))
     t, reward, theta, iters = float(targets.sum()), 1.0, np.zeros(M.k), 0
     for round_ in range(MM_ROUNDS):
         last, reward = reward, 1.0 + math.log(t)
@@ -578,12 +558,6 @@ def _scaled(program: _Program, e: int) -> _Program:
     """The program with its targets divided by 2^e; the solve reads no fixed
     value."""
     return replace(program, targets=np.ldexp(program.targets, -e)) if e else program
-
-
-def _floor_small(x: np.ndarray) -> np.ndarray:
-    out = np.asarray(x, dtype=float).copy()
-    out[out < ZERO_REPORT] = 0.0
-    return out
 
 
 def _objective_value(objective: str, X: np.ndarray, e: int) -> float:
@@ -649,11 +623,8 @@ def brute_force_most_likely(spec: ProblemSpec, limit: int = 10_000_000) -> Brute
     fixed = list(map(int, fixed.tolist()))
 
     def realization_count(vec: np.ndarray) -> int:
-        running, out = 0, 1
-        for v in fixed + vec.tolist():
-            running += v
-            out *= math.comb(running, v)
-        return out
+        cells = fixed + vec.tolist()
+        return math.prod(map(math.comb, accumulate(cells), cells))
 
     def rec(c: int):
         nonlocal best_count, argmax, n_feasible
@@ -791,16 +762,10 @@ def _product_form_ok(program: _Program, X: np.ndarray, tol: float):
     reports) its cap fits exactly and leaves the fit; a slack cap has factor
     1, so its cell stays in.  The fit solves the normal equations
     M_w M_w^T theta = M_w log x over those rows, with M_w the incidence
-    restricted to the cells in the fit, by pivoted Cholesky (LAPACK's
-    ``dpstrf``) on the leading rank x rank block, with the pivoted-out
-    multipliers left at 0: that takes care of the gauge freedom, and since
-    the system is consistent, every solution fits the same values.  The
-    residual is measured cell by cell.  It reads no multiplier of the
-    solver's.
+    restricted to the cells in the fit, by :func:`_psd_solve`: the system is
+    consistent, so every solution fits the same values.  The residual is
+    measured cell by cell.  It reads no multiplier of the solver's.
     """
-    from scipy.linalg import solve_triangular  # loaded with _dual_solve's scipy.linalg
-    from scipy.linalg.lapack import dpstrf
-
     M, rows = program.incidence, program.incidence.k - program.n_caps
     values = X[tuple(program.cells.T)]
     keep = ~(values <= ZERO_REPORT)
@@ -812,10 +777,6 @@ def _product_form_ok(program: _Program, X: np.ndarray, tol: float):
         return True, 0.0
     b = np.log(values, out=np.zeros(program.n), where=keep)
     w = keep.astype(float)
-    L, piv, rank, _ = dpstrf(M.gram(w)[:rows, :rows], lower=1, tol=-1.0)
-    kept, L = piv[:rank] - 1, L[:rank, :rank]
-    z = solve_triangular(L, M.matvec(w * b)[kept], lower=True, check_finite=False)
-    theta = np.zeros(M.k)
-    theta[kept] = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+    theta = np.pad(_psd_solve(M.gram(w)[:rows, :rows], M.matvec(w * b)[:rows]), (0, program.n_caps))
     resid = float(np.max(np.abs(M.rmatvec(theta) - b)[keep]))
     return resid <= max(tol, 1e-7), resid

@@ -46,7 +46,7 @@ def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarr
     passes, and each cell's last write is its expression.
     """
     n, m = u.size, given.size
-    s = float(u.sum())
+    s = _total(u)
     X = np.empty((n, m))
     ell = int(np.count_nonzero(given))
     if s == 0.0 or ell == 0:
@@ -73,6 +73,12 @@ def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarr
     return X
 
 
+def _total(x: np.ndarray) -> float:
+    """``float(x.sum())``; past the float range inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(x.sum())
+
+
 def _gauge(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Factors of the bounds ``b`` of one side: each achieved sum ``x_i`` over
     the largest on the side.  So a slack bound gets 1, a saturated one
@@ -88,7 +94,7 @@ def solve_gravity_partial_cols(u, v, m: int) -> Solution:
     A column sum of +inf, like a column past len(v), is not known.  The
     known columns take the gravity form u_i * v_j / s with s = sum(u); the
     other columns split the leftover mass of each row evenly and are
-    therefore identical.
+    therefore identical.  Past the float range it solves at a power of two.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -99,14 +105,19 @@ def solve_gravity_partial_cols(u, v, m: int) -> Solution:
     v = np.concatenate((v, np.full(m - v.size, math.inf)))
     given = np.isfinite(v)
     ell = int(np.count_nonzero(given))
-    s = float(u.sum())
-    v_total = float(v[given].sum())
+    s = _total(u)
+    v_total = _total(v[given])
     if v_total > s * (1 + REL_TOL):
         raise InfeasibleMarginals(f"column sums total {v_total} exceeds row-sum total {s}")
     if ell == m and not close(v_total, s):
         raise InfeasibleMarginals(f"all columns constrained but totals differ: {v_total} vs {s}")
     if s == 0.0:
         return Solution(np.zeros((u.size, m)), SolverCase.GRAVITY_PARTIAL_COLS, total=0.0)
+    if math.isinf(2.0 * m * s):  # so is (m - ell) v_j below
+        unit = 2.0 ** (4 * m * u.size).bit_length()
+        sol = solve_gravity_partial_cols(u / unit, v / unit, m)
+        return replace(sol, matrix=sol.matrix * unit, total=s,
+                       row_multipliers=sol.row_multipliers * unit)
     if ell == m:
         row_f, col_f = u / math.sqrt(s), v / math.sqrt(s)
     else:
@@ -136,7 +147,7 @@ def _total_target(s: float, u: np.ndarray, name: str) -> float:
     _check_nonneg(name, u)
     if not s >= 0:
         raise NegativeValue(f"total {s} < 0")
-    total = float(u.sum())
+    total = _total(u)
     if s > total and not s <= total * (1 + REL_TOL):
         raise InfeasibleMarginals(f"total {s} exceeds the sum of {name} {total}")
     return min(s, total)
@@ -150,7 +161,7 @@ def _rows_water_filled(case: SolverCase, a: float, u: np.ndarray, m: int) -> Sol
     return Solution(
         X,
         case,
-        total=float(X.sum()) if math.isfinite(a) else float(u.sum()),
+        total=_total(X) if math.isfinite(a) else _total(u),
         k=rows.k,
         row_multipliers=_gauge(rows.x, u),
         permutation=rows.permutation,
@@ -191,7 +202,7 @@ def solve_bounded_total_row_bounds(ubar: float, u, m: int) -> Solution:
     otherwise the known-total solution at s = ubar.
     """
     u = np.asarray(u, dtype=float)
-    immaterial = ubar >= float(u.sum())
+    immaterial = ubar >= _total(u)
     sol = solve_row_bounds(u, m) if immaterial else solve_total_row_bounds(ubar, u, m)
     return replace(sol, case=SolverCase.BOUNDED_TOTAL_ROW_BOUNDS)
 
@@ -210,7 +221,7 @@ def solve_row_col_bounds(u, v) -> Solution:
     v = np.asarray(v, dtype=float)
     _check_nonneg("row bounds", u)
     _check_nonneg("column bounds", v)
-    u_total, v_total = float(u.sum()), float(v.sum())
+    u_total, v_total = _total(u), _total(v)
     if not (math.isfinite(u_total) or math.isfinite(v_total)):
         raise InfeasibleMarginals("at least one side must be fully bounded")
     # Tied to REL_TOL relative at every scale, with no absolute floor, so
@@ -259,4 +270,4 @@ def solve_row_bounds_elem_bounds(u, caps, m: int) -> Solution:
     if bad.size:
         raise NegativeValue(f"target sum {u[bad[0]]} < 0")
     X = waterfill_rows(u, (i, j, ub), m)[0]
-    return Solution(X, SolverCase.ROW_BOUNDS_ELEM_BOUNDS, total=float(X.sum()))
+    return Solution(X, SolverCase.ROW_BOUNDS_ELEM_BOUNDS, total=_total(X))

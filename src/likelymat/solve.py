@@ -13,6 +13,7 @@ from .constraints import (
 )
 from .errors import InfeasibleMarginals, UnsupportedCase
 from .rect import (
+    _total,
     solve_bounded_total_row_bounds,
     solve_gravity_partial_cols,
     solve_row_bounds,
@@ -26,7 +27,6 @@ from .solution import Solution, TensorSolution
 # traced run (perfbench/tracing.py) can wrap it; so solve_sym_fixed_diagonal
 # stays imported, though fixed diagonals dispatch to the block solver.
 from .symmetric import (
-    _total,
     half_total_reports,
     solve_sym_3d_fixed_diagonal,
     solve_sym_block_diagonal,

@@ -37,7 +37,7 @@ from .errors import (
     NegativeValue,
     SeriesDomainError,
 )
-from .rect import _gauge, _gravity, _total_target
+from .rect import _gauge, _gravity, _total, _total_target
 from .solution import Solution, TensorSolution
 from .waterfill import waterfill_bounded_sum
 
@@ -367,12 +367,6 @@ def _root_factors(
     share = np.divide(rn * fg, rg, out=np.zeros(rn.size), where=rg > 0)
     factors[nodes] = np.where(single, fg, share)
     return problem, lam, factors
-
-
-def _total(x: np.ndarray) -> float:
-    """``float(x.sum())``; past the float range inf, without a warning."""
-    with np.errstate(over="ignore"):
-        return float(x.sum())
 
 
 def _in_range(u: np.ndarray, s: float, what: str) -> tuple[np.ndarray, float, float]:

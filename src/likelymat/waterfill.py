@@ -136,8 +136,10 @@ def waterfill_rows(a, caps, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         bs = np.take_along_axis(C, srt, axis=1)
         ranked[at[~pad]] = np.take_along_axis(col_of[at], srt, axis=1)[~pad]
         ranked_bounds[at[~pad]] = bs[~pad]
-        # a row of n finite bounds is summed in column order, as a dense row is
-        total = np.where(count[rs] == n, C.sum(axis=1), np.inf)
+        # a row of n finite bounds is summed in column order, as a dense row
+        # is; past the float range the sum is inf
+        with np.errstate(over="ignore"):
+            total = np.where(count[rs] == n, C.sum(axis=1), np.inf)
         k[rs], mu[rs], full[rs] = _levels(a[rs], bs, total, n)
     x = np.empty((rows, n))
     x[:] = mu[:, None]

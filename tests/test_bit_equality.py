@@ -1615,7 +1615,7 @@ def line_search_maxent(spec, tol: float = 1e-9):
                     hi = mid
     if residual > 1e3 * tol:
         raise NotConverged(f"dual residual {residual} above tolerance {tol}", residual)
-    X = program.assemble(np.ldexp(oracle._floor_small(x), e))
+    X = program.assemble(np.ldexp(np.where(x < oracle.ZERO_REPORT, 0.0, x), e))
     return oracle.OracleResult(X, "G", oracle._objective_value("G", X, e), residual <= tol,
                                iters_total, residual)
 

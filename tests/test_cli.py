@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -245,6 +246,35 @@ class TestCount:
         assert code == 0
         assert len(str(doc["exact"])) > 4300
         assert doc["exact"] == expected
+
+
+class TestCountPastTheDigitLimit:
+    """Counts that once ran for a minute, without end, or into a traceback:
+    the exact count's digits are estimated first, and past the limit it is
+    left out, or with --exact refused."""
+
+    @pytest.mark.parametrize("X", [[[1e300, 1e300]], [[1e6, 1e6]], [[1e9, 1e9]]])
+    def test_matrix(self, X, tmp_path, capsys):
+        path = write(tmp_path, "m.json", X)
+        start = time.perf_counter()
+        code, doc = run_json(capsys, ["count", path])
+        assert (code, sorted(doc)) == (0, ["log10_realizations", "total"])
+        assert doc["log10_realizations"] > 6e5
+        assert main(["count", path, "--exact"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: CountOverflow: the exact count has about ")
+        assert time.perf_counter() - start < 2.0
+
+    def test_row_sums_spec(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", {"shape": {"rows": 1, "cols": 10**6},
+                                          "row_sums": {"kind": "equal", "values": [10**6]}})
+        start = time.perf_counter()
+        assert main(["count", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: CountOverflow: the exact count has about ")
+        assert time.perf_counter() - start < 2.0
 
 
 class TestCheck:

@@ -15,7 +15,7 @@ from likelymat import (
     log10_realizations,
     solve_total_row_bounds,
 )
-from likelymat.counting import LN10, distinct_values
+from likelymat.counting import LN10, MAX_EXACT_DIGITS, distinct_values
 
 TEN_BY_TEN_BOUNDS = [20, 20, 24, 30, 30, 36, 36, 36, 36, 40]
 
@@ -89,6 +89,36 @@ class TestExactRealizations:
         exact = exact_realizations(X)
         assert exact.value.bit_length() > 4300 * 3.33  # more than 4300 digits
         assert exact.log10 == pytest.approx(log10_realizations(X).log10, rel=1e-12)
+
+
+class TestExactDigitGuard:
+    """An exact count past ``MAX_EXACT_DIGITS`` digits raises before any
+    big-integer work, which once ran for minutes or without end."""
+
+    @pytest.mark.parametrize("X", [[[1e6, 1e6]], [[1e9, 1e9]], [[1e300, 1e300]], [[2e5, 2e5]]])
+    def test_large_counts_raise(self, X):
+        with pytest.raises(CountOverflow, match="digits, above 60000"):
+            exact_realizations(X)
+
+    def test_estimate_survives_cancellation(self):
+        # lgamma(1e300 + 1 + k) - lgamma(1e300 + 1) is 0 in floats; C(1e300 + k, k)
+        # has about 300 k - log10(k!) digits: 59,625 for k = 200, 61,114 for 205
+        n = int(1e300)
+        assert exact_realizations([[1e300, 200.0]]).value == math.comb(n + 200, 200)
+        with pytest.raises(CountOverflow, match="about 6.111e"):
+            exact_realizations([[1e300, 205.0]])
+        assert exact_realizations([[1e300, 1.0]]).value == n + 1
+        assert exact_realizations([[1.7e308, 0.0]]).value == 1  # lgamma(1.7e308) overflows
+        assert MAX_EXACT_DIGITS == 60_000
+
+    @pytest.mark.parametrize("equality", [True, False])
+    def test_feasible_counts_raise(self, equality):
+        with pytest.raises(CountOverflow, match="digits, above 60000"):
+            count_feasible_row_bounded([10**6], 10**6, equality)
+        with pytest.raises(CountOverflow):
+            count_feasible_row_bounded([1e300, 3], 400, equality)
+        assert count_feasible_row_bounded([1e300], 1, equality).value == (
+            1 if equality else int(1e300) + 1)
 
 
 class TestLogRealizations:
@@ -183,6 +213,12 @@ class TestLikelihoodRatio:
             shape = tuple(int(v) for v in rng.integers(1, 20, 2))
             A, B = repeated_values(rng, shape), repeated_values(rng, shape)
             assert likelihood_ratio(A, B, log_domain=True) == ratio_per_cell(A, B)
+
+    def test_ratio_past_the_float_range_is_count_overflow(self):
+        A, B = np.full((30, 30), 10.0), [[9000.0]]
+        with pytest.raises(CountOverflow, match="log_domain=True"):
+            likelihood_ratio(A, B)
+        assert likelihood_ratio(A, B, log_domain=True) > 308
 
     def test_different_totals_use_full_formula(self):
         ratio = likelihood_ratio([[2, 2]], [[1, 1]])

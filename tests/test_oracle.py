@@ -28,7 +28,15 @@ from likelymat import (
 )
 from likelymat import oracle
 from likelymat.cli import _oracle_objective
-from conftest import CASE_GENERATORS, _ratios_below_third, make_spec, zero_diagonal_blocks
+from conftest import (
+    CASE_GENERATORS,
+    _ratios_below_third,
+    make_spec,
+    random_sym_blocks,
+    random_sym_fixed_diagonal,
+    random_sym_total,
+    zero_diagonal_blocks,
+)
 
 
 class TestNumericMaxent:
@@ -99,8 +107,7 @@ def scaled_by(spec, c):
 
 class TestScaleAndPolish:
     """The oracle solves a scale-equivariant program at a power-of-two scale
-    of its own, and its Newton polish falls back from Cholesky to least
-    squares."""
+    of its own, and its Newton polish solves singular systems."""
 
     @settings(max_examples=20)
     @given(st.sampled_from(list(CASE_GENERATORS.values())), st.integers(0, 2**32 - 1),
@@ -127,50 +134,72 @@ class TestScaleAndPolish:
         assert res.objective_value == -math.inf  # below -1.7e308
         assert numeric_maxent(spec, "G").objective_value == math.inf
 
-    def test_cholesky_falls_back_to_least_squares(self, monkeypatch):
-        # a symmetric total under row bounds: a Cholesky step is accepted
-        # only at half its length, and the polish goes on by least squares
-        # (the H objective calls lstsq nowhere else)
-        u = [2.272128045000073, 2.3173191037039906, 1.4282112487802385,
-             0.9522757569814193, 0.5725586140190307, 1.8783978632328038]
-        spec = make_spec(6, 6, row=("upper", u), total=("equal", 5.333731640846359),
-                         symmetric=True)
-        assert self.lstsq_calls(monkeypatch, spec, "H") > 0
-
-    def test_a_failed_cholesky_step_falls_back_too(self, monkeypatch):
-        # a total bound below the row bounds' sum: in the second round a
-        # Cholesky step lowers the residual at no length (the G objective
-        # calls lstsq once more, for the rounds' multiplier shift)
-        u = [1.5038602318064438, 2.6110185251804667, 3.221369290220626, 3.0062612036124783]
-        spec = make_spec(4, 6, row=("upper", u), total=("upper", 12.570080139435818))
-        assert self.lstsq_calls(monkeypatch, spec, "G") > 1
-
-    @staticmethod
-    def lstsq_calls(monkeypatch, spec, objective) -> int:
-        """How often the solve calls lstsq; the solve must match ``solve``."""
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+    @pytest.mark.parametrize("spec, objective", [
+        # a symmetric total under row bounds: the gauge null space of a
+        # mirrored program, where a full step overshoots
+        pytest.param(make_spec(6, 6, row=("upper", [
+            2.272128045000073, 2.3173191037039906, 1.4282112487802385, 0.9522757569814193,
+            0.5725586140190307, 1.8783978632328038]), total=("equal", 5.333731640846359),
+            symmetric=True), "H", id="symmetric_total"),
+        # a total bound below the row bounds' sum: in the second round the
+        # free block is singular, the total row the sum of the row rows
+        pytest.param(make_spec(4, 6, row=("upper", [
+            1.5038602318064438, 2.6110185251804667, 3.221369290220626, 3.0062612036124783]),
+            total=("upper", 12.570080139435818)), "G", id="bounded_total_second_round"),
+        pytest.param(make_spec(5, 3, row=("upper", [
+            2.8866398763697445, 2.3148435132590937, 1.9642257554497569, 2.9370919044224033,
+            0.9388668101427494]), total=("upper", 11.039954344988155)), "G",
+            id="bounded_total_first_round"),
+    ])
+    def test_singular_newton_systems_converge(self, spec, objective):
+        # each spec once needed a least-squares fallback or a second
+        # L-BFGS-B round
         res = numeric_maxent(spec, objective)
         assert res.converged
         assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
-        return len(calls)
 
-    def test_lbfgs_resumes_when_the_polish_stalls(self, monkeypatch):
-        # the total bound is below the row bounds' sum: from where L-BFGS-B
-        # hands off in the first round, the polish stalls above 1e3 * tol,
-        # so L-BFGS-B goes on at its final gradient tolerance
-        u = [2.8866398763697445, 2.3148435132590937, 1.9642257554497569,
-             2.9370919044224033, 0.9388668101427494]
-        spec = make_spec(5, 3, row=("upper", u), total=("upper", 11.039954344988155))
-        gtols = []
-        minimize = scipy.optimize.minimize
-        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: gtols.append(
-            kw["options"]["gtol"]) or minimize(*a, **kw))
-        res = numeric_maxent(spec, "G")
-        assert gtols[0] > 1e-12 and gtols[1] == 1e-12  # the first round resumed
-        assert res.converged
-        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
+
+class TestPsdSolve:
+    """Every Gram system M diag(x) M^T y = b of the oracle is solved by one
+    pivoted Cholesky, which returns a basic solution."""
+
+    @staticmethod
+    def programs(rng):
+        full_cols = rng.uniform(5.0, 9.0, 5)
+        return [
+            # symmetric: mirrored rows and columns, the total on top
+            make_spec(6, 6, row=("upper", rng.uniform(1.0, 3.0, 6).tolist()),
+                      total=("equal", 5.0), symmetric=True),
+            random_sym_total(rng),
+            # every row and column sum: the gauge shifts rows against columns
+            make_spec(4, 5, row=("equal", (full_cols.sum() * rng.dirichlet(np.ones(4))).tolist()),
+                      col=("equal", full_cols.tolist())),
+            # fixed blocks: a symmetric program with pinned cells
+            random_sym_blocks(rng, "equal"),
+            random_sym_fixed_diagonal(rng, "equal"),
+        ]
+
+    def test_consistent_systems_match_least_squares(self, rng):
+        for spec in self.programs(rng):
+            M = oracle._build_program(spec).incidence
+            G = M.gram(x := rng.uniform(0.1, 10.0, M.n))
+            assert np.linalg.matrix_rank(G) < M.k  # the gauge null space
+            b = M.matvec(x * rng.uniform(-1.0, 1.0, M.n))  # in the range of G
+            got, want = G @ oracle._psd_solve(G, b), G @ np.linalg.lstsq(G, b, rcond=None)[0]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_an_inconsistent_step_descends(self, rng):
+        # a total bound with every row bound: the total row is the sum of the
+        # row rows, and the gradient leaves the range of G
+        spec = make_spec(4, 6, row=("upper", [1.5, 2.6, 3.2, 3.0]), total=("upper", 9.0))
+        program = oracle._build_program(spec)
+        M = program.incidence
+        x = rng.uniform(0.1, 1.0, M.n)
+        G, g = M.gram(x), program.targets - M.matvec(x)
+        d = oracle._psd_solve(G, -g)
+        assert np.max(np.abs(G @ np.linalg.lstsq(G, -g, rcond=None)[0] + g)) > 1e-3
+        assert g @ d < 0
 
 
 class TestMinorizeMaximize:
@@ -187,6 +216,28 @@ class TestMinorizeMaximize:
             if _oracle_objective(spec, case) == "G":
                 assert numeric_maxent(spec, "G").converged
         assert not calls
+
+    def test_warm_rounds_rarely_run_lbfgs(self, monkeypatch):
+        # on criterion 7's seeded specs, a warm round's polish almost always
+        # converges from the shifted multipliers (it once failed 25 times,
+        # each after whole failed line searches)
+        warm_calls, in_warm = [], [False]
+        dual_solve, minimize = oracle._dual_solve, scipy.optimize.minimize
+
+        def tracked(*a, warm=False, **kw):
+            in_warm[0] = warm
+            return dual_solve(*a, warm=warm, **kw)
+
+        monkeypatch.setattr(oracle, "_dual_solve", tracked)
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: warm_calls.append(
+            in_warm[0]) or minimize(*a, **kw))
+        rng = np.random.default_rng(741)
+        for case, generator in CASE_GENERATORS.items():
+            for _ in range(100):
+                spec = generator(rng)
+                if _oracle_objective(spec, case) == "G":
+                    numeric_maxent(spec, "G", tol=1e-9)
+        assert sum(warm_calls) <= 2
 
     def test_a_cell_in_no_constraint_is_unbounded(self):
         spec = make_spec(2, 3, row=("upper", [3.0, None]), col=("upper", [1.0, 2.0, None]))

@@ -84,6 +84,20 @@ class TestGravityPartialCols:
         assert np.array_equal(solve(spec).matrix, sol.matrix)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u, v", [
+        ([1.3e308, 1.3e308, 5e307], [1.5e308, INF, 2e307]),  # the row sums total past the range
+        ([21.0, 1.7e308], [1.05e308, INF, INF, 4.0]),  # 2 x 1.05e308 overflows
+    ])
+    def test_past_the_float_range_solves_at_a_power_of_two(self, u, v):
+        sol = solve_gravity_partial_cols(u, v, len(v))
+        X, given = sol.matrix, np.isfinite(v)
+        np.testing.assert_allclose(X.sum(axis=1), u, rtol=1e-12)
+        np.testing.assert_allclose(X.sum(axis=0)[given], np.array(v)[given], rtol=1e-12)
+        np.testing.assert_allclose(np.outer(sol.row_multipliers, sol.col_multipliers), X,
+                                   rtol=1e-12)
+
+
 class TestGravityNearTheFloatFloor:
     """Near the bottom of the float range u_i v_j underflows although the
     entry u_i v_j / s does not, and two bound totals tie only when they are
