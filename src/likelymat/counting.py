@@ -77,20 +77,24 @@ def _as_int_matrix(X) -> np.ndarray:
     return R
 
 
-def _check_digits(a, b) -> None:
-    """Raise :class:`CountOverflow` when the product of the binomials C(a + b, b)
-    has more than ``MAX_EXACT_DIGITS`` digits.  Each ln((m + 1)...(m + k)),
-    k = min(a, b) > 0 and m = max(a, b), is lgamma's difference held between
-    k ln(m + 1) and k ln(m + k), as it loses every digit once m >> k; past 2^53,
-    k ln(m + 1)."""
-    k, m = np.minimum(a, b), np.maximum(a, b)
-    k, m = k[k > 0], m[k > 0]  # C(m, 0) = 1
+def _ln_rising(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """ln((m + 1)...(m + k)) of each pair, k > 0: lgamma's difference held
+    between k ln(m + 1) and k ln(m + k), as it loses every digit once
+    m >> k; past 2^53, k ln(m + 1)."""
     near = m < 2.0**53
     rise = np.full(k.size, np.nan)
     rise[near] = np.subtract(_ln_factorials((m[near] + k[near]).tolist()),
                              _ln_factorials(m[near].tolist()))
-    rise = np.fmin(np.fmax(rise, k * np.log1p(m)), k * np.log(m + k))  # nan takes the lower
-    digits = float(np.sum(rise - _ln_factorials(k.tolist()))) / LN10
+    return np.fmin(np.fmax(rise, k * np.log1p(m)), k * np.log(m + k))  # nan takes the lower
+
+
+def _check_digits(a, b) -> None:
+    """Raise :class:`CountOverflow` when the product of the binomials C(a + b, b)
+    has more than ``MAX_EXACT_DIGITS`` digits: the sum of ln((m + 1)...(m + k))
+    (:func:`_ln_rising`) minus ln k!, k = min(a, b) > 0 and m = max(a, b)."""
+    k, m = np.minimum(a, b), np.maximum(a, b)
+    k, m = k[k > 0], m[k > 0]  # C(m, 0) = 1
+    digits = float(np.sum(_ln_rising(m, k) - _ln_factorials(k.tolist()))) / LN10
     if not digits <= MAX_EXACT_DIGITS:
         raise CountOverflow(f"the exact count has about {digits:.4g} digits, "
                             f"above {MAX_EXACT_DIGITS}; use the log10 count")
@@ -138,11 +142,23 @@ def _sum_ln_factorials(A: np.ndarray) -> float:
 
 
 def log10_realizations(X) -> LogCount:
-    """log10 of s!/prod(x!), valid for nonnegative real entries."""
+    """log10 of s!/prod(x!), valid for nonnegative real entries.
+
+    When ln s! is over 2^26 times the result, the difference has lost half
+    its digits (one entry dwarfs the rest); the result is then
+    ln((x_max + 1)...s) (:func:`_ln_rising`) minus the other cells' ln x!."""
     A = _as_matrix(X)
     with np.errstate(over="ignore"):  # a total past the float range is inf
         (ln_s,) = _ln_factorials([float(A.sum())])
-    return LogCount((ln_s - _sum_ln_factorials(A)) / LN10)
+    ln = ln_s - _sum_ln_factorials(A)
+    if ln_s > 2.0**26 * abs(ln):
+        flat = A.ravel()
+        rest = np.delete(flat, np.argmax(flat))
+        k = float(rest.sum())
+        with np.errstate(over="ignore"):  # m + k past the float range is inf
+            rise = float(_ln_rising(flat.max(keepdims=True), np.array([k]))[0]) if k > 0 else 0.0
+        ln = rise - _sum_ln_factorials(rest)
+    return LogCount(ln / LN10)
 
 
 def count_feasible_row_bounded(u, m: int, equality: bool) -> ExactCount:

@@ -3,7 +3,9 @@
 Nothing here reuses the closed forms.  :func:`numeric_maxent` maximizes the
 entropy over the problem's linear constraints by solving the smooth dual:
 one L-BFGS-B round down to a projected gradient of 1e-4 times the largest
-target, then projected-Newton steps, ``iterations`` counting both.  When the
+target, then projected-Newton steps, ``iterations`` counting both.  The
+L-BFGS-B round is scipy's compiled routine driven directly
+(:func:`_lbfgsb`): ``minimize``'s iterates, without its wrappers.  When the
 total is unknown it climbs the entropy-difference objective by
 minorize-maximize rounds of the same dual solve, warm-started, with
 ``iterations`` summed over them.  A program whose maximizer scales with the
@@ -72,6 +74,9 @@ ZERO_REPORT = 1e-9
 # below this fraction of the largest target: float resolution keeps it from
 # getting much further, and it would run on until its line search fails.
 HANDOFF_GTOL = 1e-4
+# L-BFGS-B stops after this many iterations or once an iteration ends past
+# this many evaluations.
+LBFGSB_MAXITER, LBFGSB_MAXFUN = 500, 5000
 # The G objective's minorize-maximize rounds stop here if the total still
 # moves.
 MM_ROUNDS = 100
@@ -357,6 +362,56 @@ def _psd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
+def _lbfgsb(value_grad, theta0: np.ndarray, n_eq: int, gtol: float):
+    """Minimize ``value_grad`` (returning the value and the gradient) over
+    multipliers of which all but the first ``n_eq`` are nonnegative, by
+    scipy's compiled L-BFGS-B routine (``setulb``) driven directly.
+
+    This is the reverse-communication loop of scipy's ``_minimize_lbfgsb``
+    with the options the oracle used to pass ``minimize`` (10 corrections,
+    20 line-search steps, ftol 1e-16, ``LBFGSB_MAXITER`` iterations,
+    ``LBFGSB_MAXFUN`` evaluations), and so the same iterates, without its
+    per-evaluation wrappers.  As there, the start is clipped to the bounds
+    and evaluated once, a request at an unchanged point reuses the last
+    evaluation, and the limits are written into ``task`` once an iteration
+    ends.  Returns the last point and the iteration count.
+    """
+    from scipy.optimize import _lbfgsb  # loaded on first use, not at import
+
+    m, maxls, factr = 10, 20, 1e-16 / np.finfo(float).eps
+    n = theta0.size
+    nbd = np.zeros(n, np.int32)  # 0: free
+    nbd[n_eq:] = 1  # 1: bounded below, at 0
+    lower = np.full(n, -np.inf)
+    lower[n_eq:] = 0.0
+    x = np.clip(theta0, lower, np.inf)
+    bound = np.zeros(n)  # the bounds setulb reads: 0 below, none above
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    x_last = x.copy()
+    f, g_last = value_grad(x_last)
+    g, nfev, nit = g_last.copy(), 1, 0
+    while True:
+        _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa, task, lsave,
+                       isave, dsave, maxls, ln_task)
+        if task[0] == 3:  # the value and gradient at x
+            if not np.array_equal(x, x_last):
+                x_last = x.copy()
+                f, g_last = value_grad(x_last)
+                nfev += 1
+            g = g_last.copy()  # setulb may write into g; the reused one stays as evaluated
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= LBFGSB_MAXITER:
+                task[:] = 5, 504
+            elif nfev > LBFGSB_MAXFUN:
+                task[:] = 5, 502
+        else:
+            return x, nit
+
+
 def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float = 1e-9,
                 warm: bool = False):
     """Maximize -sum(x ln x) + reward * sum(x) over the program's constraints
@@ -365,20 +420,18 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
     The stationary primal point is x_c = exp(reward - 1 - sum of multipliers
     over constraints containing c); the dual is smooth and convex with bound
     constraints only (inequality multipliers stay nonnegative).  One
-    L-BFGS-B round is the global phase: it hands off once its projected
-    gradient is below ``HANDOFF_GTOL`` times the largest target (1e-12 when
-    every target is 0).  A projected-Newton polish then takes the KKT
-    residual to ``tol * 1e-3``: each step solves the free block of
-    M diag(x) M^T by :func:`_psd_solve`, and the polish stops once a step
-    no longer lowers the residual.  L-BFGS-B starts from ``theta0`` (default
-    zero); a ``warm`` solve polishes ``theta0`` first, and runs L-BFGS-B only
-    if that stops above ``1e3 * tol``.
+    L-BFGS-B round (:func:`_lbfgsb`) is the global phase: it hands off once
+    its projected gradient is below ``HANDOFF_GTOL`` times the largest
+    target (1e-12 when every target is 0).  A projected-Newton polish then
+    takes the KKT residual to ``tol * 1e-3``: each step solves the free
+    block of M diag(x) M^T by :func:`_psd_solve`, and the polish stops once
+    a step no longer lowers the residual.  L-BFGS-B starts from ``theta0``
+    (default zero); a ``warm`` solve polishes ``theta0`` first, and runs
+    L-BFGS-B only if that stops above ``1e3 * tol``.
 
     Returns the primal vector, the multipliers, the KKT residual, and the
     iteration count: L-BFGS-B iterations plus Newton steps.
     """
-    from scipy.optimize import minimize  # loaded on first use, not at import
-
     M, targets, n_eq = program.incidence, program.targets, program.n_eq
 
     def primal(theta: np.ndarray) -> np.ndarray:
@@ -430,11 +483,9 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
             return x, polished, residual, iters
     largest = float(np.max(targets, initial=0.0))
     gtol = HANDOFF_GTOL * largest if largest > 0 else 1e-12
-    res = minimize(value_grad, theta, jac=True, method="L-BFGS-B",
-                   bounds=[(None, None)] * n_eq + [(0.0, None)] * (M.k - n_eq),
-                   options={"maxiter": 500, "maxfun": 5000, "ftol": 1e-16, "gtol": gtol})
-    x, theta, residual, steps = polish(res.x)
-    return x, theta, residual, iters + int(res.nit) + steps
+    theta, nit = _lbfgsb(value_grad, theta, n_eq, gtol)
+    x, theta, residual, steps = polish(theta)
+    return x, theta, residual, iters + nit + steps
 
 
 def _check_feasible(program: _Program) -> None:

@@ -215,15 +215,22 @@ def solve_row_col_bounds(u, v) -> Solution:
     share the leftover evenly.  When the totals are equal both sides
     saturate and k is the longer side's bound count, max(n, m), so a spec
     and its transpose report the same k.  Bounds of +inf mean "no bound"
-    and are never informative.
+    and are never informative.  When no side's total is in the float
+    range, it solves at a power of two.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     _check_nonneg("row bounds", u)
     _check_nonneg("column bounds", v)
+    if not (np.all(np.isfinite(u)) or np.all(np.isfinite(v))):
+        raise InfeasibleMarginals("at least one side must be fully bounded")
     u_total, v_total = _total(u), _total(v)
     if not (math.isfinite(u_total) or math.isfinite(v_total)):
-        raise InfeasibleMarginals("at least one side must be fully bounded")
+        # Homogeneous of degree 1, and the division exact: the true
+        # solution is the divided one times the power.
+        unit = 2.0 ** max(u.size, v.size).bit_length()
+        sol = solve_row_col_bounds(u / unit, v / unit)
+        return replace(sol, matrix=sol.matrix * unit, total=sol.total * unit)
     # Tied to REL_TOL relative at every scale, with no absolute floor, so
     # that totals near 1e-300 tie only when they are near each other; +inf
     # ties +inf alone.

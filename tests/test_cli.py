@@ -555,6 +555,18 @@ class TestMalformedInput:
         assert captured.out == ""
         assert captured.err.startswith("error: CountOverflow: ")
 
+    @pytest.mark.filterwarnings("error")
+    def test_bounds_past_the_float_range_exit_one_on_the_count(self, tmp_path, capsys):
+        # both sides are bounded, though each side's total overflows
+        path = write(tmp_path, "p.json", {
+            "shape": {"rows": 2, "cols": 2},
+            "row_sums": {"kind": "upper", "values": [1.7e308, 1.7e308]},
+            "col_sums": {"kind": "upper", "values": [1.7e308, 1.7e308]}})
+        assert main(["solve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: CountOverflow: ")
+
 
 ZERO_DIAGONAL = {"diagonal_prefix": 3, "values": [0, 0, 0]}
 

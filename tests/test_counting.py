@@ -138,6 +138,15 @@ class TestLogRealizations:
     def test_trivial_matrix(self):
         assert log10_realizations([[5]]).log10 == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("X, expected", [
+        ([[7936, 0, 1e300]], 7936 * 300 - math.lgamma(7937) / LN10),  # ln s! - ln x! lost every digit
+        ([[1e20, 3, 4]], 140 - math.log10(144)),  # (1e20 + 7)! / (1e20! 3! 4!)
+        ([[7.0], [2.0**60]], 7 * 60 * math.log10(2) - math.log10(5040)),
+    ])
+    def test_one_entry_dwarfing_the_rest(self, X, expected):
+        assert log10_realizations(X).log10 == pytest.approx(expected, rel=1e-9)
+
     def test_bit_identical_to_the_per_cell_loop(self, rng):
         for _ in range(50):
             shape = tuple(int(v) for v in rng.integers(1, 30, int(rng.integers(1, 4))))

@@ -222,28 +222,41 @@ class TestMinorizeMaximize:
         # converges from the shifted multipliers (it once failed 25 times,
         # each after whole failed line searches)
         warm_calls, in_warm = [], [False]
-        dual_solve, minimize = oracle._dual_solve, scipy.optimize.minimize
+        dual_solve, lbfgsb = oracle._dual_solve, oracle._lbfgsb
 
         def tracked(*a, warm=False, **kw):
             in_warm[0] = warm
             return dual_solve(*a, warm=warm, **kw)
 
         monkeypatch.setattr(oracle, "_dual_solve", tracked)
-        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: warm_calls.append(
-            in_warm[0]) or minimize(*a, **kw))
+        monkeypatch.setattr(oracle, "_lbfgsb", lambda *a: warm_calls.append(
+            in_warm[0]) or lbfgsb(*a))
         rng = np.random.default_rng(741)
+        solves = 0
         for case, generator in CASE_GENERATORS.items():
             for _ in range(100):
                 spec = generator(rng)
                 if _oracle_objective(spec, case) == "G":
                     numeric_maxent(spec, "G", tol=1e-9)
+                    solves += 1
         assert sum(warm_calls) <= 2
+        assert warm_calls.count(False) == solves  # each first round: the hook is live
 
     def test_a_cell_in_no_constraint_is_unbounded(self):
         spec = make_spec(2, 3, row=("upper", [3.0, None]), col=("upper", [1.0, 2.0, None]))
         with pytest.raises(Infeasible, match="^the total sum is unbounded under these constraints$"):
             numeric_maxent(spec, "G")
         assert numeric_maxent(spec, "H").converged  # bounded: such a cell sits at 1/e
+
+    def test_no_constraint_at_all(self):
+        # no multiplier to solve for: every cell sits at 1/e under H, and G
+        # is unbounded
+        spec = make_spec(2, 3)
+        res = numeric_maxent(spec, "H")
+        assert np.array_equal(res.matrix, np.full((2, 3), math.exp(-1.0)))
+        assert (res.converged, res.iterations) == (True, 0)
+        with pytest.raises(Infeasible, match="^the total sum is unbounded"):
+            numeric_maxent(spec, "G")
 
     def test_zero_bounds_give_the_zero_matrix(self):
         for spec in (make_spec(2, 3, row=("upper", [0.0, 0.0])),

@@ -218,6 +218,23 @@ class TestRowColBounds:
         assert cols[2] < 10.0
         np.testing.assert_allclose(sol.col_multipliers[2], 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u, v", [
+        ([1.7e308, 1.7e308], [1.7e308, 1.7e308]),  # both sides bounded, both totals overflow
+        ([1.7e308, 1.7e308], [1e308, INF, 5.0]),  # the rows alone bounded
+    ])
+    def test_totals_past_the_float_range_solve_at_a_power_of_two(self, u, v):
+        # homogeneous of degree 1: 4 times the solution at bounds / 4, bit for bit
+        sol = solve(make_spec(len(u), len(v), row=("upper", u), col=("upper", v)))
+        ref = solve(make_spec(len(u), len(v), row=("upper", [b / 4 for b in u]),
+                              col=("upper", [b / 4 for b in v])))
+        assert sol.matrix.tobytes() == (ref.matrix * 4).tobytes()
+        assert sol.total == ref.total * 4 == INF
+        for a, b in ((sol.row_multipliers, ref.row_multipliers),
+                     (sol.col_multipliers, ref.col_multipliers)):
+            assert a.tobytes() == b.tobytes()
+        assert (sol.k, sol.permutation) == (ref.k, ref.permutation)
+
 
 class TestRowElemBounds:
     def test_binding_sum(self):
