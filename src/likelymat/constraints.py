@@ -68,6 +68,17 @@ def close(a: float, b: float, rtol: float = REL_TOL) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
 
+def _left_sum(terms, start: float = 0.0) -> float:
+    """``start + terms[0] + terms[1] + ..``, added strictly left to right.
+
+    Builtin ``sum`` adds floats left to right only up to Python 3.11; from
+    3.12 it compensates (Neumaier), and np.sum adds pairwise.  Every float
+    sum whose bits reach an output goes through here, so the output does not
+    depend on the interpreter.  Unlike ``sum``, a sum past the float range
+    warns: callers whose terms may get there ignore overflow."""
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
+
+
 @dataclass(frozen=True)
 class Shape:
     """Dimensions of the unknown array: ``rows`` x ``cols`` (x ``slices``)."""
@@ -463,8 +474,8 @@ def _check_marginal_feasibility(spec: ProblemSpec) -> None:
     rows, cols = spec.sums["row"], spec.sums["col"]
     row_kinds, col_kinds = rows.kinds, cols.kinds
     # each side's total adds its values left to right, in spec order
-    row_total = sum(rows.value.tolist())
-    col_total = sum(cols.value.tolist())
+    with np.errstate(over="ignore"):  # a total past the float range is inf
+        row_total, col_total = _left_sum(rows.value), _left_sum(cols.value)
 
     # Known sums on one side cannot exceed the network total implied by a
     # fully specified other side.

@@ -15,6 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .constraints import _left_sum
 from .errors import CountOverflow, NegativeEntry, NonIntegerEntry
 
 __all__ = [
@@ -78,14 +79,52 @@ def _as_int_matrix(X) -> np.ndarray:
 
 
 def _ln_rising(m: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """ln((m + 1)...(m + k)) of each pair, k > 0: lgamma's difference held
-    between k ln(m + 1) and k ln(m + k), as it loses every digit once
-    m >> k; past 2^53, k ln(m + 1)."""
+    """ln((m + 1)...(m + k)) = ln Gamma(m + k + 1) - ln Gamma(m + 1) of each
+    pair, k > 0.  For k >= 1, lgamma's difference held between k ln(m + 1)
+    and k ln(m + k), which bound it there, as it loses every digit once
+    m >> k; past 2^53, k ln(m + 1).  For 0 < k < 1 those bounds do not hold,
+    and :func:`_ln_rising_fraction` takes the pair."""
     near = m < 2.0**53
     rise = np.full(k.size, np.nan)
     rise[near] = np.subtract(_ln_factorials((m[near] + k[near]).tolist()),
                              _ln_factorials(m[near].tolist()))
-    return np.fmin(np.fmax(rise, k * np.log1p(m)), k * np.log(m + k))  # nan takes the lower
+    rise = np.fmin(np.fmax(rise, k * np.log1p(m)), k * np.log(m + k))  # nan takes the lower
+    frac = np.flatnonzero((k < 1.0) & (m < math.inf))
+    rise[frac] = [_ln_rising_fraction(a, b) for a, b in zip(m[frac].tolist(), k[frac].tolist())]
+    return rise
+
+
+# ln Gamma(1 + x) = -gamma x + zeta(2) x^2 / 2 - zeta(3) x^3 / 3 + ...
+_EULER_GAMMA, _ZETA2_2, _ZETA3_3 = 0.5772156649015329, math.pi**2 / 12, 1.2020569031595942 / 3
+
+# Stirling's series ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi) / 2 + sum_j c_j z^(1 - 2j):
+# (c_j, 2j - 1), enough terms for 1e-16 relative at z >= 16.
+_STIRLING = ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7), (1 / 1188, 9))
+
+
+def _ln_rising_fraction(m: float, k: float) -> float:
+    """ln Gamma(m + 1 + k) - ln Gamma(m + 1) for m >= 0 and 0 < k < 1, to
+    about 1e-15 relative however small k is, where lgamma's difference keeps
+    no digit once m + k rounds to m.  x = m + 1 steps up to 16 or more, each
+    step taking ln(1 + k / x) off by ``log1p``; there Stirling's series is
+    differenced term by term in closed form: with u = 1 / (x + k) and
+    v = 1 / x, u^n - v^n = -k u v (u^(n-1) + u^(n-2) v + ... + v^(n-1))."""
+    x, steps = m + 1.0, 0.0
+    while x < 16.0:
+        steps += math.log1p(k / x)
+        x += 1.0
+    u, v = 1.0 / (x + k), 1.0 / x
+    series = 0.0  # sum_j c_j (u^n - v^n) / (u - v)
+    for c, n in _STIRLING:
+        power = 0.0
+        for i in range(n):
+            power += u**i * v ** (n - 1 - i)
+        series += c * power
+    # (x + k - 1/2) ln(1 + t) - k, t = k / x, as k ((1 + (k - 1/2) / x) ln(1 + t) / t - 1):
+    # a t below the float range loses nothing
+    t = k / x
+    ratio = math.log1p(t) / t if t > 2.0**-30 else 1.0 - t / 2.0
+    return k * (math.log(x) + ((1.0 + (k - 0.5) / x) * ratio - 1.0) - u * v * series) - steps
 
 
 def _check_digits(a, b) -> None:
@@ -123,9 +162,12 @@ def distinct_values(X) -> tuple[np.ndarray, np.ndarray]:
 
 def _ln_factorials(values) -> list[float]:
     """ln(x!) = lgamma(x + 1) of each value; a result past the float range
-    raises :class:`CountOverflow`."""
+    raises :class:`CountOverflow`.  Below 2^-26, where 1 + x keeps under half
+    of x's digits, ln Gamma(1 + x) is its series -gamma x + zeta(2) x^2 / 2
+    - zeta(3) x^3 / 3, exact there to rounding."""
     try:
-        return [math.lgamma(v + 1.0) for v in values]
+        return [v * (-_EULER_GAMMA + v * (_ZETA2_2 - v * _ZETA3_3)) if 0.0 < v < 2.0**-26
+                else math.lgamma(v + 1.0) for v in values]
     except OverflowError as e:
         raise CountOverflow(f"log-factorial overflows a float ({e}); entries too large") from e
 
@@ -138,20 +180,22 @@ def _sum_ln_factorials(A: np.ndarray) -> float:
     """
     u, inv = distinct_values(A)
     terms = np.array(_ln_factorials(u.tolist()))
-    return sum(terms[inv].tolist())
+    return _left_sum(terms[inv])
 
 
 def log10_realizations(X) -> LogCount:
     """log10 of s!/prod(x!), valid for nonnegative real entries.
 
-    When ln s! is over 2^26 times the result, the difference has lost half
-    its digits (one entry dwarfs the rest); the result is then
+    One entry dwarfs the rest when ln s! is over 2^26 times the result in
+    magnitude (the difference has lost half its digits), or when the rest
+    add to under 2^-26 of s (s has lost half of theirs); the result is then
     ln((x_max + 1)...s) (:func:`_ln_rising`) minus the other cells' ln x!."""
     A = _as_matrix(X)
     with np.errstate(over="ignore"):  # a total past the float range is inf
-        (ln_s,) = _ln_factorials([float(A.sum())])
+        s = float(A.sum())
+        (ln_s,) = _ln_factorials([s])
     ln = ln_s - _sum_ln_factorials(A)
-    if ln_s > 2.0**26 * abs(ln):
+    if abs(ln_s) > 2.0**26 * abs(ln) or s - A.max(initial=0.0) < 2.0**-26 * s:
         flat = A.ravel()
         rest = np.delete(flat, np.argmax(flat))
         k = float(rest.sum())

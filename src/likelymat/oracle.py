@@ -42,6 +42,7 @@ from .constraints import (
     ElementBound,
     MarginalConstraint,
     ProblemSpec,
+    _left_sum,
     constraint_values,
     validate_spec,
 )
@@ -165,6 +166,8 @@ class _Incidence:
         """M x: per constraint, the sum of its cells.  The sums run pairwise,
         as np.sum's do: L-BFGS-B's gradient test needs them near exact."""
         nonempty, start = self._segments
+        if nonempty.size == self.k:  # every constraint has a member
+            return np.add.reduceat(x[self.cell], start)
         out = np.zeros(self.k)
         if nonempty.size:
             out[nonempty] = np.add.reduceat(x[self.cell], start)
@@ -186,6 +189,13 @@ class _Incidence:
         """M diag(x) M^T, constraints x constraints."""
         key, cell = self._pairs
         return np.bincount(key, x[cell], minlength=self.k * self.k).reshape(self.k, self.k)
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """w with M^T w = 1 as nearly as least squares gets: adding c w to
+        the multipliers moves every cell's exponent by c."""
+        ones = np.ones(self.n)
+        return _read_only(_psd_solve(self.gram(ones), self.matvec(ones)))[0]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -295,8 +305,9 @@ def _new_program(spec: ProblemSpec) -> _Program:
     # A line's pinned mass, added left to right along it (np.sum would add
     # pairwise); 0.0 + grid turns a fixed -0.0 into 0.0, as adding it to a
     # running 0.0 does.  The total's adds the fixed values in their order.
-    pinned = np.concatenate([np.take(np.cumsum(0.0 + grid, axis=ax), -1, axis=ax).ravel()
-                             for ax in (1, 0)] + [[sum(fixed_values.tolist())]])
+    with np.errstate(over="ignore"):  # past the float range: inf, and a line short of it
+        pinned = np.concatenate([np.take(np.cumsum(0.0 + grid, axis=ax), -1, axis=ax).ravel()
+                                 for ax in (1, 0)] + [[_left_sum(fixed_values)]])
 
     # The stated sums in spec order, each followed by its mirror when a
     # symmetric spec states rows only, then the total.
@@ -349,16 +360,30 @@ def _label(spec: ProblemSpec, t: int, mirrored: bool) -> str:
 
 def _psd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A basic solution of G y = b, G positive semidefinite with a gauge null
-    space: pivoted Cholesky (LAPACK's ``dpstrf``) and two triangular solves on
-    the leading rank x rank block, the pivoted-out entries left at 0."""
-    from scipy.linalg import solve_triangular  # loaded on first use, not at import
-    from scipy.linalg.lapack import dpstrf
+    space: pivoted Cholesky (LAPACK's ``dpstrf``) and two triangular solves
+    (LAPACK's ``dtrtrs``) on the leading rank x rank block, the pivoted-out
+    entries left at 0.
+
+    ``dtrtrs`` is called as scipy.linalg's triangular solve calls it, so the
+    bits are that solve's bits: on the block itself when it is F-contiguous
+    (full rank), otherwise on its transpose with ``lower`` and ``trans``
+    flipped.  A zero on the diagonal raises ``LinAlgError``, as there."""
+    from scipy.linalg.lapack import dpstrf, dtrtrs  # loaded on first use, not at import
 
     L, piv, rank, _ = dpstrf(G, lower=1, tol=-1.0)
-    kept, L = piv[:rank] - 1, L[:rank, :rank]
-    z = solve_triangular(L, b[kept], lower=True, check_finite=False)
     y = np.zeros(b.size)
-    y[kept] = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+    if rank == 0:
+        return y
+    kept, L = piv[:rank] - 1, L[:rank, :rank]
+    flip = not L.flags.f_contiguous
+    A = L.T if flip else L
+    z = b[kept]
+    for trans in (0, 1):  # L z = b, then L^T y = z
+        z, info = dtrtrs(A, z, lower=not flip, trans=trans ^ flip, overwrite_b=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info - 1}")
+    y[kept] = z
     return y
 
 
@@ -397,7 +422,7 @@ def _lbfgsb(value_grad, theta0: np.ndarray, n_eq: int, gtol: float):
         _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa, task, lsave,
                        isave, dsave, maxls, ln_task)
         if task[0] == 3:  # the value and gradient at x
-            if not np.array_equal(x, x_last):
+            if (x != x_last).any():  # a nan counts as a move
                 x_last = x.copy()
                 f, g_last = value_grad(x_last)
                 nfev += 1
@@ -435,7 +460,7 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
     M, targets, n_eq = program.incidence, program.targets, program.n_eq
 
     def primal(theta: np.ndarray) -> np.ndarray:
-        return np.exp(np.clip(reward - 1.0 - M.rmatvec(theta), -700.0, 700.0))
+        return np.exp(np.minimum(np.maximum(reward - 1.0 - M.rmatvec(theta), -700.0), 700.0))
 
     def value_grad(theta: np.ndarray):
         x = primal(theta)
@@ -457,8 +482,11 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
         while best_res > tol * 1e-3 and steps < 40:
             free = np.ones(theta.size, dtype=bool)  # all but the active bounds
             free[n_eq:] = ~((theta[n_eq:] <= 1e-14) & (g[n_eq:] >= 0))
-            step = np.zeros_like(theta)
-            step[free] = _psd_solve(M.gram(x)[np.ix_(free, free)], -g[free])
+            if free.all():
+                step = _psd_solve(M.gram(x), -g)
+            else:
+                step = np.zeros_like(theta)
+                step[free] = _psd_solve(M.gram(x)[np.ix_(free, free)], -g[free])
             steps += 1
             alpha = 1.0
             for _ in range(30):
@@ -569,11 +597,10 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
         if np.any(targets[:scaled.n_eq]):
             _check_feasible(scaled)
         return result(np.zeros(M.n), 0, 0.0)
-    # Adding (r' - r) w to the multipliers, with M^T w = 1 as nearly as
-    # least squares gets, moves every cell's exponent by r' - r: each round
-    # starts where the last one ended, and the first near cells of 1.
-    ones = np.ones(M.n)
-    w = _psd_solve(M.gram(ones), M.matvec(ones))
+    # Adding (r' - r) w to the multipliers (w = M.shift) moves every cell's
+    # exponent by r' - r: each round starts where the last one ended, and the
+    # first near cells of 1.
+    w = M.shift
     t, reward, theta, iters = float(targets.sum()), 1.0, np.zeros(M.k), 0
     for round_ in range(MM_ROUNDS):
         last, reward = reward, 1.0 + math.log(t)
@@ -828,6 +855,7 @@ def _product_form_ok(program: _Program, X: np.ndarray, tol: float):
         return True, 0.0
     b = np.log(values, out=np.zeros(program.n), where=keep)
     w = keep.astype(float)
-    theta = np.pad(_psd_solve(M.gram(w)[:rows, :rows], M.matvec(w * b)[:rows]), (0, program.n_caps))
+    theta = np.concatenate([_psd_solve(M.gram(w)[:rows, :rows], M.matvec(w * b)[:rows]),
+                            np.zeros(program.n_caps)])
     resid = float(np.max(np.abs(M.rmatvec(theta) - b)[keep]))
     return resid <= max(tol, 1e-7), resid

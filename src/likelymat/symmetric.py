@@ -26,6 +26,7 @@ from .constraints import (
     ConsistencyReport,
     FixedCells,
     SolverCase,
+    _left_sum,
     close,
     consistency_check_blocks,
 )
@@ -92,9 +93,10 @@ class RootProblem:
         # (the root can legitimately sit below twice its square root).
         r_max = max(self.r[: self.m]) if self.m > 0 else max(self.r, default=0.0)
         object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "sigma", float(sum(self.r)))
-        object.__setattr__(self, "tail", float(sum(self.r[self.m :])))
         object.__setattr__(self, "_r", np.array(self.r, dtype=float))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            object.__setattr__(self, "sigma", _left_sum(self._r))
+            object.__setattr__(self, "tail", _left_sum(self._r[self.m :]))
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -139,11 +141,6 @@ class RootProblem:
         others = r_fixed[r_fixed != r_top]
         acc = _left_sum(np.sqrt(np.maximum(0.0, 1.0 - others / r_top)))
         return acc - self.tail / (2.0 * r_top) - (self.m - 2)
-
-
-def _left_sum(terms: np.ndarray, start: float = 0.0) -> float:
-    """``start + terms[0] + terms[1] + ..``, added strictly left to right."""
-    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 def solve_root_lambda(p: RootProblem) -> float:
@@ -268,10 +265,10 @@ class SeriesState:
 
     @property
     def value(self) -> float:
-        return float(sum(self.terms[: self.order + 1]))
+        return _left_sum(self.terms[: self.order + 1])
 
     def value_at(self, order: int) -> float:
-        return float(sum(self.terms[: order + 1]))
+        return _left_sum(self.terms[: order + 1])
 
 
 def series_approx_xi(p: RootProblem, xi0: float, order: int = 2) -> SeriesState:

@@ -14,7 +14,6 @@ import pytest
 from likelymat import (
     FixedBlock,
     RootProblem,
-    SolverCase,
     brute_force_most_likely,
     count_feasible_row_bounded,
     exact_realizations,
@@ -31,8 +30,9 @@ from likelymat import (
     verify_kkt,
     waterfill_bounded_sum,
 )
+from likelymat.oracle import _fixes_total
 from likelymat.solution import TensorSolution
-from conftest import CASE_GENERATORS, make_spec, walk_sums, zero_diagonal_blocks
+from conftest import CASE_GENERATORS, make_spec, zero_diagonal_blocks
 
 TEN_BOUNDS = [20.0, 20, 24, 30, 30, 36, 36, 36, 36, 40]
 FOUR_NODE_SUMS = [40.0, 20.0, 30.0, 40.0]
@@ -186,21 +186,7 @@ def test_criterion_7_oracle_equivalence():
         for _ in range(100):
             spec = generator(rng)
             sol = solve(spec)
-            objective = (
-                "H"
-                if case
-                in (
-                    SolverCase.GRAVITY_PARTIAL_COLS,
-                    SolverCase.TOTAL_ROW_BOUNDS,
-                    SolverCase.SYM_TOTAL_ROW_COL_BOUNDS,
-                    SolverCase.SYM_3D_FIXED_DIAGONAL,
-                )
-                or (
-                    case in (SolverCase.SYM_FIXED_DIAGONAL, SolverCase.SYM_BLOCK_DIAGONAL)
-                    and walk_sums(spec, "row")[1] == {"equal"}
-                )
-                else "G"
-            )
+            objective = "H" if _fixes_total(spec) else "G"  # the CLI's rule
             oracle = numeric_maxent(spec, objective, tol=1e-9)
             analytic = sol.values if isinstance(sol, TensorSolution) else sol.matrix
             gap = float(np.abs(analytic - oracle.matrix).max())

@@ -43,6 +43,11 @@ kept as the reference for the loop that now drives scipy's compiled
 routine itself: the same points, evaluations and iteration counts, bit
 for bit.
 
+The oracle's triangular solves once went through scipy's
+``solve_triangular``, and ``matvec`` always scattered its sums into zeros.
+Both are kept as references for the direct LAPACK calls and the no-copy
+path that replaced them, which match them bit for bit.
+
 The row water-fill once sorted, summed and scanned every cell of every
 row, +inf ones too, and gravity wrote its columns through boolean column
 masks.  Both are kept as references: the water-fill that now reads only
@@ -1732,6 +1737,123 @@ class TestLbfgsb:
         for _ in range(5):
             message = assert_same_lbfgsb(rng, 3, 5, 1e-12, maxfun=2)
             assert message == "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT"
+
+
+# ----------------------------------------------------------------------
+# Reference: the triangular solves through scipy.linalg.solve_triangular
+# ----------------------------------------------------------------------
+
+
+def solve_triangular_psd(G, b):
+    """``oracle._psd_solve`` as it was: its two triangular solves through
+    ``scipy.linalg.solve_triangular``."""
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dpstrf
+
+    L, piv, rank, _ = dpstrf(G, lower=1, tol=-1.0)
+    kept, L = piv[:rank] - 1, L[:rank, :rank]
+    z = solve_triangular(L, b[kept], lower=True, check_finite=False)
+    y = np.zeros(b.size)
+    y[kept] = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+    return y
+
+
+def random_psd(rng, k: int, rank: int):
+    """A k x k positive semidefinite G = A A^T of the given rank, entries of
+    random scale, and a right-hand side in its range."""
+    A = rng.normal(0.0, 1.0, (k, rank)) @ rng.normal(0.0, 1.0, (rank, k + 2))
+    A *= np.exp(rng.uniform(-3.0, 3.0, (k, 1)))
+    return A @ A.T, A @ rng.normal(0.0, 1.0, k + 2)
+
+
+def scatter_matvec(M, x):
+    """``_Incidence.matvec`` as it was for every incidence: the sums
+    scattered into zeros."""
+    nonempty, start = M._segments
+    out = np.zeros(M.k)
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(x[M.cell], start)
+    return out
+
+
+class TestTriangularSolves:
+    """``_psd_solve`` calls LAPACK's ``dtrtrs`` as ``solve_triangular`` calls
+    it: the leading block itself at full rank (F-contiguous), its transpose
+    with ``lower`` and ``trans`` flipped below it.  The bytes are the same."""
+
+    def test_drawn_systems(self, rng):
+        branches = set()
+        for _ in range(200):
+            k = int(rng.integers(1, 16))
+            rank = k if rng.random() < 0.5 else int(rng.integers(1, k + 1))
+            G, b = random_psd(rng, k, rank)
+            y = oracle._psd_solve(G, b)
+            assert y.tobytes() == solve_triangular_psd(G, b).tobytes()
+            branches.add(np.linalg.matrix_rank(G) == k)
+        assert branches == {True, False}
+
+    def test_rank_zero(self):
+        # no triangular solve at all: dtrtrs would refuse the empty block
+        G, b = np.zeros((3, 3)), np.ones(3)
+        assert oracle._psd_solve(G, b).tobytes() == solve_triangular_psd(G, b).tobytes()
+
+    def test_program_systems(self, rng):
+        """The Gram systems of the Newton steps and the product-form fit,
+        gauge null space included."""
+        for generator in CASE_GENERATORS.values():
+            for _ in range(3):
+                M = oracle._build_program(generator(rng)).incidence
+                G = M.gram(rng.uniform(0.1, 10.0, M.n))
+                b = rng.normal(0.0, 1.0, M.k)
+                assert oracle._psd_solve(G, b).tobytes() == solve_triangular_psd(G, b).tobytes()
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_a_zero_diagonal_raises(self, rng, monkeypatch, rank_deficient):
+        import scipy.linalg.lapack
+
+        dpstrf = scipy.linalg.lapack.dpstrf
+
+        def zero_pivot(G, **kwargs):  # the factor as dpstrf gives it, one diagonal entry 0
+            L, piv, rank, info = dpstrf(G, **kwargs)
+            L[1, 1] = 0.0
+            return L, piv, rank, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", zero_pivot)
+        G, b = random_psd(rng, 5, 3 if rank_deficient else 5)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            solve_triangular_psd(G, b)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            oracle._psd_solve(G, b)
+        assert str(got.value) == str(want.value)
+
+    def test_the_rounds_shift_is_kept_read_only(self, rng):
+        M = oracle._build_program(CASE_GENERATORS[SolverCase.TOTAL_ROW_BOUNDS](rng)).incidence
+        ones = np.ones(M.n)
+        w = M.shift
+        assert w.tobytes() == solve_triangular_psd(M.gram(ones), M.matvec(ones)).tobytes()
+        assert M.shift is w and not w.flags.writeable
+
+
+class TestMatvec:
+    """``matvec`` returns the segment sums themselves when every constraint
+    has a member, and scatters them into zeros otherwise."""
+
+    def test_fast_path_matches_the_scatter(self, rng):
+        for generator in CASE_GENERATORS.values():
+            M = oracle._build_program(generator(rng)).incidence
+            assert M._segments[0].size == M.k
+            x = rng.exponential(1.0, M.n)
+            assert M.matvec(x).tobytes() == scatter_matvec(M, x).tobytes()
+
+    def test_an_empty_constraint(self, rng):
+        con, cell = np.array([0, 0, 0, 2, 2, 3]), np.array([0, 1, 2, 1, 3, 2])
+        M = oracle._Incidence(con, cell, 4, 4)  # constraint 1 has no member
+        x = rng.exponential(1.0, 4)
+        got = M.matvec(x)
+        assert got.tobytes() == scatter_matvec(M, x).tobytes()
+        assert got[1] == 0.0
+        packed = oracle._Incidence(np.where(con > 1, con - 1, con), cell, 3, 4)
+        assert np.delete(got, 1).tobytes() == packed.matvec(x).tobytes()
 
 
 # ----------------------------------------------------------------------

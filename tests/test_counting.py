@@ -15,7 +15,15 @@ from likelymat import (
     log10_realizations,
     solve_total_row_bounds,
 )
-from likelymat.counting import LN10, MAX_EXACT_DIGITS, distinct_values
+from likelymat.counting import (
+    LN10,
+    MAX_EXACT_DIGITS,
+    _ln_factorials,
+    _ln_rising_fraction,
+    distinct_values,
+)
+
+EULER_GAMMA = 0.5772156649015329
 
 TEN_BY_TEN_BOUNDS = [20, 20, 24, 30, 30, 36, 36, 36, 36, 40]
 
@@ -146,6 +154,40 @@ class TestLogRealizations:
     ])
     def test_one_entry_dwarfing_the_rest(self, X, expected):
         assert log10_realizations(X).log10 == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("m, psi_plus_gamma", [
+        (5.0, 137 / 60),  # H_5
+        (1.0, 1.0),  # s = 1 + k rounds to 1, and ln s! = 0
+        (0.5, 2.0 - 2.0 * math.log(2.0)),  # ln s! < 0
+    ])
+    def test_a_small_real_cell(self, m, psi_plus_gamma):
+        # (m + k)! / (m! k!) at k = 1e-20: ln of it is k (psi(m + 1) + gamma) + O(k^2)
+        assert log10_realizations([[m, 1e-20]]).log10 == pytest.approx(
+            1e-20 * psi_plus_gamma / LN10, rel=1e-12)
+        assert log10_realizations([[1e-20]]).log10 == 0.0
+
+    def test_ln_gamma_of_one_plus_a_small_value(self):
+        # ln Gamma(1 + x) = -gamma x + zeta(2) x^2 / 2 - ..; 1 + x rounds to 1 below 2^-53
+        for x in (1e-300, 1e-20, 1e-10, 2.0**-27):
+            (got,) = _ln_factorials([x])
+            assert got == pytest.approx(-EULER_GAMMA * x + math.pi**2 / 12 * x * x, rel=1e-14)
+        assert _ln_factorials([2.0**-26, 0.001]) == [math.lgamma(1 + 2.0**-26), math.lgamma(1.001)]
+
+    @pytest.mark.parametrize("m", [0.0, 0.3, 1.0, 5.0, 15.5, 16.0, 1e5, 1e300])
+    def test_rising_by_a_fraction(self, m):
+        # lgamma's difference keeps its digits at k near 1/2; a tiny k takes psi
+        for k in (0.25, 0.5, 0.75):
+            if m > 2.0**53:  # Gamma(m + 1 + k) / Gamma(m + 1) = m^k (1 + O(1/m))
+                want, tol = k * math.log(m), 1e-15
+            else:
+                want = math.lgamma(m + 1.0 + k) - math.lgamma(m + 1.0)
+                tol = 4e-16 * (abs(math.lgamma(m + 1.0)) + 1.0) / abs(want)
+            assert _ln_rising_fraction(m, k) == pytest.approx(want, rel=max(tol, 1e-14))
+        if m == int(m) and m < 100:  # psi(m + 1) = H_m - gamma
+            harmonic = math.fsum(1.0 / j for j in range(1, int(m) + 1))
+            for k in (1e-300, 1e-20, 1e-12):
+                assert _ln_rising_fraction(m, k) == pytest.approx(
+                    k * (harmonic - EULER_GAMMA), rel=1e-14)
 
     def test_bit_identical_to_the_per_cell_loop(self, rng):
         for _ in range(50):

@@ -49,8 +49,16 @@ that error got its own class and a message naming the first non-integer
 cell (it had been reported as a negative entry, with the whole matrix).
 ``count --exact`` on ``big_integer_matrix``, [[10^6, 10^6]], pins the
 refusal of an exact count past the digit limit (it ran for a minute).
+
+Both tables are also run with every likelymat module's ``sum`` replaced by
+a compensated (Neumaier) sum, as builtin ``sum`` is for floats from Python
+3.12: the bytes must not move, so no float sum that reaches them may be
+builtin.
 """
 
+import builtins
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +151,40 @@ def test_every_stored_file_is_used():
     used |= {f"{doc}.json" for doc, _, _ in ERROR_CASES.values()}
     used |= {f"{c}.err" for c in ERROR_CASES}
     assert {p.name for p in GOLDEN.iterdir()} == used
+
+
+def _neumaier_sum(values, start=0):
+    """Builtin ``sum`` as Python 3.12 has it for floats: compensated
+    (Neumaier), so ``[1e16, 1.0, -1e16]`` sums to 1.0, not 0.0."""
+    values = list(values)
+    if not all(type(v) is float for v in values):
+        return builtins.sum(values, start)
+    total, carry = float(start), 0.0
+    for v in values:
+        t = total + v
+        carry += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + carry if carry and math.isfinite(carry) else total
+
+
+def test_neumaier_sum_is_not_left_to_right():
+    assert _neumaier_sum([1e16, 1.0, -1e16]) == 1.0
+    assert builtins.sum([1e16, 1.0, -1e16]) == (1.0 if sys.version_info >= (3, 12) else 0.0)
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """Every likelymat module's ``sum`` replaced by :func:`_neumaier_sum`."""
+    for name in list(sys.modules):
+        if name == "likelymat" or name.startswith("likelymat."):
+            monkeypatch.setattr(sys.modules[name], "sum", _neumaier_sum, raising=False)
+
+
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_stdout_does_not_depend_on_builtin_sum(case_id, capsys, compensated_sum):
+    test_stdout_is_byte_identical(case_id, capsys)
+
+
+@pytest.mark.parametrize("case_id", sorted(ERROR_CASES))
+def test_stderr_does_not_depend_on_builtin_sum(case_id, capsys, compensated_sum):
+    test_stderr_is_byte_identical(case_id, capsys)
