@@ -104,8 +104,9 @@ _STIRLING = ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7), (1 / 118
 
 def _ln_rising_fraction(m: float, k: float) -> float:
     """ln Gamma(m + 1 + k) - ln Gamma(m + 1) for m >= 0 and 0 < k < 1, to
-    about 1e-15 relative however small k is, where lgamma's difference keeps
-    no digit once m + k rounds to m.  x = m + 1 steps up to 16 or more, each
+    1e-14 relative however small k is (5e-16 absolute where the value nears
+    0, at m = 0 and k near 1), where lgamma's difference keeps no digit once
+    m + k rounds to m.  x = m + 1 steps up to 16 or more, each
     step taking ln(1 + k / x) off by ``log1p``; there Stirling's series is
     differenced term by term in closed form: with u = 1 / (x + k) and
     v = 1 / x, u^n - v^n = -k u v (u^(n-1) + u^(n-2) v + ... + v^(n-1))."""
