@@ -22,6 +22,7 @@ matrix) with every numeric field in shortest round-trip decimal form.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -29,13 +30,14 @@ import sys
 import numpy as np
 
 from .constraints import (
-    ElementBound,
-    FixedBlock,
-    MarginalConstraint,
+    AxisSums,
+    FixedCells,
     ProblemSpec,
     Shape,
     SolverCase,
     TotalConstraint,
+    _intp,
+    check_block,
     classify,
     constraint_values,
     validate_spec,
@@ -46,7 +48,7 @@ from .counting import (
     exact_realizations,
     log10_realizations,
 )
-from .errors import CountOverflow, LikelymatError
+from .errors import CountOverflow, LikelymatError, NegativeValue
 from .oracle import _fixes_total, brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
 from .solve import half_total_check, solve
@@ -98,38 +100,70 @@ def _integer(value) -> int:
     return i
 
 
-def _parse_marginals(doc, axis: str, shape: Shape) -> list[MarginalConstraint]:
+def _floats(values: list, negative) -> np.ndarray:
+    """Document numbers as a float array, after one type pass.  As a walk
+    with :func:`_number` would, the first value in list order that is no
+    finite number raises UsageError, and the first negative one raises
+    NegativeValue with the message ``negative(position, value)``."""
+    x = None
+    if set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            x = np.array(values, dtype=float)
+    if x is None or not np.isfinite(x).all():  # walk up to the first bad value
+        x = []
+        for v in values:
+            x.append(_number(v))
+            if x[-1] < 0:
+                break
+        x = np.array(x, dtype=float)
+    negatives = np.flatnonzero(x < 0)
+    if negatives.size:
+        raise NegativeValue(negative(int(negatives[0]), float(x[negatives[0]])))
+    return x
+
+
+def _parse_marginals(doc, axis: str, dims: tuple[int, ...]) -> AxisSums:
     _require_keys(doc, {"kind", "values", "sparse"}, f"{axis}_sums")
     kind = doc.get("kind")
     if kind not in ("equal", "upper"):
         raise UsageError(f"{axis}_sums.kind must be 'equal' or 'upper'")
-    out: list[MarginalConstraint] = []
+
+    def negative(i, v) -> str:
+        return f"{axis} {i}: marginal value {v} < 0"
+
+    index, slices, value = [], [], []
+
+    def state(i, v: float, k) -> None:  # one stated sum, in document order
+        index.append(i)
+        value.append(v)
+        slices.append(k)
+        if v < 0:
+            raise NegativeValue(negative(i, v))
+
     if "values" in doc:
         values = _typed(doc["values"], list)
-        if shape.is_3d:
-            for i, per_slice in enumerate(values):
-                for k, v in enumerate(_typed(per_slice, list)):
-                    if v is not None:
-                        out.append(MarginalConstraint(axis, i, kind, _number(v), k))
-        else:
-            for i, v in enumerate(values):
+        if len(dims) == 1:  # one type pass over the stated values
+            at = np.arange(len(values))
+            if None in values:
+                at = np.array([i for i, v in enumerate(values) if v is not None], dtype=np.intp)
+                values = [values[i] for i in at.tolist()]
+            x = _floats(values, lambda p, v: negative(at[p], v))
+            return AxisSums(dims, at, np.zeros_like(at), x, np.full(x.size, kind == "equal"))
+        for i, per_slice in enumerate(values):
+            for k, v in enumerate(_typed(per_slice, list)):
                 if v is not None:
-                    out.append(MarginalConstraint(axis, i, kind, _number(v)))
+                    state(i, _number(v), k)
     elif "sparse" in doc:
         for entry in _typed(doc["sparse"], list):
             _require_keys(entry, {"index", "value", "slice"}, f"{axis}_sums.sparse")
-            out.append(
-                MarginalConstraint(
-                    axis, _integer(entry["index"]), kind, _number(entry["value"]),
-                    _integer(entry["slice"]) if "slice" in entry else None,
-                )
-            )
+            state(_integer(entry["index"]), _number(entry["value"]),
+                  _integer(entry["slice"]) if "slice" in entry else None)
     else:
         raise UsageError(f"{axis}_sums needs 'values' or 'sparse'")
-    return out
+    return AxisSums.of(dims, index, slices, value, [kind == "equal"] * len(index))
 
 
-def _parse_blocks(doc, shape: Shape) -> list[FixedBlock]:
+def _parse_blocks(doc) -> FixedCells:
     if isinstance(doc, dict):
         _require_keys(doc, {"diagonal_prefix", "values"}, "fixed_blocks")
         m = _integer(doc["diagonal_prefix"])
@@ -138,20 +172,19 @@ def _parse_blocks(doc, shape: Shape) -> list[FixedBlock]:
             values = [values] * m
         if len(values) != m:
             raise UsageError("diagonal_prefix and values length disagree")
-        return [
-            FixedBlock((i,), ((_number(v),),)) for i, v in enumerate(values)
-        ]
-    out = []
+        w = _floats(values, lambda p, v: f"fixed block value {v} < 0")
+        return FixedCells.packed(np.ones(m, dtype=np.intp), np.arange(m), w)
+    size, nodes, values = [], [], []
     for entry in _typed(doc, list):
         _require_keys(entry, {"indices", "matrix"}, "fixed_blocks[]")
-        out.append(
-            FixedBlock(
-                tuple(_integer(i) for i in _typed(entry["indices"], list)),
-                tuple(tuple(_number(v) for v in _typed(row, list))
-                      for row in _typed(entry["matrix"], list)),
-            )
-        )
-    return out
+        index_set = [_integer(i) for i in _typed(entry["indices"], list)]
+        matrix = [[_number(v) for v in _typed(row, list)]
+                  for row in _typed(entry["matrix"], list)]
+        check_block(index_set, matrix)
+        size.append(len(index_set))
+        nodes += index_set
+        values += [v for row in matrix for v in row]
+    return FixedCells.packed(size, nodes, values)
 
 
 def load_problem(doc: dict) -> ProblemSpec:
@@ -172,6 +205,7 @@ def load_problem(doc: dict) -> ProblemSpec:
 
 
 def _read_spec(doc: dict) -> ProblemSpec:
+    """The spec a document states, its lists read into arrays in document order."""
     _require_keys(doc, _TOP_KEYS, "problem document")
     sh = doc["shape"]
     _require_keys(sh, {"rows", "cols", "slices"}, "shape")
@@ -181,28 +215,28 @@ def _read_spec(doc: dict) -> ProblemSpec:
     )
     if shape.rows * shape.cols * (shape.slices or 1) > sys.maxsize:
         raise UsageError(f"shape has more than sys.maxsize = {sys.maxsize} cells")
-    marginals: list[MarginalConstraint] = []
-    if "row_sums" in doc:
-        marginals += _parse_marginals(doc["row_sums"], "row", shape)
-    if "col_sums" in doc:
-        marginals += _parse_marginals(doc["col_sums"], "col", shape)
+    sums = {}
+    for axis, n in (("row", shape.rows), ("col", shape.cols)):
+        dims = (n,) if shape.slices is None else (n, shape.slices)
+        key = f"{axis}_sums"
+        sums[axis] = _parse_marginals(doc[key], axis, dims) if key in doc else \
+            AxisSums.of(dims, [], [], [], [])
     total = None
     if "total" in doc:
         _require_keys(doc["total"], {"kind", "value"}, "total")
         total = TotalConstraint(doc["total"]["kind"], _number(doc["total"]["value"]))
-    elements = []
+    rows, cols, caps = [], [], []
     for e in _typed(doc.get("element_bounds", []), list):
         _require_keys(e, {"i", "j", "ub"}, "element_bounds[]")
-        elements.append(ElementBound(_integer(e["i"]), _integer(e["j"]), _number(e["ub"])))
-    blocks = _parse_blocks(doc.get("fixed_blocks", []), shape)
-    return ProblemSpec(
-        shape=shape,
-        marginals=tuple(marginals),
-        total=total,
-        element_bounds=tuple(elements),
-        fixed_blocks=tuple(blocks),
-        symmetric=_typed(doc.get("symmetric", False), bool),
-    )
+        rows.append(_integer(e["i"]))
+        cols.append(_integer(e["j"]))
+        caps.append(_number(e["ub"]))
+        if caps[-1] < 0:
+            raise NegativeValue(f"element bound at ({rows[-1]},{cols[-1]}) is negative")
+    blocks = _parse_blocks(doc.get("fixed_blocks", []))
+    return ProblemSpec(shape, sums["row"], sums["col"],
+                       (_intp(rows), _intp(cols), np.array(caps, dtype=float)), blocks, total,
+                       _typed(doc.get("symmetric", False), bool))
 
 
 def _read_matrix(doc) -> np.ndarray:
@@ -247,14 +281,13 @@ def _jsonable(value):
 
 
 def _residuals(spec: ProblemSpec, X: np.ndarray) -> dict:
-    eq_res, bound_res = 0.0, 0.0
-    for _, kind, val, bound in constraint_values(spec, X):
-        res = (val - bound) / max(1.0, abs(bound))
-        if kind == "equal":
-            eq_res = max(eq_res, abs(res))
-        else:
-            bound_res = max(bound_res, res)
-    return {"max_equality": eq_res, "max_bound_violation": max(0.0, bound_res)}
+    """The largest relative miss of an equality and of a bound; a nan is skipped."""
+    equal, val, bound = constraint_values(spec, X)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, as on floats
+        res = (val - bound) / np.maximum(1.0, np.abs(bound))
+    eq_res, bound_res = (float(np.fmax.reduce(r, initial=0.0)) for r in (np.abs(res[equal]),
+                                                                         res[~equal]))
+    return {"max_equality": max(0.0, eq_res), "max_bound_violation": max(0.0, bound_res)}
 
 
 def _series_payload(sol: Solution, order: int):
@@ -397,7 +430,7 @@ def _cmd_check(args) -> int:
     spec = load_problem(_read_json(args.file))
     case = classify(spec)
     payload: dict = {"valid": True, "case": case.value}
-    if spec.fixed_blocks and spec.sums["row"].complete:
+    if spec.fixed_cells and spec.sums["row"].complete:
         # the half-total check needs every row sum, as the block solvers do;
         # a value past the float range reads null
         violations = [
@@ -429,7 +462,7 @@ def _cmd_count(args) -> int:
         rows = spec.sums["row"]
         # a symmetric spec's column sums mirror its rows, so it is refused
         if rows.complete and not len(spec.sums["col"]) and spec.total is None \
-                and not spec.element_bounds and not spec.fixed_blocks \
+                and not spec.element_caps[2].size and not spec.fixed_cells \
                 and not spec.shape.is_3d:
             u = rows.values().tolist()
             m = spec.shape.cols

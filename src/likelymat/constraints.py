@@ -8,20 +8,19 @@ spec, :func:`consistency_check_blocks` tests the strict half-total condition
 that fixed blocks must satisfy, and :func:`classify` maps a validated spec to
 the closed-form solver that handles it.
 
-Fixed blocks are given as :class:`FixedBlock` objects and read as index
-arrays, one :class:`FixedCells` per spec: validation, classification, the
-consistency check, the fixed-entry solvers and the oracle all read that form.
-Marginals are read the same way, one :class:`AxisSums` per axis
-(:meth:`ProblemSpec.sums`), and element bounds as (row, column, cap) arrays
-(:attr:`ProblemSpec.element_caps`).
+A spec holds its constraints as arrays only: one :class:`AxisSums` per
+axis, the element bounds as (row, column, cap) arrays and the fixed blocks as
+one :class:`FixedCells`.  Validation, classification, the solvers, the CLI
+and the oracle all read that form.  The records (:class:`MarginalConstraint`,
+:class:`ElementBound`, :class:`FixedBlock`) are input to
+:meth:`ProblemSpec.of` only, and blocks to :meth:`FixedCells.of`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,12 +59,34 @@ INF = math.inf
 
 
 def close(a: float, b: float, rtol: float = REL_TOL) -> bool:
-    """Relative closeness with an absolute floor of ``rtol`` near zero."""
+    """Relative closeness, with no absolute floor: scaling both sides by a
+    power of two keeps the answer."""
     if a == b:
         return True
     if math.isinf(a) or math.isinf(b):
         return False
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+def _intp(xs) -> np.ndarray:
+    """Python ints as an intp array; if one lies past intp's range, an object
+    array, whose indices :func:`validate_spec` refuses as out of range."""
+    try:
+        return np.array(xs, dtype=np.intp)
+    except OverflowError:
+        return np.array(xs, dtype=object)
+
+
+def _same(a, b) -> bool:
+    """Whether two dataclasses of one type hold equal fields, arrays (and
+    tuples of arrays) included."""
+    def equal(x, y) -> bool:
+        if isinstance(x, tuple):
+            return len(x) == len(y) and all(map(equal, x, y))
+        return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+    return type(a) is type(b) and all(equal(getattr(a, f.name), getattr(b, f.name))
+                                      for f in fields(a) if f.compare)
 
 
 def _left_sum(terms, start: float = 0.0) -> float:
@@ -162,20 +183,25 @@ class FixedBlock:
     matrix: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        k = len(self.index_set)
-        if k == 0:
-            raise ShapeMismatch("fixed block has an empty index set")
-        if len(set(self.index_set)) != k:
-            raise ShapeMismatch(f"fixed block indices {self.index_set} contain duplicates")
-        if len(self.matrix) != k or any(len(row) != k for row in self.matrix):
-            raise ShapeMismatch(
-                f"fixed block over {k} indices needs a {k}x{k} matrix, "
-                f"got {len(self.matrix)} rows"
-            )
-        for row in self.matrix:
-            for v in row:
-                if not v >= 0:
-                    raise NegativeValue(f"fixed block value {v} < 0")
+        check_block(self.index_set, self.matrix)
+
+
+def check_block(index_set: Sequence[int], matrix: Sequence[Sequence[float]]) -> None:
+    """Raise for the first fault of one fixed block: no nodes, a repeated
+    node, a matrix of the wrong shape, or a negative value (row-major)."""
+    k = len(index_set)
+    if k == 0:
+        raise ShapeMismatch("fixed block has an empty index set")
+    if len(set(index_set)) != k:
+        raise ShapeMismatch(f"fixed block indices {tuple(index_set)} contain duplicates")
+    if len(matrix) != k or any(len(row) != k for row in matrix):
+        raise ShapeMismatch(
+            f"fixed block over {k} indices needs a {k}x{k} matrix, got {len(matrix)} rows"
+        )
+    for row in matrix:
+        for v in row:
+            if not v >= 0:
+                raise NegativeValue(f"fixed block value {v} < 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +212,7 @@ class FixedCells:
     each of them its block's position.  ``rows``, ``cols`` and ``values``
     give every fixed cell, row-major inside its block, with its row and
     column as positions in ``nodes``.  A ``np.bincount`` over them adds left
-    to right, as a loop over the blocks would.
+    to right, as a loop over the blocks would.  ``len`` counts the blocks.
     """
 
     nodes: np.ndarray
@@ -195,21 +221,32 @@ class FixedCells:
     cols: np.ndarray
     values: np.ndarray
 
+    __eq__ = _same
+
     @classmethod
     def of(cls, blocks) -> FixedCells:
         """The cells of :class:`FixedBlock` objects; a FixedCells passes through."""
         if isinstance(blocks, FixedCells):
             return blocks
         blocks = tuple(blocks)
-        size = np.array([len(b.index_set) for b in blocks], dtype=np.intp)
+        return cls.packed([len(b.index_set) for b in blocks],
+                          [i for b in blocks for i in b.index_set],
+                          [v for b in blocks for row in b.matrix for v in row])
+
+    @classmethod
+    def packed(cls, size, nodes, values) -> FixedCells:
+        """The cells of blocks of ``size`` nodes each, given by their nodes
+        and their values (row-major), one block after another."""
+        size = np.asarray(size, dtype=np.intp)
         block = np.repeat(np.arange(size.size), size)
         k = size[block]  # a node's row has as many cells as its block has nodes
         rows = np.repeat(np.arange(block.size), k)
         first = np.repeat(np.cumsum(size) - size, size)  # where a node's block starts
         cols = np.arange(rows.size) - np.repeat(np.cumsum(k) - k - first, k)
-        nodes = np.array([i for b in blocks for i in b.index_set], dtype=np.intp)
-        values = np.array([v for b in blocks for row in b.matrix for v in row], dtype=float)
-        return cls(nodes, block, rows, cols, values)
+        return cls(_intp(nodes), block, rows, cols, np.asarray(values, dtype=float))
+
+    def __len__(self) -> int:
+        return int(self.block[-1]) + 1 if self.block.size else 0
 
     def index_set(self, b: int) -> tuple[int, ...]:
         return tuple(self.nodes[self.block == b].tolist())
@@ -217,6 +254,19 @@ class FixedCells:
     def row_sums(self) -> np.ndarray:
         """Each covered node's fixed row sum, in ``nodes`` order."""
         return np.bincount(self.rows, self.values, minlength=self.nodes.size)
+
+    def transposed(self) -> FixedCells:
+        """Every block's matrix transposed: each cell takes its mirror's value."""
+        return replace(self, values=self.values[np.lexsort((self.rows, self.cols))])
+
+    def by_first_node(self) -> FixedCells:
+        """The blocks ordered by their first node, as sorting the index sets
+        of disjoint blocks orders them."""
+        order = np.argsort(self.nodes[np.flatnonzero(np.diff(self.block, prepend=-1))])
+        rank = np.argsort(order)  # each block's new position
+        return FixedCells.packed(np.bincount(self.block)[order],
+                                 self.nodes[np.argsort(rank[self.block], kind="stable")],
+                                 self.values[np.argsort(rank[self.block[self.rows]], kind="stable")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +286,23 @@ class AxisSums:
     value: np.ndarray
     equal: np.ndarray
 
+    __eq__ = _same
+
     @classmethod
-    def of(cls, marginals: Sequence[MarginalConstraint], shape: tuple[int, ...]) -> AxisSums:
-        return cls(shape,
-                   np.array([c.index for c in marginals], dtype=np.intp),
-                   np.array([c.slice_index or 0 for c in marginals], dtype=np.intp),
-                   np.array([c.value for c in marginals], dtype=float),
-                   np.array([c.kind == "equal" for c in marginals], dtype=bool))
+    def of(cls, shape: tuple[int, ...], index, slices, value, equal) -> AxisSums:
+        """Sums as stated, with None for no slice.  A slice given in 2-D or
+        missing in 3-D, or an index past intp, leaves its array of Python
+        objects, for :func:`validate_spec` to refuse."""
+        slices = list(slices)
+        given = [k is not None for k in slices]
+        if len(shape) == 1 and not any(given):
+            slices = np.zeros(len(slices), dtype=np.intp)
+        elif len(shape) == 2 and all(given):
+            slices = _intp(slices)
+        else:
+            slices = np.array(slices, dtype=object)
+        return cls(shape, _intp(index), slices, np.asarray(value, dtype=float),
+                   np.asarray(equal, dtype=bool))
 
     def __len__(self) -> int:
         return self.index.size
@@ -268,6 +328,11 @@ class AxisSums:
         out[(self.index, self.slice)[: len(self.shape)]] = self.value
         return out
 
+    def take(self, order: np.ndarray) -> AxisSums:
+        """The sums in ``order``, their indices as intp."""
+        return AxisSums(self.shape, self.index[order].astype(np.intp),
+                        self.slice[order].astype(np.intp), self.value[order], self.equal[order])
+
 
 class SolverCase(enum.Enum):
     """Closed-form case a validated spec routes to."""
@@ -285,82 +350,94 @@ class SolverCase(enum.Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Full declarative description of shape and constraints."""
+    """Full declarative description of shape and constraints, as arrays.
+
+    ``row_sums`` and ``col_sums`` hold each axis's stated sums,
+    ``element_caps`` the element bounds as (rows, columns, caps) and
+    ``fixed_cells`` the fixed blocks, each in the order stated, or sorted
+    once the spec is validated (:func:`validate_spec`).  :meth:`of` builds
+    a spec from constraint records.
+    """
 
     shape: Shape
-    marginals: tuple[MarginalConstraint, ...] = ()
+    row_sums: AxisSums
+    col_sums: AxisSums
+    element_caps: tuple[np.ndarray, np.ndarray, np.ndarray]
+    fixed_cells: FixedCells
     total: TotalConstraint | None = None
-    element_bounds: tuple[ElementBound, ...] = ()
-    fixed_blocks: tuple[FixedBlock, ...] = ()
     symmetric: bool = False
     validated: bool = field(default=False, compare=False)
 
-    @cached_property
-    def fixed_cells(self) -> FixedCells:
-        """The fixed blocks as index arrays, built once per spec."""
-        return FixedCells.of(self.fixed_blocks)
+    @classmethod
+    def of(cls, shape: Shape, marginals: Iterable[MarginalConstraint] = (),
+           total: TotalConstraint | None = None, element_bounds: Iterable[ElementBound] = (),
+           fixed_blocks: Iterable[FixedBlock] = (), symmetric: bool = False) -> ProblemSpec:
+        """The spec stating the given records, each list in its own order."""
+        marginals, caps = tuple(marginals), tuple(element_bounds)
 
-    @cached_property
-    def element_caps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The element bounds as arrays of rows, columns and caps, in spec order."""
-        e = self.element_bounds
-        return (np.array([b.i for b in e], dtype=np.intp),
-                np.array([b.j for b in e], dtype=np.intp),
-                np.array([b.ub for b in e], dtype=float))
+        def stated(axis: str, n: int) -> AxisSums:
+            cs = [c for c in marginals if c.axis == axis]
+            return AxisSums.of((n,) if shape.slices is None else (n, shape.slices),
+                               [c.index for c in cs], [c.slice_index for c in cs],
+                               [c.value for c in cs], [c.kind == "equal" for c in cs])
 
-    @cached_property
+        return cls(shape, stated("row", shape.rows), stated("col", shape.cols),
+                   (_intp([e.i for e in caps]), _intp([e.j for e in caps]),
+                    np.array([e.ub for e in caps], dtype=float)),
+                   FixedCells.of(fixed_blocks), total, symmetric)
+
+    __eq__ = _same
+
+    @property
     def sums(self) -> dict[str, AxisSums]:
-        """The stated sums of each axis, ``"row"`` and ``"col"``, as arrays,
-        built once per spec.  A validated symmetric spec's column sums are
-        its row sums, whether or not the columns are spelled out."""
-        out = {}
-        for axis, n in (("row", self.shape.rows), ("col", self.shape.cols)):
-            out[axis] = AxisSums.of([c for c in self.marginals if c.axis == axis],
-                                    (n,) if self.shape.slices is None else (n, self.shape.slices))
-        if self.symmetric and self.validated:
-            out["col"] = out["row"]
-        return out
+        """The stated sums of each axis, ``"row"`` and ``"col"``.  A validated
+        symmetric spec's column sums are its row sums, whether or not the
+        columns are spelled out."""
+        mirrored = self.symmetric and self.validated
+        return {"row": self.row_sums, "col": self.row_sums if mirrored else self.col_sums}
 
 
-def constraint_values(spec: ProblemSpec, X) -> list[tuple]:
-    """``(constraint, kind, achieved, bound)`` for every stated constraint on ``X``.
+def constraint_values(spec: ProblemSpec, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(equal, achieved, bound)`` arrays over every stated constraint on ``X``.
 
-    Spec order: the marginals, then the total, then the element bounds (of
-    kind ``"upper"``).  Each row or column sum of ``X`` (or of one of its
-    slices, in 3-D) is taken once per (axis, slice) and indexed into.
+    Spec order: the column sums, the row sums (each as stored, a symmetric
+    spec's columns only if spelled out), then the total, then the element
+    bounds (not equalities).  Each row or column sum of ``X`` (or of one of
+    its slices, in 3-D) is taken once per (axis, slice) and indexed into.
     """
-    sums: dict = {}  # (axis, slice) -> that axis's sums
-    out = []
-    for c in spec.marginals:
-        key = (c.axis, c.slice_index)
-        if key not in sums:
-            sheet = X if c.slice_index is None else X[:, :, c.slice_index]
-            sums[key] = sheet.sum(axis=1 if c.axis == "row" else 0)
-        out.append((c, c.kind, float(sums[key][c.index]), c.value))
+    parts = []
+    for axis, s in ((0, spec.col_sums), (1, spec.row_sums)):
+        achieved = np.zeros(len(s))
+        for k in np.unique(s.slice).tolist():
+            on = s.slice == k
+            sheet = X if spec.shape.slices is None else X[:, :, k]
+            achieved[on] = sheet.sum(axis=axis)[s.index[on]]
+        parts.append((s.equal, achieved, s.value))
     if spec.total is not None:
-        out.append((spec.total, spec.total.kind, float(X.sum()), spec.total.value))
-    for e in spec.element_bounds:
-        out.append((e, "upper", float(X[e.i, e.j]), e.ub))
-    return out
+        parts.append(([spec.total.kind == "equal"], [X.sum()], [spec.total.value]))
+    i, j, ub = spec.element_caps
+    if ub.size:
+        parts.append((np.zeros(ub.size, dtype=bool), X[i, j], ub))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def transpose(spec: ProblemSpec) -> ProblemSpec:
     """The same information about the transposed matrix.
 
-    Rows and columns swap in the shape, in every marginal and element bound,
-    and in every fixed block's values.  A validated spec gives a validated
-    transpose.
+    Rows and columns swap in the shape, the stated sums and the element
+    bounds, and every fixed block's matrix is transposed.  A validated spec
+    gives a validated transpose.
     """
+    i, j, ub = spec.element_caps
     t = replace(
         spec,
         shape=Shape(spec.shape.cols, spec.shape.rows, spec.shape.slices),
-        marginals=tuple(replace(c, axis="col" if c.axis == "row" else "row")
-                        for c in spec.marginals),
-        element_bounds=tuple(ElementBound(e.j, e.i, e.ub) for e in spec.element_bounds),
-        fixed_blocks=tuple(FixedBlock(b.index_set, tuple(zip(*b.matrix)))
-                           for b in spec.fixed_blocks),
+        row_sums=spec.col_sums,
+        col_sums=spec.row_sums,
+        element_caps=(j, i, ub),
+        fixed_cells=spec.fixed_cells.transposed(),
         validated=False,
     )
     return validate_spec(t) if spec.validated else t
@@ -374,7 +451,7 @@ def is_column_form(spec: ProblemSpec) -> bool:
     but not every row sum; classification and solving go through its
     transpose.
     """
-    if spec.symmetric or spec.shape.is_3d or spec.element_bounds or spec.fixed_blocks:
+    if spec.symmetric or spec.shape.is_3d or spec.element_caps[2].size or spec.fixed_cells:
         return False
     n_rows, cols = len(spec.sums["row"]), spec.sums["col"]
     if n_rows == 0:
@@ -382,20 +459,53 @@ def is_column_form(spec: ProblemSpec) -> bool:
     return cols.known and n_rows < spec.shape.rows
 
 
-def _marginal_sort_key(c: MarginalConstraint):
-    return (c.axis, -1 if c.slice_index is None else c.slice_index, c.index)
+def _first_fault(bad: np.ndarray, keys: tuple) -> tuple[int | None, bool, np.ndarray]:
+    """The first entry of a list that is ``bad`` or repeats the ``keys``
+    (``np.lexsort``'s) of one before it, None if none is; whether it is a
+    repeat; and the order that sorts the entries by their keys."""
+    q = int(np.argmax(bad)) if bad.any() else bad.size
+    keys = [k[:q].astype(np.intp) for k in keys]  # all in range, so in intp
+    order = np.lexsort(keys)
+    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
+    repeats = order[1:][same]
+    if repeats.size:
+        return int(repeats.min()), True, order
+    return (q if q < bad.size else None), False, order
+
+
+def _check_sums(sums: AxisSums, axis: str, n: int, slices: int | None) -> np.ndarray:
+    """Raise for the first stated sum of an axis that is out of range or
+    repeats one before it; return the order sorting them by slice and index."""
+    index, at = sums.index, sums.slice
+    if at.dtype == object:  # a slice given in 2-D or missing in 3-D, or past intp
+        given = np.array([k is not None for k in at.tolist()], dtype=bool)
+        k = np.where(given, at, 0)
+        bad_slice = given if slices is None else ~given | (k < 0) | (k >= slices)
+    else:
+        bad_slice = (at < 0) | (at >= (slices or 1))
+    p, repeat, order = _first_fault((index < 0) | (index >= n) | bad_slice,
+                                    (index,) if slices is None else (index, at))
+    if p is None:
+        return order
+    if repeat:
+        raise ShapeMismatch(f"duplicate constraint for {axis} {index[p]}")
+    if not 0 <= index[p] < n:
+        raise IndexOutOfRange(f"{axis} index {index[p]} outside 0..{n - 1}")
+    if slices is None:
+        raise ShapeMismatch("slice_index given for a 2-D spec")
+    raise IndexOutOfRange(f"{axis} {index[p]}: slice index {at[p]} outside 0..{slices - 1}")
 
 
 def validate_spec(spec: ProblemSpec) -> ProblemSpec:
     """Normalize a spec and check it for gross infeasibility.
 
-    Returns a copy with sorted constraint tuples and ``validated=True``;
-    validating an already-validated spec returns it unchanged.  Checks are
-    the cheap structural and marginal ones: indices in range, no duplicate
-    constraints, column sums not exceeding row sums, a known total not
-    exceeding the row bounds, and row targets not exceeding row-wise element
-    caps.  Block consistency is a separate check
-    (:func:`consistency_check_blocks`) because it needs solver context.
+    Returns a copy with its constraints sorted (sums by slice and index,
+    element bounds by cell, blocks by first node) and ``validated=True``;
+    validating an already-validated spec returns it unchanged.  The checks
+    are the cheap structural and marginal ones, in whole-array passes; an
+    error names the first offending constraint in spec order.  Block
+    consistency is a separate check (:func:`consistency_check_blocks`)
+    because it needs solver context.
     """
     if spec.validated:
         return spec
@@ -410,64 +520,41 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
     if shape.is_3d and n != m:
         raise ShapeMismatch("3-D specs require rows == cols")
 
-    seen: set[tuple] = set()
-    for c in spec.marginals:
-        limit = n if c.axis == "row" else m
-        if not 0 <= c.index < limit:
-            raise IndexOutOfRange(f"{c.axis} index {c.index} outside 0..{limit - 1}")
-        if shape.is_3d:
-            if c.slice_index is None or not 0 <= c.slice_index < shape.slices:
-                raise IndexOutOfRange(
-                    f"{c.axis} {c.index}: slice index {c.slice_index} outside "
-                    f"0..{shape.slices - 1}"
-                )
-        elif c.slice_index is not None:
-            raise ShapeMismatch("slice_index given for a 2-D spec")
-        key = (c.axis, c.index, c.slice_index)
-        if key in seen:
-            raise ShapeMismatch(f"duplicate constraint for {c.axis} {c.index}")
-        seen.add(key)
+    row_order = _check_sums(spec.row_sums, "row", n, shape.slices)
+    col_order = _check_sums(spec.col_sums, "col", m, shape.slices)
 
-    seen_e: set[tuple[int, int]] = set()
-    for e in spec.element_bounds:
-        if not (0 <= e.i < n and 0 <= e.j < m):
-            raise IndexOutOfRange(f"element bound ({e.i},{e.j}) outside shape {n}x{m}")
-        if (e.i, e.j) in seen_e:
-            raise ShapeMismatch(f"duplicate element bound for ({e.i},{e.j})")
-        seen_e.add((e.i, e.j))
+    i, j, ub = spec.element_caps
+    p, repeat, cap_order = _first_fault((i < 0) | (i >= n) | (j < 0) | (j >= m), (j, i))
+    if p is not None:
+        if repeat:
+            raise ShapeMismatch(f"duplicate element bound for ({i[p]},{j[p]})")
+        raise IndexOutOfRange(f"element bound ({i[p]},{j[p]}) outside shape {n}x{m}")
 
-    if spec.fixed_blocks:
-        nodes = spec.fixed_cells.nodes
-        outside = (nodes < 0) | (nodes >= n)
-        repeat = np.ones(nodes.size, dtype=bool)
-        repeat[np.unique(nodes, return_index=True)[1]] = False
-        bad = np.flatnonzero(outside | repeat)
-        if bad.size:
-            i = int(nodes[bad[0]])
-            if outside[bad[0]]:
-                raise IndexOutOfRange(f"fixed block index {i} outside 0..{n - 1}")
-            raise ShapeMismatch(f"fixed blocks overlap at index {i}")
+    nodes = spec.fixed_cells.nodes
+    p, repeat, _ = _first_fault((nodes < 0) | (nodes >= n), (nodes,))
+    if p is not None:
+        if repeat:
+            raise ShapeMismatch(f"fixed blocks overlap at index {nodes[p]}")
+        raise IndexOutOfRange(f"fixed block index {nodes[p]} outside 0..{n - 1}")
 
-    rows, cols = spec.sums["row"], spec.sums["col"]
-    if spec.symmetric and len(cols):
-        # Symmetric information: column constraints, if spelled out, must
-        # mirror the row constraints exactly (unique indices, so sorting pairs them).
-        r, c = np.lexsort((rows.index, rows.slice)), np.lexsort((cols.index, cols.slice))
-        same = r.size == c.size and all(np.array_equal(a[r], b[c]) for a, b in (
-            (rows.index, cols.index), (rows.slice, cols.slice), (rows.equal, cols.equal)))
-        if not (same and all(map(close, rows.value[r].tolist(), cols.value[c].tolist()))):
-            raise ShapeMismatch("symmetric spec has column constraints that differ from rows")
+    # Symmetric information: column constraints, if spelled out, must mirror
+    # the row constraints exactly, their values to REL_TOL.
+    rows, cols = spec.row_sums.take(row_order), spec.col_sums.take(col_order)
+    if spec.symmetric and len(cols) and not (
+            _same(rows, replace(cols, value=rows.value))
+            and all(map(close, rows.value.tolist(), cols.value.tolist()))):
+        raise ShapeMismatch("symmetric spec has column constraints that differ from rows")
 
     _check_marginal_feasibility(spec)
 
-    normalized = replace(
+    return replace(
         spec,
-        marginals=tuple(sorted(spec.marginals, key=_marginal_sort_key)),
-        element_bounds=tuple(sorted(spec.element_bounds, key=lambda e: (e.i, e.j))),
-        fixed_blocks=tuple(sorted(spec.fixed_blocks, key=lambda b: b.index_set)),
+        row_sums=rows,
+        col_sums=cols,
+        element_caps=(i[cap_order].astype(np.intp), j[cap_order].astype(np.intp), ub[cap_order]),
+        fixed_cells=spec.fixed_cells.by_first_node(),
         validated=True,
     )
-    return normalized
 
 
 def _check_marginal_feasibility(spec: ProblemSpec) -> None:
@@ -524,9 +611,9 @@ def _check_marginal_feasibility(spec: ProblemSpec) -> None:
     # A row whose sum is pinned cannot exceed the caps of its elements.  Its
     # caps total is finite only when every cell of the row is capped, and is
     # added left to right, in column order.
-    if spec.element_bounds and not spec.shape.is_3d:
+    i, j, ub = spec.element_caps
+    if ub.size and not spec.shape.is_3d:
         n, m = spec.shape.rows, spec.shape.cols
-        i, j, ub = spec.element_caps
         by_cell = np.lexsort((j, i))
         capped = np.bincount(i, minlength=n) == m
         cap = np.where(capped, np.bincount(i[by_cell], ub[by_cell], minlength=n), INF)
@@ -592,11 +679,11 @@ def classify(spec: ProblemSpec) -> SolverCase:
 
 
 def _classify_3d(spec: ProblemSpec) -> SolverCase:
-    if spec.element_bounds:
+    if spec.element_caps[2].size:
         return SolverCase.UNSUPPORTED
     if spec.total is not None and spec.total.kind != "equal":
         return SolverCase.UNSUPPORTED
-    if spec.fixed_blocks and not _blocks_are_zero_diagonal(spec):
+    if spec.fixed_cells and not _blocks_are_zero_diagonal(spec):
         return SolverCase.UNSUPPORTED
     if spec.sums["row"].known:
         return SolverCase.SYM_3D_FIXED_DIAGONAL
@@ -606,20 +693,20 @@ def _classify_3d(spec: ProblemSpec) -> SolverCase:
 def _blocks_are_zero_diagonal(spec: ProblemSpec) -> bool:
     # validated blocks are disjoint and in range: n singletons cover every node
     c = spec.fixed_cells
-    return c.nodes.size == len(spec.fixed_blocks) == spec.shape.rows and not c.values.any()
+    return c.nodes.size == len(c) == spec.shape.rows and not c.values.any()
 
 
 def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
     rows = spec.sums["row"]
     row_kinds = rows.kinds
-    if spec.element_bounds:
+    if spec.element_caps[2].size:
         return SolverCase.UNSUPPORTED
 
-    if spec.fixed_blocks:
+    if spec.fixed_cells:
         if not (rows.complete and len(row_kinds) == 1):
             return SolverCase.UNSUPPORTED
         covered = spec.fixed_cells.nodes.size  # disjoint and in range, once validated
-        if covered == len(spec.fixed_blocks):
+        if covered == len(spec.fixed_cells):
             return SolverCase.SYM_FIXED_DIAGONAL
         if covered == spec.shape.rows:
             return SolverCase.SYM_BLOCK_DIAGONAL
@@ -646,10 +733,10 @@ def _classify_rect(spec: ProblemSpec) -> SolverCase:
     row_kinds, col_kinds = rows.kinds, spec.sums["col"].kinds
     total = spec.total
 
-    if spec.fixed_blocks:
+    if spec.fixed_cells:
         # Fixed entries are only solvable under symmetric information.
         return SolverCase.UNSUPPORTED
-    if spec.element_bounds:
+    if spec.element_caps[2].size:
         if col_kinds or total is not None or "equal" in row_kinds:
             return SolverCase.UNSUPPORTED
         return SolverCase.ROW_BOUNDS_ELEM_BOUNDS

@@ -39,8 +39,6 @@ import numpy as np
 
 from .constraints import (
     REL_TOL,
-    ElementBound,
-    MarginalConstraint,
     ProblemSpec,
     _left_sum,
     constraint_values,
@@ -75,6 +73,9 @@ ZERO_REPORT = 1e-9
 # below this fraction of the largest target: float resolution keeps it from
 # getting much further, and it would run on until its line search fails.
 HANDOFF_GTOL = 1e-4
+# Brute force visits at most this many nodes of its search tree, about
+# 0.7 s at 2.5 us a node.
+BRUTE_NODES = 2**18
 # L-BFGS-B stops after this many iterations or once an iteration ends past
 # this many evaluations.
 LBFGSB_MAXITER, LBFGSB_MAXFUN = 500, 5000
@@ -240,9 +241,8 @@ class _Program:
 
 def _build_program(spec: ProblemSpec) -> _Program:
     """The program of ``spec``, built on the first call and kept in that spec
-    object's ``__dict__``, as ``cached_property`` keeps its ``fixed_cells``:
-    every oracle call on one spec object reads one build.  A build that
-    raises keeps nothing."""
+    object's ``__dict__``: every oracle call on one spec object reads one
+    build.  A build that raises keeps nothing."""
     program = spec.__dict__.get("_oracle_program")
     if program is None:
         program = _new_program(spec)
@@ -258,7 +258,8 @@ def _new_program(spec: ProblemSpec) -> _Program:
     sh = spec.shape
     shape = (sh.rows, sh.cols, sh.slices) if sh.is_3d else (sh.rows, sh.cols)
     K = sh.slices or 1
-    if sh.is_3d and spec.element_bounds:
+    ci, cj, ub = spec.element_caps
+    if sh.is_3d and ub.size:
         raise UnsupportedCase("element bounds on a 3-D spec name no cell")
 
     if sh.is_3d:  # the zero diagonal of every slice, whatever the blocks say
@@ -271,8 +272,7 @@ def _new_program(spec: ProblemSpec) -> _Program:
     grid[fixed] = values
     free = np.ones(shape, dtype=bool)
     free[fixed] = False
-    ci, cj, ub = spec.element_caps
-    if spec.element_bounds:
+    if ub.size:
         # Zero element caps pin the cell outright; keeping them as inequality
         # constraints would push the dual to infinity.
         zero = ub == 0.0
@@ -293,7 +293,7 @@ def _new_program(spec: ProblemSpec) -> _Program:
     pos = np.zeros(shape, dtype=np.intp)
     pos[free] = np.arange(n)
     cap_cell, cap = np.zeros(0, dtype=np.intp), np.zeros(0)
-    if spec.element_bounds:  # the finite caps of free cells
+    if ub.size:  # the finite caps of free cells
         capped = np.isfinite(ub) & free[ci, cj]
         cap_cell, cap = pos[ci[capped], cj[capped]], ub[capped]
     R, C = sh.rows * K, sh.cols * K
@@ -309,15 +309,13 @@ def _new_program(spec: ProblemSpec) -> _Program:
         pinned = np.concatenate([np.take(np.cumsum(0.0 + grid, axis=ax), -1, axis=ax).ravel()
                                  for ax in (1, 0)] + [[_left_sum(fixed_values)]])
 
-    # The stated sums in spec order, each followed by its mirror when a
-    # symmetric spec states rows only, then the total.
-    m = spec.marginals
-    col, index, at = np.array([(c.axis == "col", c.index, c.slice_index or 0) for c in m],
-                              dtype=np.intp).reshape(-1, 3).T
-    line = col * R + index * K + at
-    value = np.array([c.value for c in m], dtype=float)
-    equal = np.array([c.kind == "equal" for c in m], dtype=bool)
-    mirrored = spec.symmetric and not col.any()
+    # The stated sums in spec order (columns, then rows), each followed by its
+    # mirror when a symmetric spec states rows only, then the total.
+    stated = (spec.col_sums, spec.row_sums)
+    line = np.concatenate([base + s.index * K + s.slice for base, s in zip((R, 0), stated)])
+    value = np.concatenate([s.value for s in stated])
+    equal = np.concatenate([s.equal for s in stated])
+    mirrored = spec.symmetric and not len(spec.col_sums)
     if mirrored:
         line = np.stack([line, line + R], axis=1).ravel()
         value, equal = np.repeat(value, 2), np.repeat(equal, 2)
@@ -345,12 +343,13 @@ def _new_program(spec: ProblemSpec) -> _Program:
 def _label(spec: ProblemSpec, t: int, mirrored: bool) -> str:
     """The name of constraint ``t`` of the stated sums (mirrors included) and the total."""
     marginal, mirror = divmod(t, 2) if mirrored else (t, 0)
-    if marginal == len(spec.marginals):
+    cols = len(spec.col_sums)
+    if marginal == cols + len(spec.row_sums):
         return "total"
-    c = spec.marginals[marginal]
-    if mirror:
-        return f"col {c.index}/{c.slice_index} (mirror)"
-    return f"{c.axis} {c.index}/{c.slice_index}"
+    axis, s = ("col", spec.col_sums) if marginal < cols else ("row", spec.row_sums)
+    p = marginal if marginal < cols else marginal - cols
+    at = f"{s.index[p]}/{s.slice[p] if spec.shape.is_3d else None}"
+    return f"col {at} (mirror)" if mirror else f"{axis} {at}"
 
 
 # ----------------------------------------------------------------------
@@ -657,8 +656,10 @@ def brute_force_most_likely(spec: ProblemSpec, limit: int = 10_000_000) -> Brute
     """Enumerate every integer matrix satisfying the problem.
 
     Returns all matrices tied for the maximal realization count, the count
-    itself, and how many feasible matrices exist.  Guarded: an estimate of
-    the search space above ``limit`` raises before any work is done.
+    itself, and how many feasible matrices exist.  Guarded twice: an
+    estimate of the search space above ``limit`` raises before any work is
+    done, and the search raises once it visits more than ``BRUTE_NODES``
+    nodes of its tree.
     """
     program = _build_program(spec)
     M, n, n_eq = program.incidence, program.n, program.n_eq
@@ -695,6 +696,7 @@ def brute_force_most_likely(spec: ProblemSpec, limit: int = 10_000_000) -> Brute
     cons_of = [c.tolist() for c in cons_of]
 
     x = np.zeros(n, dtype=int)
+    nodes = 0
     best_count = -1
     argmax: list[np.ndarray] = []
     n_feasible = 0
@@ -705,7 +707,10 @@ def brute_force_most_likely(spec: ProblemSpec, limit: int = 10_000_000) -> Brute
         return math.prod(map(math.comb, accumulate(cells), cells))
 
     def rec(c: int):
-        nonlocal best_count, argmax, n_feasible
+        nonlocal best_count, argmax, n_feasible, nodes
+        nodes += 1
+        if nodes > BRUTE_NODES:
+            raise SearchSpaceTooLarge(f"enumeration past the {BRUTE_NODES}-node guard")
         if c == n:
             n_feasible += 1
             cnt = realization_count(x)
@@ -770,15 +775,14 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
         cell = tuple(int(a[f]) for a in program.fixed)
         violations.append(f"fixed cell {cell}: {got[f]} != {want[f]}")
 
-    for c, kind, val, bound in constraint_values(spec, X):
-        err = val - bound
-        if kind == "equal":
-            max_res = max(max_res, abs(err))
-            if abs(err) > tol * scale(bound):
-                violations.append(_violation(c, val, "!="))
-        elif err > tol * scale(bound):
-            max_res = max(max_res, err)
-            violations.append(_violation(c, val, "> bound"))
+    equal, val, bound = constraint_values(spec, X)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, as on floats
+        err = np.where(equal, np.abs(val - bound), val - bound)
+        broken = err > tol * np.maximum(1.0, np.abs(bound))
+    # a nan residual is skipped, as max() skips it; a slack bound counts no residual
+    max_res = float(np.fmax.reduce(err[equal | broken], initial=max_res))
+    violations += [_violation(spec, p, float(val[p]), "!=" if equal[p] else "> bound")
+                   for p in np.flatnonzero(broken).tolist()]
     feasible = not violations
 
     product_form, pf_res = _product_form_ok(program, X, tol)
@@ -823,12 +827,19 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     )
 
 
-def _violation(c, val: float, relation: str) -> str:
-    """The message for constraint ``c`` broken at achieved value ``val``."""
-    if isinstance(c, ElementBound):
-        return f"element ({c.i},{c.j}) exceeds its bound"
-    what = f"{c.axis} {c.index}: sum" if isinstance(c, MarginalConstraint) else "total"
-    return f"{what} {val} {relation} {c.value}"
+def _violation(spec: ProblemSpec, p: int, val: float, relation: str) -> str:
+    """The message for constraint ``p`` of :func:`constraint_values` broken
+    at achieved value ``val``."""
+    for axis, s in (("col", spec.col_sums), ("row", spec.row_sums)):
+        if p < len(s):
+            return f"{axis} {s.index[p]}: sum {val} {relation} {float(s.value[p])}"
+        p -= len(s)
+    if spec.total is not None:
+        if p == 0:
+            return f"total {val} {relation} {spec.total.value}"
+        p -= 1
+    i, j, _ = spec.element_caps
+    return f"element ({i[p]},{j[p]}) exceeds its bound"
 
 
 def _product_form_ok(program: _Program, X: np.ndarray, tol: float):

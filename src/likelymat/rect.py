@@ -54,14 +54,19 @@ def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarr
         return X
     v_given = v[given]
     # Near the top of the float range u_i * v_j overflows, and near the
-    # bottom it underflows, although the entry does neither; only then
-    # divide the larger factor first, which keeps a symmetric matrix
-    # symmetric and ordinary bytes in place.
+    # bottom it underflows, although the entry does neither.  Then solve at
+    # the power of two that brings every product into range, which keeps the
+    # bits a solve in range gives; if none does, divide the larger factor
+    # first, which keeps a symmetric matrix symmetric.
     u_low, v_low = (float(np.min(a, where=a > 0, initial=math.inf)) for a in (u, v_given))
-    if (math.isfinite(float(u.max()) * float(v_given.max()))
-            and not u_low * v_low < sys.float_info.min):
+    u_top, v_top = float(u.max()), float(v_given.max())
+    top, low = (math.frexp(a)[1] + math.frexp(b)[1] for a, b in ((u_top, v_top), (u_low, v_low)))
+    e = (top + low) // 4
+    if math.isfinite(u_top * v_top) and not u_low * v_low < sys.float_info.min:
         np.multiply.outer(u, np.where(given, v, 0.0), out=X)
         X /= s
+    elif top - 2 * e <= 1023 and low - 2 * e >= -1019:
+        return np.ldexp(_gravity(np.ldexp(u, -e), np.ldexp(v, -e), given), e)
     else:
         cols = slice(None) if ell == m else given
         X[:, cols] = np.maximum.outer(u, v_given) / s * np.minimum.outer(u, v_given)

@@ -85,7 +85,8 @@ class RootProblem:
     def __post_init__(self):
         if not 0 <= self.m <= len(self.r):
             raise ValueError(f"m={self.m} outside 0..{len(self.r)}")
-        if any(not v >= 0 for v in self.r):
+        object.__setattr__(self, "_r", np.array(self.r, dtype=float))
+        if not (self._r >= 0).all():  # a nan ratio too
             raise NegativeValue("mass ratios must be nonnegative")
         # The bracket's lower end is the branch point of the square roots, so
         # r_max looks at the first m ratios only; a larger ratio in the
@@ -93,7 +94,6 @@ class RootProblem:
         # (the root can legitimately sit below twice its square root).
         r_max = max(self.r[: self.m]) if self.m > 0 else max(self.r, default=0.0)
         object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "_r", np.array(self.r, dtype=float))
         with np.errstate(over="ignore"):  # a sum past the float range is inf
             object.__setattr__(self, "sigma", _left_sum(self._r))
             object.__setattr__(self, "tail", _left_sum(self._r[self.m :]))

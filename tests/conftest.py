@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,28 +53,64 @@ def make_spec(
             for i, v in enumerate(values):
                 if v is not None:
                     marginals.append(MarginalConstraint(axis, i, kind, float(v)))
-    return ProblemSpec(
-        shape=Shape(rows, cols, slices),
-        marginals=tuple(marginals),
+    return ProblemSpec.of(
+        Shape(rows, cols, slices),
+        marginals,
         total=TotalConstraint(*total) if total else None,
-        element_bounds=tuple(ElementBound(*e) for e in elements),
-        fixed_blocks=tuple(blocks),
+        element_bounds=(ElementBound(*e) for e in elements),
+        fixed_blocks=blocks,
         symmetric=symmetric,
     )
 
 
 def walk_sums(spec, axis):
-    """One axis's stated sums by a walk over ``spec.marginals``, the
-    reference for ``spec.sums``: the values in an (n,) array, or (n, K) in
-    3-D, +inf where none is stated, and the set of kinds."""
+    """One axis's stated sums by a walk over the spec's stored ones, the
+    reference for ``AxisSums.values`` and ``kinds``: the values in an (n,)
+    array, or (n, K) in 3-D, +inf where none is stated, and the set of
+    kinds.  A symmetric spec's columns are walked only if spelled out."""
     n = spec.shape.rows if axis == "row" else spec.shape.cols
     values = np.full((n,) if spec.shape.slices is None else (n, spec.shape.slices), np.inf)
+    stated = spec.row_sums if axis == "row" else spec.col_sums
     kinds = set()
-    for c in spec.marginals:
-        if c.axis == axis:
-            values[(c.index,) if c.slice_index is None else (c.index, c.slice_index)] = c.value
-            kinds.add(c.kind)
+    for i, k, v, equal in zip(stated.index.tolist(), stated.slice.tolist(),
+                              stated.value.tolist(), stated.equal.tolist()):
+        values[(i,) if spec.shape.slices is None else (i, k)] = v
+        kinds.add("equal" if equal else "upper")
     return values, kinds
+
+
+def records(spec):
+    """A spec's constraints as records, by a walk over its arrays, each in
+    spec order: ``marginals`` (the columns, then the rows, as stored),
+    ``element_bounds`` and ``fixed_blocks``."""
+    marginals = [
+        MarginalConstraint(axis, i, "equal" if equal else "upper", v,
+                           k if spec.shape.is_3d else None)
+        for axis, s in (("col", spec.col_sums), ("row", spec.row_sums))
+        for i, k, v, equal in zip(s.index.tolist(), s.slice.tolist(), s.value.tolist(),
+                                  s.equal.tolist())]
+    bounds = [ElementBound(*e) for e in zip(*(a.tolist() for a in spec.element_caps))]
+    c, blocks, start = spec.fixed_cells, [], 0
+    for b in range(len(c)):
+        nodes = c.nodes[c.block == b].tolist()
+        k = len(nodes)
+        W = c.values[start:start + k * k].reshape(k, k)
+        blocks.append(FixedBlock(tuple(nodes), tuple(map(tuple, W.tolist()))))
+        start += k * k
+    return SimpleNamespace(marginals=marginals, element_bounds=bounds, fixed_blocks=blocks)
+
+
+def scaled_by(spec, c):
+    """The spec with every sum, bound, cap, fixed value and total multiplied by c."""
+    i, j, ub = spec.element_caps
+    return dataclasses.replace(
+        spec,
+        row_sums=dataclasses.replace(spec.row_sums, value=spec.row_sums.value * c),
+        col_sums=dataclasses.replace(spec.col_sums, value=spec.col_sums.value * c),
+        element_caps=(i, j, ub * c),
+        fixed_cells=dataclasses.replace(spec.fixed_cells, values=spec.fixed_cells.values * c),
+        total=spec.total and dataclasses.replace(spec.total, value=spec.total.value * c),
+    )
 
 
 def find_k(a, b_sorted):

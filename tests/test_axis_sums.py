@@ -1,8 +1,10 @@
 """The spec's marginals as arrays (``ProblemSpec.sums``) against a walk over
-``spec.marginals``, and the spec -> JSON document -> spec round trip."""
+the records the spec was built from, and the spec -> JSON document -> spec
+round trip."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -23,7 +25,8 @@ from conftest import walk_sums
 
 @st.composite
 def stated_specs(draw, mixed: bool):
-    """A spec stating sums of a drawn nonnegative matrix, and its document.
+    """A spec stating sums of a drawn nonnegative matrix, its document, and
+    the marginal records it was built from.
 
     2-D or 3-D, symmetric or not.  Each axis states a drawn subset of its
     sums, exact (``equal``) or above the matrix's (``upper``), listed
@@ -102,9 +105,8 @@ def stated_specs(draw, mixed: bool):
         marginals = [MarginalConstraint(c.axis, c.index, ("upper", "equal")[c.kind == "upper"],
                                         c.value, c.slice_index) if f else c
                      for c, f in zip(marginals, flip)]
-    spec = ProblemSpec(Shape(n, m, slices), tuple(marginals), total, tuple(caps),
-                       tuple(blocks), symmetric)
-    return spec, None if mixed else doc
+    spec = ProblemSpec.of(Shape(n, m, slices), marginals, total, caps, blocks, symmetric)
+    return spec, None if mixed else doc, marginals
 
 
 def validated_or_error(build):
@@ -114,9 +116,10 @@ def validated_or_error(build):
         return type(e), str(e)
 
 
-def assert_view_is_the_walk(spec, axis):
+def assert_view_is_the_walk(spec, axis, marginals):
+    """The view of ``axis`` holds the records of that axis, in their order."""
     view = spec.sums[axis]
-    stated = [c for c in spec.marginals if c.axis == axis]
+    stated = [c for c in marginals if c.axis == axis]
     assert list(zip(view.index.tolist(), view.slice.tolist(), view.value.tolist(),
                     view.equal.tolist())) == [
         (c.index, c.slice_index or 0, c.value, c.kind == "equal") for c in stated]
@@ -130,22 +133,25 @@ def assert_view_is_the_walk(spec, axis):
 
 @given(stated_specs(mixed=True))
 def test_the_view_is_a_walk_over_the_marginals(drawn):
-    spec, _ = drawn
+    spec, _, marginals = drawn
     for axis in ("row", "col"):
-        assert_view_is_the_walk(spec, axis)
+        assert_view_is_the_walk(spec, axis, marginals)
     valid = validated_or_error(lambda: validate_spec(spec))
     if isinstance(valid, tuple):
         return
-    assert_view_is_the_walk(valid, "row")
+    # validation sorts each axis by slice, then index
+    ordered = sorted(marginals, key=lambda c: (c.slice_index or 0, c.index))
+    assert_view_is_the_walk(valid, "row", ordered)
     if valid.symmetric:
         assert valid.sums["col"] is valid.sums["row"]
+        assert_view_is_the_walk(replace(valid, validated=False), "col", ordered)
     else:
-        assert_view_is_the_walk(valid, "col")
+        assert_view_is_the_walk(valid, "col", ordered)
 
 
 @given(stated_specs(mixed=False))
 def test_a_spec_survives_its_json_document(drawn):
-    spec, doc = drawn
+    spec, doc, _ = drawn
     want = validated_or_error(lambda: validate_spec(spec))
     got = validated_or_error(lambda: load_problem(json.loads(json.dumps(doc))))
     assert got == want

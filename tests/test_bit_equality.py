@@ -74,6 +74,7 @@ from conftest import (
     make_spec,
     random_sym_blocks,
     random_sym_fixed_diagonal,
+    records,
     walk_sums,
     zero_diagonal_blocks,
 )
@@ -596,7 +597,7 @@ def dense_waterfill_rows(a, B):
 
 def masked_gravity(u, v, given):
     """The gravity assembly that wrote given and other columns through
-    boolean column masks."""
+    boolean column masks; past the float range, at a power of two."""
     n, m = u.size, given.size
     s = float(u.sum())
     X = np.empty((n, m))
@@ -608,8 +609,9 @@ def masked_gravity(u, v, given):
     v_given = v[given]
     if math.isfinite(float(u.max()) * float(v_given.max())):
         X[:, cols] = np.outer(u, v_given) / s
-    else:
-        X[:, cols] = np.maximum.outer(u, v_given) / s * np.minimum.outer(u, v_given)
+    else:  # any power of two that brings the products into range gives these bits
+        unit = 2.0**512
+        X[:, cols] = np.outer(u / unit, v_given / unit) / (s / unit) * unit
     if ell < m:
         X[:, ~given] = np.outer(u / s, v[~given])
     return X
@@ -732,7 +734,7 @@ def scatter_gravity(spec):
     """Gravity with the known columns moved to the front, then scattered."""
     n, m = spec.shape.rows, spec.shape.cols
     u = walk_sums(spec, "row")[0]
-    col_map = {c.index: c.value for c in spec.marginals if c.axis == "col"}
+    col_map = {c.index: c.value for c in records(spec).marginals if c.axis == "col"}
     cols = sorted(col_map)
     v = np.array([col_map[j] for j in cols])
     s, ell = float(u.sum()), len(cols)
@@ -868,6 +870,7 @@ class WalkProgram:
 
 def walk_build_program(spec: ProblemSpec) -> WalkProgram:
     spec = validate_spec(spec)
+    stated = records(spec)
     sh = spec.shape
     shape = (sh.rows, sh.cols, sh.slices) if sh.is_3d else (sh.rows, sh.cols)
 
@@ -876,7 +879,7 @@ def walk_build_program(spec: ProblemSpec) -> WalkProgram:
         for i in range(sh.rows):
             for k in range(sh.slices):
                 fixed[(i, i, k)] = 0.0
-    for b in spec.fixed_blocks:
+    for b in stated.fixed_blocks:
         if sh.is_3d:
             continue  # only the zero diagonal, already pinned above
         for a, i in enumerate(b.index_set):
@@ -884,7 +887,7 @@ def walk_build_program(spec: ProblemSpec) -> WalkProgram:
                 fixed[(i, j)] = float(b.matrix[a][c])
     # Zero element caps pin the cell outright; keeping them as inequality
     # constraints would push the dual to infinity.
-    for e in spec.element_bounds:
+    for e in stated.element_bounds:
         if e.ub == 0.0:
             if fixed.get((e.i, e.j), 0.0) != 0.0:
                 raise Infeasible(f"cell ({e.i},{e.j}) is fixed above its zero cap")
@@ -916,13 +919,13 @@ def walk_build_program(spec: ProblemSpec) -> WalkProgram:
                 members.append(index[cell])
         return members, pinned
 
-    stated = {(c.axis, c.index, c.slice_index) for c in spec.marginals}
-    for c in spec.marginals:
+    places = {(c.axis, c.index, c.slice_index) for c in stated.marginals}
+    for c in stated.marginals:
         members, pinned = _axis_cells(c.axis, c.index, c.slice_index)
         _add(c.kind, members, c.value - pinned, f"{c.axis} {c.index}/{c.slice_index}")
         if spec.symmetric:
             other = "col" if c.axis == "row" else "row"
-            if (other, c.index, c.slice_index) not in stated:
+            if (other, c.index, c.slice_index) not in places:
                 members, pinned = _axis_cells(other, c.index, c.slice_index)
                 _add(c.kind, members, c.value - pinned, f"{other} {c.index}/{c.slice_index} (mirror)")
 
@@ -935,7 +938,7 @@ def walk_build_program(spec: ProblemSpec) -> WalkProgram:
             "total",
         )
 
-    for e in spec.element_bounds:
+    for e in stated.element_bounds:
         if e.ub > 0.0 and math.isfinite(e.ub) and (e.i, e.j) in index:
             ub.append(([index[(e.i, e.j)]], e.ub, f"element ({e.i},{e.j})"))
 
@@ -1067,6 +1070,7 @@ def walk_verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport
     and (d) complementary slackness: a slack bound carries multiplier 1.
     """
     spec = validate_spec(spec)
+    stated = records(spec)
     program = walk_build_program(spec)
     X = solution.values if isinstance(solution, TensorSolution) else solution.matrix
     X = np.asarray(X, dtype=float)
@@ -1086,7 +1090,7 @@ def walk_verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport
             violations.append(f"fixed cell {cell}: {X[cell]} != {v}")
 
     achieved: dict[tuple, float] = {}
-    for c in spec.marginals:
+    for c in stated.marginals:
         ax = 1 if c.axis == "row" else 0
         if spec.shape.is_3d:
             sub = X[:, :, c.slice_index]
@@ -1111,7 +1115,7 @@ def walk_verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport
                 violations.append(f"total {val} != {spec.total.value}")
         elif err > tol * scale(spec.total.value):
             violations.append(f"total {val} > bound {spec.total.value}")
-    for e in spec.element_bounds:
+    for e in stated.element_bounds:
         if X[e.i, e.j] > e.ub + tol * scale(e.ub):
             violations.append(f"element ({e.i},{e.j}) exceeds its bound")
     feasible = not violations
@@ -1126,9 +1130,9 @@ def walk_verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport
         for axis, mult in (("row", solution.row_multipliers), ("col", solution.col_multipliers)):
             if mult is None:
                 continue
-            kinds = {c.kind for c in spec.marginals if c.axis == axis}
+            kinds = {c.kind for c in stated.marginals if c.axis == axis}
             if spec.symmetric and not kinds:
-                kinds = {c.kind for c in spec.marginals if c.axis == "row"}
+                kinds = {c.kind for c in stated.marginals if c.axis == "row"}
             if kinds != {"upper"}:
                 continue
             bounds = walk_sums(spec, "row" if spec.symmetric else axis)[0].tolist()
@@ -1165,7 +1169,8 @@ def walk_verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport
 def walk_product_form_ok(spec, program: WalkProgram, X: np.ndarray, tol: float):
     """Least-squares fit of log-entries on per-constraint indicators."""
     features: list[tuple] = []
-    for c in spec.marginals:
+    stated = records(spec)
+    for c in stated.marginals:
         features.append(("m", c.axis, c.index, c.slice_index))
         if spec.symmetric:
             other = "col" if c.axis == "row" else "row"
@@ -1173,7 +1178,7 @@ def walk_product_form_ok(spec, program: WalkProgram, X: np.ndarray, tol: float):
     features = sorted(set(features))
     if spec.total is not None:
         features.append(("total",))
-    for e in spec.element_bounds:
+    for e in stated.element_bounds:
         # only a finite cap that the entry sits at (or over) has a factor of its own
         if math.isfinite(e.ub) and X[e.i, e.j] - e.ub >= -tol * max(1.0, e.ub):
             features.append(("e", e.i, e.j))
@@ -1257,8 +1262,7 @@ def oracle_specs(rng):
     yield random_sym_blocks(rng, "upper")
     for spec in (random_sym_blocks(rng, "equal"), random_sym_fixed_diagonal(rng, "upper")):
         # columns spelled out: no mirror constraints
-        cols = tuple(dataclasses.replace(c, axis="col") for c in spec.marginals)
-        yield dataclasses.replace(spec, marginals=spec.marginals + cols)
+        yield dataclasses.replace(spec, col_sums=spec.row_sums)
     u = rng.uniform(10.0, 20.0, 6).tolist()
     yield make_spec(6, 6, row=("equal", u), symmetric=True,
                     blocks=random_blocks(rng, 6, (2, 1), 1.0))  # unsupported
@@ -2095,7 +2099,7 @@ class TestFixedEntries:
                 if classify(spec) not in (SolverCase.SYM_FIXED_DIAGONAL,
                                           SolverCase.SYM_BLOCK_DIAGONAL):
                     continue
-                ref = result_or_error(walk_solve_sym_block_diagonal, u, spec.fixed_blocks,
+                ref = result_or_error(walk_solve_sym_block_diagonal, u, records(spec).fixed_blocks,
                                       float(u.sum()), kind == "upper")
                 assert fixed_entry_bits(result_or_error(solve, spec)) == fixed_entry_bits(ref)
                 solved += not isinstance(ref, tuple)

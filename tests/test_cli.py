@@ -20,7 +20,7 @@ from likelymat import (
 from likelymat.cli import (
     _build_parser, _dumps, _emit, _oracle_objective, _residuals, load_problem, main)
 from likelymat.oracle import _fixes_total
-from conftest import make_spec
+from conftest import make_spec, records
 
 TEN_BOUNDS = [20, 20, 24, 30, 30, 36, 36, 36, 36, 40]
 ROOT = Path(__file__).resolve().parent.parent
@@ -398,6 +398,20 @@ class TestOracleAndBrute:
         assert captured.out == ""
         assert captured.err == "error: SearchSpaceTooLarge: search space above the 10000000 guard\n"
 
+    @pytest.mark.parametrize("bound, symmetric", [(55, False), (40, False), (43, True)])
+    def test_brute_stops_at_its_node_guard(self, tmp_path, capsys, bound, symmetric):
+        # every estimate passes the 10^7 guard; the searches take 0.7 to 2.6 million nodes
+        problem = {"shape": {"rows": 2, "cols": 2}, "symmetric": symmetric,
+                   "row_sums": {"kind": "upper", "values": [bound, bound]}}
+        path = write(tmp_path, "p.json", problem)
+        start = time.perf_counter()
+        assert main(["brute", path]) == 1
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: SearchSpaceTooLarge: enumeration past the "
+                                "262144-node guard\n")
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["solve", "/nonexistent/problem.json"]) == 2
 
@@ -568,6 +582,54 @@ class TestMalformedInput:
         assert captured.err.startswith("error: CountOverflow: ")
 
 
+def _sparse(*entries):
+    return {"kind": "equal", "sparse": [dict(zip(("index", "value", "slice"), e)) for e in entries]}
+
+
+class TestFirstFault:
+    """A document with faults is refused for the first of them in document
+    order, type and sign faults alike, as a walk over its values would."""
+
+    SQUARE = {"rows": 2, "cols": 2}
+
+    @pytest.mark.parametrize("doc, err", [
+        ({"row_sums": {"kind": "equal", "values": [-1, "x"]}},
+         "error: NegativeValue: row 0: marginal value -1.0 < 0"),
+        ({"row_sums": {"kind": "equal", "values": ["x", -1]}},
+         "usage error: wrongly typed value 'x' in problem document"),
+        ({"row_sums": {"kind": "equal", "values": [1, None]},
+          "col_sums": {"kind": "equal", "values": [None, -2]}},
+         "error: NegativeValue: col 1: marginal value -2.0 < 0"),
+        ({"row_sums": _sparse((0, 1.0, 0))}, "error: ShapeMismatch: slice_index given for a 2-D spec"),
+        ({"row_sums": _sparse((5, 1.0), (0, 1.0), (0, 1.0))},
+         "error: IndexOutOfRange: row index 5 outside 0..1"),
+        ({"row_sums": _sparse((0, 1.0), (0, 1.0), (5, 1.0))},
+         "error: ShapeMismatch: duplicate constraint for row 0"),
+        ({"row_sums": _sparse((10**30, 1.0))},
+         f"error: IndexOutOfRange: row index {10**30} outside 0..1"),
+        ({"element_bounds": [{"i": 0, "j": 1, "ub": 1}, {"i": 0, "j": 1, "ub": 2}]},
+         "error: ShapeMismatch: duplicate element bound for (0,1)"),
+        ({"element_bounds": [{"i": 0, "j": 1, "ub": -1}, {"i": "0", "j": 1, "ub": 2}]},
+         "error: NegativeValue: element bound at (0,1) is negative"),
+        ({"symmetric": True, "fixed_blocks": [{"indices": [10**30], "matrix": [[0]]}]},
+         f"error: IndexOutOfRange: fixed block index {10**30} outside 0..1"),
+        ({"symmetric": True, "fixed_blocks": [{"indices": [1], "matrix": [[0]]},
+                                              {"indices": [0, 1], "matrix": [[0, 0], [0, 0]]}]},
+         "error: ShapeMismatch: fixed blocks overlap at index 1"),
+    ])
+    def test_first_fault_is_named(self, doc, err, tmp_path, capsys):
+        path = write(tmp_path, "p.json", {"shape": self.SQUARE, **doc})
+        assert main(["solve", path]) == (2 if err.startswith("usage") else 1)
+        assert capsys.readouterr().err == err + "\n"
+
+    def test_a_3d_sum_needs_its_slice(self, tmp_path, capsys):
+        doc = {"shape": {"rows": 2, "cols": 2, "slices": 2}, "symmetric": True,
+               "row_sums": _sparse((0, 1.0, 1), (1, 1.0))}
+        assert main(["solve", write(tmp_path, "p.json", doc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: IndexOutOfRange: row 1: slice index None outside 0..1\n")
+
+
 ZERO_DIAGONAL = {"diagonal_prefix": 3, "values": [0, 0, 0]}
 
 
@@ -662,7 +724,8 @@ class TestFixedEntriesPastTheFloatRange:
 def _residuals_per_marginal(spec, X):
     """One full axis sum per marginal: the reference for ``_residuals``."""
     eq_res, bound_res = 0.0, 0.0
-    for c in spec.marginals:
+    stated = records(spec)
+    for c in stated.marginals:
         ax = 1 if c.axis == "row" else 0
         if spec.shape.is_3d:
             val = float(X[:, :, c.slice_index].sum(axis=ax)[c.index])
@@ -680,7 +743,7 @@ def _residuals_per_marginal(spec, X):
             eq_res = max(eq_res, abs(val - spec.total.value) / scale)
         else:
             bound_res = max(bound_res, (val - spec.total.value) / scale)
-    for e in spec.element_bounds:
+    for e in stated.element_bounds:
         bound_res = max(bound_res, (float(X[e.i, e.j]) - e.ub) / max(1.0, e.ub))
     return {"max_equality": eq_res, "max_bound_violation": max(0.0, bound_res)}
 
@@ -715,7 +778,7 @@ class TestResiduals:
                 for axis in ("row", "col") for i in range(n) for k in range(K)
                 if rng.random() < 0.6
             )
-            spec = ProblemSpec(shape=Shape(n, n, K), marginals=marginals, symmetric=True)
+            spec = ProblemSpec.of(Shape(n, n, K), marginals, symmetric=True)
             assert _residuals(spec, X) == _residuals_per_marginal(spec, X)
 
 

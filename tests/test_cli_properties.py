@@ -1,7 +1,7 @@
 """The CLI's exit-code contract over drawn documents.
 
 Every subcommand, on any document, exits 0, 1 or 2 with no traceback and
-no RuntimeWarning, and every one but ``brute`` within two seconds.
+no RuntimeWarning, and within two seconds.
 Documents run from well-formed problems to malformed ones: numbers from
 5e-324 to 1.7e308, negative and missing values, integers past the float
 range, shapes with up to 10^6 columns for ``count`` and ``check``, and
@@ -122,9 +122,7 @@ def test_every_run_exits_cleanly(tmp_path_factory, run):
     exits_cleanly(tmp_path_factory, *run)
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
 @given(problems())
 def test_brute_exits_cleanly(tmp_path_factory, doc):
-    # no deadline: the enumeration's search-space guard (10^7) admits runs
-    # of several seconds
     exits_cleanly(tmp_path_factory, ["brute"], doc)

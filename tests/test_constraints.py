@@ -74,10 +74,10 @@ class TestValidateSpec:
     def test_first_row_above_its_caps_is_named_with_caps_added_in_column_order(self):
         # rows 0 and 2 are over their caps, row 1 is not fully capped; the
         # marginals and caps come out of order
-        spec = ProblemSpec(
-            shape=Shape(3, 3),
-            marginals=tuple(MarginalConstraint("row", i, "equal", 9.0) for i in (2, 1, 0)),
-            element_bounds=tuple(ElementBound(i, j, ub) for i, j, ub in (
+        spec = ProblemSpec.of(
+            Shape(3, 3),
+            marginals=(MarginalConstraint("row", i, "equal", 9.0) for i in (2, 1, 0)),
+            element_bounds=(ElementBound(i, j, ub) for i, j, ub in (
                 (2, 2, 0.3), (0, 0, 1.0), (2, 1, 0.2), (1, 0, 1.0), (0, 2, 1.0),
                 (0, 1, 1.0), (2, 0, 0.1))),
         )
@@ -90,16 +90,13 @@ class TestValidateSpec:
         assert validate_spec(at_tolerance).validated
 
     def test_index_out_of_range(self):
-        spec = ProblemSpec(
-            shape=Shape(2, 2),
-            marginals=(MarginalConstraint("row", 5, "equal", 1.0),),
-        )
+        spec = ProblemSpec.of(Shape(2, 2), (MarginalConstraint("row", 5, "equal", 1.0),))
         with pytest.raises(IndexOutOfRange):
             validate_spec(spec)
 
     def test_duplicate_marginal_rejected(self):
-        spec = ProblemSpec(
-            shape=Shape(2, 2),
+        spec = ProblemSpec.of(
+            Shape(2, 2),
             marginals=(
                 MarginalConstraint("row", 0, "equal", 1.0),
                 MarginalConstraint("row", 0, "upper", 2.0),

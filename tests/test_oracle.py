@@ -10,7 +10,6 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from likelymat import (
-    FixedBlock,
     Infeasible,
     LikelymatError,
     NotConverged,
@@ -35,6 +34,7 @@ from conftest import (
     random_sym_blocks,
     random_sym_fixed_diagonal,
     random_sym_total,
+    scaled_by,
     zero_diagonal_blocks,
 )
 
@@ -90,19 +90,6 @@ class TestNumericMaxent:
 def power_scaled(spec, k):
     """The spec with every sum, bound and fixed value multiplied by 2^k."""
     return scaled_by(spec, 2.0**k)
-
-
-def scaled_by(spec, c):
-    """The spec with every sum, bound and fixed value multiplied by c."""
-    return dataclasses.replace(
-        spec,
-        marginals=tuple(dataclasses.replace(m, value=m.value * c) for m in spec.marginals),
-        total=spec.total and dataclasses.replace(spec.total, value=spec.total.value * c),
-        element_bounds=tuple(dataclasses.replace(e, ub=e.ub * c) for e in spec.element_bounds),
-        fixed_blocks=tuple(FixedBlock(b.index_set, tuple(tuple(v * c for v in row)
-                                                         for row in b.matrix))
-                           for b in spec.fixed_blocks),
-    )
 
 
 class TestScaleAndPolish:
@@ -493,7 +480,8 @@ class TestThreeDElementBounds:
                 call()
 
     def test_verify_kkt_rejects(self):
-        sol = solve(dataclasses.replace(self.spec, element_bounds=()))
+        sol = solve(make_spec(4, 4, row=("equal", self.u), symmetric=True, slices=2,
+                              blocks=zero_diagonal_blocks(4)))
         with pytest.raises(UnsupportedCase, match="element bounds on a 3-D spec"):
             verify_kkt(sol, self.spec)
 

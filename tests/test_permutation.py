@@ -1,13 +1,16 @@
-"""Permutation equivariance of the row and column cases.
+"""Permutation equivariance and power-of-two homogeneity of the row and
+column cases and of the symmetric total.
 
 Hypothesis draws small specs of gravity (every row sum known, some column
 sums), of row bounds under a known or bounded total, of row bounds with
-element caps and of row and column bounds, with ties, zeros and absent
-bounds, and a permutation of the rows and one of the columns.  An absent
+element caps, of row and column bounds and of symmetric row bounds under a
+known total, with ties, zeros and absent bounds, and a permutation of the
+rows and one of the columns (the same one for a symmetric spec).  An absent
 row bound leaves its row free to take any mass, so a known total may lie
 above the stated bounds.  Relabelling the rows and columns of a spec must
 relabel its solution: the same entries to 1e-12 relative, the same k, or
-the same error.
+the same error.  Scaling every sum, bound, cap and total by 2^e must scale
+the solution by 2^e, bit for bit.
 """
 
 import numpy as np
@@ -66,6 +69,18 @@ def row_bounds_total(draw):
     return n, m, dict(row=("upper", u), total=(draw(st.sampled_from(["equal", "upper"])), total))
 
 
+@st.composite
+def sym_total(draw):
+    n = draw(SIZE)
+    u = draw(values(n))
+    total = draw(st.sampled_from([1.0, 0.5, 2.0])) * sum(x for x in u if x is not None)
+    return n, n, dict(row=("upper", u), total=("equal", total or draw(VALUE)), symmetric=True)
+
+
+PROBLEMS = gravity() | row_bounds_total() | row_elem_bounds() | row_col_bounds() | sym_total()
+POWER = st.integers(-40, 40) | st.sampled_from([-1000, 1000])
+
+
 def relabelled(n, m, kw, p, q):
     """The spec whose row p[i] and column q[j] are row i and column j of kw's."""
     out = dict(kw)
@@ -88,12 +103,13 @@ def outcome(spec):
         return type(e)
 
 
-@given(gravity() | row_bounds_total() | row_elem_bounds() | row_col_bounds(),
-       st.randoms(use_true_random=False))
+@given(PROBLEMS, st.randoms(use_true_random=False))
 def test_relabelled_spec_relabels_the_solution(problem, random):
     n, m, kw = problem
     rng = np.random.default_rng(random.getrandbits(32))
     p, q = rng.permutation(n), rng.permutation(m)
+    if kw.get("symmetric"):
+        q = p
     sol = outcome(make_spec(n, m, **kw))
     twin = outcome(relabelled(n, m, kw, p, q))
     if not isinstance(sol, Solution):
@@ -104,3 +120,29 @@ def test_relabelled_spec_relabels_the_solution(problem, random):
     want[np.ix_(p, q)] = sol.matrix
     assert np.all(np.abs(twin.matrix - want) <= 1e-12 * np.maximum(np.abs(twin.matrix),
                                                                    np.abs(want)))
+
+
+def scaled(kw, c):
+    """The spec arguments with every sum, bound, cap and total multiplied by c."""
+    out = dict(kw)
+    for key in ("row", "col"):
+        if key in kw:
+            kind, vals = kw[key]
+            out[key] = (kind, [None if x is None else x * c for x in vals])
+    if "total" in kw:
+        out["total"] = (kw["total"][0], kw["total"][1] * c)
+    if "elements" in kw:
+        out["elements"] = [(i, j, ub * c) for i, j, ub in kw["elements"]]
+    return out
+
+
+@given(PROBLEMS, POWER)
+def test_power_of_two_scales_the_solution(problem, e):
+    n, m, kw = problem
+    sol = outcome(make_spec(n, m, **kw))
+    twin = outcome(make_spec(n, m, **scaled(kw, 2.0**e)))
+    if not isinstance(sol, Solution):
+        assert twin == sol
+        return
+    assert (twin.case, twin.k) == (sol.case, sol.k)
+    assert twin.matrix.tobytes() == (sol.matrix * 2.0**e).tobytes()

@@ -1,6 +1,5 @@
 """Rectangular closed forms: frozen examples, structure, degenerations."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +16,8 @@ from likelymat import (
     solve_row_col_bounds,
     solve_total_row_bounds,
 )
-from conftest import caps_of, make_spec, random_gravity, random_row_col_bounds, random_sym_total
+from conftest import (caps_of, make_spec, random_gravity, random_row_col_bounds, random_sym_total,
+                      scaled_by)
 
 INF = math.inf
 TEN_BOUNDS = [20.0, 20, 24, 30, 30, 36, 36, 36, 36, 40]
@@ -110,13 +110,7 @@ class TestGravityNearTheFloatFloor:
     def test_scaled_unit_solution(self, rng, generator, scale):
         for _ in range(20):
             spec = generator(rng)
-            far = dataclasses.replace(
-                spec,
-                marginals=tuple(dataclasses.replace(m, value=m.value * scale)
-                                for m in spec.marginals),
-                total=spec.total and dataclasses.replace(spec.total,
-                                                         value=spec.total.value * scale),
-            )
+            far = scaled_by(spec, scale)
             ref = solve(spec).matrix * scale
             np.testing.assert_allclose(solve(far).matrix, ref, rtol=1e-12, atol=0)
 

@@ -17,11 +17,8 @@ at_import = scipy_loaded()
 from likelymat import MarginalConstraint, ProblemSpec, Shape, log10_realizations, numeric_maxent
 log10_realizations([[5.0, 1e-20]])  # a small real cell takes no special function of scipy's
 after_count = scipy_loaded()
-spec = ProblemSpec(
-    shape=Shape(2, 2),
-    marginals=(MarginalConstraint("row", 0, "equal", 7.0),
-               MarginalConstraint("row", 1, "equal", 3.0)),
-)
+spec = ProblemSpec.of(Shape(2, 2), (MarginalConstraint("row", 0, "equal", 7.0),
+                                     MarginalConstraint("row", 1, "equal", 3.0)))
 result = numeric_maxent(spec, "H", tol=1e-10)
 print(json.dumps({"at_import": at_import, "after_count": after_count,
                   "after_oracle": len(scipy_loaded()),

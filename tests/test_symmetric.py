@@ -12,6 +12,7 @@ from likelymat import (
     ConsistencyViolation,
     FixedBlock,
     InfeasibleMarginals,
+    NegativeValue,
     RootProblem,
     SeriesDomainError,
     SolverCase,
@@ -25,7 +26,7 @@ from likelymat import (
     verify_kkt,
 )
 from likelymat.cli import load_problem
-from conftest import make_spec, random_sym_fixed_diagonal, walk_sums
+from conftest import make_spec, random_sym_fixed_diagonal, records, walk_sums
 
 FOUR_NODE_SUMS = [40.0, 20.0, 30.0, 40.0]
 FOUR_NODE_RATIOS = (4 / 13, 2 / 13, 3 / 13, 4 / 13)
@@ -55,6 +56,12 @@ class TestRootSolver:
             p = RootProblem(r=(1.0 / n,) * n, m=1)
             lam = solve_root_lambda(p)
             assert lam == pytest.approx((n - 1) / math.sqrt(n * (n - 2)), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_a_negative_or_nan_ratio_is_refused(self, bad):
+        for m in (0, 2, 3):
+            with pytest.raises(NegativeValue, match="mass ratios must be nonnegative"):
+                RootProblem(r=(0.2, 0.3, bad), m=m)
 
     def test_no_root_is_a_clean_error(self):
         # one dominant ratio forces the function positive at its branch point
@@ -496,7 +503,7 @@ class TestRootOnSolution:
             sol = solve(spec)
             u = walk_sums(spec, "row")[0]
             s = float(u.sum())
-            fixed = {b.index_set[0]: float(b.matrix[0][0]) for b in spec.fixed_blocks}
+            fixed = {b.index_set[0]: float(b.matrix[0][0]) for b in records(spec).fixed_blocks}
             r = [(u[i] - fixed[i]) / s if i in fixed else u[i] / s for i in range(u.size)]
             order = sorted(range(u.size), key=lambda i: i not in fixed)
             assert sol.root == RootProblem(r=tuple(r[i] for i in order), m=len(fixed))
