@@ -163,12 +163,14 @@ def _parse_marginals(doc, axis: str, dims: tuple[int, ...]) -> AxisSums:
     return AxisSums.of(dims, index, slices, value, [kind == "equal"] * len(index))
 
 
-def _parse_blocks(doc) -> FixedCells:
+def _parse_blocks(doc, rows: int) -> FixedCells:
     if isinstance(doc, dict):
         _require_keys(doc, {"diagonal_prefix", "values"}, "fixed_blocks")
         m = _integer(doc["diagonal_prefix"])
         values = doc.get("values", 0.0)
         if not isinstance(values, list):
+            # validation refuses the first node past the shape: build up to it
+            m = min(m, rows + 1)
             values = [values] * m
         if len(values) != m:
             raise UsageError("diagonal_prefix and values length disagree")
@@ -233,7 +235,7 @@ def _read_spec(doc: dict) -> ProblemSpec:
         caps.append(_number(e["ub"]))
         if caps[-1] < 0:
             raise NegativeValue(f"element bound at ({rows[-1]},{cols[-1]}) is negative")
-    blocks = _parse_blocks(doc.get("fixed_blocks", []))
+    blocks = _parse_blocks(doc.get("fixed_blocks", []), shape.rows)
     return ProblemSpec(shape, sums["row"], sums["col"],
                        (_intp(rows), _intp(cols), np.array(caps, dtype=float)), blocks, total,
                        _typed(doc.get("symmetric", False), bool))

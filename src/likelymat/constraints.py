@@ -619,7 +619,7 @@ def _check_marginal_feasibility(spec: ProblemSpec) -> None:
         cap = np.where(capped, np.bincount(i[by_cell], ub[by_cell], minlength=n), INF)
         index, value = rows.index[rows.equal], rows.value[rows.equal]
         total = cap[index]
-        over = np.flatnonzero(np.isfinite(total) & (value > total * (1 + REL_TOL) + REL_TOL))
+        over = np.flatnonzero(np.isfinite(total) & (value > total * (1 + REL_TOL)))
         if over.size:
             r = over[0]
             raise InfeasibleMarginals(
@@ -685,9 +685,21 @@ def _classify_3d(spec: ProblemSpec) -> SolverCase:
         return SolverCase.UNSUPPORTED
     if spec.fixed_cells and not _blocks_are_zero_diagonal(spec):
         return SolverCase.UNSUPPORTED
-    if spec.sums["row"].known:
+    if spec.sums["row"].known and _total_admits_saturation(spec):
         return SolverCase.SYM_3D_FIXED_DIAGONAL
     return SolverCase.UNSUPPORTED
+
+
+def _total_admits_saturation(spec: ProblemSpec) -> bool:
+    """Whether a stated total admits the fixed-entry construction, which
+    saturates every row sum: it must equal their sum s, or as a bound not
+    fall below it."""
+    t = spec.total
+    if t is None:
+        return True
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        s = float(spec.sums["row"].values().sum())
+    return close(t.value, s) if t.kind == "equal" else t.value >= s * (1 - 1e-12)
 
 
 def _blocks_are_zero_diagonal(spec: ProblemSpec) -> bool:
@@ -704,6 +716,8 @@ def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
 
     if spec.fixed_cells:
         if not (rows.complete and len(row_kinds) == 1):
+            return SolverCase.UNSUPPORTED
+        if not _total_admits_saturation(spec):
             return SolverCase.UNSUPPORTED
         covered = spec.fixed_cells.nodes.size  # disjoint and in range, once validated
         if covered == len(spec.fixed_cells):

@@ -6,12 +6,11 @@ from .constraints import (
     ProblemSpec,
     SolverCase,
     classify,
-    close,
     is_column_form,
     transpose,
     validate_spec,
 )
-from .errors import InfeasibleMarginals, UnsupportedCase
+from .errors import UnsupportedCase
 from .rect import (
     _total,
     solve_bounded_total_row_bounds,
@@ -72,24 +71,10 @@ def solve(spec: ProblemSpec) -> Solution | TensorSolution:
         return solve_sym_total_row_col_bounds(total.value, u)
     # the fixed-entry cases: every row sum (per slice in 3-D) is stated
     s = _total(u)
-    _check_block_total(spec, s)
     if case is SolverCase.SYM_3D_FIXED_DIAGONAL:
         return solve_sym_3d_fixed_diagonal(u, s)
     return solve_sym_block_diagonal(
         u, spec.fixed_cells, s, bounds_mode=(spec.sums["row"].kinds == {"upper"})
-    )
-
-
-def _check_block_total(spec: ProblemSpec, s: float) -> None:
-    if spec.total is None:
-        return
-    t = spec.total
-    if t.kind == "equal" and close(t.value, s):
-        return
-    if t.kind == "upper" and t.value >= s * (1 - 1e-12):
-        return
-    raise InfeasibleMarginals(
-        f"total constraint {t.value} conflicts with the saturated sum total {s}"
     )
 
 

@@ -9,9 +9,10 @@ the total, the factor sum lam must satisfy
     sqrt(1 - 4 r_1 / lam^2) + .. + sqrt(1 - 4 r_m / lam^2)
         - 2 (r_{m+1} + .. + r_n) / lam^2  =  m - 2.
 
-The left side increases in lam, so the root is unique; when every ratio is
-below a third of their sum the root is bracketed by
-(2 sqrt(r_max), 4 sqrt(sigma) / 3).
+The left side increases in lam, so the root is unique, and it lies between
+the branch point 2 sqrt(r_max) and 2 sqrt(sigma); when every ratio is below
+a third of their sum the paper's narrower bracket
+(2 sqrt(r_max), 4 sqrt(sigma) / 3) holds as well.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .constraints import (
     FixedCells,
     SolverCase,
     _left_sum,
+    _same,
     close,
     consistency_check_blocks,
 )
@@ -55,19 +57,14 @@ __all__ = [
     "half_total_reports",
 ]
 
-SCAN_LIMIT = 64.0
-# |f| above which the bisected root takes one guarded Newton step
-NEWTON_TOL = 1e-12
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootProblem:
     """Data of the scalar saturation equation.
 
-    ``r`` holds every mass ratio; the first ``m`` (fixed rows or diagonal
-    blocks) contribute square-root terms, the rest only the -2 r / lam^2
-    tail.  ``sigma`` is 1 when nothing but the diagonal structure is fixed
-    and drops below 1 as fixed values absorb mass.
+    ``r`` holds every mass ratio, as an array; the first ``m`` (fixed rows
+    or diagonal blocks) contribute square-root terms, the rest only the
+    -2 r / lam^2 tail.  ``sigma`` is 1 when nothing but the diagonal
+    structure is fixed and drops below 1 as fixed values absorb mass.
 
     The sums over ``r`` are taken once, here; the evaluators then work on
     the fixed ratios as one array and add their square-root terms left to
@@ -75,28 +72,29 @@ class RootProblem:
     value is bit for bit the one a scalar loop over the terms gives.
     """
 
-    r: tuple[float, ...]
+    r: np.ndarray
     m: int
     sigma: float = field(init=False, compare=False)
     tail: float = field(init=False, compare=False)
     r_max: float = field(init=False, compare=False)
-    _r: np.ndarray = field(init=False, compare=False, repr=False)
+
+    __eq__ = _same
 
     def __post_init__(self):
-        if not 0 <= self.m <= len(self.r):
-            raise ValueError(f"m={self.m} outside 0..{len(self.r)}")
-        object.__setattr__(self, "_r", np.array(self.r, dtype=float))
-        if not (self._r >= 0).all():  # a nan ratio too
+        r = np.array(self.r, dtype=float)
+        if not 0 <= self.m <= r.size:
+            raise ValueError(f"m={self.m} outside 0..{r.size}")
+        if not (r >= 0).all():  # a nan ratio too
             raise NegativeValue("mass ratios must be nonnegative")
-        # The bracket's lower end is the branch point of the square roots, so
+        object.__setattr__(self, "r", r)
+        # The root's lower end is the branch point of the square roots, so
         # r_max looks at the first m ratios only; a larger ratio in the
         # linear tail does not move the branch point and must not be used
         # (the root can legitimately sit below twice its square root).
-        r_max = max(self.r[: self.m]) if self.m > 0 else max(self.r, default=0.0)
-        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "r_max", float(r[: self.m].max(initial=0.0)))
         with np.errstate(over="ignore"):  # a sum past the float range is inf
-            object.__setattr__(self, "sigma", _left_sum(self._r))
-            object.__setattr__(self, "tail", _left_sum(self._r[self.m :]))
+            object.__setattr__(self, "sigma", _left_sum(r))
+            object.__setattr__(self, "tail", _left_sum(r[self.m :]))
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -106,28 +104,20 @@ class RootProblem:
     def guaranteed(self) -> bool:
         """True when the bracket is backed by the sufficient conditions."""
         sigma = self.sigma
-        if sigma <= 0 or not np.all((0 < self._r) & (self._r < sigma / 3)):
+        if sigma <= 0 or not np.all((0 < self.r) & (self.r < sigma / 3)):
             return False
-        if self.m == len(self.r):
+        if self.m == self.r.size:
             return self.m >= 3
         # Mixed form: proved for ratios summing to one.
-        return len(self.r) >= 3 and close(sigma, 1.0)
+        return self.r.size >= 3 and close(sigma, 1.0)
 
     def f(self, lam: float) -> float:
         """Left side minus right side of the saturation equation, with the
         square roots clamped at zero so the function extends continuously
         below each branch point."""
         lam2 = lam * lam
-        roots = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * self._r[: self.m] / lam2))
+        roots = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * self.r[: self.m] / lam2))
         return _left_sum(roots) - 2.0 * self.tail / lam2 - (self.m - 2)
-
-    def f_prime(self, lam: float) -> float:
-        lam2 = lam * lam
-        r_fixed = self._r[: self.m]
-        g = 1.0 - 4.0 * r_fixed / lam2
-        real = g > 0
-        terms = 4.0 * r_fixed[real] / (lam2 * lam * np.sqrt(g[real]))
-        return _left_sum(terms, 4.0 * self.tail / (lam2 * lam))
 
     def f_at_branch_point(self) -> float:
         """Value of f at lam = 2 sqrt(max fixed ratio), computed exactly.
@@ -136,7 +126,7 @@ class RootProblem:
         which avoids the sqrt-of-rounding-noise the generic evaluator would
         produce for the top ratio itself (the tied terms are exactly zero).
         """
-        r_fixed = self._r[: self.m]
+        r_fixed = self.r[: self.m]
         r_top = self.r_max
         others = r_fixed[r_fixed != r_top]
         acc = _left_sum(np.sqrt(np.maximum(0.0, 1.0 - others / r_top)))
@@ -146,83 +136,45 @@ class RootProblem:
 def solve_root_lambda(p: RootProblem) -> float:
     """Unique root of the saturation equation.
 
-    Bisects inside the analytic bracket when its sign conditions hold,
-    otherwise scans upward from the first point where every square root is
-    real (the function is increasing there, so a sign change still pins the
-    root).  Bisection runs to floating-point exhaustion, so the root takes
-    no tolerance; only when |f| there is above ``NEWTON_TOL`` does one
-    guarded Newton step try to improve it.  A root sitting exactly on the
-    branch point of the largest ratio is detected and returned as such.
+    f increases from the branch point 2 sqrt(r_max) of the fixed ratios (0,
+    where f is -inf, when none is positive), and since sqrt(1 - x) >= 1 - x
+    it is at least 2 - (F + T / 2) / sigma >= 1 at 2 sqrt(sigma), F and T
+    the fixed and tail sums.  So that one bracket holds for every problem
+    with a root, and bisection on it runs to floating-point exhaustion: the
+    root takes no tolerance.  A root sitting exactly on the branch point is
+    returned as such.  Where ``guaranteed`` holds, the paper's bracket is
+    checked too, as the theorem it is.
     """
     if p.sigma == 0.0:
         raise BracketFailure("the saturation equation has no root: every ratio is zero")
-    lo, hi = p.bracket
-    if lo == 0.0:
-        # Every square-root ratio is zero, so the tail drives f(0+) to -inf.
-        flo = -math.inf
-    elif p.m:
-        flo = p.f_at_branch_point()  # lo is the branch point 2 sqrt(r_max)
-    else:
-        flo = p.f(lo)
-    fhi = p.f(hi)
-    if p.guaranteed and not flo <= 0.0:
-        raise BracketFailure(f"bracket lower end violates sign condition: f({lo})={flo}")
-    if p.guaranteed and not fhi > 0.0:
-        raise BracketFailure(f"bracket upper end violates sign condition: f({hi})={fhi}")
+    lo, hi = 2.0 * math.sqrt(p.r_max), 2.0 * math.sqrt(p.sigma)
+    flo = p.f_at_branch_point() if p.r_max > 0 else -math.inf
+    if p.guaranteed:
+        if not flo <= 0.0:
+            raise BracketFailure(f"bracket lower end violates sign condition: f({lo})={flo}")
+        upper = p.bracket[1]
+        f_upper = p.f(upper)
+        if not f_upper > 0.0:
+            raise BracketFailure(
+                f"bracket upper end violates sign condition: f({upper})={f_upper}")
     if flo == 0.0:
         return lo
-    if not (flo < 0.0 < fhi):
-        lo, hi = _scan_for_sign_change(p)
-        if lo == hi:
-            return lo
-
+    if flo > 0.0:
+        raise BracketFailure(
+            "the saturation equation has no root: the function is already "
+            f"positive at its branch point {lo}"
+        )
+    if hi == math.inf:  # bisection would stop at once, on the branch point
+        raise BracketFailure("the saturation equation has no finite bracket: "
+                             "the ratios sum past the float range")
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
+            return lo
         if p.f(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-
-    lam = lo
-    fv = p.f(lam)
-    if fv != 0.0 and abs(fv) > NEWTON_TOL:
-        d = p.f_prime(lam)
-        if d > 0 and math.isfinite(d):
-            cand = lam - fv / d
-            if 0.0 < cand <= SCAN_LIMIT and abs(p.f(cand)) < abs(fv):
-                lam = cand
-    return lam
-
-
-def _scan_for_sign_change(p: RootProblem) -> tuple[float, float]:
-    """Search [first real point, SCAN_LIMIT] for a bracketing interval.
-
-    Returns a degenerate interval when the root sits on the branch point.
-    """
-    if p.m and p.r_max > 0:
-        base = p.bracket[0]
-        fb = p.f_at_branch_point()
-        if fb == 0.0:
-            return base, base
-        if fb > 0.0:
-            raise BracketFailure(
-                "the saturation equation has no root: the function is already "
-                f"positive at its branch point {base}"
-            )
-    else:
-        base = 1e-9
-        if p.f(base) > 0.0:
-            raise BracketFailure("the saturation equation has no root")
-    lo = base
-    lam = base
-    while lam < SCAN_LIMIT:
-        lam = max(lam * 1.05, lam + 1e-9)
-        if p.f(lam) > 0.0:
-            return lo, lam
-        lo = lam
-    raise BracketFailure(f"no sign change found in ({base}, {SCAN_LIMIT})")
 
 
 def branch_factors(p: RootProblem, lam: float) -> np.ndarray:
@@ -236,9 +188,9 @@ def branch_factors(p: RootProblem, lam: float) -> np.ndarray:
     """
     m = p.m
     lam2 = lam * lam
-    r_fixed = p._r[:m]
+    r_fixed = p.r[:m]
     q = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * r_fixed / lam2))
-    r_top = p.r_max if m > 0 else 0.0
+    r_top = p.r_max
     if r_top > 0:
         ties = r_fixed == r_top
         others = _left_sum(q[~ties])
@@ -284,7 +236,7 @@ def series_approx_xi(p: RootProblem, xi0: float, order: int = 2) -> SeriesState:
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1, or 2, got {order}")
-    r_fixed = p._r[: p.m]
+    r_fixed = p.r[: p.m]
     args = 1.0 - r_fixed * xi0
     if np.any(args <= 0.0):
         raise SeriesDomainError(
@@ -350,7 +302,7 @@ def _root_factors(
     single = np.bincount(block)[block] == 1
     r_group = np.bincount(block, rn)
     r_group[block[single]] = rn[single]  # a singleton's ratio as it is (-0.0 too)
-    problem = RootProblem(r=tuple(r_group.tolist()) + tuple(r[tail].tolist()), m=r_group.size)
+    problem = RootProblem(r=np.concatenate((r_group, r[tail])), m=r_group.size)
     if problem.sigma == 0.0:
         # Nothing is left unfixed: no equation to solve, every free entry is 0.
         return None, math.nan, np.zeros(r.size)

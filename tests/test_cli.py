@@ -560,6 +560,27 @@ class TestMalformedInput:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith("usage error: shape has more than")
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_huge_scalar_diagonal_prefix_names_the_first_node_past_the_shape(
+            self, command, tmp_path):
+        """Its scalar value once became 10^9 cells; the child runs under a
+        1 GiB address-space cap and the 2-s deadline."""
+        path = write(tmp_path, "p.json", {
+            "shape": {"rows": 2, "cols": 2}, "symmetric": True,
+            "row_sums": {"kind": "equal", "values": [1, 1]},
+            "fixed_blocks": {"diagonal_prefix": 10**9, "values": 0}})
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(likelymat.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from likelymat.cli import main; sys.exit(main())",
+             command, path], env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_memory, capture_output=True, text=True, timeout=2)
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == "error: IndexOutOfRange: fixed block index 2 outside 0..1\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_count_overflow_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", {"shape": {"rows": 2, "cols": 2},

@@ -1,11 +1,13 @@
 """End-to-end solve(): classification routing, transposes, permutations."""
 
+import json
 import sys
 
 import numpy as np
 import pytest
 
-from likelymat import SolverCase, UnsupportedCase, solve
+from likelymat import SolverCase, UnsupportedCase, classify, solve
+from likelymat.cli import load_problem, main
 from conftest import CASE_GENERATORS, make_spec, zero_diagonal_blocks
 
 # The solver each case calls, by its name in likelymat.solve.
@@ -177,3 +179,42 @@ class TestRouting:
         ]
         for spec in specs:
             assert solve(spec).case is classify(validate_spec(spec))
+
+
+SLICE_SUMS = [[1, 2], [1, 2], [1, 2]]
+BOUNDED_ZERO_DIAGONAL = {"shape": {"rows": 3, "cols": 3}, "symmetric": True,
+                         "row_sums": {"kind": "upper", "values": [4, 4, 4]},
+                         "fixed_blocks": {"diagonal_prefix": 3, "values": 0}}
+
+
+class TestUnsupportedRules:
+    """Documents that validation accepts and ``classify`` refuses, one per
+    rule, among them the rules no other test reaches: ``check`` reports
+    each unsupported, and ``solve`` exits 1 with UnsupportedCase."""
+
+    @pytest.mark.parametrize("doc", [
+        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+         "row_sums": {"kind": "equal", "values": SLICE_SUMS},
+         "total": {"kind": "upper", "value": 10}},
+        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+         "row_sums": {"kind": "equal", "values": SLICE_SUMS},
+         "fixed_blocks": {"diagonal_prefix": 2, "values": 0}},
+        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+         "row_sums": {"kind": "upper", "values": SLICE_SUMS}},
+        {"shape": {"rows": 2, "cols": 2}, "row_sums": {"kind": "equal", "values": [1, 1]},
+         "col_sums": {"kind": "upper", "values": [2, 2]}},
+        # bounded row sums saturate in the fixed-entry construction, at a
+        # total of 12 that a lower total, stated or bounded, rules out
+        {**BOUNDED_ZERO_DIAGONAL, "total": {"kind": "equal", "value": 10}},
+        {**BOUNDED_ZERO_DIAGONAL, "total": {"kind": "upper", "value": 10}},
+    ], ids=["3d-bounded-total", "3d-blocks-off-zero-diagonal", "3d-bounded-sums",
+            "row-sums-with-column-bounds", "fixed-entries-equal-total-below-bounds",
+            "fixed-entries-upper-total-below-bounds"])
+    def test_classify_check_and_solve_agree(self, doc, tmp_path, capsys):
+        assert classify(load_problem(doc)) is SolverCase.UNSUPPORTED
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["case"] == "unsupported"
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: UnsupportedCase: ")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from likelymat import (
     BracketFailure,
@@ -37,6 +38,16 @@ FOUR_NODE_MATRIX = [
     [12.59, 4.82, 0.0, 12.59],
     [19.82, 7.59, 12.59, 0.0],
 ]
+
+
+@st.composite
+def root_problems(draw):
+    """(r, m) of up to 50 ratios, with zeros and ties, times 2^k for |k| <= 40."""
+    n = draw(st.integers(1, 50))
+    ratio = st.just(0.0) | st.sampled_from([0.1, 0.25, 0.5]) | st.floats(1e-3, 1.0)
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    r = tuple(v * scale for v in draw(st.lists(ratio, min_size=n, max_size=n)))
+    return r, draw(st.integers(0, n))
 
 
 class TestRootSolver:
@@ -79,7 +90,12 @@ class TestRootSolver:
         with pytest.raises(BracketFailure, match="every ratio is zero"):
             solve_root_lambda(RootProblem(r=(0.0, 0.0), m=2))
 
-    @pytest.mark.parametrize("doc, evals", [("sym_fixed_diag", 54), ("sym_3d", 159)])
+    def test_ratios_summing_past_the_float_range_are_refused(self):
+        # the upper end 2 sqrt(sigma) is inf there
+        with pytest.raises(BracketFailure, match="the ratios sum past the float range"):
+            solve_root_lambda(RootProblem(r=(8e307, 8e307, 8e307), m=2))
+
+    @pytest.mark.parametrize("doc, evals", [("sym_fixed_diag", 53), ("sym_3d", 160)])
     def test_f_evaluation_counts_are_pinned(self, doc, evals, monkeypatch):
         # bisection to exhaustion: a change of its path changes these counts
         calls = []
@@ -88,6 +104,28 @@ class TestRootSolver:
         golden = Path(__file__).parent / "golden" / f"{doc}.json"
         solve(load_problem(json.loads(golden.read_text())))
         assert len(calls) == evals
+
+    @given(root_problems())
+    # m = 0 with its root at 1.0, and a root past 64
+    @example(((0.3, 0.3, 0.2, 0.2), 0))
+    @example(((0.45 * 2.0**20, 0.45 * 2.0**20, 0.1 * 2.0**20), 2))
+    # a root just above the branch point, where the generic f reads 1.5e-8
+    @example(((0.0, 0.6, 0.2, 0.2, 0.2, 0.6), 2))
+    def test_the_root_is_the_last_float_not_above_zero(self, problem):
+        """The root is the float where f turns positive, or the branch point
+        where f is zero, and f positive at the branch point is the only
+        refusal.  At the branch point f is taken exactly, as the solver
+        takes it."""
+        p = RootProblem(*problem)
+        try:
+            lam = solve_root_lambda(p)
+        except BracketFailure:
+            assert p.sigma == 0.0 or p.r_max > 0.0 and p.f_at_branch_point() > 0.0
+            return
+        at_branch = p.r_max > 0.0 and lam == 2.0 * math.sqrt(p.r_max)
+        f_lam = p.f_at_branch_point() if at_branch else p.f(lam)
+        if not (at_branch and f_lam == 0.0):
+            assert f_lam <= 0.0 < p.f(math.nextafter(lam, math.inf))
 
     def test_residual_small_at_interior_roots(self, rng):
         for _ in range(100):
