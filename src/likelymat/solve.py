@@ -26,7 +26,9 @@ from .solution import Solution, TensorSolution
 # traced run (perfbench/tracing.py) can wrap it; so solve_sym_fixed_diagonal
 # stays imported, though fixed diagonals dispatch to the block solver.
 from .symmetric import (
-    half_total_reports,
+    _half_total,
+    _slice_problems,
+    _slices,
     solve_sym_3d_fixed_diagonal,
     solve_sym_block_diagonal,
     solve_sym_fixed_diagonal,
@@ -79,9 +81,15 @@ def solve(spec: ProblemSpec) -> Solution | TensorSolution:
 
 
 def half_total_check(spec: ProblemSpec) -> list:
-    """The half-total check the fixed-entry solvers run on a spec with fixed
-    blocks and every row sum, without solving: (slice index, report) pairs
-    from :func:`~likelymat.symmetric.half_total_reports`."""
+    """Without solving, the fixed-entry solvers' checks of a spec with fixed
+    blocks and every row sum: each slice's half-total check as (slice index,
+    report) pairs, None in 2-D; if all pass in a fixed-entry case, the later
+    checks raise what ``solve`` raises (fixed values over sums, no root)."""
     spec = validate_spec(spec)
     u = spec.sums["row"].values()
-    return half_total_reports(u, _total(u), spec.fixed_cells)
+    sums, c, totals, scale, unit = _slices(u, _total(u), spec.fixed_cells)
+    reports = [(None if u.ndim == 1 else k, _half_total(sums[:, k], c, t, unit))
+               for k, t in enumerate(totals) if t is not None]
+    if all(report.ok for _, report in reports) and classify(spec) is not SolverCase.UNSUPPORTED:
+        _slice_problems(sums, c, totals, scale, unit)
+    return reports

@@ -54,7 +54,6 @@ __all__ = [
     "solve_sym_fixed_diagonal",
     "solve_sym_3d_fixed_diagonal",
     "solve_sym_block_diagonal",
-    "half_total_reports",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +115,8 @@ class RootProblem:
         square roots clamped at zero so the function extends continuously
         below each branch point."""
         lam2 = lam * lam
-        roots = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * self.r[: self.m] / lam2))
-        return _left_sum(roots) - 2.0 * self.tail / lam2 - (self.m - 2)
+        roots = _sqrt_sums(4.0 * self.r[None, : self.m], [lam2])[0]
+        return roots - 2.0 * self.tail / lam2 - (self.m - 2)
 
     def f_at_branch_point(self) -> float:
         """Value of f at lam = 2 sqrt(max fixed ratio), computed exactly.
@@ -130,24 +129,37 @@ class RootProblem:
         r_top = self.r_max
         others = r_fixed[r_fixed != r_top]
         acc = _left_sum(np.sqrt(np.maximum(0.0, 1.0 - others / r_top)))
-        return acc - self.tail / (2.0 * r_top) - (self.m - 2)
+        tail_term = self.tail / (2.0 * r_top) if 2.0 * r_top < math.inf else self.tail / r_top / 2
+        return acc - tail_term - (self.m - 2)
 
 
-def solve_root_lambda(p: RootProblem) -> float:
-    """Unique root of the saturation equation.
+def _sqrt_sums(r4: np.ndarray, lam2: list[float]) -> list[float]:
+    """Each row k of ``r4`` (4 r over a problem's m fixed ratios) summed as
+    sqrt(1 - r4 / lam2[k]) terms, left to right from 0.0 as :func:`_left_sum`
+    adds: one (K, m) pass for K problems, each sum a scalar loop's bits."""
+    terms = np.zeros((r4.shape[0], r4.shape[1] + 1))  # column 0 is each sum's start
+    t = terms[:, 1:]
+    np.divide(r4, np.array(lam2)[:, None], out=t)
+    np.subtract(1.0, t, out=t)
+    np.sqrt(np.maximum(0.0, t, out=t), out=t)
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].tolist()
 
-    f increases from the branch point 2 sqrt(r_max) of the fixed ratios (0,
-    where f is -inf, when none is positive), and since sqrt(1 - x) >= 1 - x
-    it is at least 2 - (F + T / 2) / sigma >= 1 at 2 sqrt(sigma), F and T
-    the fixed and tail sums.  So that one bracket holds for every problem
-    with a root, and bisection on it runs to floating-point exhaustion: the
-    root takes no tolerance.  A root sitting exactly on the branch point is
-    returned as such.  Where ``guaranteed`` holds, the paper's bracket is
-    checked too, as the theorem it is.
+
+def _bracket(p: RootProblem) -> tuple[float, float]:
+    """The root's bracket (lo, hi), lo == hi for a root on the branch point;
+    ``BracketFailure`` when there is no root.  f increases from the branch
+    point 2 sqrt(r_max) of the fixed ratios (0, where f is -inf, when none is
+    positive), and since sqrt(1 - x) >= 1 - x it is at least
+    2 - (F + T / 2) / sigma >= 1 at 2 sqrt(sigma), F and T the fixed and tail
+    sums: that one bracket holds for every problem with a root.  Where
+    ``guaranteed`` holds, the paper's bracket is checked too, as a theorem.
     """
     if p.sigma == 0.0:
         raise BracketFailure("the saturation equation has no root: every ratio is zero")
     lo, hi = 2.0 * math.sqrt(p.r_max), 2.0 * math.sqrt(p.sigma)
+    if hi == math.inf:  # bisection would stop at once, on the branch point
+        raise BracketFailure("the saturation equation has no finite bracket: "
+                             "the ratios sum past the float range")
     flo = p.f_at_branch_point() if p.r_max > 0 else -math.inf
     if p.guaranteed:
         if not flo <= 0.0:
@@ -158,23 +170,42 @@ def solve_root_lambda(p: RootProblem) -> float:
             raise BracketFailure(
                 f"bracket upper end violates sign condition: f({upper})={f_upper}")
     if flo == 0.0:
-        return lo
+        return lo, lo
     if flo > 0.0:
         raise BracketFailure(
             "the saturation equation has no root: the function is already "
             f"positive at its branch point {lo}"
         )
-    if hi == math.inf:  # bisection would stop at once, on the branch point
-        raise BracketFailure("the saturation equation has no finite bracket: "
-                             "the ratios sum past the float range")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return lo
-        if p.f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
+    return lo, hi
+
+
+def _bisect(problems: list[RootProblem], brackets: list[tuple[float, float]]) -> list[float]:
+    """Roots of problems with one m, bisected in lockstep from their
+    :func:`_bracket` to floating-point exhaustion: each step takes f at all
+    live midpoints in one :func:`_sqrt_sums` pass, and a problem retires when
+    its midpoint reaches lo or hi, with lo, where f <= 0 < f(next float).  The
+    arithmetic is a scalar bisection's, so no root depends on the others."""
+    m = problems[0].m if problems else 0
+    r4 = 4.0 * np.array([p.r[:m] for p in problems]).reshape(len(problems), m)
+    tail2 = [2.0 * p.tail for p in problems]
+    lo, hi = [b[0] for b in brackets], [b[1] for b in brackets]
+    live = list(range(len(problems)))
+    while live:
+        mid = [0.5 * (lo[k] + hi[k]) for k in live]
+        halves = [lo[k] < x < hi[k] for k, x in zip(live, mid)]
+        if not all(halves):
+            live, r4 = [k for k, h in zip(live, halves) if h], r4[halves]
+            continue
+        lam2 = [x * x for x in mid]
+        for k, x, l2, roots in zip(live, mid, lam2, _sqrt_sums(r4, lam2)):
+            (lo if roots - tail2[k] / l2 - (m - 2) <= 0.0 else hi)[k] = x
+    return lo
+
+
+def solve_root_lambda(p: RootProblem) -> float:
+    """Unique root of the saturation equation: :func:`_bisect` on its
+    :func:`_bracket`, or the branch point when the root sits there."""
+    return _bisect([p], [_bracket(p)])[0]
 
 
 def branch_factors(p: RootProblem, lam: float) -> np.ndarray:
@@ -280,61 +311,45 @@ def solve_sym_total_row_col_bounds(s: float, u) -> Solution:
     )
 
 
-def _root_factors(
-    r: np.ndarray, nodes: np.ndarray, block: np.ndarray
-) -> tuple[RootProblem | None, float, np.ndarray]:
-    """Saturation-equation root and per-node factors over fixed blocks.
-
-    ``r[i]`` is node i's unfixed mass over the total; ``nodes`` and ``block``
-    are the covered nodes and their blocks (:class:`FixedCells`).  Each
-    block contributes one square-root term over its summed ratio r_g, added
-    in ``nodes`` order; the nodes in no block form the linear tail, in index
-    order.  A block's factor is the small root of f * (lam - f) = r_g in its
-    subtraction-free form 2 r_g / (lam (1 + q_g)): the companion lam - f
-    then equals lam (1 + q_g) / 2 exactly, so each row sum reproduces s r at
-    full relative precision whatever the size of q_g.  A singleton's node
-    takes the block factor itself, a node of a larger block its share
-    r_i / r_g of it, and a tail node r_i / lam.  When every ratio is zero
-    there is no root: the problem is None and lam is NaN.
-    """
+def _root_problem(r: np.ndarray, nodes: np.ndarray, block: np.ndarray) -> RootProblem | None:
+    """The saturation equation over fixed blocks, None when nothing is left
+    unfixed.  ``r[i]`` is node i's unfixed mass over the total, ``nodes`` and
+    ``block`` the covered nodes and their blocks (:class:`FixedCells`).  Each
+    block gives one square-root term over its summed ratio r_g, in ``nodes``
+    order; the nodes in no block form the linear tail, in index order."""
     tail = np.flatnonzero(np.bincount(nodes, minlength=r.size) == 0)
     rn = r[nodes]
     single = np.bincount(block)[block] == 1
     r_group = np.bincount(block, rn)
     r_group[block[single]] = rn[single]  # a singleton's ratio as it is (-0.0 too)
     problem = RootProblem(r=np.concatenate((r_group, r[tail])), m=r_group.size)
-    if problem.sigma == 0.0:
-        # Nothing is left unfixed: no equation to solve, every free entry is 0.
-        return None, math.nan, np.zeros(r.size)
-    lam = solve_root_lambda(problem)
-    q = branch_factors(problem, lam)
-    f_group = 2.0 * r_group / (lam * (1.0 + q))
+    return None if problem.sigma == 0.0 else problem
 
+
+def _factors(p: RootProblem, lam: float, r: np.ndarray, nodes: np.ndarray,
+             block: np.ndarray) -> np.ndarray:
+    """Per-node factors at the root ``lam`` of :func:`_root_problem`.  A
+    block's factor is the small root of f * (lam - f) = r_g in its
+    subtraction-free form 2 r_g / (lam (1 + q_g)): the companion lam - f
+    then equals lam (1 + q_g) / 2 exactly, so each row sum reproduces s r at
+    full relative precision whatever the size of q_g.  A singleton's node
+    takes the block factor itself, a node of a larger block its share
+    r_i / r_g of it, and a tail node r_i / lam."""
+    tail = np.flatnonzero(np.bincount(nodes, minlength=r.size) == 0)
+    single = np.bincount(block)[block] == 1
+    r_group = p.r[: p.m]
+    f_group = 2.0 * r_group / (lam * (1.0 + branch_factors(p, lam)))
     factors = np.zeros(r.size)
     factors[tail] = r[tail] / lam
-    fg, rg = f_group[block], r_group[block]
+    fg, rg, rn = f_group[block], r_group[block], r[nodes]
     share = np.divide(rn * fg, rg, out=np.zeros(rn.size), where=rg > 0)
     factors[nodes] = np.where(single, fg, share)
-    return problem, lam, factors
-
-
-def _in_range(u: np.ndarray, s: float, what: str) -> tuple[np.ndarray, float, float]:
-    """``(u, s, 1)`` once s is checked against the ``what`` total of u; when s
-    overflows, u and its total divided by a power of two, and that power.
-    The solution is homogeneous of degree 1 and the division exact, so the
-    divided problem solves to the true solution divided by the power."""
-    total = _total(u)
-    if not close(s, total):
-        raise InfeasibleMarginals(f"total {s} disagrees with the {what} total {total}")
-    if math.isfinite(s):
-        return u, s, 1.0
-    unit = 2.0 ** u.size.bit_length()
-    return u / unit, _total(u / unit), unit
+    return factors
 
 
 def _half_total(u: np.ndarray, c: FixedCells, total: float, unit: float) -> ConsistencyReport:
     """The half-total check at ``total`` of sums and cells divided by ``unit``
-    (:func:`_in_range`), its values multiplied back (inf past the float
+    (:func:`_slices`), its values multiplied back (inf past the float
     range)."""
     report = consistency_check_blocks(u, c, total)
     if unit == 1.0:
@@ -343,62 +358,82 @@ def _half_total(u: np.ndarray, c: FixedCells, total: float, unit: float) -> Cons
         (index_set, u_block * unit, limit * unit) for index_set, u_block, limit in report.violations))
 
 
-def _zero_diagonal(n: int) -> FixedCells:
-    at = np.arange(n)
-    return FixedCells(at, at, at, at, np.zeros(n))
-
-
-def half_total_reports(u, s: float, c: FixedCells) -> list:
-    """The fixed-entry solvers' half-total check, without solving.
-
-    ``u`` of shape (n,) is checked as :func:`solve_sym_block_diagonal`
-    checks it, at the total ``s`` with the cells ``c`` fixed; ``u`` of shape
-    (n, K) as :func:`solve_sym_3d_fixed_diagonal` does, each slice with a
-    nonzero total at that total, with the zero diagonal whatever ``c``
-    says.  Both run on the sums brought into the float range by
-    :func:`_in_range`, and the reports' values are multiplied back.
-    Returns (slice index, report) pairs, the slice index None in 2-D.
-    """
-    u = np.asarray(u, dtype=float)
+def _slices(u: np.ndarray, s: float, c: FixedCells | None):
+    """Sums ``u`` as the slices of :func:`_fixed_entries`: (n, K) sums, the
+    cells fixed in each, their half-total check totals, the ratios' scale
+    and a unit.  ``u`` of shape (n,) is one slice with the cells ``c``, of
+    shape (n, K) K slices with the zero diagonal (None: total 0, unsolved).
+    A total s past the float range divides u, s and the cells by a power of
+    two, the unit; the solution is homogeneous of degree 1 and the division
+    exact, so that solves to the true solution divided by the unit."""
+    total = _total(u)
+    if not close(s, total):
+        raise InfeasibleMarginals(f"total {s} disagrees with the "
+                                  f"{'sum' if u.ndim == 1 else 'section'} total {total}")
+    unit = 1.0 if math.isfinite(s) else 2.0 ** u.size.bit_length()
+    if unit != 1.0:
+        u, s = u / unit, _total(u / unit)
     if u.ndim == 1:
-        u, s, unit = _in_range(u, s, "sum")
-        return [(None, _half_total(u, replace(c, values=c.values / unit), s, unit))]
-    u, s, unit = _in_range(u, s, "section")
-    zero_diagonal = _zero_diagonal(u.shape[0])
-    totals = [float(u[:, k].sum()) for k in range(u.shape[1])]
-    return [(k, _half_total(u[:, k], zero_diagonal, total, unit))
-            for k, total in enumerate(totals) if total != 0.0]
+        return u[:, None], replace(c, values=c.values / unit), [s], s, unit
+    totals = [float(u[:, k].sum()) or None for k in range(u.shape[1])]
+    at = np.arange(u.shape[0])
+    return u, FixedCells(at, at, at, at, np.zeros(at.size)), totals, s, unit
 
 
-def _fixed_entries(u, c: FixedCells, total: float, scale: float, unit: float):
-    """The fixed-entry construction over node sums ``u`` with the cells ``c``
-    fixed: the matrix, the factors, the root problem and the root.
+def _slice_problems(u: np.ndarray, c: FixedCells, totals: list, scale: float, unit: float):
+    """Each slice's checks, in slice order as a slice-by-slice solve runs
+    them: half-total, fixed values against sums, and its root's bracket over
+    the ratios u / ``scale`` less the fixed mass.  Returns the ratios (n, K),
+    per slice its root problem (None: unsolved or all fixed), the brackets."""
+    ratios, problems, brackets = np.zeros(u.shape), [None] * len(totals), []
+    w = c.row_sums()
+    for k, total in enumerate(totals):
+        if total is None:
+            continue
+        report = _half_total(u[:, k], c, total, unit)
+        if not report.ok:
+            raise ConsistencyViolation(
+                "index set {}: outgoing traffic {} is not strictly below {} (half the "
+                "total plus half the intra-set traffic)".format(*report.first_violation))
+        un = u[c.nodes, k]
+        over = np.flatnonzero(w > un * (1 + REL_TOL))
+        if over.size:
+            raise InfeasibleMarginals(
+                f"node {c.nodes[over[0]]}: fixed values in its block exceed its sum")
+        r = u[:, k] / scale
+        r[c.nodes] = (un - w) / scale
+        ratios[:, k] = r = np.maximum(0.0, r)
+        problems[k] = _root_problem(r, c.nodes, c.block)
+        if problems[k] is not None:
+            brackets.append(_bracket(problems[k]))
+    return ratios, problems, brackets
 
-    The half-total check runs at ``total``, the ratios are u / ``scale`` and
-    the free entries scale f_i f_j.  The inputs come divided by ``unit``
-    (:func:`_in_range`), and the matrix and the half-total check's message
-    give them back multiplied by it.
-    """
-    report = _half_total(u, c, total, unit)
-    if not report.ok:
-        index_set, u_block, limit = report.first_violation
-        raise ConsistencyViolation(
-            f"index set {index_set}: outgoing traffic {u_block} is not strictly "
-            f"below {limit} (half the total plus half the intra-set traffic)"
-        )
-    un, w = u[c.nodes], c.row_sums()
-    over = np.flatnonzero(w > un * (1 + REL_TOL))
-    if over.size:
-        raise InfeasibleMarginals(
-            f"node {c.nodes[over[0]]}: fixed values in its block exceed its sum")
-    r = u / scale
-    r[c.nodes] = (un - w) / scale
-    problem, lam, factors = _root_factors(np.maximum(0.0, r), c.nodes, c.block)
-    X = scale * np.outer(factors, factors)
-    X[c.nodes[c.rows], c.nodes[c.cols]] = c.values
+
+def _fixed_entries(u: np.ndarray, c: FixedCells, totals: list, scale: float, unit: float):
+    """The fixed-entry construction over :func:`_slices`: the (n, n, K)
+    array, the factors, and per slice the root problem and root (NaN where
+    none).  After the checks, the roots are bisected in lockstep; slice k's
+    free entries are ``scale`` f_ik f_jk, written a block of rows at a time
+    and scaled while in cache, then the fixed cells, all times ``unit``."""
+    (n, K), (ratios, problems, brackets) = u.shape, _slice_problems(u, c, totals, scale, unit)
+    solved = [k for k, p in enumerate(problems) if p is not None]
+    lams, F = [math.nan] * K, np.zeros((n, K))
+    for k, lam in zip(solved, _bisect([problems[k] for k in solved], brackets)):
+        lams[k] = lam
+        F[:, k] = _factors(problems[k], lam, ratios[:, k], c.nodes, c.block)
+    X = np.empty((n, n, K))
+    step = max(1, 2**15 // (n * K))
+    for i in range(0, n, step):
+        rows = np.einsum("ik,jk->ijk", F[i:i + step], F, out=X[i:i + step])
+        rows *= scale
+    # einsum adds each product to 0.0: a -0.0 factor's products are redone
+    i, k = np.nonzero((F == 0.0) & np.signbit(F))
+    X[i, :, k] = F[i, k][:, None] * F[:, k].T * scale
+    X[:, i, k] = F[:, k] * F[i, k] * scale
+    X[c.nodes[c.rows], c.nodes[c.cols]] = c.values[:, None]
     if unit != 1.0:
         X *= unit
-    return X, factors, problem, lam
+    return X, F, problems, lams
 
 
 def solve_sym_fixed_diagonal(
@@ -436,7 +471,7 @@ def solve_sym_3d_fixed_diagonal(u, s: float) -> TensorSolution:
     slices decouple: each is the fixed-entry construction of
     :func:`solve_sym_block_diagonal` with a zero diagonal, its half-total
     check at the slice's own total and its ratios u[:, k] / s over the
-    global total, so each gets its own root xi_k and
+    global total, so each gets its own root xi_k, bisected in lockstep, and
 
         x[i, j, k] = (s / xi_k) (1 - sqrt(1 - r_ik xi_k)) (1 - sqrt(1 - r_jk xi_k))
 
@@ -447,33 +482,15 @@ def solve_sym_3d_fixed_diagonal(u, s: float) -> TensorSolution:
         raise InfeasibleMarginals(f"section sums must be 2-D (n x K), got {u.shape}")
     if np.any(u < 0):
         raise NegativeValue("section sums must be nonnegative")
-    n, K = u.shape
-    u, s, unit = _in_range(u, s, "section")
-    zero_diagonal = _zero_diagonal(n)
-    values = np.zeros((n, n, K))
-    lams: list[float] = []
-    xis: list[float] = []
-    notes: list[str] = []
-    for k in range(K):
-        slice_total = float(u[:, k].sum())
-        if slice_total == 0.0:
-            lams.append(math.nan)
-            xis.append(math.nan)
-            continue
-        values[:, :, k], _, problem, lam = _fixed_entries(
-            u[:, k], zero_diagonal, slice_total, s, unit
-        )
-        lams.append(lam)
-        xis.append(4.0 / (lam * lam))
-        if problem is not None and not problem.guaranteed:
-            notes.append(f"slice {k}: outside guaranteed bracket regime")
+    values, _, problems, lams = _fixed_entries(*_slices(u, s, None))
     return TensorSolution(
         values,
         SolverCase.SYM_3D_FIXED_DIAGONAL,
         total=_total(values),
         lam=tuple(lams),
-        xi=tuple(xis),
-        notes=tuple(notes),
+        xi=tuple(4.0 / (lam * lam) for lam in lams),
+        notes=tuple(f"slice {k}: outside guaranteed bracket regime"
+                    for k, p in enumerate(problems) if p is not None and not p.guaranteed),
     )
 
 
@@ -497,7 +514,7 @@ def solve_sym_block_diagonal(u, blocks, s: float, bounds_mode: bool = False) -> 
     if (not nodes.size or nodes.min() < 0 or nodes.max() >= u.size
             or np.bincount(nodes).max() > 1):
         raise InfeasibleMarginals("fixed blocks must be one or more disjoint sets of nodes")
-    u, s, unit = _in_range(u, s, "sum")
+    slices = _slices(u, s, c)
     with np.errstate(over="ignore", invalid="ignore"):
         rs, cs = c.row_sums(), np.bincount(c.cols, c.values, minlength=nodes.size)
         differ = ~((rs == cs) | np.isfinite(rs) & np.isfinite(cs)
@@ -507,8 +524,8 @@ def solve_sym_block_diagonal(u, blocks, s: float, bounds_mode: bool = False) -> 
             f"block {c.index_set(int(c.block[np.argmax(differ)]))}: fixed row and column "
             "sums differ, so the shared row/column totals cannot both hold"
         )
-    c = replace(c, values=c.values / unit)
-    X, factors, problem, lam = _fixed_entries(u, c, s, s, unit)
+    X, F, (problem,), (lam,) = _fixed_entries(*slices)
+    X, factors = X[:, :, 0], F[:, 0]
     if bounds_mode and not np.all(factors <= 1.0 + 1e-9):
         raise InvariantViolation("bound-mode factors must stay in (0, 1]")
 

@@ -1,11 +1,12 @@
 """The numpy solver core and oracle against the loops they replaced, bit for bit.
 
 The references below are the loop code that ``RootProblem``, the root
-solver, ``branch_factors``, ``series_approx_xi``, ``_root_factors`` and the
-water-fill ran before they were vectorised, and the oracle's program build,
-dual solve, product-form fit and KKT check as they were when they walked
-every cell in Python, and the fixed-entry solvers, the half-total check and
-``_root_factors`` as they were when they walked ``FixedBlock`` objects.
+solver, ``branch_factors``, ``series_approx_xi``, the fixed-entry root
+problem and factors (``_root_problem``, ``_factors``) and the water-fill ran
+before they were vectorised, and the oracle's program build, dual solve,
+product-form fit and KKT check as they were when they walked every cell in
+Python, and the fixed-entry solvers, the half-total check and the root
+factors as they were when they walked ``FixedBlock`` objects.
 They are kept verbatim apart from names, and apart from one rule the
 water-fill loops took with the code they check: a target at or above the
 bound total saturates every bound (it used to go to the k-scan, whose
@@ -53,6 +54,12 @@ row, +inf ones too, and gravity wrote its columns through boolean column
 masks.  Both are kept as references: the water-fill that now reads only
 the finite caps, and the whole-matrix gravity passes, match them bit for
 bit.
+
+The fixed-entry solvers once bisected each slice's root on its own, by a
+scalar loop, and assembled each slice as scale * np.outer(f, f).  That
+slice-by-slice construction is kept as the reference for the lockstep
+bisection and the block-of-rows assembly: every byte, root and note the
+same, or the same first error.
 """
 
 from __future__ import annotations
@@ -104,6 +111,7 @@ from likelymat.cli import _oracle_objective
 from likelymat.constraints import (
     REL_TOL,
     ConsistencyReport,
+    FixedCells,
     ProblemSpec,
     close,
     is_column_form,
@@ -114,7 +122,10 @@ from likelymat.oracle import ZERO_REPORT, KktReport
 from likelymat.rect import _gravity
 from likelymat.solution import Solution, TensorSolution
 from likelymat.symmetric import (
-    _root_factors,
+    _bisect,
+    _bracket,
+    _factors,
+    _root_problem,
     branch_factors,
     series_approx_xi,
     solve_root_lambda,
@@ -300,6 +311,13 @@ def loop_root_factors(r, groups, tol):
     return problem, lam, factors
 
 
+def root_factors(r, nodes, block):
+    """The fixed-entry construction's root and factors for one slice."""
+    problem = _root_problem(r, nodes, block)
+    lam = solve_root_lambda(problem)
+    return problem, lam, _factors(problem, lam, r, nodes, block)
+
+
 def loop_find_k_vector(a, b_sorted):
     b = np.asarray(b_sorted, dtype=float)
     n = b.size
@@ -451,9 +469,9 @@ class TestRootEvaluators:
                     ref = loop_root_factors(r, groups, 1e-12)
                 except AssertionError:
                     with pytest.raises(Exception):
-                        _root_factors(r, nodes, block)
+                        root_factors(r, nodes, block)
                     continue
-                problem, lam, factors = _root_factors(r, nodes, block)
+                problem, lam, factors = root_factors(r, nodes, block)
                 assert bits(problem.r) == bits(ref[0].r) and problem.m == ref[0].m
                 assert bits(lam) == bits(ref[1]) and bits(factors) == bits(ref[2])
                 solved += 1
@@ -2157,3 +2175,249 @@ class TestFixedEntries:
             ref = result_or_error(walks[fn], *args)
             assert isinstance(ref, tuple), (fn.__name__, args)
             assert result_or_error(fn, *args) == ref
+
+
+# ----------------------------------------------------------------------
+# Reference: the fixed-entry construction one slice at a time
+# ----------------------------------------------------------------------
+
+
+def loop_bisect(p: RootProblem) -> float:
+    """The scalar bisection on the one bracket, with f as a loop."""
+    r_fixed, tail = p.r[: p.m].tolist(), p.tail
+
+    def f(lam):
+        lam2 = lam * lam
+        acc = 0.0
+        for v in r_fixed:
+            acc += math.sqrt(max(0.0, 1.0 - 4.0 * v / lam2))
+        return acc - 2.0 * tail / lam2 - (p.m - 2)
+
+    if p.sigma == 0.0:
+        raise BracketFailure("the saturation equation has no root: every ratio is zero")
+    lo, hi = 2.0 * math.sqrt(p.r_max), 2.0 * math.sqrt(p.sigma)
+    flo = p.f_at_branch_point() if p.r_max > 0 else -math.inf
+    if p.guaranteed:
+        if not flo <= 0.0:
+            raise BracketFailure(f"bracket lower end violates sign condition: f({lo})={flo}")
+        upper = p.bracket[1]
+        f_upper = f(upper)
+        if not f_upper > 0.0:
+            raise BracketFailure(
+                f"bracket upper end violates sign condition: f({upper})={f_upper}")
+    if flo == 0.0:
+        return lo
+    if flo > 0.0:
+        raise BracketFailure(
+            "the saturation equation has no root: the function is already "
+            f"positive at its branch point {lo}"
+        )
+    if hi == math.inf:
+        raise BracketFailure("the saturation equation has no finite bracket: "
+                             "the ratios sum past the float range")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def slice_in_range(u, s, what):
+    total = slice_total(u)
+    if not close(s, total):
+        raise InfeasibleMarginals(f"total {s} disagrees with the {what} total {total}")
+    if math.isfinite(s):
+        return u, s, 1.0
+    unit = 2.0 ** u.size.bit_length()
+    return u / unit, slice_total(u / unit), unit
+
+
+def slice_half_total(u, c, total, unit):
+    report = consistency_check_blocks(u, c, total)
+    if unit == 1.0:
+        return report
+    return ConsistencyReport(report.ok, tuple(
+        (index_set, u_block * unit, limit * unit) for index_set, u_block, limit in report.violations))
+
+
+def slice_fixed_entries(u, c, total, scale, unit):
+    report = slice_half_total(u, c, total, unit)
+    if not report.ok:
+        index_set, u_block, limit = report.first_violation
+        raise ConsistencyViolation(
+            f"index set {index_set}: outgoing traffic {u_block} is not strictly "
+            f"below {limit} (half the total plus half the intra-set traffic)"
+        )
+    un, w = u[c.nodes], c.row_sums()
+    over = np.flatnonzero(w > un * (1 + REL_TOL))
+    if over.size:
+        raise InfeasibleMarginals(
+            f"node {c.nodes[over[0]]}: fixed values in its block exceed its sum")
+    r = u / scale
+    r[c.nodes] = (un - w) / scale
+    r = np.maximum(0.0, r)
+    problem = _root_problem(r, c.nodes, c.block)
+    if problem is None:
+        lam, factors = math.nan, np.zeros(r.size)
+    else:
+        lam = loop_bisect(problem)
+        factors = _factors(problem, lam, r, c.nodes, c.block)
+    X = scale * np.outer(factors, factors)
+    X[c.nodes[c.rows], c.nodes[c.cols]] = c.values
+    if unit != 1.0:
+        X *= unit
+    return X, factors, problem, lam
+
+
+def slice_total(x):
+    with np.errstate(over="ignore"):
+        return float(x.sum())
+
+
+def slice_solve_sym_3d_fixed_diagonal(u, s):
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise InfeasibleMarginals(f"section sums must be 2-D (n x K), got {u.shape}")
+    if np.any(u < 0):
+        raise NegativeValue("section sums must be nonnegative")
+    n, K = u.shape
+    u, s, unit = slice_in_range(u, s, "section")
+    at = np.arange(n)
+    zero_diagonal = FixedCells(at, at, at, at, np.zeros(n))
+    values = np.zeros((n, n, K))
+    lams, xis, notes = [], [], []
+    for k in range(K):
+        total = float(u[:, k].sum())
+        if total == 0.0:
+            lams.append(math.nan)
+            xis.append(math.nan)
+            continue
+        values[:, :, k], _, problem, lam = slice_fixed_entries(
+            u[:, k], zero_diagonal, total, s, unit)
+        lams.append(lam)
+        xis.append(4.0 / (lam * lam))
+        if problem is not None and not problem.guaranteed:
+            notes.append(f"slice {k}: outside guaranteed bracket regime")
+    return TensorSolution(values, SolverCase.SYM_3D_FIXED_DIAGONAL, total=slice_total(values),
+                          lam=tuple(lams), xi=tuple(xis), notes=tuple(notes))
+
+
+def slice_solve_sym_block_diagonal(u, blocks, s, bounds_mode=False):
+    u = np.asarray(u, dtype=float)
+    c = FixedCells.of(blocks)
+    if np.any(u < 0):
+        raise NegativeValue("sums must be nonnegative")
+    nodes = c.nodes
+    if (not nodes.size or nodes.min() < 0 or nodes.max() >= u.size
+            or np.bincount(nodes).max() > 1):
+        raise InfeasibleMarginals("fixed blocks must be one or more disjoint sets of nodes")
+    u, s, unit = slice_in_range(u, s, "sum")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rs, cs = c.row_sums(), np.bincount(c.cols, c.values, minlength=nodes.size)
+        differ = ~((rs == cs) | np.isfinite(rs) & np.isfinite(cs)
+                   & (np.abs(rs - cs) <= REL_TOL * np.maximum(1.0, np.maximum(rs, cs))))
+    if differ.any():
+        raise InfeasibleMarginals(
+            f"block {c.index_set(int(c.block[np.argmax(differ)]))}: fixed row and column "
+            "sums differ, so the shared row/column totals cannot both hold"
+        )
+    c = dataclasses.replace(c, values=c.values / unit)
+    X, factors, problem, lam = slice_fixed_entries(u, c, s, s, unit)
+    if bounds_mode and not np.all(factors <= 1.0 + 1e-9):
+        raise InvariantViolation("bound-mode factors must stay in (0, 1]")
+    singletons = c.values.size == nodes.size
+    return Solution(
+        X,
+        SolverCase.SYM_FIXED_DIAGONAL if singletons else SolverCase.SYM_BLOCK_DIAGONAL,
+        total=slice_total(X), row_multipliers=factors, col_multipliers=factors.copy(),
+        lam=lam, xi=4.0 / (lam * lam),
+        notes=() if problem is None or problem.guaranteed
+        else ("outside guaranteed bracket regime",),
+        root=problem,
+    )
+
+
+def drawn_scale(rng, top):
+    """1, 2^k with |k| <= 40, or a factor that takes a maximum of ``top``
+    near the top of the float range, where the sums overflow."""
+    pick = rng.random()
+    if pick < 0.15:
+        return 1.7e308 / (top or 1.0) * float(rng.uniform(0.5, 1.0))
+    return 2.0 ** int(rng.integers(-40, 41)) if pick < 0.7 else 1.0
+
+
+def drawn_sums(rng, shape):
+    """Node sums of one family: spread, tied, with a node over half its
+    slice, or with -0.0 cells; then scaled by :func:`drawn_scale`."""
+    family = rng.integers(4)
+    u = rng.choice([1.0, 2.0, 3.0], shape) if family == 1 else rng.uniform(1.0, 100.0, shape)
+    if family == 2 and shape[0] > 1:
+        u[0] = u[1:].sum(axis=0) * rng.uniform(0.9, 1.5)
+    if family == 3:
+        u[rng.random(shape) < 0.2] = -0.0
+    return u * drawn_scale(rng, float(u.max()))
+
+
+class TestLockstep:
+    """The fixed-entry cases against the slice-by-slice references above."""
+
+    def test_roots_match_the_scalar_bisection(self, rng):
+        solved = 0
+        for _ in range(60):
+            K, m = int(rng.integers(1, 11)), int(rng.integers(0, 40))
+            n = m + int(rng.integers(0 if m else 1, 20))
+            problems = []
+            for _ in range(K):
+                r = rng.choice([0.0, 0.5, 1.0, 2.0], n) if rng.random() < 0.3 \
+                    else rng.uniform(0.0, 1.0, n)
+                problems.append(RootProblem(r=r * 2.0 ** int(rng.integers(-40, 41)), m=m))
+            problems = [p for p in problems if p.sigma > 0.0
+                        and (p.r_max == 0.0 or p.f_at_branch_point() <= 0.0)]
+            lams = _bisect(problems, [_bracket(p) for p in problems])
+            assert bits(lams) == bits([loop_bisect(p) for p in problems])
+            assert [solve_root_lambda(p) for p in problems] == lams
+            solved += len(problems)
+        assert solved >= 150
+
+    def test_three_d(self, rng):
+        solved = 0
+        for _ in range(80):
+            n = int(np.exp(rng.uniform(0.0, np.log(300.0))))
+            K = int(rng.integers(1, 11))
+            u = drawn_sums(rng, (n, K))
+            u[:, rng.random(K) < 0.2] = 0.0  # slices with total 0
+            args = (u, slice_total(u))
+            ref = result_or_error(slice_solve_sym_3d_fixed_diagonal, *args)
+            new = result_or_error(solve_sym_3d_fixed_diagonal, *args)
+            assert fixed_entry_bits(new) == fixed_entry_bits(ref)
+            solved += not isinstance(ref, tuple)
+        assert solved >= 30
+
+    def test_blocks(self, rng):
+        solved = 0
+        for _ in range(120):
+            n = int(np.exp(rng.uniform(0.0, np.log(300.0))))
+            u, blocks = random_block_problem(rng, n)
+            if rng.random() < 0.2:
+                u[rng.random(n) < 0.3] = -0.0
+            scale = drawn_scale(rng, float(u.max()))
+            blocks = [FixedBlock(b.index_set, tuple(tuple(v * scale for v in row)
+                                                    for row in b.matrix)) for b in blocks]
+            u = u * scale
+            args = (u, blocks, slice_total(u), bool(rng.random() < 0.3))
+            ref = result_or_error(slice_solve_sym_block_diagonal, *args)
+            new = result_or_error(solve_sym_block_diagonal, *args)
+            assert fixed_entry_bits(new) == fixed_entry_bits(ref)
+            solved += not isinstance(ref, tuple)
+        assert solved >= 40
+
+    def test_negative_zero_rows_keep_their_sign(self):
+        # einsum would write +0.0 where the outer product writes -0.0
+        u, zero_diagonal = np.array([-0.0, 3.0, 3.0, 3.0]), zero_diagonal_blocks(4)
+        sol = solve_sym_block_diagonal(u, zero_diagonal, 9.0)
+        assert np.signbit(sol.matrix[0, 1:]).all() and np.signbit(sol.matrix[1:, 0]).all()
+        assert bits(sol.matrix) == bits(slice_solve_sym_block_diagonal(u, zero_diagonal,
+                                                                       9.0).matrix)

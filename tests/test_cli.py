@@ -337,6 +337,40 @@ class TestCheck:
         violation = strict_json(captured.out)["consistency"]["violations"][0]
         assert violation["indices"] == indices
 
+    @pytest.mark.parametrize("doc", [
+        {"shape": {"rows": 3, "cols": 3}, "symmetric": True,
+         "fixed_blocks": {"diagonal_prefix": 3, "values": 0},
+         "row_sums": {"kind": "equal", "values": [3, 4, 5]}},
+        {"shape": {"rows": 3, "cols": 3}, "symmetric": True,
+         "fixed_blocks": {"diagonal_prefix": 1, "values": [2]},
+         "row_sums": {"kind": "equal", "values": [1, 4, 5]}},
+        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+         "fixed_blocks": {"diagonal_prefix": 3, "values": 0},
+         "row_sums": {"kind": "equal", "values": [[1, 3], [1, 4], [1, 5]]}},
+    ], ids=["lopsided_zero_diagonal", "fixed_value_over_its_sum", "3d_second_slice"])
+    def test_check_raises_what_solve_raises_past_the_half_total_check(
+            self, tmp_path, capsys, doc):
+        # each passes the half-total check; the first has no root (its top
+        # node would sit on the large root), the second fixes more than a
+        # node's sum, the third is the first as a 3-D document's slice 1
+        path = write(tmp_path, "p.json", doc)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("error: BracketFailure: ", "error: InfeasibleMarginals: "))
+        assert main(["check", path]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_an_unsupported_spec_is_not_bracketed(self, tmp_path, capsys):
+        # the lopsided zero diagonal as bounds, under a total that its
+        # saturated rows break: solve refuses the case, so check does not
+        # bracket its root
+        doc = {"shape": {"rows": 3, "cols": 3}, "symmetric": True,
+               "fixed_blocks": {"diagonal_prefix": 3, "values": 0},
+               "row_sums": {"kind": "upper", "values": [3, 4, 5]},
+               "total": {"kind": "equal", "value": 10}}
+        assert main(["check", write(tmp_path, "p.json", doc)]) == 0
+        assert strict_json(capsys.readouterr().out)["case"] == "unsupported"
+
 
 class TestOracleAndBrute:
     def test_oracle_agrees(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from likelymat import (
     solve_sym_total_row_col_bounds,
     verify_kkt,
 )
+from likelymat import symmetric
 from likelymat.cli import load_problem
 from conftest import make_spec, random_sym_fixed_diagonal, records, walk_sums
 
@@ -95,15 +96,29 @@ class TestRootSolver:
         with pytest.raises(BracketFailure, match="the ratios sum past the float range"):
             solve_root_lambda(RootProblem(r=(8e307, 8e307, 8e307), m=2))
 
-    @pytest.mark.parametrize("doc, evals", [("sym_fixed_diag", 53), ("sym_3d", 160)])
-    def test_f_evaluation_counts_are_pinned(self, doc, evals, monkeypatch):
-        # bisection to exhaustion: a change of its path changes these counts
-        calls = []
-        f = RootProblem.f
-        monkeypatch.setattr(RootProblem, "f", lambda p, lam: calls.append(lam) or f(p, lam))
+    def test_an_infinite_sum_is_refused_before_the_branch_point(self):
+        # f at the branch point read 0 there, and the root the branch point 2e154
+        with pytest.raises(BracketFailure, match="the ratios sum past the float range"):
+            solve_root_lambda(RootProblem(r=(1e308, 1e308, 1e308), m=2))
+
+    def test_the_branch_point_tail_term_does_not_overflow(self):
+        # 2 r_top is past the float range; the tail term, 0.3, is not
+        assert RootProblem(r=(1e308, 6e307), m=1).f_at_branch_point() == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("doc, passes, evals", [("sym_fixed_diag", 53, 53),
+                                                     ("sym_3d", 56, 160)])
+    def test_f_evaluation_counts_are_pinned(self, doc, passes, evals, monkeypatch):
+        # bisection to exhaustion: a change of its path changes these counts.
+        # Each pass takes f of every live problem at once: the sym_3d pin is
+        # three bracket checks, one per slice, and 53 lockstep steps over its
+        # three slices' roots; the evaluations are the scalar bisections'.
+        rows = []
+        sqrt_sums = symmetric._sqrt_sums
+        monkeypatch.setattr(symmetric, "_sqrt_sums",
+                            lambda r4, lam2: rows.append(len(lam2)) or sqrt_sums(r4, lam2))
         golden = Path(__file__).parent / "golden" / f"{doc}.json"
         solve(load_problem(json.loads(golden.read_text())))
-        assert len(calls) == evals
+        assert (len(rows), sum(rows)) == (passes, evals)
 
     @given(root_problems())
     # m = 0 with its root at 1.0, and a root past 64
