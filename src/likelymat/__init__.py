@@ -15,7 +15,6 @@ from .constraints import (
     Shape,
     SolverCase,
     TotalConstraint,
-    classify,
     consistency_check_blocks,
     validate_spec,
 )
@@ -65,7 +64,7 @@ from .rect import (
     solve_total_row_bounds,
 )
 from .solution import Solution, TensorSolution
-from .solve import solve
+from .solve import classify, solve
 from .symmetric import (
     RootProblem,
     SeriesState,

@@ -38,7 +38,6 @@ from .constraints import (
     TotalConstraint,
     _intp,
     check_block,
-    classify,
     constraint_values,
     validate_spec,
 )
@@ -51,7 +50,7 @@ from .counting import (
 from .errors import CountOverflow, LikelymatError, NegativeValue
 from .oracle import _fixes_total, brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
-from .solve import half_total_check, solve
+from .solve import classify, half_total_check, solve
 from .symmetric import series_approx_xi
 
 __all__ = ["main", "load_problem"]

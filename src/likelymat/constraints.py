@@ -1,12 +1,11 @@
-"""Declarative constraint model: validation, consistency checks, classification.
+"""Declarative constraint model: the spec, its validation and consistency checks.
 
 A :class:`ProblemSpec` describes what is known about a nonnegative matrix (or
 3-dimensional array): equality or upper-bound constraints on row sums, column
 sums, the total sum, individual elements, and square blocks whose entries are
-fixed outright.  :func:`validate_spec` normalizes and feasibility-checks a
-spec, :func:`consistency_check_blocks` tests the strict half-total condition
-that fixed blocks must satisfy, and :func:`classify` maps a validated spec to
-the closed-form solver that handles it.
+fixed outright.  :func:`validate_spec` normalizes and checks a spec, and
+:func:`consistency_check_blocks` tests the strict half-total condition that
+fixed blocks must satisfy.  :mod:`likelymat.solve` holds the case table.
 
 A spec holds its constraints as arrays only: one :class:`AxisSums` per
 axis, the element bounds as (row, column, cap) arrays and the fixed blocks as
@@ -48,7 +47,6 @@ __all__ = [
     "ConsistencyReport",
     "validate_spec",
     "consistency_check_blocks",
-    "classify",
 ]
 
 # Relative tolerance for equality checks between user-supplied sums.
@@ -537,6 +535,8 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
             raise ShapeMismatch(f"fixed blocks overlap at index {nodes[p]}")
         raise IndexOutOfRange(f"fixed block index {nodes[p]} outside 0..{n - 1}")
 
+    _check_values(spec)
+
     # Symmetric information: column constraints, if spelled out, must mirror
     # the row constraints exactly, their values to REL_TOL.
     rows, cols = spec.row_sums.take(row_order), spec.col_sums.take(col_order)
@@ -555,6 +555,30 @@ def validate_spec(spec: ProblemSpec) -> ProblemSpec:
         fixed_cells=spec.fixed_cells.by_first_node(),
         validated=True,
     )
+
+
+def _check_values(spec: ProblemSpec) -> None:
+    """Raise for the first value in spec order (row sums, column sums, the
+    total, caps, fixed values) that is NaN or negative, a negative with its
+    record's message, or that is an equality and not finite.  +inf is no
+    bound for an upper sum, an upper total or a cap."""
+    (i, j, ub), t, rows, cols = spec.element_caps, spec.total, spec.row_sums, spec.col_sums
+    for value, equal, name in (
+            (rows.value, rows.equal, lambda p: f"row {rows.index[p]}: marginal value {{}}"),
+            (cols.value, cols.equal, lambda p: f"col {cols.index[p]}: marginal value {{}}"),
+            ([t.value] if t else [], bool(t) and t.kind == "equal", lambda p: "total value {}"),
+            (ub, False, lambda p: f"element bound at ({i[p]},{j[p]})"),
+            (spec.fixed_cells.values, True, lambda p: "fixed block value {}")):
+        value = np.asarray(value, dtype=float)
+        bad = np.flatnonzero(~(value >= 0) | (np.isinf(value) & equal))
+        if bad.size:
+            p, v = int(bad[0]), float(value[bad[0]])
+            what = name(p).format(v)
+            if math.isnan(v):
+                raise NegativeValue(f"{what} is not a number")
+            if v < 0:  # as the records word it: a cap's message names no value
+                raise NegativeValue(what + (" < 0" if "{}" in name(p) else " is negative"))
+            raise InfeasibleMarginals(f"{what} is an equality and not finite")
 
 
 def _check_marginal_feasibility(spec: ProblemSpec) -> None:
@@ -657,121 +681,3 @@ def consistency_check_blocks(
     bad = np.flatnonzero(~(u_block < limit)).tolist()
     return ConsistencyReport(ok=not bad, violations=tuple(
         (c.index_set(b), float(u_block[b]), float(limit[b])) for b in bad))
-
-
-def classify(spec: ProblemSpec) -> SolverCase:
-    """Deterministically map a validated spec to its closed-form case.
-
-    Symmetry is examined first; within symmetric specs, fixed blocks take
-    precedence over pure bounds.  Patterns with no matching case return
-    ``UNSUPPORTED`` rather than raising.  A column-form spec (see
-    :func:`is_column_form`) is classified by its transpose, so it maps to a
-    row-based case, and :func:`~likelymat.solve.solve` solves it transposed.
-    """
-    if not spec.validated:
-        spec = validate_spec(spec)
-
-    if spec.shape.is_3d:
-        return _classify_3d(spec)
-    if spec.symmetric:
-        return _classify_symmetric(spec)
-    return _classify_rect(spec)
-
-
-def _classify_3d(spec: ProblemSpec) -> SolverCase:
-    if spec.element_caps[2].size:
-        return SolverCase.UNSUPPORTED
-    if spec.total is not None and spec.total.kind != "equal":
-        return SolverCase.UNSUPPORTED
-    if spec.fixed_cells and not _blocks_are_zero_diagonal(spec):
-        return SolverCase.UNSUPPORTED
-    if spec.sums["row"].known and _total_admits_saturation(spec):
-        return SolverCase.SYM_3D_FIXED_DIAGONAL
-    return SolverCase.UNSUPPORTED
-
-
-def _total_admits_saturation(spec: ProblemSpec) -> bool:
-    """Whether a stated total admits the fixed-entry construction, which
-    saturates every row sum: it must equal their sum s, or as a bound not
-    fall below it."""
-    t = spec.total
-    if t is None:
-        return True
-    with np.errstate(over="ignore"):  # a sum past the float range is inf
-        s = float(spec.sums["row"].values().sum())
-    return close(t.value, s) if t.kind == "equal" else t.value >= s * (1 - 1e-12)
-
-
-def _blocks_are_zero_diagonal(spec: ProblemSpec) -> bool:
-    # validated blocks are disjoint and in range: n singletons cover every node
-    c = spec.fixed_cells
-    return c.nodes.size == len(c) == spec.shape.rows and not c.values.any()
-
-
-def _classify_symmetric(spec: ProblemSpec) -> SolverCase:
-    rows = spec.sums["row"]
-    row_kinds = rows.kinds
-    if spec.element_caps[2].size:
-        return SolverCase.UNSUPPORTED
-
-    if spec.fixed_cells:
-        if not (rows.complete and len(row_kinds) == 1):
-            return SolverCase.UNSUPPORTED
-        if not _total_admits_saturation(spec):
-            return SolverCase.UNSUPPORTED
-        covered = spec.fixed_cells.nodes.size  # disjoint and in range, once validated
-        if covered == len(spec.fixed_cells):
-            return SolverCase.SYM_FIXED_DIAGONAL
-        if covered == spec.shape.rows:
-            return SolverCase.SYM_BLOCK_DIAGONAL
-        return SolverCase.UNSUPPORTED
-
-    if (
-        spec.total is not None
-        and spec.total.kind == "equal"
-        and row_kinds == {"upper"}
-    ):
-        return SolverCase.SYM_TOTAL_ROW_COL_BOUNDS
-    if rows.known and (spec.total is None or spec.total.kind == "equal"):
-        # Symmetric gravity: both marginals known and equal.
-        return SolverCase.GRAVITY_PARTIAL_COLS
-    if row_kinds == {"upper"} and spec.total is None:
-        return SolverCase.ROW_COL_BOUNDS
-    return SolverCase.UNSUPPORTED
-
-
-def _classify_rect(spec: ProblemSpec) -> SolverCase:
-    if is_column_form(spec):
-        return _classify_rect(transpose(spec))
-    rows = spec.sums["row"]
-    row_kinds, col_kinds = rows.kinds, spec.sums["col"].kinds
-    total = spec.total
-
-    if spec.fixed_cells:
-        # Fixed entries are only solvable under symmetric information.
-        return SolverCase.UNSUPPORTED
-    if spec.element_caps[2].size:
-        if col_kinds or total is not None or "equal" in row_kinds:
-            return SolverCase.UNSUPPORTED
-        return SolverCase.ROW_BOUNDS_ELEM_BOUNDS
-
-    if rows.known:
-        if col_kinds in (set(), {"equal"}) and (total is None or total.kind == "equal"):
-            return SolverCase.GRAVITY_PARTIAL_COLS
-        return SolverCase.UNSUPPORTED
-
-    bound_axes = ("upper" in row_kinds) + ("upper" in col_kinds)
-    if "equal" in row_kinds or "equal" in col_kinds:
-        return SolverCase.UNSUPPORTED
-
-    if bound_axes == 2:
-        if total is not None:
-            return SolverCase.UNSUPPORTED
-        return SolverCase.ROW_COL_BOUNDS
-    if bound_axes == 1 or (bound_axes == 0 and total is not None):
-        if total is None:
-            return SolverCase.ROW_BOUNDS
-        if total.kind == "equal":
-            return SolverCase.TOTAL_ROW_BOUNDS
-        return SolverCase.BOUNDED_TOTAL_ROW_BOUNDS
-    return SolverCase.UNSUPPORTED

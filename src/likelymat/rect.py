@@ -105,6 +105,8 @@ def solve_gravity_partial_cols(u, v, m: int) -> Solution:
     v = np.asarray(v, dtype=float)
     _check_nonneg("row sums", u)
     _check_nonneg("column sums", v)
+    if not np.isfinite(u).all():
+        raise InfeasibleMarginals(f"row sums must be finite, got {u}")
     if v.size > m:
         raise InfeasibleMarginals(f"{v.size} column sums given for {m} columns")
     v = np.concatenate((v, np.full(m - v.size, math.inf)))

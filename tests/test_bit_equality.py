@@ -60,6 +60,11 @@ scalar loop, and assembled each slice as scale * np.outer(f, f).  That
 slice-by-slice construction is kept as the reference for the lockstep
 bisection and the block-of-rows assembly: every byte, root and note the
 same, or the same first error.
+
+``classify`` once ran three nested classifiers, one per form, with a bare
+return for each refusal.  They are kept as the reference for the case
+table that replaced them: the same case, or the same error, for every spec
+of a feature grid and for drawn specs.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CASE_GENERATORS,
@@ -88,12 +93,17 @@ from conftest import (
 from likelymat import (
     BracketFailure,
     ConsistencyViolation,
+    ElementBound,
     FixedBlock,
     InfeasibleMarginals,
     InvariantViolation,
+    LikelymatError,
+    MarginalConstraint,
     NegativeValue,
     RootProblem,
+    Shape,
     SolverCase,
+    TotalConstraint,
     classify,
     consistency_check_blocks,
     solve,
@@ -115,6 +125,7 @@ from likelymat.constraints import (
     ProblemSpec,
     close,
     is_column_form,
+    transpose,
     validate_spec,
 )
 from likelymat.errors import Infeasible, InvariantViolation, NotConverged
@@ -2421,3 +2432,216 @@ class TestLockstep:
         assert np.signbit(sol.matrix[0, 1:]).all() and np.signbit(sol.matrix[1:, 0]).all()
         assert bits(sol.matrix) == bits(slice_solve_sym_block_diagonal(u, zero_diagonal,
                                                                        9.0).matrix)
+
+
+# ----------------------------------------------------------------------
+# Reference: classify as nested classifiers
+# ----------------------------------------------------------------------
+
+
+def nested_classify(spec: ProblemSpec) -> SolverCase:
+    """``classify`` as it was: three nested classifiers, one per form."""
+    if not spec.validated:
+        spec = validate_spec(spec)
+
+    if spec.shape.is_3d:
+        return nested_classify_3d(spec)
+    if spec.symmetric:
+        return nested_classify_symmetric(spec)
+    return nested_classify_rect(spec)
+
+
+def nested_classify_3d(spec: ProblemSpec) -> SolverCase:
+    if spec.element_caps[2].size:
+        return SolverCase.UNSUPPORTED
+    if spec.total is not None and spec.total.kind != "equal":
+        return SolverCase.UNSUPPORTED
+    if spec.fixed_cells and not nested_blocks_are_zero_diagonal(spec):
+        return SolverCase.UNSUPPORTED
+    if spec.sums["row"].known and nested_total_admits_saturation(spec):
+        return SolverCase.SYM_3D_FIXED_DIAGONAL
+    return SolverCase.UNSUPPORTED
+
+
+def nested_total_admits_saturation(spec: ProblemSpec) -> bool:
+    t = spec.total
+    if t is None:
+        return True
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        s = float(spec.sums["row"].values().sum())
+    return close(t.value, s) if t.kind == "equal" else t.value >= s * (1 - 1e-12)
+
+
+def nested_blocks_are_zero_diagonal(spec: ProblemSpec) -> bool:
+    # validated blocks are disjoint and in range: n singletons cover every node
+    c = spec.fixed_cells
+    return c.nodes.size == len(c) == spec.shape.rows and not c.values.any()
+
+
+def nested_classify_symmetric(spec: ProblemSpec) -> SolverCase:
+    rows = spec.sums["row"]
+    row_kinds = rows.kinds
+    if spec.element_caps[2].size:
+        return SolverCase.UNSUPPORTED
+
+    if spec.fixed_cells:
+        if not (rows.complete and len(row_kinds) == 1):
+            return SolverCase.UNSUPPORTED
+        if not nested_total_admits_saturation(spec):
+            return SolverCase.UNSUPPORTED
+        covered = spec.fixed_cells.nodes.size  # disjoint and in range, once validated
+        if covered == len(spec.fixed_cells):
+            return SolverCase.SYM_FIXED_DIAGONAL
+        if covered == spec.shape.rows:
+            return SolverCase.SYM_BLOCK_DIAGONAL
+        return SolverCase.UNSUPPORTED
+
+    if (
+        spec.total is not None
+        and spec.total.kind == "equal"
+        and row_kinds == {"upper"}
+    ):
+        return SolverCase.SYM_TOTAL_ROW_COL_BOUNDS
+    if rows.known and (spec.total is None or spec.total.kind == "equal"):
+        # Symmetric gravity: both marginals known and equal.
+        return SolverCase.GRAVITY_PARTIAL_COLS
+    if row_kinds == {"upper"} and spec.total is None:
+        return SolverCase.ROW_COL_BOUNDS
+    return SolverCase.UNSUPPORTED
+
+
+def nested_classify_rect(spec: ProblemSpec) -> SolverCase:
+    if is_column_form(spec):
+        return nested_classify_rect(transpose(spec))
+    rows = spec.sums["row"]
+    row_kinds, col_kinds = rows.kinds, spec.sums["col"].kinds
+    total = spec.total
+
+    if spec.fixed_cells:
+        # Fixed entries are only solvable under symmetric information.
+        return SolverCase.UNSUPPORTED
+    if spec.element_caps[2].size:
+        if col_kinds or total is not None or "equal" in row_kinds:
+            return SolverCase.UNSUPPORTED
+        return SolverCase.ROW_BOUNDS_ELEM_BOUNDS
+
+    if rows.known:
+        if col_kinds in (set(), {"equal"}) and (total is None or total.kind == "equal"):
+            return SolverCase.GRAVITY_PARTIAL_COLS
+        return SolverCase.UNSUPPORTED
+
+    bound_axes = ("upper" in row_kinds) + ("upper" in col_kinds)
+    if "equal" in row_kinds or "equal" in col_kinds:
+        return SolverCase.UNSUPPORTED
+
+    if bound_axes == 2:
+        if total is not None:
+            return SolverCase.UNSUPPORTED
+        return SolverCase.ROW_COL_BOUNDS
+    if bound_axes == 1 or (bound_axes == 0 and total is not None):
+        if total is None:
+            return SolverCase.ROW_BOUNDS
+        if total.kind == "equal":
+            return SolverCase.TOTAL_ROW_BOUNDS
+        return SolverCase.BOUNDED_TOTAL_ROW_BOUNDS
+    return SolverCase.UNSUPPORTED
+
+
+GRID_SUMS = [[5.0, 1.0], [6.0, 2.0], [7.0, 3.0], [8.0, 4.0]]
+# how an axis states its sums: (kind, every row or all but the last); "mixed"
+# knows the first and bounds the rest
+GRID_KINDS = [None] + [(kind, complete) for kind in ("equal", "upper", "mixed")
+                       for complete in (True, False)]
+# a total's kind and value, as a multiple of every stated sum's sum
+GRID_TOTALS = [None, ("equal", 1.0), ("equal", 0.75), ("upper", 1.0), ("upper", 1.5),
+               ("upper", 0.75)]
+GRID_LAYOUTS = [
+    (),
+    zero_diagonal_blocks(4),
+    (FixedBlock((0,), ((1.0,),)), FixedBlock((1,), ((1.0,),))),  # part of the diagonal
+    tuple(FixedBlock((i,), ((1.0,),)) for i in range(4)),
+    (FixedBlock((0, 1), ((0.0, 1.0), (1.0, 0.0))),) + zero_diagonal_blocks(4)[2:],
+    (FixedBlock((0, 1), ((0.0, 1.0), (1.0, 0.0))), FixedBlock((2,), ((0.0,),))),  # 3 free
+]
+# a non-symmetric spec with blocks is unsupported whatever they are
+RECT_LAYOUTS = GRID_LAYOUTS[:2] + GRID_LAYOUTS[5:]
+
+
+def grid_marginals(axis, how, slices):
+    if how is None:
+        return []
+    kind, complete = how
+    return [MarginalConstraint(axis, i, kind if kind != "mixed" else ("upper", "equal")[i == 0],
+                               GRID_SUMS[i][k], k if slices else None)
+            for i in range(4 if complete else 3) for k in range(slices or 1)]
+
+
+def classify_grid():
+    """Every valid 4 x 4 spec of the grid: 2-D, 2-D symmetric or 3-D (two
+    slices), by row kinds, column kinds (a symmetric spec's mirror the rows
+    or are not spelled out), total, one cap or none, and block layout."""
+    for slices, symmetric in ((None, False), (None, True), (2, True)):
+        full = sum(GRID_SUMS[i][k] for i in range(4) for k in range(slices or 1))
+        for rows in GRID_KINDS:
+            for cols in GRID_KINDS if not symmetric else (None, rows):
+                for total in GRID_TOTALS:
+                    for caps in ((), [ElementBound(0, 1, 100.0)]):
+                        for blocks in GRID_LAYOUTS if symmetric else RECT_LAYOUTS:
+                            spec = ProblemSpec.of(
+                                Shape(4, 4, slices),
+                                grid_marginals("row", rows, slices)
+                                + grid_marginals("col", cols, slices),
+                                total=total and TotalConstraint(total[0], total[1] * full),
+                                element_bounds=caps, fixed_blocks=blocks, symmetric=symmetric)
+                            try:
+                                yield validate_spec(spec)
+                            except LikelymatError:
+                                continue
+
+
+@st.composite
+def classify_specs(draw):
+    """A small spec of drawn form, kinds per row and column, total and
+    blocks; validation may refuse it."""
+    n = draw(st.integers(1, 5))
+    slices = draw(st.sampled_from([None, None, 1, 2]))
+    symmetric = slices is not None or draw(st.booleans())
+    m = n if symmetric else draw(st.integers(1, 5))
+    value = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    u = [[draw(value) for _ in range(slices or 1)] for _ in range(n)]
+    marginals = []
+    for axis, size in (("row", n), ("col", 0 if symmetric else m)):
+        for i in range(size):
+            kind = draw(st.sampled_from([None, "equal", "upper"]))
+            if kind is not None:
+                marginals += [MarginalConstraint(axis, i, kind, draw(value) if axis == "col"
+                                                 else u[i][k], k if slices else None)
+                              for k in range(slices or 1)]
+    s = float(np.sum(u))
+    total = draw(st.sampled_from([None, "equal", "upper"]))
+    total = total and TotalConstraint(total, draw(st.sampled_from([s, s, 0.5 * s, 2.0 * s])))
+    caps = [ElementBound(draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)), 4.0)
+            for _ in range(draw(st.integers(0, 2)))]
+    covered = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    pair = 2 if len(covered) >= 2 and draw(st.booleans()) else 0
+    zero = draw(st.booleans())
+    blocks = [FixedBlock(tuple(covered[:2]), ((0.0, 0.5), (0.5, 0.0)))] if pair else []
+    blocks += [FixedBlock((i,), ((0.0 if zero else 1.0,),)) for i in covered[pair:]]
+    return ProblemSpec.of(Shape(n, m, slices), marginals, total=total, element_bounds=caps,
+                          fixed_blocks=blocks, symmetric=symmetric)
+
+
+class TestCaseTable:
+    """``classify``'s case table against the nested classifiers it replaced."""
+
+    def test_the_grid(self):
+        specs = list(classify_grid())
+        cases = [classify(spec) for spec in specs]
+        assert cases == [nested_classify(spec) for spec in specs]
+        assert set(cases) == set(SolverCase)  # every case, and unsupported, occurs
+        assert len(specs) > 1500
+
+    @settings(max_examples=250)
+    @given(classify_specs())
+    def test_drawn_specs(self, spec):
+        assert result_or_error(classify, spec) == result_or_error(nested_classify, spec)

@@ -1,5 +1,9 @@
 """Spec validation, consistency checking, and case classification."""
 
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,15 +12,19 @@ from likelymat import (
     FixedBlock,
     IndexOutOfRange,
     InfeasibleMarginals,
+    LikelymatError,
     MarginalConstraint,
     NegativeValue,
     ProblemSpec,
     Shape,
     ShapeMismatch,
     SolverCase,
+    TotalConstraint,
     classify,
     consistency_check_blocks,
+    numeric_maxent,
     solve,
+    solve_gravity_partial_cols,
     validate_spec,
     verify_kkt,
 )
@@ -134,6 +142,96 @@ class TestValidateSpec:
         spec = make_spec(3, 3, row=("equal", [1, 1, 1]), blocks=blocks, symmetric=True)
         with pytest.raises(ShapeMismatch):
             validate_spec(spec)
+
+
+def put(values, p, v):
+    out = np.array(values, dtype=float)
+    out[p] = v
+    return out
+
+
+GRAVITY = make_spec(2, 3, row=("equal", [6, 4]), col=("equal", [5, None, None]))
+ROW_BOUNDS = make_spec(2, 2, row=("upper", [6, 4]))
+# field -> (a valid spec, the spec with one value of that field set to v,
+# whether the field is an equality, and how the records name a negative v)
+FIELDS = {
+    "row-equal": (GRAVITY, lambda s, v: replace(s, row_sums=replace(
+        s.row_sums, value=put(s.row_sums.value, 1, v))), True, "row 1: marginal value {} < 0"),
+    "row-upper": (ROW_BOUNDS, lambda s, v: replace(s, row_sums=replace(
+        s.row_sums, value=put(s.row_sums.value, 1, v))), False, "row 1: marginal value {} < 0"),
+    "col-equal": (GRAVITY, lambda s, v: replace(s, col_sums=replace(
+        s.col_sums, value=put(s.col_sums.value, 0, v))), True, "col 0: marginal value {} < 0"),
+    "col-upper": (make_spec(2, 2, row=("upper", [6, 4]), col=("upper", [3, 3])),
+                  lambda s, v: replace(s, col_sums=replace(
+                      s.col_sums, value=put(s.col_sums.value, 1, v))),
+                  False, "col 1: marginal value {} < 0"),
+    "total-equal": (ROW_BOUNDS, lambda s, v: replace(s, total=TotalConstraint("equal", v)),
+                    True, "total value {} < 0"),
+    "total-upper": (ROW_BOUNDS, lambda s, v: replace(s, total=TotalConstraint("upper", v)),
+                    False, "total value {} < 0"),
+    "cap": (make_spec(2, 2, row=("upper", [6, 4]), elements=[(0, 1, 1.0)]),
+            lambda s, v: replace(s, element_caps=s.element_caps[:2] + (
+                put(s.element_caps[2], 0, v),)), False, "element bound at (0,1) is negative"),
+    "fixed": (make_spec(3, 3, row=("equal", [4, 4, 4]), symmetric=True,
+                        blocks=zero_diagonal_blocks(3)),
+              lambda s, v: replace(s, fixed_cells=replace(
+                  s.fixed_cells, values=put(s.fixed_cells.values, 1, v))),
+              True, "fixed block value {} < 0"),
+}
+
+
+def ending(fn, build):
+    """The result of ``fn(build())``, or the LikelymatError it raises as
+    (type, message); any other exception, or a warning, fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(build())
+        except LikelymatError as e:
+            return type(e), str(e)
+
+
+class TestValues:
+    """A spec built from arrays, whatever its values: every entry point ends
+    in one named error or a finite result."""
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=["nan", "-1", "inf"])
+    @pytest.mark.parametrize("field", list(FIELDS))
+    def test_each_field(self, field, value):
+        base, bad, equality, negative = FIELDS[field]
+        outcomes = [ending(fn, lambda: bad(base, value))
+                    for fn in (validate_spec, solve, lambda s: numeric_maxent(s, "G"))]
+        if value == math.inf and not equality:  # no bound
+            assert ending(validate_spec, lambda: bad(base, value)).validated
+            for got in outcomes[1:]:
+                assert isinstance(got, tuple) or np.isfinite(got.matrix).all()
+            return
+        where = negative.format(value).removesuffix(" < 0").removesuffix(" is negative")
+        if value < 0 or field.startswith("total") and math.isnan(value):
+            expected = (NegativeValue, negative.format(value))  # a TotalConstraint's own
+        elif math.isnan(value):
+            expected = (NegativeValue, f"{where} is not a number")
+        else:
+            expected = (InfeasibleMarginals, f"{where} is an equality and not finite")
+        assert outcomes == [expected] * 3
+
+    def test_the_first_bad_value_in_spec_order_is_named(self):
+        # rows stated as 1, then 0: the first stated is named, not row 0
+        rows = put(GRAVITY.row_sums.value, [0, 1], [-1.0, math.nan])
+        spec = replace(GRAVITY, row_sums=replace(GRAVITY.row_sums, index=np.array([1, 0]),
+                                                 value=rows),
+                       col_sums=replace(GRAVITY.col_sums, value=np.array([math.inf])))
+        with pytest.raises(NegativeValue, match=r"^row 1: marginal value -1.0 < 0$"):
+            validate_spec(spec)
+        with pytest.raises(NegativeValue, match=r"^row 1: marginal value nan is not a number$"):
+            validate_spec(replace(spec, row_sums=replace(spec.row_sums, value=rows[::-1])))
+        with pytest.raises(InfeasibleMarginals, match=r"^col 0: marginal value inf is an"):
+            validate_spec(replace(spec, row_sums=GRAVITY.row_sums))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_gravity_refuses_a_row_sum_that_is_not_finite(self, value):
+        with pytest.raises(InfeasibleMarginals, match="row sums must be finite"):
+            solve_gravity_partial_cols([1.0, value], [], 2)
 
 
 class TestConsistencyCheck:

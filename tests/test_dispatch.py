@@ -8,6 +8,7 @@ import pytest
 
 from likelymat import SolverCase, UnsupportedCase, classify, solve
 from likelymat.cli import load_problem, main
+from likelymat.solve import CASES, _pattern
 from conftest import CASE_GENERATORS, make_spec, zero_diagonal_blocks
 
 # The solver each case calls, by its name in likelymat.solve.
@@ -185,31 +186,37 @@ SLICE_SUMS = [[1, 2], [1, 2], [1, 2]]
 BOUNDED_ZERO_DIAGONAL = {"shape": {"rows": 3, "cols": 3}, "symmetric": True,
                          "row_sums": {"kind": "upper", "values": [4, 4, 4]},
                          "fixed_blocks": {"diagonal_prefix": 3, "values": 0}}
+# Documents that validation accepts and ``classify`` refuses, one per rule,
+# among them the rules no other test reaches.
+UNSUPPORTED_DOCS = {
+    "3d-bounded-total": {
+        "shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+        "row_sums": {"kind": "equal", "values": SLICE_SUMS},
+        "total": {"kind": "upper", "value": 10}},
+    "3d-blocks-off-zero-diagonal": {
+        "shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+        "row_sums": {"kind": "equal", "values": SLICE_SUMS},
+        "fixed_blocks": {"diagonal_prefix": 2, "values": 0}},
+    "3d-bounded-sums": {
+        "shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+        "row_sums": {"kind": "upper", "values": SLICE_SUMS}},
+    "row-sums-with-column-bounds": {
+        "shape": {"rows": 2, "cols": 2}, "row_sums": {"kind": "equal", "values": [1, 1]},
+        "col_sums": {"kind": "upper", "values": [2, 2]}},
+    # bounded row sums saturate in the fixed-entry construction, at a total
+    # of 12 that a lower total, stated or bounded, rules out
+    "fixed-entries-equal-total-below-bounds":
+        {**BOUNDED_ZERO_DIAGONAL, "total": {"kind": "equal", "value": 10}},
+    "fixed-entries-upper-total-below-bounds":
+        {**BOUNDED_ZERO_DIAGONAL, "total": {"kind": "upper", "value": 10}},
+}
 
 
 class TestUnsupportedRules:
-    """Documents that validation accepts and ``classify`` refuses, one per
-    rule, among them the rules no other test reaches: ``check`` reports
-    each unsupported, and ``solve`` exits 1 with UnsupportedCase."""
+    """``check`` reports each unsupported document, and ``solve`` exits 1
+    with UnsupportedCase."""
 
-    @pytest.mark.parametrize("doc", [
-        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
-         "row_sums": {"kind": "equal", "values": SLICE_SUMS},
-         "total": {"kind": "upper", "value": 10}},
-        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
-         "row_sums": {"kind": "equal", "values": SLICE_SUMS},
-         "fixed_blocks": {"diagonal_prefix": 2, "values": 0}},
-        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
-         "row_sums": {"kind": "upper", "values": SLICE_SUMS}},
-        {"shape": {"rows": 2, "cols": 2}, "row_sums": {"kind": "equal", "values": [1, 1]},
-         "col_sums": {"kind": "upper", "values": [2, 2]}},
-        # bounded row sums saturate in the fixed-entry construction, at a
-        # total of 12 that a lower total, stated or bounded, rules out
-        {**BOUNDED_ZERO_DIAGONAL, "total": {"kind": "equal", "value": 10}},
-        {**BOUNDED_ZERO_DIAGONAL, "total": {"kind": "upper", "value": 10}},
-    ], ids=["3d-bounded-total", "3d-blocks-off-zero-diagonal", "3d-bounded-sums",
-            "row-sums-with-column-bounds", "fixed-entries-equal-total-below-bounds",
-            "fixed-entries-upper-total-below-bounds"])
+    @pytest.mark.parametrize("doc", list(UNSUPPORTED_DOCS.values()), ids=list(UNSUPPORTED_DOCS))
     def test_classify_check_and_solve_agree(self, doc, tmp_path, capsys):
         assert classify(load_problem(doc)) is SolverCase.UNSUPPORTED
         path = tmp_path / "p.json"
@@ -218,3 +225,58 @@ class TestUnsupportedRules:
         assert json.loads(capsys.readouterr().out)["case"] == "unsupported"
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: UnsupportedCase: ")
+
+
+def square(rows, symmetric=True, **doc):
+    return {"shape": {"rows": len(rows["values"]), "cols": len(rows["values"])},
+            "symmetric": symmetric, "row_sums": rows, **doc}
+
+
+EQUAL_ROWS = {"kind": "equal", "values": [4, 4, 4]}
+UPPER_ROWS = {"kind": "upper", "values": [6, 4]}
+# One document per row of each form's case table, in the table's order.
+WITNESSES = {
+    "3d": [{"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+            "row_sums": {"kind": "equal", "values": SLICE_SUMS},
+            "fixed_blocks": {"diagonal_prefix": 3, "values": 0}}],
+    "symmetric": [
+        square(EQUAL_ROWS, fixed_blocks={"diagonal_prefix": 2, "values": 0}),
+        square(dict(EQUAL_ROWS, values=[4, 4, 4, 4]),
+               fixed_blocks=[{"indices": [0, 1], "matrix": [[0, 1], [1, 0]]},
+                             {"indices": [2, 3], "matrix": [[0, 1], [1, 0]]}]),
+        square(dict(EQUAL_ROWS, kind="upper"), total={"kind": "equal", "value": 9}),
+        square(EQUAL_ROWS),
+        square(UPPER_ROWS),
+    ],
+    "rect": [
+        square(UPPER_ROWS, False, element_bounds=[{"i": 0, "j": 0, "ub": 1}]),
+        square(EQUAL_ROWS, False, col_sums={"kind": "equal", "values": [5, None, None]}),
+        square(UPPER_ROWS, False, col_sums={"kind": "upper", "values": [3, 3]}),
+        square(UPPER_ROWS, False),
+        square(UPPER_ROWS, False, total={"kind": "equal", "value": 8}),
+        square(UPPER_ROWS, False, total={"kind": "upper", "value": 8}),
+    ],
+}
+
+
+class TestCaseTable:
+    """Every row of ``likelymat.solve.CASES`` is reached: a row shadowed by
+    an earlier one, or one whose rule can never hold, fails here."""
+
+    @pytest.mark.parametrize("form, at", [(form, at) for form, rows in CASES.items()
+                                          for at in range(len(rows))])
+    def test_each_row_has_a_witness_it_wins(self, form, at):
+        case, rule, _ = CASES[form][at]
+        spec = load_problem(WITNESSES[form][at])
+        assert _pattern(spec)[0] == form and rule(_pattern(spec)[1])
+        assert classify(spec) is case
+        assert solve(spec).case is case
+
+    def test_a_witness_for_each_row_and_none_more(self):
+        assert {form: len(docs) for form, docs in WITNESSES.items()} == \
+            {form: len(rows) for form, rows in CASES.items()}
+
+    def test_every_form_falls_through_to_unsupported(self):
+        docs = [load_problem(doc) for doc in UNSUPPORTED_DOCS.values()]
+        assert {_pattern(spec)[0] for spec in docs} == set(CASES)
+        assert {classify(spec) for spec in docs} == {SolverCase.UNSUPPORTED}

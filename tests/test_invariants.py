@@ -40,14 +40,12 @@ class TestBracketSignConditions:
 
 class TestBoundModeFactors:
     def test_fixed_diagonal_factor_above_one(self, monkeypatch):
-        monkeypatch.setattr(symmetric, "solve_root_lambda", lambda p: 3.0)
         monkeypatch.setattr(symmetric, "branch_factors", lambda p, lam: np.full(p.m, -0.9))
         u = [40.0, 20.0, 30.0, 40.0]
         with pytest.raises(InvariantViolation, match="bound-mode factors"):
             solve_sym_fixed_diagonal(u, 130.0, 4, [0.0] * 4, bounds_mode=True)
 
     def test_block_factor_above_one(self, monkeypatch):
-        monkeypatch.setattr(symmetric, "solve_root_lambda", lambda p: 3.0)
         monkeypatch.setattr(symmetric, "branch_factors", lambda p, lam: np.full(p.m, -0.9))
         u = [40.0, 20.0, 30.0, 40.0]
         blocks = [FixedBlock((i,), ((0.0,),)) for i in range(4)]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from likelymat import (
     Infeasible,
+    InfeasibleMarginals,
     LikelymatError,
     NotConverged,
     SearchSpaceTooLarge,
@@ -318,8 +319,10 @@ class TestBruteForce:
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_sum_is_not_integer_data(self):
+        # validation refuses an infinite equality before the enumeration sees it
         for col in (None, ("upper", [1, 2])):
-            with pytest.raises(LikelymatError, match=r"integer data \(target inf\)"):
+            with pytest.raises(InfeasibleMarginals,
+                               match=r"^row 0: marginal value inf is an equality and not finite$"):
                 brute_force_most_likely(make_spec(1, 2, row=("equal", [math.inf]), col=col))
 
     def test_matches_continuous_solution_when_integral(self):
