@@ -50,7 +50,7 @@ from .counting import (
 from .errors import CountOverflow, LikelymatError, NegativeValue
 from .oracle import _fixes_total, brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
-from .solve import classify, half_total_check, solve
+from .solve import classify, half_total_check, row_sums_only, solve
 from .symmetric import series_approx_xi
 
 __all__ = ["main", "load_problem"]
@@ -461,10 +461,7 @@ def _cmd_count(args) -> int:
     if isinstance(doc, dict) and "shape" in doc:
         spec = load_problem(doc)
         rows = spec.sums["row"]
-        # a symmetric spec's column sums mirror its rows, so it is refused
-        if rows.complete and not len(spec.sums["col"]) and spec.total is None \
-                and not spec.element_caps[2].size and not spec.fixed_cells \
-                and not spec.shape.is_3d:
+        if row_sums_only(spec):
             u = rows.values().tolist()
             m = spec.shape.cols
             payload = {

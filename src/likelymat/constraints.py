@@ -408,7 +408,7 @@ def constraint_values(spec: ProblemSpec, X) -> tuple[np.ndarray, np.ndarray, np.
     parts = []
     for axis, s in ((0, spec.col_sums), (1, spec.row_sums)):
         achieved = np.zeros(len(s))
-        for k in np.unique(s.slice).tolist():
+        for k in sorted(set(s.slice.tolist())):
             on = s.slice == k
             sheet = X if spec.shape.slices is None else X[:, :, k]
             achieved[on] = sheet.sum(axis=axis)[s.index[on]]

@@ -2,16 +2,17 @@
 
 Nothing here reuses the closed forms.  :func:`numeric_maxent` maximizes the
 entropy over the problem's linear constraints by solving the smooth dual:
-one L-BFGS-B round down to a projected gradient of 1e-4 times the largest
-target, then projected-Newton steps, ``iterations`` counting both.  The
-L-BFGS-B round is scipy's compiled routine driven directly
-(:func:`_lbfgsb`): ``minimize``'s iterates, without its wrappers.  When the
-total is unknown it climbs the entropy-difference objective by
-minorize-maximize rounds of the same dual solve, warm-started, with
-``iterations`` summed over them.  A program whose maximizer scales with the
-data is solved at a power-of-two scale of its own, so that data near the
-ends of the float range solves as well as any.  A linear program checks
-feasibility only after a solve fails.
+L-BFGS-B down to a projected gradient of 1e-4 times the largest target or
+for 8 iterations, whichever comes first, then projected-Newton steps; only
+when those stall does L-BFGS-B resume from them, and the Newton steps run
+again, ``iterations`` counting every one.  L-BFGS-B is scipy's compiled
+routine driven directly (:func:`_lbfgsb`): ``minimize``'s iterates, without
+its wrappers.  When the total is unknown it climbs the entropy-difference
+objective by minorize-maximize rounds of the same dual solve, warm-started,
+with ``iterations`` summed over them.  A program whose maximizer scales
+with the data is solved at a power-of-two scale of its own, so that data
+near the ends of the float range solves as well as any.  A linear program
+checks feasibility only after a solve fails.
 :func:`brute_force_most_likely` enumerates small integer instances outright;
 :func:`verify_kkt` checks feasibility, product form, multiplier ranges, and
 complementary slackness of any solution.
@@ -72,7 +73,12 @@ ZERO_REPORT = 1e-9
 # L-BFGS-B hands off to the Newton polish once its projected gradient is
 # below this fraction of the largest target: float resolution keeps it from
 # getting much further, and it would run on until its line search fails.
-HANDOFF_GTOL = 1e-4
+# It also hands off after this many iterations: past them it converges
+# linearly where the polish converges quadratically.
+HANDOFF_GTOL, HANDOFF_ITERS = 1e-4, 8
+# When the polish stalls, L-BFGS-B resumes from it down to this fraction of
+# the largest target.
+RESUME_GTOL = 1e-12
 # Brute force visits at most this many nodes of its search tree, about
 # 0.7 s at 2.5 us a node.
 BRUTE_NODES = 2**18
@@ -386,22 +392,25 @@ def _psd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _lbfgsb(value_grad, theta0: np.ndarray, n_eq: int, gtol: float):
+def _lbfgsb(value_grad, theta0: np.ndarray, n_eq: int, gtol: float, maxiter: int | None = None):
     """Minimize ``value_grad`` (returning the value and the gradient) over
     multipliers of which all but the first ``n_eq`` are nonnegative, by
     scipy's compiled L-BFGS-B routine (``setulb``) driven directly.
 
     This is the reverse-communication loop of scipy's ``_minimize_lbfgsb``
     with the options the oracle used to pass ``minimize`` (10 corrections,
-    20 line-search steps, ftol 1e-16, ``LBFGSB_MAXITER`` iterations,
-    ``LBFGSB_MAXFUN`` evaluations), and so the same iterates, without its
-    per-evaluation wrappers.  As there, the start is clipped to the bounds
-    and evaluated once, a request at an unchanged point reuses the last
-    evaluation, and the limits are written into ``task`` once an iteration
-    ends.  Returns the last point and the iteration count.
+    20 line-search steps, ftol 1e-16, ``maxiter`` iterations, by default
+    ``LBFGSB_MAXITER``, and ``LBFGSB_MAXFUN`` evaluations), and so the same
+    iterates, without its per-evaluation wrappers.  As there, the start is
+    clipped to the bounds and evaluated once, a request at an unchanged
+    point reuses the last evaluation, and the limits are written into
+    ``task`` once an iteration ends: a run stopped by ``maxiter`` ends on the
+    iterate at which an uncapped run goes on.  Returns the last point and
+    the iteration count.
     """
     from scipy.optimize import _lbfgsb  # loaded on first use, not at import
 
+    maxiter = LBFGSB_MAXITER if maxiter is None else maxiter
     m, maxls, factr = 10, 20, 1e-16 / np.finfo(float).eps
     n = theta0.size
     nbd = np.zeros(n, np.int32)  # 0: free
@@ -428,7 +437,7 @@ def _lbfgsb(value_grad, theta0: np.ndarray, n_eq: int, gtol: float):
             g = g_last.copy()  # setulb may write into g; the reused one stays as evaluated
         elif task[0] == 1:  # a new iterate
             nit += 1
-            if nit >= LBFGSB_MAXITER:
+            if nit >= maxiter:
                 task[:] = 5, 504
             elif nfev > LBFGSB_MAXFUN:
                 task[:] = 5, 502
@@ -443,18 +452,23 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
 
     The stationary primal point is x_c = exp(reward - 1 - sum of multipliers
     over constraints containing c); the dual is smooth and convex with bound
-    constraints only (inequality multipliers stay nonnegative).  One
-    L-BFGS-B round (:func:`_lbfgsb`) is the global phase: it hands off once
-    its projected gradient is below ``HANDOFF_GTOL`` times the largest
-    target (1e-12 when every target is 0).  A projected-Newton polish then
+    constraints only (inequality multipliers stay nonnegative).  L-BFGS-B
+    (:func:`_lbfgsb`) is the global phase, and a projected-Newton polish
     takes the KKT residual to ``tol * 1e-3``: each step solves the free
     block of M diag(x) M^T by :func:`_psd_solve`, and the polish stops once
-    a step no longer lowers the residual.  L-BFGS-B starts from ``theta0``
+    a step no longer lowers the residual.  They run in up to two rungs.
+    Rung 1: L-BFGS-B hands off once its projected gradient is below
+    ``HANDOFF_GTOL`` times the largest target (1e-12 when every target is
+    0) or after ``HANDOFF_ITERS`` iterations, whichever comes first, and the
+    polish follows.  Rung 2 runs only when that polish stops above
+    ``1e3 * tol``: L-BFGS-B resumes from the polished multipliers down to
+    ``RESUME_GTOL`` times the largest target, within ``LBFGSB_MAXITER``
+    iterations, and the polish runs again.  L-BFGS-B starts from ``theta0``
     (default zero); a ``warm`` solve polishes ``theta0`` first, and runs
-    L-BFGS-B only if that stops above ``1e3 * tol``.
+    the rungs only if that stops above ``1e3 * tol``.
 
     Returns the primal vector, the multipliers, the KKT residual, and the
-    iteration count: L-BFGS-B iterations plus Newton steps.
+    iteration count: L-BFGS-B iterations plus Newton steps, over every rung.
     """
     M, targets, n_eq = program.incidence, program.targets, program.n_eq
 
@@ -509,10 +523,14 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
         if residual <= 1e3 * tol:
             return x, polished, residual, iters
     largest = float(np.max(targets, initial=0.0))
-    gtol = HANDOFF_GTOL * largest if largest > 0 else 1e-12
-    theta, nit = _lbfgsb(value_grad, theta, n_eq, gtol)
-    x, theta, residual, steps = polish(theta)
-    return x, theta, residual, iters + nit + steps
+    for fraction, maxiter in ((HANDOFF_GTOL, HANDOFF_ITERS), (RESUME_GTOL, LBFGSB_MAXITER)):
+        gtol = fraction * largest if largest > 0 else 1e-12
+        theta, nit = _lbfgsb(value_grad, theta, n_eq, gtol, maxiter)
+        x, theta, residual, steps = polish(theta)
+        iters += nit + steps
+        if residual <= 1e3 * tol:  # else the polish stalled: resume L-BFGS-B from it
+            break
+    return x, theta, residual, iters
 
 
 def _check_feasible(program: _Program) -> None:

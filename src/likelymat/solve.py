@@ -23,7 +23,7 @@ from .symmetric import (_half_total, _slice_problems, _slices, solve_sym_3d_fixe
                         solve_sym_block_diagonal, solve_sym_fixed_diagonal,  # noqa: F401
                         solve_sym_total_row_col_bounds)
 
-__all__ = ["solve", "classify", "half_total_check", "CASES"]
+__all__ = ["solve", "classify", "half_total_check", "row_sums_only", "CASES"]
 
 C = SolverCase
 EQUAL, UPPER = frozenset({"equal"}), frozenset({"upper"})
@@ -168,6 +168,16 @@ def solve(spec: ProblemSpec) -> Solution | TensorSolution:
         # before any per-row array: an unsupported spec may have 10^9 rows
         raise UnsupportedCase("no closed form covers this constraint pattern; see the case table")
     return _CALLS[case](spec, spec.sums["row"].values())
+
+
+def row_sums_only(spec: ProblemSpec) -> bool:
+    """Whether a validated spec states every row sum and nothing else, on a
+    rectangular 2-D form: the problems whose realizations ``count`` counts.
+    It reads the rows as stated, so a column-form spec is refused, and so is
+    a symmetric one, whose column sums are its row sums."""
+    form, p = _pattern(spec)
+    return not is_column_form(spec) and form == "rect" and _free(p) and p.complete \
+        and not p.cols and p.total is None
 
 
 def half_total_check(spec: ProblemSpec) -> list:

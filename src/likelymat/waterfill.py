@@ -88,7 +88,7 @@ def _levels(a, bs, total, n):
         a, bs = a[live], bs[live]
         k_live = _find_k(a, bs, n)
         k[live] = k_live
-        for kv in np.unique(k_live[k_live < n]).tolist():
+        for kv in sorted(set(k_live[k_live < n].tolist())):
             at = np.flatnonzero(k_live == kv)
             # pairwise sum of each row's k smallest bounds, as the one-row case takes it
             mu[live[at]] = (a[at] - bs[at, :kv].sum(axis=1)) / (n - kv)

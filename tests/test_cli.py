@@ -236,6 +236,24 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == "usage error: count on a problem file needs a row-sums-only spec\n"
 
+    @pytest.mark.parametrize("doc, code", [
+        ({"shape": {"rows": 2, "cols": 3}, "row_sums": {"kind": "upper", "values": [2, 3]}}, 0),
+        # the transpose of the row-bounds document: count reads rows as stated
+        ({"shape": {"rows": 3, "cols": 2}, "col_sums": {"kind": "upper", "values": [2, 3]}}, 2),
+        ({"shape": {"rows": 2, "cols": 2, "slices": 2},
+          "row_sums": {"kind": "equal", "values": [[2, 3], [2, 3]]}, "symmetric": True}, 2),
+    ], ids=["row_bounds", "col_sums_only", "3d"])
+    def test_row_sums_only(self, doc, code, tmp_path, capsys):
+        # a symmetric document is refused too: test_symmetric_spec_is_refused
+        assert main(["count", write(tmp_path, "p.json", doc)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == \
+                "usage error: count on a problem file needs a row-sums-only spec\n"
+        else:
+            assert set(json.loads(captured.out)) == {"feasible_saturated", "feasible_under_bounds"}
+
     def test_exact_count_above_the_int_to_str_digit_limit(self, tmp_path, capsys):
         X = np.random.default_rng(0).integers(0, 51, size=(20, 20))
         expected = math.factorial(int(X.sum()))

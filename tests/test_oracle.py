@@ -208,8 +208,9 @@ class TestMinorizeMaximize:
     def test_warm_rounds_rarely_run_lbfgs(self, monkeypatch):
         # on criterion 7's seeded specs, a warm round's polish almost always
         # converges from the shifted multipliers (it once failed 25 times,
-        # each after whole failed line searches)
-        warm_calls, in_warm = [], [False]
+        # each after whole failed line searches), and the polish after the
+        # capped rung 1 rarely stalls (rung 2 ran 16 times in 469 solves)
+        calls, in_warm = [], [False]  # per L-BFGS-B run: (warm round, rung 1)
         dual_solve, lbfgsb = oracle._dual_solve, oracle._lbfgsb
 
         def tracked(*a, warm=False, **kw):
@@ -217,8 +218,8 @@ class TestMinorizeMaximize:
             return dual_solve(*a, warm=warm, **kw)
 
         monkeypatch.setattr(oracle, "_dual_solve", tracked)
-        monkeypatch.setattr(oracle, "_lbfgsb", lambda *a: warm_calls.append(
-            in_warm[0]) or lbfgsb(*a))
+        monkeypatch.setattr(oracle, "_lbfgsb", lambda *a: calls.append(
+            (in_warm[0], a[4] == oracle.HANDOFF_ITERS)) or lbfgsb(*a))
         rng = np.random.default_rng(741)
         solves = 0
         for case, generator in CASE_GENERATORS.items():
@@ -227,8 +228,10 @@ class TestMinorizeMaximize:
                 if _oracle_objective(spec, case) == "G":
                     numeric_maxent(spec, "G", tol=1e-9)
                     solves += 1
-        assert sum(warm_calls) <= 2
-        assert warm_calls.count(False) == solves  # each first round: the hook is live
+        assert sum(warm for warm, _ in calls) <= 2
+        # rung 1 once per first round: the hook is live
+        assert calls.count((False, True)) == solves
+        assert sum(not rung_1 for _, rung_1 in calls) <= 16
 
     def test_a_cell_in_no_constraint_is_unbounded(self):
         spec = make_spec(2, 3, row=("upper", [3.0, None]), col=("upper", [1.0, 2.0, None]))
@@ -265,6 +268,59 @@ class TestMinorizeMaximize:
             res = numeric_maxent(scaled_by(spec, scale), "G")
             assert res.converged
             assert np.all(np.abs(res.matrix - ref) <= 1e-9 * ref.max())
+
+
+# Criterion 7's generator draws on which a single L-BFGS-B run and polish
+# stopped with a residual of 1.8e-4 to 1e-3: each is draw ``d`` (from 0) of
+# its case, the draws taken in CASE_GENERATORS order from default_rng(seed)
+STALLED = [
+    pytest.param(make_spec(6, 2, row=("upper", [
+        2.0171823575341055, 3.5656298238109816, 1.9988166052126415, 3.890858383973714,
+        1.1201591081381066, 1.7067236267876722]), elements=[
+        (0, 0, 1.1566960395855286), (0, 1, 0.8599756225941744), (1, 0, 0.5748637846741089),
+        (1, 1, 1.4193962427362954), (2, 0, 1.6941326453742773), (3, 0, 0.9979591017372214),
+        (3, 1, 1.4520688798272698), (4, 1, 0.8022274200087136), (5, 0, 1.5440636351051948),
+        (5, 1, 1.6001256321554496)]), id="seed743_row_elem_d20"),
+    pytest.param(make_spec(4, 2, row=("upper", [
+        1.342067013434527, 3.1616398986213947, 3.448008139075478, 2.4382800229028954]),
+        elements=[(0, 0, 0.6457750339743547), (0, 1, 1.394362540723693),
+                  (1, 0, 1.991461364534424), (1, 1, 1.1706945264853816),
+                  (2, 0, 1.1848930882128534), (2, 1, 0.9058800147981043),
+                  (3, 0, 1.1137934043492719)]), id="seed746_row_elem_d52"),
+    pytest.param(make_spec(3, 6, row=("upper", [
+        2.017791053041846, 2.065700514955643, 2.54575586770738]),
+        total=("upper", 6.629754249013522)), id="seed753_bounded_total_d94"),
+]
+
+
+class TestHandoff:
+    """L-BFGS-B hands off to the Newton polish after at most
+    ``HANDOFF_ITERS`` iterations, and resumes only when that polish stalls."""
+
+    @pytest.mark.parametrize("spec", STALLED)
+    def test_stalled_polish_converges(self, spec):
+        res = numeric_maxent(spec, "G", tol=1e-9)
+        assert res.converged
+        assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-9
+
+    def test_rung_2_only_after_a_stalled_polish(self, rng, monkeypatch):
+        tol = 1e-9
+        lbfgsb, starts = oracle._lbfgsb, []  # per rung-2 run: the residual it starts at
+
+        def spied(value_grad, theta0, n_eq, gtol, maxiter):
+            if maxiter != oracle.HANDOFF_ITERS:
+                _, g = value_grad(theta0)  # the polished multipliers' KKT residual
+                bound = np.where(theta0[n_eq:] > 1e-14, np.abs(g[n_eq:]), -g[n_eq:])
+                starts.append(max(np.max(np.abs(g[:n_eq]), initial=0.0),
+                                  np.max(bound, initial=0.0)))
+            return lbfgsb(value_grad, theta0, n_eq, gtol, maxiter)
+
+        monkeypatch.setattr(oracle, "_lbfgsb", spied)
+        for spec in [p.values[0] for p in STALLED] + [
+                generator(rng) for generator in CASE_GENERATORS.values() for _ in range(5)]:
+            assert numeric_maxent(spec, _oracle_objective(spec, classify(spec)), tol).converged
+        assert starts  # the stalled specs resume
+        assert min(starts) > 1e3 * tol
 
 
 class TestInfeasible:

@@ -37,3 +37,32 @@ def test_import_loads_no_scipy_and_the_oracle_loads_it_on_demand():
     assert report["converged"] is True
     for got, want in zip(sum(report["matrix"], []), [3.5, 3.5, 1.5, 1.5]):
         assert abs(got - want) <= 1e-6
+
+
+SOLVE_PROBE = """
+import contextlib, io, json, sys
+import likelymat.cli
+def numpy_modules():
+    return {m for m in sys.modules if m == "numpy" or m.startswith("numpy.")}
+before = numpy_modules()
+codes = []
+for doc in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(likelymat.cli.main(["solve", doc]))
+print(json.dumps({"codes": codes, "added": sorted(numpy_modules() - before)}))
+"""
+
+
+def test_solve_loads_no_further_numpy_module():
+    # np.unique without index outputs imports numpy.ma (numpy 2), about 15 ms
+    # of a CLI solve; numpy 1.24 imports it with numpy, so the set is taken
+    # after importing the CLI.  The documents reach the constraint evaluator
+    # of every solve payload and both water-fills.
+    golden = Path(__file__).parent / "golden"
+    docs = [str(golden / f"{stem}.json") for stem in
+            ("gravity", "row_bounds", "total_row_bounds", "row_elem_bounds", "sym_3d")]
+    src = str(Path(likelymat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", SOLVE_PROBE, *docs], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == {"codes": [0] * len(docs), "added": []}
