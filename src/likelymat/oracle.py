@@ -1,18 +1,17 @@
 """Independent verification: numerical optimization, enumeration, KKT checks.
 
 Nothing here reuses the closed forms.  :func:`numeric_maxent` maximizes the
-entropy over the problem's linear constraints by solving the smooth dual:
-L-BFGS-B down to a projected gradient of 1e-4 times the largest target or
-for 8 iterations, whichever comes first, then projected-Newton steps; only
-when those stall does L-BFGS-B resume from them, and the Newton steps run
-again, ``iterations`` counting every one.  L-BFGS-B is scipy's compiled
-routine driven directly (:func:`_lbfgsb`): ``minimize``'s iterates, without
-its wrappers.  When the total is unknown it climbs the entropy-difference
-objective by minorize-maximize rounds of the same dual solve, warm-started,
-with ``iterations`` summed over them.  A program whose maximizer scales
-with the data is solved at a power-of-two scale of its own, so that data
-near the ends of the float range solves as well as any.  A linear program
-checks feasibility only after a solve fails.
+entropy over the problem's linear constraints by solving the smooth dual
+with projected-Newton steps from zero (:func:`_dual_solve`): a ridge keeps
+each Newton system solvable, and a step is taken where it lowers the dual
+enough (Armijo) or lowers the residual at a dual unchanged up to rounding.
+``iterations`` counts the Newton steps.  When the total is unknown it climbs
+the entropy-difference objective by minorize-maximize rounds of the same
+dual solve, each from the last one's multipliers, with ``iterations``
+summed over them.  A program whose maximizer scales with the data is solved
+at a power-of-two scale of its own, so that data near the ends of the float
+range solves as well as any.  A linear program checks feasibility only
+after a solve fails.
 :func:`brute_force_most_likely` enumerates small integer instances outright;
 :func:`verify_kkt` checks feasibility, product form, multiplier ranges, and
 complementary slackness of any solution.
@@ -26,7 +25,8 @@ The product-form fit runs over the program's own marginal and total rows;
 it, the Newton steps and the G rounds' shift share one pivoted-Cholesky solve.
 
 scipy is imported inside the routines that call it, so importing the
-package (or starting the CLI) does not load it.
+package (or starting the CLI) does not load it, and a converging solve
+loads only ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -70,21 +70,12 @@ __all__ = [
 # output snaps entries below this threshold to exact zeros.
 ZERO_REPORT = 1e-9
 
-# L-BFGS-B hands off to the Newton polish once its projected gradient is
-# below this fraction of the largest target: float resolution keeps it from
-# getting much further, and it would run on until its line search fails.
-# It also hands off after this many iterations: past them it converges
-# linearly where the polish converges quadratically.
-HANDOFF_GTOL, HANDOFF_ITERS = 1e-4, 8
-# When the polish stalls, L-BFGS-B resumes from it down to this fraction of
-# the largest target.
-RESUME_GTOL = 1e-12
+# The Newton system's ridge, per unit of KKT residual.  The bounded-total
+# programs, whose total row is the sum of the row rows, stall without it.
+RIDGE = 1e-2
 # Brute force visits at most this many nodes of its search tree, about
 # 0.7 s at 2.5 us a node.
 BRUTE_NODES = 2**18
-# L-BFGS-B stops after this many iterations or once an iteration ends past
-# this many evaluations.
-LBFGSB_MAXITER, LBFGSB_MAXFUN = 500, 5000
 # The G objective's minorize-maximize rounds stop here if the total still
 # moves.
 MM_ROUNDS = 100
@@ -171,7 +162,7 @@ class _Incidence:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x: per constraint, the sum of its cells.  The sums run pairwise,
-        as np.sum's do: L-BFGS-B's gradient test needs them near exact."""
+        as np.sum's do: the Newton steps' residual test needs them near exact."""
         nonempty, start = self._segments
         if nonempty.size == self.k:  # every constraint has a member
             return np.add.reduceat(x[self.cell], start)
@@ -392,145 +383,67 @@ def _psd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _lbfgsb(value_grad, theta0: np.ndarray, n_eq: int, gtol: float, maxiter: int | None = None):
-    """Minimize ``value_grad`` (returning the value and the gradient) over
-    multipliers of which all but the first ``n_eq`` are nonnegative, by
-    scipy's compiled L-BFGS-B routine (``setulb``) driven directly.
-
-    This is the reverse-communication loop of scipy's ``_minimize_lbfgsb``
-    with the options the oracle used to pass ``minimize`` (10 corrections,
-    20 line-search steps, ftol 1e-16, ``maxiter`` iterations, by default
-    ``LBFGSB_MAXITER``, and ``LBFGSB_MAXFUN`` evaluations), and so the same
-    iterates, without its per-evaluation wrappers.  As there, the start is
-    clipped to the bounds and evaluated once, a request at an unchanged
-    point reuses the last evaluation, and the limits are written into
-    ``task`` once an iteration ends: a run stopped by ``maxiter`` ends on the
-    iterate at which an uncapped run goes on.  Returns the last point and
-    the iteration count.
-    """
-    from scipy.optimize import _lbfgsb  # loaded on first use, not at import
-
-    maxiter = LBFGSB_MAXITER if maxiter is None else maxiter
-    m, maxls, factr = 10, 20, 1e-16 / np.finfo(float).eps
-    n = theta0.size
-    nbd = np.zeros(n, np.int32)  # 0: free
-    nbd[n_eq:] = 1  # 1: bounded below, at 0
-    lower = np.full(n, -np.inf)
-    lower[n_eq:] = 0.0
-    x = np.clip(theta0, lower, np.inf)
-    bound = np.zeros(n)  # the bounds setulb reads: 0 below, none above
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
-    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
-    x_last = x.copy()
-    f, g_last = value_grad(x_last)
-    g, nfev, nit = g_last.copy(), 1, 0
-    while True:
-        _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa, task, lsave,
-                       isave, dsave, maxls, ln_task)
-        if task[0] == 3:  # the value and gradient at x
-            if (x != x_last).any():  # a nan counts as a move
-                x_last = x.copy()
-                f, g_last = value_grad(x_last)
-                nfev += 1
-            g = g_last.copy()  # setulb may write into g; the reused one stays as evaluated
-        elif task[0] == 1:  # a new iterate
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504
-            elif nfev > LBFGSB_MAXFUN:
-                task[:] = 5, 502
-        else:
-            return x, nit
-
-
-def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float = 1e-9,
-                warm: bool = False):
+def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float = 1e-9):
     """Maximize -sum(x ln x) + reward * sum(x) over the program's constraints
     via the dual.
 
     The stationary primal point is x_c = exp(reward - 1 - sum of multipliers
-    over constraints containing c); the dual is smooth and convex with bound
-    constraints only (inequality multipliers stay nonnegative).  L-BFGS-B
-    (:func:`_lbfgsb`) is the global phase, and a projected-Newton polish
-    takes the KKT residual to ``tol * 1e-3``: each step solves the free
-    block of M diag(x) M^T by :func:`_psd_solve`, and the polish stops once
-    a step no longer lowers the residual.  They run in up to two rungs.
-    Rung 1: L-BFGS-B hands off once its projected gradient is below
-    ``HANDOFF_GTOL`` times the largest target (1e-12 when every target is
-    0) or after ``HANDOFF_ITERS`` iterations, whichever comes first, and the
-    polish follows.  Rung 2 runs only when that polish stops above
-    ``1e3 * tol``: L-BFGS-B resumes from the polished multipliers down to
-    ``RESUME_GTOL`` times the largest target, within ``LBFGSB_MAXITER``
-    iterations, and the polish runs again.  L-BFGS-B starts from ``theta0``
-    (default zero); a ``warm`` solve polishes ``theta0`` first, and runs
-    the rungs only if that stops above ``1e3 * tol``.
+    over constraints containing c); the dual, sum(x) + theta . targets, is
+    smooth and convex with bound constraints only (inequality multipliers
+    stay nonnegative).  Projected-Newton steps from ``theta0`` (default
+    zero) minimize it to a KKT residual of ``tol * 1e-3``, at most 40 of
+    them.  Each step holds the active bounds (multiplier 0, gradient
+    pointing out) at 0 and solves the free block of M diag(x) M^T + RIDGE
+    res I by :func:`_psd_solve`, res being the residual: a direction the
+    Gram matrix does not see follows the gradient.  The step is halved, at
+    most 30 times, until its projection onto the bounds lowers the dual by
+    1e-4 of the gradient along it (Armijo), or lowers the residual with the
+    dual up by no more than rounding; the solve stops when none does.
 
     Returns the primal vector, the multipliers, the KKT residual, and the
-    iteration count: L-BFGS-B iterations plus Newton steps, over every rung.
+    number of Newton steps.
     """
     M, targets, n_eq = program.incidence, program.targets, program.n_eq
 
-    def primal(theta: np.ndarray) -> np.ndarray:
-        return np.exp(np.minimum(np.maximum(reward - 1.0 - M.rmatvec(theta), -700.0), 700.0))
-
-    def value_grad(theta: np.ndarray):
-        x = primal(theta)
-        return float(x.sum() + theta @ targets), targets - M.matvec(x)
-
-    def kkt_residual(theta: np.ndarray, g: np.ndarray) -> float:
+    def evaluate(theta: np.ndarray):
+        """The primal point, the dual gradient, the KKT residual and the dual."""
+        x = np.exp(np.minimum(np.maximum(reward - 1.0 - M.rmatvec(theta), -700.0), 700.0))
+        g = targets - M.matvec(x)
         res = float(np.max(np.abs(g[:n_eq]), initial=0.0))
         # A bound with a positive multiplier must be tight; one at zero may
         # only be slack.  A nan term is skipped (np.fmax), not propagated.
         g_ub = g[n_eq:]
         ub_res = np.where(theta[n_eq:] > 1e-14, np.abs(g_ub), -g_ub)
-        return max(res, float(np.fmax.reduce(ub_res, initial=0.0)))
-
-    def polish(theta: np.ndarray):
-        x = primal(theta)
-        g = targets - M.matvec(x)
-        best_res = kkt_residual(theta, g)
-        steps = 0
-        while best_res > tol * 1e-3 and steps < 40:
-            free = np.ones(theta.size, dtype=bool)  # all but the active bounds
-            free[n_eq:] = ~((theta[n_eq:] <= 1e-14) & (g[n_eq:] >= 0))
-            if free.all():
-                step = _psd_solve(M.gram(x), -g)
-            else:
-                step = np.zeros_like(theta)
-                step[free] = _psd_solve(M.gram(x)[np.ix_(free, free)], -g[free])
-            steps += 1
-            alpha = 1.0
-            for _ in range(30):
-                cand = theta + alpha * step
-                cand[n_eq:] = np.maximum(cand[n_eq:], 0.0)
-                cand_x = primal(cand)
-                cand_g = targets - M.matvec(cand_x)
-                cand_res = kkt_residual(cand, cand_g)
-                if cand_res < best_res:
-                    theta, x, g, best_res = cand, cand_x, cand_g, cand_res
-                    break
-                alpha *= 0.5
-            else:  # no step length lowers the residual
-                break
-        return x, theta, best_res, steps
+        res = max(res, float(np.fmax.reduce(ub_res, initial=0.0)))
+        return x, g, res, float(x.sum() + theta @ targets)
 
     theta = np.zeros(targets.size) if theta0 is None else np.asarray(theta0, float)
-    iters = 0
-    if warm:
-        x, polished, residual, iters = polish(theta)
-        if residual <= 1e3 * tol:
-            return x, polished, residual, iters
-    largest = float(np.max(targets, initial=0.0))
-    for fraction, maxiter in ((HANDOFF_GTOL, HANDOFF_ITERS), (RESUME_GTOL, LBFGSB_MAXITER)):
-        gtol = fraction * largest if largest > 0 else 1e-12
-        theta, nit = _lbfgsb(value_grad, theta, n_eq, gtol, maxiter)
-        x, theta, residual, steps = polish(theta)
-        iters += nit + steps
-        if residual <= 1e3 * tol:  # else the polish stalled: resume L-BFGS-B from it
+    x, g, res, dual = evaluate(theta)
+    steps = 0
+    while res > tol * 1e-3 and steps < 40:
+        free = np.ones(theta.size, dtype=bool)  # all but the active bounds
+        free[n_eq:] = ~((theta[n_eq:] <= 1e-14) & (g[n_eq:] >= 0))
+        G = M.gram(x)
+        G.flat[::M.k + 1] += RIDGE * res
+        if free.all():
+            step = _psd_solve(G, -g)
+        else:
+            step = np.zeros_like(theta)
+            step[free] = _psd_solve(G[np.ix_(free, free)], -g[free])
+        steps += 1
+        alpha = 1.0
+        for _ in range(30):
+            cand = theta + alpha * step
+            cand[n_eq:] = np.maximum(cand[n_eq:], 0.0)
+            cand_x, cand_g, cand_res, cand_dual = evaluate(cand)
+            if (dual - cand_dual >= 1e-4 * (g @ (theta - cand))  # Armijo
+                    or (cand_res < res and cand_dual - dual <= 1e-12 * abs(dual))):
+                theta, x, g, res, dual = cand, cand_x, cand_g, cand_res, cand_dual
+                break
+            alpha *= 0.5
+        else:  # no step length is accepted
             break
-    return x, theta, residual, iters
+    return x, theta, res, steps
 
 
 def _check_feasible(program: _Program) -> None:
@@ -619,11 +532,11 @@ def numeric_maxent(spec: ProblemSpec, objective: str = "H", tol: float = 1e-9) -
     # first near cells of 1.
     w = M.shift
     t, reward, theta, iters = float(targets.sum()), 1.0, np.zeros(M.k), 0
-    for round_ in range(MM_ROUNDS):
+    for _ in range(MM_ROUNDS):
         last, reward = reward, 1.0 + math.log(t)
         theta = theta + (reward - last) * w
         theta[scaled.n_eq:] = np.maximum(theta[scaled.n_eq:], 0.0)
-        x, theta, residual, steps = _dual_solve(scaled, reward, theta, tol, warm=round_ > 0)
+        x, theta, residual, steps = _dual_solve(scaled, reward, theta, tol)
         iters += steps
         s, t = t, float(x.sum())
         if residual > 1e3 * tol or abs(t - s) <= 1e-3 * tol * s:
@@ -772,6 +685,7 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     """
     program = _build_program(spec)  # on the caller's spec object, which keeps it
     spec = validate_spec(spec)
+    spec = replace(spec, col_sums=spec.sums["col"])  # a symmetric spec's mirrored columns
     X = solution.values if isinstance(solution, TensorSolution) else solution.matrix
     X = np.asarray(X, dtype=float)
     violations: list[str] = []

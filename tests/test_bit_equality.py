@@ -39,11 +39,6 @@ for the one water-fill-then-gravity construction that replaced them.  It
 writes the same bits wherever it uses the same expression; the symmetric
 total, whose cells are now x_i x_j / sum(x), stays within 1e-15 relative.
 
-The dual solve's L-BFGS-B round once called scipy's ``minimize``.  It is
-kept as the reference for the loop that now drives scipy's compiled
-routine itself: the same points, evaluations and iteration counts, bit
-for bit.
-
 The oracle's triangular solves once went through scipy's
 ``solve_triangular``, and ``matvec`` always scattered its sums into zeros.
 Both are kept as references for the direct LAPACK calls and the no-copy
@@ -1413,11 +1408,11 @@ class TestOracle:
             assert ref[0] is Infeasible and new == ref
 
     def test_results(self, rng, monkeypatch):
-        def walk_dual(program, reward=0.0, theta0=None, tol=1e-9, warm=False):
+        def walk_dual(program, reward=0.0, theta0=None, tol=1e-9):
             # The walk maximizes entropy alone.  With a reward r on every
             # cell, the maximizer is e^r times the entropy maximizer at the
-            # targets over e^r, with the same multipliers.  It always starts
-            # with L-BFGS-B, warm or not.
+            # targets over e^r, with the same multipliers.  It starts with
+            # L-BFGS-B.
             c = math.exp(reward)
             x, theta, residual, iters = walk_dual_solve(
                 walk_form(dataclasses.replace(program, targets=program.targets / c)), None,
@@ -1617,8 +1612,8 @@ def line_search_maxent(spec, tol: float = 1e-9):
     derivative ln S + 1 + (total multiplier); a linear program gives the
     largest feasible total, a solve just inside it gives the slope there,
     and a negative slope starts a bisection.  Each solve is the H program
-    with the total inserted, warm-started through L-BFGS-B by the last one's
-    multipliers; the dual solve is the oracle's own."""
+    with the total inserted, started from the last one's multipliers; the
+    dual solve is the oracle's own."""
     program = oracle._build_program(spec)
     e = oracle._exponent(program)
     scaled = oracle._scaled(program, e)
@@ -1696,80 +1691,6 @@ def test_the_best_total_inside_the_largest():
     a = 1.0 - math.sqrt(0.5)
     assert np.all(np.abs(res.matrix - [[1.0 - a, a], [0.0, 1.0 - a]]) <= 1e-12)
     assert_close_results(res, line_search_maxent(spec))
-
-
-# ----------------------------------------------------------------------
-# Reference: L-BFGS-B through scipy's minimize
-# ----------------------------------------------------------------------
-
-
-def minimize_lbfgsb(value_grad, theta0, n_eq, gtol, maxiter=500, maxfun=5000):
-    """The dual solve's global phase as it was: scipy's ``minimize`` with the
-    options it passed.  Returns the last point, the iteration count and the
-    stop message."""
-    from scipy.optimize import minimize
-
-    res = minimize(value_grad, theta0, jac=True, method="L-BFGS-B",
-                   bounds=[(None, None)] * n_eq + [(0.0, None)] * (theta0.size - n_eq),
-                   options={"maxiter": maxiter, "maxfun": maxfun, "ftol": 1e-16, "gtol": gtol})
-    return res.x, res.nit, res.message
-
-
-def random_dual(rng, n_eq: int, n_ub: int):
-    """The entropy dual over 5-40 cells of random 0/1 constraints, the first
-    ``n_eq`` equalities, with targets near a random matrix's sums (so the
-    equalities may disagree and the dual fall without bound).  Returns its
-    value-and-gradient and the list of points it is evaluated at."""
-    n = int(rng.integers(5, 41))
-    M = (rng.random((n_eq + n_ub, n)) < rng.uniform(0.2, 0.7)).astype(float)
-    targets = M @ rng.exponential(1.0, n) * rng.uniform(0.9, 1.1, n_eq + n_ub)
-    points = []
-
-    def value_grad(theta):
-        points.append(theta.tobytes())
-        x = np.exp(np.clip(-1.0 - M.T @ theta, -700.0, 700.0))
-        return float(x.sum() + theta @ targets), targets - M @ x
-
-    return value_grad, points
-
-
-def assert_same_lbfgsb(rng, n_eq, n_ub, gtol, **limits):
-    """``oracle._lbfgsb`` and ``minimize`` on one drawn dual: the same last
-    point, iteration count and evaluation points, bit for bit.  A start of
-    random sign is clipped to the bounds first.  Returns the stop message."""
-    value_grad, points = random_dual(rng, n_eq, n_ub)
-    theta0 = rng.normal(0.0, 1.0, n_eq + n_ub) if rng.random() < 0.5 else np.zeros(n_eq + n_ub)
-    x, nit, message = minimize_lbfgsb(value_grad, theta0, n_eq, gtol, **limits)
-    ref_points = points[:]
-    points.clear()
-    new_x, new_nit = oracle._lbfgsb(value_grad, theta0, n_eq, gtol)
-    assert (new_x.tobytes(), new_nit) == (x.tobytes(), nit)
-    assert points == ref_points
-    return message
-
-
-class TestLbfgsb:
-    """The dual solve drives scipy's L-BFGS-B routine itself; ``minimize``
-    called it with the same constants, so every iterate is the same."""
-
-    @pytest.mark.parametrize("n_eq, n_ub", [(6, 0), (0, 6), (3, 5)])
-    def test_against_minimize(self, rng, n_eq, n_ub):
-        messages = set()
-        for _ in range(25):
-            gtol = float(rng.choice([1e-12, 1e-4, 1e-2]))
-            messages.add(assert_same_lbfgsb(rng, n_eq, n_ub, gtol))
-        assert any(m.startswith("CONVERGENCE") for m in messages)
-
-    def test_at_the_limits(self, rng, monkeypatch):
-        monkeypatch.setattr(oracle, "LBFGSB_MAXITER", 3)
-        for _ in range(5):
-            message = assert_same_lbfgsb(rng, 3, 5, 1e-12, maxiter=3)
-            assert message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
-        monkeypatch.setattr(oracle, "LBFGSB_MAXITER", 500)
-        monkeypatch.setattr(oracle, "LBFGSB_MAXFUN", 2)
-        for _ in range(5):
-            message = assert_same_lbfgsb(rng, 3, 5, 1e-12, maxfun=2)
-            assert message == "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT"
 
 
 # ----------------------------------------------------------------------

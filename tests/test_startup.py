@@ -1,4 +1,5 @@
-"""Start-up cost: importing the package and the CLI, or counting, does not load scipy."""
+"""Start-up cost: importing the package and the CLI, or counting, does not
+load scipy, and a converging oracle solve loads no scipy.optimize."""
 
 import json
 import os
@@ -22,6 +23,7 @@ spec = ProblemSpec.of(Shape(2, 2), (MarginalConstraint("row", 0, "equal", 7.0),
 result = numeric_maxent(spec, "H", tol=1e-10)
 print(json.dumps({"at_import": at_import, "after_count": after_count,
                   "after_oracle": len(scipy_loaded()),
+                  "optimize_loaded": "scipy.optimize" in sys.modules,
                   "converged": result.converged, "matrix": result.matrix.tolist()}))
 """
 
@@ -34,6 +36,9 @@ def test_import_loads_no_scipy_and_the_oracle_loads_it_on_demand():
     report = json.loads(out.stdout)
     assert report["at_import"] == report["after_count"] == []
     assert report["after_oracle"] > 0
+    # a converging solve calls LAPACK alone; linprog loads scipy.optimize
+    # only once a solve fails
+    assert report["optimize_loaded"] is False
     assert report["converged"] is True
     for got, want in zip(sum(report["matrix"], []), [3.5, 3.5, 1.5, 1.5]):
         assert abs(got - want) <= 1e-6
