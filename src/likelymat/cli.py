@@ -577,6 +577,9 @@ def main(argv=None) -> int:
     except LikelymatError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy raises a private subclass; name the builtin
+        print(f"error: MemoryError: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

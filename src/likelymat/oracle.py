@@ -2,16 +2,18 @@
 
 Nothing here reuses the closed forms.  :func:`numeric_maxent` maximizes the
 entropy over the problem's linear constraints by solving the smooth dual
-with projected-Newton steps from zero (:func:`_dual_solve`): a ridge keeps
-each Newton system solvable, and a step is taken where it lowers the dual
-enough (Armijo) or lowers the residual at a dual unchanged up to rounding.
-``iterations`` counts the Newton steps.  When the total is unknown it climbs
-the entropy-difference objective by minorize-maximize rounds of the same
-dual solve, each from the last one's multipliers, with ``iterations``
-summed over them.  A program whose maximizer scales with the data is solved
-at a power-of-two scale of its own, so that data near the ends of the float
-range solves as well as any.  A linear program checks feasibility only
-after a solve fails.
+(:func:`_dual_solve`): two scaling sweeps over the constraint families
+(rows, columns, the total, element caps) start projected-Newton steps, a
+ridge keeps each Newton system solvable, and a step is taken where it
+lowers the dual enough (Armijo) or lowers the residual at a dual unchanged
+up to rounding.  ``iterations`` counts the Newton steps, 0 when the sweeps
+converge.  When the total is unknown it climbs the entropy-difference
+objective by minorize-maximize rounds of the same dual solve, each from
+the last one's multipliers, with ``iterations`` summed over them.  A
+program whose maximizer scales with the data is solved at a power-of-two
+scale of its own, so that data near the ends of the float range solves as
+well as any.  A linear program checks feasibility only after a solve
+fails.
 :func:`brute_force_most_likely` enumerates small integer instances outright;
 :func:`verify_kkt` checks feasibility, product form, multiplier ranges, and
 complementary slackness of any solution.
@@ -19,14 +21,16 @@ complementary slackness of any solution.
 All three read one program, built from the validated spec in whole-array
 passes: the free cells, the fixed cells as index arrays and values, one
 incidence list over every constraint (equalities, then bounds, element caps
-last) and one array of targets.  It is built once per spec object and kept
-on it, read-only, so every oracle call on that object reads the one build.
+last), one array of targets, and the constraints by family.  It is built
+once per spec object and kept on it, read-only, so every oracle call on
+that object reads the one build.
 The product-form fit runs over the program's own marginal and total rows;
 it, the Newton steps and the G rounds' shift share one pivoted-Cholesky solve.
 
 scipy is imported inside the routines that call it, so importing the
-package (or starting the CLI) does not load it, and a converging solve
-loads only ``scipy.linalg.lapack``.
+package (or starting the CLI) does not load it, a solve that the sweeps
+converge loads none of it, and one that takes Newton steps loads only
+``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +78,8 @@ ZERO_REPORT = 1e-9
 # The Newton system's ridge, per unit of KKT residual.  The bounded-total
 # programs, whose total row is the sum of the row rows, stall without it.
 RIDGE = 1e-2
+# The scaling sweeps over the constraint families before the Newton steps.
+SWEEPS = 2
 # Brute force visits at most this many nodes of its search tree, about
 # 0.7 s at 2.5 us a node.
 BRUTE_NODES = 2**18
@@ -210,11 +217,26 @@ def _runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(start - (ends - length), length) + np.arange(ends[-1] if ends.size else 0)
 
 
+class _Family(NamedTuple):
+    """Constraints that share no cell, each with a cell, and the cells of
+    their incidence entries in the incidence's order: one run per
+    constraint, at ``start`` and ``count`` long."""
+
+    cons: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    cell: np.ndarray
+
+
 @dataclass(frozen=True)
 class _Program:
     """The free cells, the fixed ones, and every constraint over the free
     cells: the equalities (``n_eq``), then the bounds, the ``n_caps``
-    element caps last, one cell each."""
+    element caps last, one cell each.
+
+    ``families`` splits the constraints that have a cell into rows,
+    columns, the total and the element caps, those that have any, in that
+    order.  A program given none runs no scaling sweep."""
 
     shape: tuple[int, ...]
     cells: np.ndarray  # (n, ndim) coordinates of the free cells, row-major
@@ -224,6 +246,7 @@ class _Program:
     targets: np.ndarray
     n_eq: int
     n_caps: int
+    families: tuple[_Family, ...] = ()
 
     @property
     def n(self) -> int:
@@ -245,7 +268,7 @@ def _build_program(spec: ProblemSpec) -> _Program:
         program = _new_program(spec)
         M = program.incidence
         _read_only(program.cells, *program.fixed, program.fixed_values, program.targets,
-                   M.con, M.cell)
+                   M.con, M.cell, *(a for f in program.families for a in f))
         spec.__dict__["_oracle_program"] = program
     return program
 
@@ -333,8 +356,16 @@ def _new_program(spec: ProblemSpec) -> _Program:
     cell = by_line[_runs((np.cumsum(count) - count)[line], count[line])]
     M = _Incidence(np.concatenate([con, line.size + np.arange(cap.size)]),
                    np.concatenate([cell, cap_cell]), line.size + cap.size, n)
+    # Each constraint's family: rows (lines below R), columns, the total
+    # (line R + C) or element caps; a constraint with no free cell has none.
+    size = np.bincount(M.con, minlength=M.k)
+    family = np.where(size > 0, np.concatenate([np.searchsorted([R, R + C], line, side="right"),
+                                                np.full(cap.size, 3)]), -1)
+    families = tuple(_Family(cons, np.cumsum(size[cons]) - size[cons], size[cons],
+                             M.cell[family[M.con] == f])
+                     for f in range(4) if (cons := np.flatnonzero(family == f)).size)
     return _Program(shape, cells, fixed, fixed_values, M, np.concatenate([target, cap]),
-                    int(np.count_nonzero(equal)), cap.size)
+                    int(np.count_nonzero(equal)), cap.size, families)
 
 
 def _label(spec: ProblemSpec, t: int, mirrored: bool) -> str:
@@ -383,6 +414,34 @@ def _psd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
+def _sweep(program: _Program, reward: float, theta: np.ndarray) -> np.ndarray:
+    """The multipliers after ``SWEEPS`` scaling sweeps from ``theta``.
+
+    A sweep takes the constraint families in turn and scales each family's
+    constraints to their targets at once: theta_c += ln(s_c / t_c), s_c the
+    constraint's cell sum (Deming & Stephan 1940).  The family's
+    constraints share no cell, so each one's cells reach its target.  A
+    bound multiplier is clipped at 0: a bound scales its cells down, and up
+    only while its multiplier stays positive (Bregman 1967).  A step is
+    clipped at +-700, as the exponents are, so a target of 0 sends its
+    cells to that clip."""
+    M, n_eq = program.incidence, program.n_eq
+    with np.errstate(divide="ignore"):  # a target of 0 steps by +700
+        log_targets = np.log(program.targets)
+    theta = theta.copy()
+    u = reward - 1.0 - M.rmatvec(theta)  # the cells' exponents
+    for _ in range(SWEEPS):
+        for cons, start, count, cell in program.families:
+            # summed as M.matvec sums, so a swept constraint meets the residual test
+            s = np.add.reduceat(np.exp(np.minimum(np.maximum(u[cell], -700.0), 700.0)), start)
+            step = np.minimum(np.maximum(np.log(s) - log_targets[cons], -700.0), 700.0)
+            new = theta[cons] + step
+            new = np.where(cons >= n_eq, np.maximum(new, 0.0), new)
+            u[cell] -= np.repeat(new - theta[cons], count)
+            theta[cons] = new
+    return theta
+
+
 def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float = 1e-9):
     """Maximize -sum(x ln x) + reward * sum(x) over the program's constraints
     via the dual.
@@ -390,18 +449,20 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
     The stationary primal point is x_c = exp(reward - 1 - sum of multipliers
     over constraints containing c); the dual, sum(x) + theta . targets, is
     smooth and convex with bound constraints only (inequality multipliers
-    stay nonnegative).  Projected-Newton steps from ``theta0`` (default
-    zero) minimize it to a KKT residual of ``tol * 1e-3``, at most 40 of
-    them.  Each step holds the active bounds (multiplier 0, gradient
-    pointing out) at 0 and solves the free block of M diag(x) M^T + RIDGE
-    res I by :func:`_psd_solve`, res being the residual: a direction the
-    Gram matrix does not see follows the gradient.  The step is halved, at
-    most 30 times, until its projection onto the bounds lowers the dual by
-    1e-4 of the gradient along it (Armijo), or lowers the residual with the
-    dual up by no more than rounding; the solve stops when none does.
+    stay nonnegative).  From ``theta0`` (default zero), :func:`_sweep`'s
+    scaling sweeps start it, and projected-Newton steps minimize it to a
+    KKT residual of ``tol * 1e-3``, at most 40 of them.  Each step holds
+    the active bounds (multiplier 0, gradient pointing out) at 0 and solves
+    the free block of M diag(x) M^T + RIDGE res I by :func:`_psd_solve`,
+    res being the residual: a direction the Gram matrix does not see
+    follows the gradient.  The step is halved, at most 30 times, until its
+    projection onto the bounds lowers the dual by 1e-4 of the gradient
+    along it (Armijo), or lowers the residual with the dual up by no more
+    than rounding, 1e-12 of its terms' magnitudes; the solve stops when
+    none does.
 
     Returns the primal vector, the multipliers, the KKT residual, and the
-    number of Newton steps.
+    number of Newton steps, 0 when the sweeps reach the residual.
     """
     M, targets, n_eq = program.incidence, program.targets, program.n_eq
 
@@ -417,7 +478,8 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
         res = max(res, float(np.fmax.reduce(ub_res, initial=0.0)))
         return x, g, res, float(x.sum() + theta @ targets)
 
-    theta = np.zeros(targets.size) if theta0 is None else np.asarray(theta0, float)
+    theta = _sweep(program, reward,
+                   np.zeros(targets.size) if theta0 is None else np.asarray(theta0, float))
     x, g, res, dual = evaluate(theta)
     steps = 0
     while res > tol * 1e-3 and steps < 40:
@@ -431,13 +493,15 @@ def _dual_solve(program: _Program, reward: float = 0.0, theta0=None, tol: float 
             step = np.zeros_like(theta)
             step[free] = _psd_solve(G[np.ix_(free, free)], -g[free])
         steps += 1
+        # the dual's rounding is its terms': their sum can cancel to near 0
+        rounding = 1e-12 * float(x.sum() + np.abs(theta) @ targets)
         alpha = 1.0
         for _ in range(30):
             cand = theta + alpha * step
             cand[n_eq:] = np.maximum(cand[n_eq:], 0.0)
             cand_x, cand_g, cand_res, cand_dual = evaluate(cand)
             if (dual - cand_dual >= 1e-4 * (g @ (theta - cand))  # Armijo
-                    or (cand_res < res and cand_dual - dual <= 1e-12 * abs(dual))):
+                    or (cand_res < res and cand_dual - dual <= rounding)):
                 theta, x, g, res, dual = cand, cand_x, cand_g, cand_res, cand_dual
                 break
             alpha *= 0.5
@@ -691,9 +755,6 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     violations: list[str] = []
     max_res = 0.0
 
-    def scale(v: float) -> float:
-        return max(1.0, abs(v))
-
     finite = bool(np.isfinite(X).all())
     if not finite:
         violations.append("non-finite entries")
@@ -726,28 +787,24 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     multiplier_range, slackness = True, True
     if isinstance(solution, Solution):
         for axis, mult in (("row", solution.row_multipliers), ("col", solution.col_multipliers)):
-            if mult is None:
-                continue
-            if spec.sums[axis].kinds != {"upper"}:
+            if mult is None or spec.sums[axis].kinds != {"upper"}:
                 continue
             # a symmetric spec's column bounds are its row bounds
-            bounds = spec.sums[axis].values().tolist()
+            f, bound = np.asarray(mult, dtype=float), spec.sums[axis].values()
             sums = X.sum(axis=1 if axis == "row" else 0)
-            for i, f in enumerate(np.asarray(mult, dtype=float)):
-                bound = bounds[i]
-                # a zero bound pins its line at zero: its factor is exactly 0
-                if not (f == 0.0 if bound == 0.0 else 0.0 < f <= 1.0 + tol):
-                    multiplier_range = False
-                    allowed = "{0}" if bound == 0.0 else "(0, 1]"
-                    violations.append(f"{axis} {i}: multiplier {f} outside {allowed}")
-                if not math.isfinite(bound):
-                    continue
-                slack = bound - float(sums[i])
-                if slack > tol * scale(bound) and abs(f - 1.0) > tol:
-                    slackness = False
-                    violations.append(
-                        f"{axis} {i}: slack bound but multiplier {f} != 1"
-                    )
+            # a zero bound pins its line at zero: its factor is exactly 0
+            outside = ~np.where(bound == 0.0, f == 0.0, (0.0 < f) & (f <= 1.0 + tol))
+            with np.errstate(invalid="ignore"):  # inf - inf; an infinite bound is never slack
+                slack = (np.isfinite(bound) & (bound - sums > tol * np.maximum(1.0, bound))
+                         & (np.abs(f - 1.0) > tol))
+            multiplier_range = multiplier_range and not outside.any()
+            slackness = slackness and not slack.any()
+            for i in np.flatnonzero(outside | slack).tolist():
+                if outside[i]:
+                    allowed = "{0}" if bound[i] == 0.0 else "(0, 1]"
+                    violations.append(f"{axis} {i}: multiplier {f[i]} outside {allowed}")
+                if slack[i]:
+                    violations.append(f"{axis} {i}: slack bound but multiplier {f[i]} != 1")
 
     return KktReport(
         feasible=feasible,

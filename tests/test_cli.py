@@ -633,6 +633,24 @@ class TestMalformedInput:
         assert (out.returncode, out.stdout) == (1, "")
         assert out.stderr == "error: IndexOutOfRange: fixed block index 2 outside 0..1\n"
 
+    def test_memory_error_is_one_line(self, tmp_path):
+        """The 20000 x 20000 row-bounds matrix takes 2.98 GiB; the child runs
+        under a 2 GiB address-space cap."""
+        path = write(tmp_path, "p.json", {"shape": {"rows": 20000, "cols": 20000},
+                                          "row_sums": {"kind": "upper", "values": [1.0] * 20000}})
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(likelymat.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from likelymat.cli import main; sys.exit(main())",
+             "solve", path], env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr.startswith("error: MemoryError: ")
+        assert out.stderr.count("\n") == 1
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_count_overflow_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", {"shape": {"rows": 2, "cols": 2},

@@ -152,6 +152,56 @@ class TestScaleAndPolish:
         assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-6
 
 
+class TestSweeps:
+    """Scaling sweeps over the constraint families start every dual solve."""
+
+    def test_full_marginals_need_no_newton_step(self, rng):
+        for _ in range(5):
+            cols = rng.uniform(1.0, 9.0, 7)
+            rows = cols.sum() * rng.dirichlet(np.ones(5))
+            spec = make_spec(5, 7, row=("equal", rows.tolist()), col=("equal", cols.tolist()))
+            res = numeric_maxent(spec, "H")
+            assert (res.converged, res.iterations) == (True, 0)
+            ref = solve(spec).matrix
+            assert np.all(np.abs(res.matrix - ref) <= 1e-12 * np.maximum(1.0, ref))
+
+    def test_one_row_and_one_column_sweep_are_exact(self, rng, monkeypatch):
+        # every start of a full-marginal program is rank one, a_i b_j: the
+        # row sweep makes it r_i b_j / sum(b), the column sweep r_i c_j / S
+        monkeypatch.setattr(oracle, "SWEEPS", 1)
+        spec = make_spec(4, 6, row=("equal", [3.0, 5.0, 1.0, 7.0]),
+                         col=("equal", [2.0, 4.0, 1.0, 3.0, 5.0, 1.0]))
+        program = oracle._build_program(spec)
+        assert [len(f.cons) for f in program.families] == [4, 6]  # rows, then columns
+        M = program.incidence
+        theta = oracle._sweep(program, 0.0, rng.normal(0.0, 2.0, M.k))
+        got = program.assemble(np.exp(-1.0 - M.rmatvec(theta)))
+        np.testing.assert_allclose(got, solve(spec).matrix, rtol=1e-14)
+
+    def test_bound_multipliers_stay_nonnegative(self, rng):
+        binding = 0  # bound multipliers the sweeps left positive
+        for case, generator in CASE_GENERATORS.items():
+            program = oracle._build_program(generator(rng))
+            k = program.incidence.k
+            for theta0 in (np.zeros(k), rng.normal(0.0, 3.0, k)):
+                theta = oracle._sweep(program, 1.0, theta0)[program.n_eq:]
+                assert np.all(theta >= 0.0), case
+                binding += np.count_nonzero(theta)
+        assert binding > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [
+        make_spec(2, 3, row=("equal", [0.0, 5.0])),
+        make_spec(3, 3, row=("equal", [0.0, 4.0, 5.0]), col=("equal", [3.0, 0.0, 6.0])),
+    ], ids=["row", "row_and_column"])
+    def test_a_zero_target_sends_its_cells_to_the_clip(self, spec):
+        # each cell of a zero sum sits at exp(-700) or below, read as 0
+        for objective in ("H", "G"):
+            res = numeric_maxent(spec, objective)
+            assert (res.converged, res.iterations) == (True, 0)
+            assert float(np.abs(res.matrix - solve(spec).matrix).max()) <= 1e-12
+
+
 class TestPsdSolve:
     """Every Gram system M diag(x) M^T y = b of the oracle is solved by one
     pivoted Cholesky, which returns a basic solution."""
@@ -407,6 +457,29 @@ class TestVerifyKkt:
             report = verify_kkt(dataclasses.replace(solve(spec), matrix=X), spec)
             assert not report.feasible and not report.ok
             assert [v.split(":")[0] for v in report.violations] == ["col 0", "col 1", "col 2"]
+
+    def test_bound_messages_keep_their_order(self):
+        # per row, a multiplier outside its range is named before a slack
+        # bound whose multiplier is not 1; rows in order, rows before columns
+        spec = make_spec(4, 2, row=("upper", [2.0, 4.0, 0.0, 6.0]),
+                         col=("upper", [math.inf, 9.0]))
+        sol = solve(spec)
+        X = sol.matrix.copy()
+        X[0] *= 0.5  # rows 0 and 3 slack, product form kept
+        X[3] *= 0.5
+        bad = dataclasses.replace(sol, matrix=X, row_multipliers=np.array([1.5, 0.5, 0.25, 0.9]),
+                                  col_multipliers=np.array([0.0, 0.5]))
+        report = verify_kkt(bad, spec)
+        assert report.feasible and report.product_form
+        assert (report.multiplier_range, report.complementary_slackness) == (False, False)
+        assert report.violations == (
+            "row 0: multiplier 1.5 outside (0, 1]",
+            "row 0: slack bound but multiplier 1.5 != 1",
+            "row 2: multiplier 0.25 outside {0}",
+            "row 3: slack bound but multiplier 0.9 != 1",
+            "col 0: multiplier 0.0 outside (0, 1]",
+            "col 1: slack bound but multiplier 0.5 != 1",
+        )
 
     def test_product_form_detects_non_factorizable(self):
         spec = make_spec(2, 2, row=("equal", [4, 4]), col=("equal", [4, 4]))

@@ -1,5 +1,6 @@
 """Start-up cost: importing the package and the CLI, or counting, does not
-load scipy, and a converging oracle solve loads no scipy.optimize."""
+load scipy; an oracle solve that its scaling sweeps converge loads none, and
+one that takes Newton steps loads scipy.linalg.lapack but no scipy.optimize."""
 
 import json
 import os
@@ -15,16 +16,24 @@ def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import likelymat, likelymat.cli
 at_import = scipy_loaded()
-from likelymat import MarginalConstraint, ProblemSpec, Shape, log10_realizations, numeric_maxent
+from likelymat import (MarginalConstraint, ProblemSpec, Shape, TotalConstraint,
+                       log10_realizations, numeric_maxent)
 log10_realizations([[5.0, 1e-20]])  # a small real cell takes no special function of scipy's
 after_count = scipy_loaded()
-spec = ProblemSpec.of(Shape(2, 2), (MarginalConstraint("row", 0, "equal", 7.0),
-                                     MarginalConstraint("row", 1, "equal", 3.0)))
-result = numeric_maxent(spec, "H", tol=1e-10)
+def solved(spec):
+    result = numeric_maxent(spec, "H", tol=1e-10)
+    return {"scipy": scipy_loaded(), "optimize_loaded": "scipy.optimize" in sys.modules,
+            "converged": result.converged, "iterations": result.iterations,
+            "matrix": result.matrix.tolist()}
+# row sums alone: one row sweep meets them
+swept = solved(ProblemSpec.of(Shape(2, 2), (MarginalConstraint("row", 0, "equal", 7.0),
+                                            MarginalConstraint("row", 1, "equal", 3.0))))
+# a total under a binding row bound: the sweeps leave it to Newton steps
+newton = solved(ProblemSpec.of(Shape(2, 3), (MarginalConstraint("row", 0, "upper", 1.0),
+                                             MarginalConstraint("row", 1, "upper", 6.0)),
+                               TotalConstraint("equal", 5.0)))
 print(json.dumps({"at_import": at_import, "after_count": after_count,
-                  "after_oracle": len(scipy_loaded()),
-                  "optimize_loaded": "scipy.optimize" in sys.modules,
-                  "converged": result.converged, "matrix": result.matrix.tolist()}))
+                  "swept": swept, "newton": newton}))
 """
 
 
@@ -35,12 +44,16 @@ def test_import_loads_no_scipy_and_the_oracle_loads_it_on_demand():
                          text=True, check=True, timeout=120)
     report = json.loads(out.stdout)
     assert report["at_import"] == report["after_count"] == []
-    assert report["after_oracle"] > 0
-    # a converging solve calls LAPACK alone; linprog loads scipy.optimize
-    # only once a solve fails
-    assert report["optimize_loaded"] is False
-    assert report["converged"] is True
-    for got, want in zip(sum(report["matrix"], []), [3.5, 3.5, 1.5, 1.5]):
+    swept, newton = report["swept"], report["newton"]
+    assert (swept["converged"], swept["iterations"], swept["scipy"]) == (True, 0, [])
+    for got, want in zip(sum(swept["matrix"], []), [3.5, 3.5, 1.5, 1.5]):
+        assert abs(got - want) <= 1e-6
+    # a Newton step calls LAPACK alone; linprog loads scipy.optimize only
+    # once a solve fails
+    assert newton["converged"] is True and newton["iterations"] > 0
+    assert "scipy.linalg.lapack" in newton["scipy"]
+    assert newton["optimize_loaded"] is False
+    for got, want in zip(sum(newton["matrix"], []), [1 / 3] * 3 + [4 / 3] * 3):
         assert abs(got - want) <= 1e-6
 
 
