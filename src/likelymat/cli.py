@@ -225,6 +225,8 @@ def _read_spec(doc: dict) -> ProblemSpec:
     total = None
     if "total" in doc:
         _require_keys(doc["total"], {"kind", "value"}, "total")
+        if doc["total"].get("kind") not in ("equal", "upper"):
+            raise UsageError("total.kind must be 'equal' or 'upper'")
         total = TotalConstraint(doc["total"]["kind"], _number(doc["total"]["value"]))
     rows, cols, caps = [], [], []
     for e in _typed(doc.get("element_bounds", []), list):
@@ -431,10 +433,8 @@ def _cmd_check(args) -> int:
     spec = load_problem(_read_json(args.file))
     case = classify(spec)
     payload: dict = {"valid": True, "case": case.value}
-    if spec.fixed_cells and spec.sums["row"].complete:
-        # the half-total check needs every row sum, as the block solvers do;
-        # a value past the float range reads null
-        violations = [
+    if spec.fixed_cells and spec.sums["row"].complete:  # every row sum, as block solvers need
+        violations = [  # a value past the float range reads null
             {"indices": list(index_set), "outgoing": _finite_or_none(u_block),
              "limit": _finite_or_none(limit), **({} if k is None else {"slice": k})}
             for k, report in half_total_check(spec)
@@ -445,9 +445,10 @@ def _cmd_check(args) -> int:
             _emit(payload, args)
             first = violations[0]
             where = "" if "slice" not in first else f" of slice {first['slice']}"
-            print(f"consistency violation at index set {first['indices']}{where}",
-                  file=sys.stderr)
+            print(f"consistency violation at index set {first['indices']}{where}", file=sys.stderr)
             return 1
+    if case is not SolverCase.UNSUPPORTED:
+        solve(spec)  # refuse what the case's solver refuses, with its message
     _emit(payload, args)
     return 0
 
@@ -495,14 +496,13 @@ def _oracle_objective(spec: ProblemSpec, case: SolverCase) -> str:
 
 def _cmd_oracle(args) -> int:
     spec = load_problem(_read_json(args.file))
-    case = classify(spec)
     sol = solve(spec)
-    objective = _oracle_objective(spec, case)
+    objective = _oracle_objective(spec, sol.case)
     result = numeric_maxent(spec, objective)
     analytic = sol.values if isinstance(sol, TensorSolution) else sol.matrix
     gap = float(np.abs(analytic - result.matrix).max())
     payload = {
-        "case": case.value,
+        "case": sol.case.value,
         "objective": objective,
         "linf_gap": gap,
         "oracle_objective_value": result.objective_value,

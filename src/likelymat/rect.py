@@ -52,30 +52,41 @@ def _gravity(u: np.ndarray, v: np.ndarray | None, given: np.ndarray) -> np.ndarr
     if s == 0.0 or ell == 0:
         X[:] = 0.0 if s == 0.0 else (u / m)[:, None]
         return X
-    v_given = v[given]
     # Near the top of the float range u_i * v_j overflows, and near the
     # bottom it underflows, although the entry does neither.  Then solve at
-    # the power of two that brings every product into range, which keeps the
-    # bits a solve in range gives; if none does, divide the larger factor
-    # first, which keeps a symmetric matrix symmetric.
-    u_low, v_low = (float(np.min(a, where=a > 0, initial=math.inf)) for a in (u, v_given))
-    u_top, v_top = float(u.max()), float(v_given.max())
-    top, low = (math.frexp(a)[1] + math.frexp(b)[1] for a, b in ((u_top, v_top), (u_low, v_low)))
-    e = (top + low) // 4
-    if math.isfinite(u_top * v_top) and not u_low * v_low < sys.float_info.min:
+    # the one power of two that centres the products' exponents, if every
+    # scaled factor, product and the scaled total stay in range, which keeps
+    # the bits a solve in range gives; else divide the larger factor first,
+    # which keeps a symmetric matrix symmetric.
+    fits, top, low = _span(u, v[given])
+    e = 0 if fits else (top + low) // 4
+    if e and top - 2 * e <= 1023 and low - 2 * e >= -1019:
+        with np.errstate(over="ignore"):
+            u_e, v_e = np.ldexp(u, -e), np.ldexp(v, -e)
+        if _span(u_e, v_e[given])[0] and math.isfinite(s_e := _total(u_e)):
+            fits, u, v, s = True, u_e, v_e, s_e
+    if fits:
         np.multiply.outer(u, np.where(given, v, 0.0), out=X)
         X /= s
-    elif top - 2 * e <= 1023 and low - 2 * e >= -1019:
-        return np.ldexp(_gravity(np.ldexp(u, -e), np.ldexp(v, -e), given), e)
     else:
-        cols = slice(None) if ell == m else given
-        X[:, cols] = np.maximum.outer(u, v_given) / s * np.minimum.outer(u, v_given)
+        e, cols = 0, slice(None) if ell == m else given
+        X[:, cols] = np.maximum.outer(u, v[given]) / s * np.minimum.outer(u, v[given])
     if ell < m:
         level = v[np.argmin(given)]  # the first column not given
         if not np.all(v[~given] == level):
             raise InvariantViolation("the columns not given must share one level")
         np.copyto(X, ((u / s) * level)[:, None], where=~given)
-    return X
+    return np.ldexp(X, e) if e else X
+
+
+def _span(u: np.ndarray, v: np.ndarray) -> tuple[bool, int, int]:
+    """Whether every product u_i v_j is finite and none of the positive ones
+    falls below the normal range, with the binary exponents of the largest
+    product and of the smallest positive one (by :func:`math.frexp`)."""
+    u_low, v_low = (float(np.min(a, where=a > 0, initial=math.inf)) for a in (u, v))
+    u_top, v_top = float(u.max()), float(v.max())
+    top, low = (math.frexp(a)[1] + math.frexp(b)[1] for a, b in ((u_top, v_top), (u_low, v_low)))
+    return math.isfinite(u_top * v_top) and not u_low * v_low < sys.float_info.min, top, low
 
 
 def _total(x: np.ndarray) -> float:

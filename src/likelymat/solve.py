@@ -19,7 +19,7 @@ from .rect import (_total, solve_bounded_total_row_bounds, solve_gravity_partial
                    solve_total_row_bounds)
 from .solution import Solution, TensorSolution
 # solve_sym_fixed_diagonal is for the traced run: fixed diagonals take the block solver
-from .symmetric import (_half_total, _slice_problems, _slices, solve_sym_3d_fixed_diagonal,
+from .symmetric import (_half_total, _slices, solve_sym_3d_fixed_diagonal,
                         solve_sym_block_diagonal, solve_sym_fixed_diagonal,  # noqa: F401
                         solve_sym_total_row_col_bounds)
 
@@ -181,15 +181,10 @@ def row_sums_only(spec: ProblemSpec) -> bool:
 
 
 def half_total_check(spec: ProblemSpec) -> list:
-    """Without solving, the fixed-entry solvers' checks of a spec with fixed
-    blocks and every row sum: each slice's half-total check as (slice index,
-    report) pairs, None in 2-D; if all pass in a fixed-entry case, the later
-    checks raise what ``solve`` raises (fixed values over sums, no root)."""
+    """The fixed-entry solvers' half-total check of a spec with fixed blocks
+    and every row sum, each slice's as a (slice index, None in 2-D, report) pair."""
     spec = validate_spec(spec)
     u = spec.sums["row"].values()
-    sums, c, totals, scale, unit = _slices(u, _total(u), spec.fixed_cells)
-    reports = [(None if u.ndim == 1 else k, _half_total(sums[:, k], c, t, unit))
-               for k, t in enumerate(totals) if t is not None]
-    if all(report.ok for _, report in reports) and classify(spec) is not C.UNSUPPORTED:
-        _slice_problems(sums, c, totals, scale, unit)
-    return reports
+    sums, c, totals, _, unit = _slices(u, _total(u), spec.fixed_cells)
+    return [(None if u.ndim == 1 else k, _half_total(sums[:, k], c, t, unit))
+            for k, t in enumerate(totals) if t is not None]

@@ -380,13 +380,17 @@ def _slices(u: np.ndarray, s: float, c: FixedCells | None):
     return u, FixedCells(at, at, at, at, np.zeros(at.size)), totals, s, unit
 
 
-def _slice_problems(u: np.ndarray, c: FixedCells, totals: list, scale: float, unit: float):
-    """Each slice's checks, in slice order as a slice-by-slice solve runs
-    them: half-total, fixed values against sums, and its root's bracket over
-    the ratios u / ``scale`` less the fixed mass.  Returns the ratios (n, K),
-    per slice its root problem (None: unsolved or all fixed), the brackets."""
-    ratios, problems, brackets = np.zeros(u.shape), [None] * len(totals), []
-    w = c.row_sums()
+def _fixed_entries(u: np.ndarray, c: FixedCells, totals: list, scale: float, unit: float):
+    """The fixed-entry construction over :func:`_slices`: the (n, n, K)
+    array, the factors, and per slice the root problem (None: unsolved or
+    all fixed) and root (NaN where none).  Each slice's checks run first, in
+    slice order: half-total, fixed values against sums, and its root's
+    bracket over the ratios u / ``scale`` less the fixed mass.  Then the
+    roots are bisected in lockstep; slice k's free entries are ``scale``
+    f_ik f_jk, written a block of rows at a time and scaled while in cache,
+    then the fixed cells, all times ``unit``."""
+    (n, K), w = u.shape, c.row_sums()
+    ratios, problems, brackets = np.zeros(u.shape), [None] * K, []
     for k, total in enumerate(totals):
         if total is None:
             continue
@@ -406,16 +410,6 @@ def _slice_problems(u: np.ndarray, c: FixedCells, totals: list, scale: float, un
         problems[k] = _root_problem(r, c.nodes, c.block)
         if problems[k] is not None:
             brackets.append(_bracket(problems[k]))
-    return ratios, problems, brackets
-
-
-def _fixed_entries(u: np.ndarray, c: FixedCells, totals: list, scale: float, unit: float):
-    """The fixed-entry construction over :func:`_slices`: the (n, n, K)
-    array, the factors, and per slice the root problem and root (NaN where
-    none).  After the checks, the roots are bisected in lockstep; slice k's
-    free entries are ``scale`` f_ik f_jk, written a block of rows at a time
-    and scaled while in cache, then the fixed cells, all times ``unit``."""
-    (n, K), (ratios, problems, brackets) = u.shape, _slice_problems(u, c, totals, scale, unit)
     solved = [k for k, p in enumerate(problems) if p is not None]
     lams, F = [math.nan] * K, np.zeros((n, K))
     for k, lam in zip(solved, _bisect([problems[k] for k in solved], brackets)):

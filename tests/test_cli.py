@@ -141,6 +141,23 @@ class TestSolve:
         assert (code, captured.err) == (0, "")
         assert strict_json(captured.out)["valid"] is True
 
+    @pytest.mark.filterwarnings("error")
+    def test_gravity_with_sums_far_apart(self, tmp_path, capsys):
+        # the power of two that brings the products 2^-55 to 2^-1420 into
+        # range would overflow the sum 1.5e197; the solve divides first
+        doc = {"shape": {"rows": 2, "cols": 2},
+               "row_sums": {"kind": "equal",
+                            "values": [1.495020541582441e+197, 1.7909524719882387e-214]},
+               "col_sums": {"kind": "equal", "values": [None, 1.7909524719882387e-214]}}
+        path = write(tmp_path, "p.json", doc)
+        assert main(["solve", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert strict_json(captured.out)["residuals"]["max_equality"] <= 1e-9
+        for command in ("check", "oracle"):
+            assert main([command, path]) == 0
+            assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("col_sums", [None, [0, None, None]], ids=["no_cols", "some_cols"])
     def test_gravity_with_zero_row_sums(self, col_sums, tmp_path, capsys):
         # a zero total has no product factors; none may come out as nan
@@ -389,6 +406,28 @@ class TestCheck:
         assert main(["check", write(tmp_path, "p.json", doc)]) == 0
         assert strict_json(capsys.readouterr().out)["case"] == "unsupported"
 
+    @pytest.mark.parametrize("doc", [
+        {"shape": {"rows": 3, "cols": 2}, "row_sums": {"kind": "upper", "values": [1, None, 2]}},
+        {"shape": {"rows": 3, "cols": 2}, "row_sums": {"kind": "upper", "values": [1, None, 2]},
+         "col_sums": {"kind": "upper", "values": [None, 3]}},
+        {"shape": {"rows": 2, "cols": 2}, "row_sums": {"kind": "upper", "values": [1, None]},
+         "element_bounds": [{"i": 1, "j": 0, "ub": 1}]},
+        {"shape": {"rows": 4, "cols": 4}, "symmetric": True,
+         "row_sums": {"kind": "equal", "values": [3, 4, 5, 6]},
+         "fixed_blocks": [{"indices": [0, 1], "matrix": [[0, 1], [0.5, 0]]},
+                          {"indices": [2], "matrix": [[0]]}, {"indices": [3], "matrix": [[0]]}]},
+    ], ids=["unbounded_row", "no_complete_side", "row_without_bound_or_caps",
+            "block_rows_differ_from_its_cols"])
+    def test_check_refuses_what_the_solver_refuses(self, tmp_path, capsys, doc):
+        # each takes a case, and its solver refuses it: check says what solve says
+        path = write(tmp_path, "p.json", doc)
+        assert classify(load_problem(doc)) is not SolverCase.UNSUPPORTED
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InfeasibleMarginals: ")
+        assert main(["check", path]) == 1
+        assert capsys.readouterr() == ("", err)
+
 
 class TestOracleAndBrute:
     def test_oracle_agrees(self, tmp_path, capsys):
@@ -561,6 +600,18 @@ MALFORMED = {
     "string_symmetric": json.dumps(
         {"shape": {"rows": 2, "cols": 3}, "row_sums": {"kind": "upper", "values": [1, 2]},
          "symmetric": "false"}),
+    # a kind other than equal or upper, anywhere
+    "lower_row_sums": json.dumps(
+        {"shape": {"rows": 2, "cols": 2}, "row_sums": {"kind": "lower", "values": [1, 2]}}),
+    "lower_total": json.dumps(
+        {"shape": {"rows": 2, "cols": 2}, "total": {"kind": "lower", "value": 3}}),
+    "row_sums_without_values": json.dumps(
+        {"shape": {"rows": 2, "cols": 2}, "row_sums": {"kind": "equal"}}),
+    "diagonal_prefix_longer_than_values": json.dumps(
+        {"shape": {"rows": 2, "cols": 2}, "symmetric": True,
+         "fixed_blocks": {"diagonal_prefix": 2, "values": [1]}}),
+    "array_document": "[1, 2]",
+    "truncated_document": '{"shape": {"rows": 3,',
 }
 
 
@@ -707,6 +758,7 @@ class TestFirstFault:
         ({"symmetric": True, "fixed_blocks": [{"indices": [1], "matrix": [[0]]},
                                               {"indices": [0, 1], "matrix": [[0, 0], [0, 0]]}]},
          "error: ShapeMismatch: fixed blocks overlap at index 1"),
+        ({"row_sums": _sparse((0, -1.0))}, "error: NegativeValue: row 0: marginal value -1.0 < 0"),
     ])
     def test_first_fault_is_named(self, doc, err, tmp_path, capsys):
         path = write(tmp_path, "p.json", {"shape": self.SQUARE, **doc})

@@ -5,7 +5,9 @@ no RuntimeWarning, and within two seconds.
 Documents run from well-formed problems to malformed ones: numbers from
 5e-324 to 1.7e308, negative and missing values, integers past the float
 range, shapes with up to 10^6 columns for ``count`` and ``check``, and
-large-integer matrices for ``count``.
+large-integer matrices for ``count``.  ``check`` and ``solve`` refuse the
+same problems, with the same message unless the refusal is ``check``'s
+half-total report.
 """
 
 import contextlib
@@ -97,7 +99,8 @@ RUNS = st.one_of(
 )
 
 
-def exits_cleanly(tmp_path_factory, argv, doc) -> None:
+def run_command(tmp_path_factory, argv, doc) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command on ``doc``; no RuntimeWarning."""
     path = tmp_path_factory.getbasetemp() / "doc.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -105,14 +108,19 @@ def exits_cleanly(tmp_path_factory, argv, doc) -> None:
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main([argv[0], str(path), *argv[1:]])
-    assert code in (0, 1, 2)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def exits_cleanly(tmp_path_factory, argv, doc) -> None:
+    code, out, err = run_command(tmp_path_factory, argv, doc)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
     if code == 0:
-        assert out.getvalue() and not err.getvalue()
+        assert out and not err
     else:
         prefix = "usage error: " if code == 2 else ("error: ", "consistency violation")
-        assert err.getvalue().startswith(prefix)
+        assert err.startswith(prefix)
 
 
 @settings(max_examples=150, deadline=2000,
@@ -126,3 +134,32 @@ def test_every_run_exits_cleanly(tmp_path_factory, run):
 @given(problems())
 def test_brute_exits_cleanly(tmp_path_factory, doc):
     exits_cleanly(tmp_path_factory, ["brute"], doc)
+
+
+# solve's refusals of a spec that check passes: the answer cannot be printed,
+# or no case covers the spec
+UNPRINTABLE = ("error: CountOverflow: ", "error: LikelymatError: result has a non-finite number",
+               "error: UnsupportedCase: ")
+
+
+@settings(max_examples=100, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(problems())
+def test_check_refuses_what_solve_refuses(tmp_path_factory, doc):
+    (check, check_out, check_err), (solve, _, solve_err) = (
+        run_command(tmp_path_factory, [command], doc) for command in ("check", "solve"))
+    assert (check == 2) == (solve == 2)
+    if check == 2:
+        assert check_err == solve_err
+    elif check_err.startswith("consistency violation at index set "):
+        first = json.loads(check_out)["consistency"]["violations"][0]
+        assert solve == 1
+        if not first.get("slice"):  # else solve may refuse an earlier 3-D slice first
+            indices = tuple(first["indices"])
+            assert solve_err.startswith((f"error: ConsistencyViolation: index set {indices}: ",
+                                         "error: UnsupportedCase: "))
+    elif solve_err.startswith(UNPRINTABLE):
+        assert check == 0
+    else:
+        assert check == solve
+        if check == 1:
+            assert (check_out, check_err) == ("", solve_err)
