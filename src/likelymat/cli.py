@@ -47,10 +47,10 @@ from .counting import (
     exact_realizations,
     log10_realizations,
 )
-from .errors import CountOverflow, LikelymatError, NegativeValue
+from .errors import ConsistencyViolation, CountOverflow, LikelymatError, NegativeValue
 from .oracle import _fixes_total, brute_force_most_likely, numeric_maxent, verify_kkt
 from .solution import Solution, TensorSolution
-from .solve import classify, half_total_check, row_sums_only, solve
+from .solve import SATURATING, classify, row_sums_only, solve
 from .symmetric import series_approx_xi
 
 __all__ = ["main", "load_problem"]
@@ -433,22 +433,23 @@ def _cmd_check(args) -> int:
     spec = load_problem(_read_json(args.file))
     case = classify(spec)
     payload: dict = {"valid": True, "case": case.value}
-    if spec.fixed_cells and spec.sums["row"].complete:  # every row sum, as block solvers need
-        violations = [  # a value past the float range reads null
-            {"indices": list(index_set), "outgoing": _finite_or_none(u_block),
-             "limit": _finite_or_none(limit), **({} if k is None else {"slice": k})}
-            for k, report in half_total_check(spec)
-            for index_set, u_block, limit in report.violations
-        ]
-        payload["consistency"] = {"ok": not violations, "violations": violations}
-        if violations:
+    if case is not SolverCase.UNSUPPORTED:
+        try:
+            solve(spec)  # refuse what the case's solver refuses, with its message
+        except ConsistencyViolation as e:  # or with the half-total check's report
+            violations = [  # a value past the float range reads null
+                {"indices": list(index_set), "outgoing": _finite_or_none(outgoing),
+                 "limit": _finite_or_none(limit), **({"slice": k} if spec.shape.is_3d else {})}
+                for k, index_set, outgoing, limit in e.violations
+            ]
+            payload["consistency"] = {"ok": False, "violations": violations}
             _emit(payload, args)
             first = violations[0]
             where = "" if "slice" not in first else f" of slice {first['slice']}"
             print(f"consistency violation at index set {first['indices']}{where}", file=sys.stderr)
             return 1
-    if case is not SolverCase.UNSUPPORTED:
-        solve(spec)  # refuse what the case's solver refuses, with its message
+        if case in SATURATING:  # the solver ran the half-total check, and it passed
+            payload["consistency"] = {"ok": True, "violations": []}
     _emit(payload, args)
     return 0
 

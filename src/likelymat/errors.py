@@ -53,8 +53,14 @@ class ConsistencyViolation(SpecError):
 
     Raised when some index set I has u_I >= u/2 + w_II/2, i.e. the traffic
     originating in I is not strictly less than half the total plus half of
-    the traffic staying inside I.
+    the traffic staying inside I.  ``violations`` lists every violated set
+    of the slice that failed (slice 0 in 2-D), first violation first, as
+    (slice, index set, outgoing, limit), the values inf past the float range.
     """
+
+    def __init__(self, message: str, violations: tuple = ()):
+        super().__init__(message)
+        self.violations = violations
 
 
 class InfeasibleSum(LikelymatError):

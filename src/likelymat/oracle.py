@@ -279,14 +279,16 @@ def _new_program(spec: ProblemSpec) -> _Program:
     shape = (sh.rows, sh.cols, sh.slices) if sh.is_3d else (sh.rows, sh.cols)
     K = sh.slices or 1
     ci, cj, ub = spec.element_caps
+    c = spec.fixed_cells
     if sh.is_3d and ub.size:
         raise UnsupportedCase("element bounds on a 3-D spec name no cell")
+    if sh.is_3d and (c.values.any() or (c.rows != c.cols).any()):
+        raise UnsupportedCase("fixed values on a 3-D spec name no cell but its zero diagonal")
 
-    if sh.is_3d:  # the zero diagonal of every slice, whatever the blocks say
+    if sh.is_3d:  # the zero diagonal of every slice, stated or not
         i, k = np.divmod(np.arange(sh.rows * K), K)
         fixed, values = (i, i, k), 0.0
     else:
-        c = spec.fixed_cells
         fixed, values = (c.nodes[c.rows], c.nodes[c.cols]), c.values
     grid = np.zeros(shape)
     grid[fixed] = values

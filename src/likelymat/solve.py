@@ -19,11 +19,10 @@ from .rect import (_total, solve_bounded_total_row_bounds, solve_gravity_partial
                    solve_total_row_bounds)
 from .solution import Solution, TensorSolution
 # solve_sym_fixed_diagonal is for the traced run: fixed diagonals take the block solver
-from .symmetric import (_half_total, _slices, solve_sym_3d_fixed_diagonal,
-                        solve_sym_block_diagonal, solve_sym_fixed_diagonal,  # noqa: F401
-                        solve_sym_total_row_col_bounds)
+from .symmetric import (solve_sym_3d_fixed_diagonal, solve_sym_block_diagonal,
+                        solve_sym_fixed_diagonal, solve_sym_total_row_col_bounds)  # noqa: F401
 
-__all__ = ["solve", "classify", "half_total_check", "row_sums_only", "CASES"]
+__all__ = ["solve", "classify", "row_sums_only", "CASES"]
 
 C = SolverCase
 EQUAL, UPPER = frozenset({"equal"}), frozenset({"upper"})
@@ -179,12 +178,3 @@ def row_sums_only(spec: ProblemSpec) -> bool:
     return not is_column_form(spec) and form == "rect" and _free(p) and p.complete \
         and not p.cols and p.total is None
 
-
-def half_total_check(spec: ProblemSpec) -> list:
-    """The fixed-entry solvers' half-total check of a spec with fixed blocks
-    and every row sum, each slice's as a (slice index, None in 2-D, report) pair."""
-    spec = validate_spec(spec)
-    u = spec.sums["row"].values()
-    sums, c, totals, _, unit = _slices(u, _total(u), spec.fixed_cells)
-    return [(None if u.ndim == 1 else k, _half_total(sums[:, k], c, t, unit))
-            for k, t in enumerate(totals) if t is not None]

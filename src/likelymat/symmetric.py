@@ -24,7 +24,6 @@ import numpy as np
 
 from .constraints import (
     REL_TOL,
-    ConsistencyReport,
     FixedCells,
     SolverCase,
     _left_sum,
@@ -347,17 +346,6 @@ def _factors(p: RootProblem, lam: float, r: np.ndarray, nodes: np.ndarray,
     return factors
 
 
-def _half_total(u: np.ndarray, c: FixedCells, total: float, unit: float) -> ConsistencyReport:
-    """The half-total check at ``total`` of sums and cells divided by ``unit``
-    (:func:`_slices`), its values multiplied back (inf past the float
-    range)."""
-    report = consistency_check_blocks(u, c, total)
-    if unit == 1.0:
-        return report
-    return ConsistencyReport(report.ok, tuple(
-        (index_set, u_block * unit, limit * unit) for index_set, u_block, limit in report.violations))
-
-
 def _slices(u: np.ndarray, s: float, c: FixedCells | None):
     """Sums ``u`` as the slices of :func:`_fixed_entries`: (n, K) sums, the
     cells fixed in each, their half-total check totals, the ratios' scale
@@ -394,11 +382,12 @@ def _fixed_entries(u: np.ndarray, c: FixedCells, totals: list, scale: float, uni
     for k, total in enumerate(totals):
         if total is None:
             continue
-        report = _half_total(u[:, k], c, total, unit)
-        if not report.ok:
+        report = consistency_check_blocks(u[:, k], c, total)
+        if not report.ok:  # its values times the unit, inf past the float range
+            bad = tuple((k, i, out * unit, limit * unit) for i, out, limit in report.violations)
             raise ConsistencyViolation(
                 "index set {}: outgoing traffic {} is not strictly below {} (half the "
-                "total plus half the intra-set traffic)".format(*report.first_violation))
+                "total plus half the intra-set traffic)".format(*bad[0][1:]), bad)
         un = u[c.nodes, k]
         over = np.flatnonzero(w > un * (1 + REL_TOL))
         if over.size:

@@ -349,6 +349,25 @@ class TestCheck:
         assert (code, captured.err) == (0, "")
         assert strict_json(captured.out) == {"valid": True, "case": "unsupported"}
 
+    @pytest.mark.parametrize("doc", [
+        {"shape": {"rows": 3, "cols": 3},
+         "fixed_blocks": {"diagonal_prefix": 1, "values": [0]},
+         "row_sums": {"kind": "equal", "values": [5, 2, 3]}},
+        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+         "fixed_blocks": {"diagonal_prefix": 3, "values": 0},
+         "row_sums": {"kind": "upper", "values": [[9, 3], [1, 4], [1, 5]]}},
+    ], ids=["not_symmetric", "3d_upper_sums"])
+    def test_unsupported_spec_gets_no_half_total_check(self, tmp_path, capsys, doc):
+        # each breaks the symmetric half-total condition, which no solver of
+        # these specs imposes: the oracle finds a positive matrix for the first
+        path = write(tmp_path, "p.json", doc)
+        assert main(["check", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert strict_json(captured.out) == {"valid": True, "case": "unsupported"}
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err.startswith("error: UnsupportedCase: ")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("doc, indices", [
         ({"shape": {"rows": 4, "cols": 4, "slices": 2}, "symmetric": True,
@@ -358,10 +377,13 @@ class TestCheck:
           "fixed_blocks": [{"indices": [0, 1], "matrix": [[0, 0], [0, 0]]},
                            {"indices": [2, 3], "matrix": [[0, 0], [0, 0]]}],
           "row_sums": {"kind": "equal", "values": [1e308, 1e308, 1e308, 1]}}, [0, 1]),
-    ], ids=["3d_first_slice", "sums_past_the_float_range"])
+        ({"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+          "row_sums": {"kind": "equal", "values": [[9, 3], [1, 4], [1, 5]]}}, [0]),
+    ], ids=["3d_first_slice", "sums_past_the_float_range", "3d_without_blocks"])
     def test_check_agrees_with_solve(self, tmp_path, capsys, doc, indices):
         # the first document breaks the check in slice 0 only; the second
-        # has a block sum of inf, which the check reports as null
+        # has a block sum of inf, which the check reports as null; the third
+        # has the 3-D zero diagonal without stating it
         path = write(tmp_path, "p.json", doc)
         assert main(["solve", path]) == 1
         err = capsys.readouterr().err
@@ -369,8 +391,9 @@ class TestCheck:
         assert main(["check", path]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"consistency violation at index set {indices}")
-        violation = strict_json(captured.out)["consistency"]["violations"][0]
-        assert violation["indices"] == indices
+        violations = strict_json(captured.out)["consistency"]["violations"]
+        assert violations[0]["indices"] == indices
+        assert all(("slice" in v) == ("slices" in doc["shape"]) for v in violations)
 
     @pytest.mark.parametrize("doc", [
         {"shape": {"rows": 3, "cols": 3}, "symmetric": True,
@@ -382,12 +405,23 @@ class TestCheck:
         {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
          "fixed_blocks": {"diagonal_prefix": 3, "values": 0},
          "row_sums": {"kind": "equal", "values": [[1, 3], [1, 4], [1, 5]]}},
-    ], ids=["lopsided_zero_diagonal", "fixed_value_over_its_sum", "3d_second_slice"])
+        {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+         "fixed_blocks": {"diagonal_prefix": 3, "values": 0},
+         "row_sums": {"kind": "equal", "values": [[3, 9], [4, 1], [5, 1]]}},
+        {"shape": {"rows": 4, "cols": 4}, "symmetric": True,
+         "row_sums": {"kind": "equal", "values": [30, 4, 5, 6]},
+         "fixed_blocks": [{"indices": [0, 1], "matrix": [[0, 1], [0.5, 0]]},
+                          {"indices": [2], "matrix": [[0]]}, {"indices": [3], "matrix": [[0]]}]},
+    ], ids=["lopsided_zero_diagonal", "fixed_value_over_its_sum", "3d_second_slice",
+            "3d_rootless_slice_first", "block_rows_differ_from_its_cols"])
     def test_check_raises_what_solve_raises_past_the_half_total_check(
             self, tmp_path, capsys, doc):
-        # each passes the half-total check; the first has no root (its top
-        # node would sit on the large root), the second fixes more than a
-        # node's sum, the third is the first as a 3-D document's slice 1
+        # the first three pass the half-total check; the first has no root
+        # (its top node would sit on the large root), the second fixes more
+        # than a node's sum, the third is the first as a 3-D document's slice
+        # 1.  The last two break the check, but solve refuses them before it
+        # runs: the fourth in slice 0, the first, whose root it has no
+        # bracket for; the fifth for a block whose rows and columns differ
         path = write(tmp_path, "p.json", doc)
         assert main(["solve", path]) == 1
         err = capsys.readouterr().err
@@ -448,6 +482,16 @@ class TestOracleAndBrute:
         assert doc["n_feasible"] == 32
         assert doc["max_realizations"] == 12600
         assert len(doc["argmax"]) == 4
+
+    def test_brute_refuses_3d_fixed_values(self, tmp_path, capsys):
+        # a 3-D spec fixes only its zero diagonal: brute force would drop these ones
+        doc = {"shape": {"rows": 3, "cols": 3, "slices": 1}, "symmetric": True,
+               "fixed_blocks": {"diagonal_prefix": 3, "values": [1, 1, 1]},
+               "row_sums": {"kind": "equal", "values": [[3], [3], [2]]}}
+        assert main(["brute", write(tmp_path, "p.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: UnsupportedCase: fixed values on a 3-D spec")
 
     def test_oracle_total_row_bounds_emits_strict_json(self, tmp_path, capsys):
         problem = {

@@ -10,6 +10,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from likelymat import (
+    FixedBlock,
     Infeasible,
     InfeasibleMarginals,
     LikelymatError,
@@ -617,6 +618,22 @@ class TestThreeDElementBounds:
     def test_solve_rejects(self):
         with pytest.raises(UnsupportedCase):
             solve(self.spec)
+
+
+class TestThreeDFixedValues:
+    """A 3-D spec fixes every slice's diagonal to zero and nothing else: the
+    oracle refuses a nonzero or off-diagonal fixed value rather than drop it."""
+
+    @pytest.mark.parametrize("blocks", [
+        tuple(FixedBlock((i,), ((1.0,),)) for i in range(3)),
+        (FixedBlock((0, 1), ((0.0, 0.0), (0.0, 0.0))),),
+    ], ids=["nonzero_diagonal", "off_diagonal_zeros"])
+    def test_maxent_and_brute_force_reject(self, blocks):
+        spec = make_spec(3, 3, row=("equal", [[3.0], [3.0], [2.0]]), symmetric=True, slices=1,
+                         blocks=blocks)
+        for call in (lambda: numeric_maxent(spec, "H"), lambda: brute_force_most_likely(spec)):
+            with pytest.raises(UnsupportedCase, match="fixed values on a 3-D spec"):
+                call()
 
 
 class TestObjectives:
