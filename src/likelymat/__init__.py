@@ -63,7 +63,7 @@ from .rect import (
     solve_row_col_bounds,
     solve_total_row_bounds,
 )
-from .solution import Solution, TensorSolution
+from .solution import Solution
 from .solve import classify, solve
 from .symmetric import (
     RootProblem,

@@ -49,7 +49,7 @@ from .counting import (
 )
 from .errors import ConsistencyViolation, CountOverflow, LikelymatError, NegativeValue
 from .oracle import _fixes_total, brute_force_most_likely, numeric_maxent, verify_kkt
-from .solution import Solution, TensorSolution
+from .solution import Solution
 from .solve import SATURATING, classify, row_sums_only, solve
 from .symmetric import series_approx_xi
 
@@ -307,15 +307,15 @@ def _series_payload(sol: Solution, order: int):
     }
 
 
-def _solution_payload(sol, spec: ProblemSpec, series_order: int | None) -> dict:
+def _solution_payload(sol: Solution, spec: ProblemSpec, series_order: int | None) -> dict:
     out: dict = {"case": sol.case.value, "total": _jsonable(sol.total)}
-    if isinstance(sol, TensorSolution):
-        out["slices"] = np.moveaxis(sol.values, 2, 0)
+    X = sol.matrix
+    if X.ndim == 3:
+        out["slices"] = np.moveaxis(X, 2, 0)
         out["lambda"] = [_jsonable(v) for v in sol.lam]
         out["xi"] = [_jsonable(v) for v in sol.xi]
-        X = sol.values
     else:
-        out["matrix"] = sol.matrix
+        out["matrix"] = X
         out["k"] = sol.k
         out["lambda"] = _jsonable(sol.lam)
         out["xi"] = _jsonable(sol.xi)
@@ -326,12 +326,11 @@ def _solution_payload(sol, spec: ProblemSpec, series_order: int | None) -> dict:
             multipliers["col"] = _jsonable(sol.col_multipliers)
         if multipliers:
             out["multipliers"] = multipliers
-        X = sol.matrix
     out["log10_realizations"] = log10_realizations(X).log10
     out["residuals"] = _residuals(spec, X)
     if sol.notes:
         out["notes"] = list(sol.notes)
-    if series_order is not None and isinstance(sol, Solution):
+    if series_order is not None:
         try:
             series = _series_payload(sol, series_order)
         except LikelymatError:
@@ -500,8 +499,7 @@ def _cmd_oracle(args) -> int:
     sol = solve(spec)
     objective = _oracle_objective(spec, sol.case)
     result = numeric_maxent(spec, objective)
-    analytic = sol.values if isinstance(sol, TensorSolution) else sol.matrix
-    gap = float(np.abs(analytic - result.matrix).max())
+    gap = float(np.abs(sol.matrix - result.matrix).max())
     payload = {
         "case": sol.case.value,
         "objective": objective,
@@ -511,7 +509,7 @@ def _cmd_oracle(args) -> int:
         "iterations": result.iterations,
         "residual": result.residual,
     }
-    if isinstance(sol, Solution):
+    if sol.matrix.ndim == 2:  # the 3-D payload carries no KKT report
         report = verify_kkt(sol, spec)
         payload["kkt_ok"] = report.ok
         payload["kkt_violations"] = list(report.violations)

@@ -58,7 +58,7 @@ from .errors import (
     SearchSpaceTooLarge,
     UnsupportedCase,
 )
-from .solution import Solution, TensorSolution
+from .solution import Solution
 
 __all__ = [
     "OracleResult",
@@ -740,7 +740,7 @@ def brute_force_most_likely(spec: ProblemSpec, limit: int = 10_000_000) -> Brute
 # ----------------------------------------------------------------------
 
 
-def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
+def verify_kkt(solution: Solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     """Check a solution against the optimality structure of its spec.
 
     Verifies (a) feasibility of every stated constraint, (b) the product
@@ -752,8 +752,7 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     program = _build_program(spec)  # on the caller's spec object, which keeps it
     spec = validate_spec(spec)
     spec = replace(spec, col_sums=spec.sums["col"])  # a symmetric spec's mirrored columns
-    X = solution.values if isinstance(solution, TensorSolution) else solution.matrix
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(solution.matrix, dtype=float)
     violations: list[str] = []
     max_res = 0.0
 
@@ -787,26 +786,25 @@ def verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport:
     max_res = max(max_res, pf_res) if finite else math.inf
 
     multiplier_range, slackness = True, True
-    if isinstance(solution, Solution):
-        for axis, mult in (("row", solution.row_multipliers), ("col", solution.col_multipliers)):
-            if mult is None or spec.sums[axis].kinds != {"upper"}:
-                continue
-            # a symmetric spec's column bounds are its row bounds
-            f, bound = np.asarray(mult, dtype=float), spec.sums[axis].values()
-            sums = X.sum(axis=1 if axis == "row" else 0)
-            # a zero bound pins its line at zero: its factor is exactly 0
-            outside = ~np.where(bound == 0.0, f == 0.0, (0.0 < f) & (f <= 1.0 + tol))
-            with np.errstate(invalid="ignore"):  # inf - inf; an infinite bound is never slack
-                slack = (np.isfinite(bound) & (bound - sums > tol * np.maximum(1.0, bound))
-                         & (np.abs(f - 1.0) > tol))
-            multiplier_range = multiplier_range and not outside.any()
-            slackness = slackness and not slack.any()
-            for i in np.flatnonzero(outside | slack).tolist():
-                if outside[i]:
-                    allowed = "{0}" if bound[i] == 0.0 else "(0, 1]"
-                    violations.append(f"{axis} {i}: multiplier {f[i]} outside {allowed}")
-                if slack[i]:
-                    violations.append(f"{axis} {i}: slack bound but multiplier {f[i]} != 1")
+    for axis, mult in (("row", solution.row_multipliers), ("col", solution.col_multipliers)):
+        if mult is None or spec.sums[axis].kinds != {"upper"}:
+            continue
+        # a symmetric spec's column bounds are its row bounds
+        f, bound = np.asarray(mult, dtype=float), spec.sums[axis].values()
+        sums = X.sum(axis=1 if axis == "row" else 0)
+        # a zero bound pins its line at zero: its factor is exactly 0
+        outside = ~np.where(bound == 0.0, f == 0.0, (0.0 < f) & (f <= 1.0 + tol))
+        with np.errstate(invalid="ignore"):  # inf - inf; an infinite bound is never slack
+            slack = (np.isfinite(bound) & (bound - sums > tol * np.maximum(1.0, bound))
+                     & (np.abs(f - 1.0) > tol))
+        multiplier_range = multiplier_range and not outside.any()
+        slackness = slackness and not slack.any()
+        for i in np.flatnonzero(outside | slack).tolist():
+            if outside[i]:
+                allowed = "{0}" if bound[i] == 0.0 else "(0, 1]"
+                violations.append(f"{axis} {i}: multiplier {f[i]} outside {allowed}")
+            if slack[i]:
+                violations.append(f"{axis} {i}: slack bound but multiplier {f[i]} != 1")
 
     return KktReport(
         feasible=feasible,

@@ -17,7 +17,7 @@ from .errors import UnsupportedCase
 from .rect import (_total, solve_bounded_total_row_bounds, solve_gravity_partial_cols,
                    solve_row_bounds, solve_row_bounds_elem_bounds, solve_row_col_bounds,
                    solve_total_row_bounds)
-from .solution import Solution, TensorSolution
+from .solution import Solution
 # solve_sym_fixed_diagonal is for the traced run: fixed diagonals take the block solver
 from .symmetric import (solve_sym_3d_fixed_diagonal, solve_sym_block_diagonal,
                         solve_sym_fixed_diagonal, solve_sym_total_row_col_bounds)  # noqa: F401
@@ -82,7 +82,7 @@ def _fixed_entries(spec, u):
 CASES = {
     "3d": (
         (C.SYM_3D_FIXED_DIAGONAL,  # every slice's row sums, zero diagonal or none fixed
-         lambda p: not p.caps and p.known and p.total in (None, "equal")
+         lambda p: not p.caps and p.known
          and (not p.blocks or p.zero and p.covered == p.blocks == p.nodes),
          lambda spec, u: solve_sym_3d_fixed_diagonal(u, _total(u))),
     ),
@@ -95,7 +95,7 @@ CASES = {
          lambda p: _free(p) and p.rows == UPPER and p.total == "equal",
          lambda spec, u: solve_sym_total_row_col_bounds(spec.total.value, u)),
         (C.GRAVITY_PARTIAL_COLS,
-         lambda p: _free(p) and p.known and p.total in (None, "equal"), _gravity),
+         lambda p: _free(p) and p.known, _gravity),
         (C.ROW_COL_BOUNDS,
          lambda p: _free(p) and p.rows == UPPER and p.total is None, _row_col_bounds),
     ),
@@ -105,8 +105,7 @@ CASES = {
          and p.total is None,
          lambda spec, u: solve_row_bounds_elem_bounds(u, spec.element_caps, spec.shape.cols)),
         (C.GRAVITY_PARTIAL_COLS,  # all row sums, some column sums
-         lambda p: _free(p) and p.known and p.cols <= EQUAL and p.total in (None, "equal"),
-         _gravity),
+         lambda p: _free(p) and p.known and p.cols <= EQUAL, _gravity),
         (C.ROW_COL_BOUNDS,
          lambda p: _free(p) and p.rows == p.cols == UPPER and p.total is None, _row_col_bounds),
         (C.ROW_BOUNDS,
@@ -150,7 +149,7 @@ def classify(spec: ProblemSpec) -> SolverCase:
                 C.UNSUPPORTED)
 
 
-def solve(spec: ProblemSpec) -> Solution | TensorSolution:
+def solve(spec: ProblemSpec) -> Solution:
     """Validate, classify, and solve a problem description by its case's call.
 
     The only numerics left is the fixed-entry cases' root per slice, which

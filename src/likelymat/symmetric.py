@@ -40,7 +40,7 @@ from .errors import (
     SeriesDomainError,
 )
 from .rect import _gauge, _gravity, _total, _total_target
-from .solution import Solution, TensorSolution
+from .solution import Solution
 from .waterfill import waterfill_bounded_sum
 
 __all__ = [
@@ -375,8 +375,7 @@ def _fixed_entries(u: np.ndarray, c: FixedCells, totals: list, scale: float, uni
     slice order: half-total, fixed values against sums, and its root's
     bracket over the ratios u / ``scale`` less the fixed mass.  Then the
     roots are bisected in lockstep; slice k's free entries are ``scale``
-    f_ik f_jk, written a block of rows at a time and scaled while in cache,
-    then the fixed cells, all times ``unit``."""
+    f_ik f_jk, then the fixed cells, all times ``unit``."""
     (n, K), w = u.shape, c.row_sums()
     ratios, problems, brackets = np.zeros(u.shape), [None] * K, []
     for k, total in enumerate(totals):
@@ -404,11 +403,8 @@ def _fixed_entries(u: np.ndarray, c: FixedCells, totals: list, scale: float, uni
     for k, lam in zip(solved, _bisect([problems[k] for k in solved], brackets)):
         lams[k] = lam
         F[:, k] = _factors(problems[k], lam, ratios[:, k], c.nodes, c.block)
-    X = np.empty((n, n, K))
-    step = max(1, 2**15 // (n * K))
-    for i in range(0, n, step):
-        rows = np.einsum("ik,jk->ijk", F[i:i + step], F, out=X[i:i + step])
-        rows *= scale
+    X = np.einsum("ik,jk->ijk", F, F, out=np.empty((n, n, K)))
+    X *= scale
     # einsum adds each product to 0.0: a -0.0 factor's products are redone
     i, k = np.nonzero((F == 0.0) & np.signbit(F))
     X[i, :, k] = F[i, k][:, None] * F[:, k].T * scale
@@ -447,7 +443,7 @@ def solve_sym_fixed_diagonal(
     return solve_sym_block_diagonal(u, cells, s, bounds_mode=bounds_mode)
 
 
-def solve_sym_3d_fixed_diagonal(u, s: float) -> TensorSolution:
+def solve_sym_3d_fixed_diagonal(u, s: float) -> Solution:
     """Zero-diagonal 3-D array from symmetric per-slice section sums.
 
     ``u[i, k]`` is the sum of slice k's row i (equal to its column i).  The
@@ -466,7 +462,7 @@ def solve_sym_3d_fixed_diagonal(u, s: float) -> TensorSolution:
     if np.any(u < 0):
         raise NegativeValue("section sums must be nonnegative")
     values, _, problems, lams = _fixed_entries(*_slices(u, s, None))
-    return TensorSolution(
+    return Solution(
         values,
         SolverCase.SYM_3D_FIXED_DIAGONAL,
         total=_total(values),

@@ -126,7 +126,7 @@ from likelymat.constraints import (
 from likelymat.errors import Infeasible, InvariantViolation, NotConverged
 from likelymat.oracle import ZERO_REPORT, KktReport
 from likelymat.rect import _gravity
-from likelymat.solution import Solution, TensorSolution
+from likelymat.solution import Solution
 from likelymat.symmetric import (
     _bisect,
     _bracket,
@@ -1096,8 +1096,7 @@ def walk_verify_kkt(solution, spec: ProblemSpec, tol: float = 1e-6) -> KktReport
     spec = validate_spec(spec)
     stated = records(spec)
     program = walk_build_program(spec)
-    X = solution.values if isinstance(solution, TensorSolution) else solution.matrix
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(solution.matrix, dtype=float)
     violations: list[str] = []
     max_res = 0.0
 
@@ -1320,11 +1319,11 @@ def large_specs(rng):
 def corruptions(rng, sol, program):
     """The solution, and copies that break feasibility, product form or multipliers."""
     yield sol
-    if isinstance(sol, TensorSolution):
-        bad = sol.values.copy()
+    if sol.matrix.ndim == 3:
+        bad = sol.matrix.copy()
         bad[0, 1, 0] += 0.1
-        yield dataclasses.replace(sol, values=bad)
-        yield dataclasses.replace(sol, values=sol.values * rng.uniform(0.5, 2.0, bad.shape))
+        yield dataclasses.replace(sol, matrix=bad)
+        yield dataclasses.replace(sol, matrix=sol.matrix * rng.uniform(0.5, 2.0, bad.shape))
         return
     X = sol.matrix
     for change in ("bump", "fixed", "skew", "nan"):
@@ -1436,7 +1435,7 @@ class TestOracle:
                 continue
             for sol in corruptions(rng, solve(spec), program):
                 new, ref = oracle.verify_kkt(sol, spec), walk_verify_kkt(sol, spec)
-                X = sol.values if isinstance(sol, TensorSolution) else sol.matrix
+                X = sol.matrix
                 for name in ("product_form", "multiplier_range", "complementary_slackness"):
                     assert getattr(new, name) == getattr(ref, name), name
                 if np.isfinite(X).all():
@@ -1461,7 +1460,7 @@ class TestOracle:
                       blocks=zero_diagonal_blocks(30)),
         ):
             sol = solve(spec)
-            X = sol.values if isinstance(sol, TensorSolution) else sol.matrix
+            X = sol.matrix
             for Y in (X, X * rng.uniform(0.9, 1.1, X.shape)):
                 assert_fit_matches_the_walk(spec, Y)
 
@@ -1967,7 +1966,7 @@ def walk_solve_sym_3d_fixed_diagonal(u, s, tol=1e-12):
         xis.append(4.0 / (lam * lam))
         if problem is not None and not problem.guaranteed:
             notes.append(f"slice {k}: outside guaranteed bracket regime")
-    return TensorSolution(
+    return Solution(
         values,
         SolverCase.SYM_3D_FIXED_DIAGONAL,
         total=float(values.sum()),
@@ -1981,8 +1980,8 @@ def fixed_entry_bits(result):
     """Every field of a fixed-entry solution by bit pattern, or the error raised."""
     if isinstance(result, tuple):
         return result
-    if isinstance(result, TensorSolution):
-        return (bits(result.values), result.case, bits(result.total), bits(result.lam),
+    if result.matrix.ndim == 3:
+        return (bits(result.matrix), result.case, bits(result.total), bits(result.lam),
                 bits(result.xi), result.notes)
     root = result.root
     return (bits(result.matrix), result.case, bits(result.total), result.k,
@@ -2233,8 +2232,8 @@ def slice_solve_sym_3d_fixed_diagonal(u, s):
         xis.append(4.0 / (lam * lam))
         if problem is not None and not problem.guaranteed:
             notes.append(f"slice {k}: outside guaranteed bracket regime")
-    return TensorSolution(values, SolverCase.SYM_3D_FIXED_DIAGONAL, total=slice_total(values),
-                          lam=tuple(lams), xi=tuple(xis), notes=tuple(notes))
+    return Solution(values, SolverCase.SYM_3D_FIXED_DIAGONAL, total=slice_total(values),
+                    lam=tuple(lams), xi=tuple(xis), notes=tuple(notes))
 
 
 def slice_solve_sym_block_diagonal(u, blocks, s, bounds_mode=False):
@@ -2375,8 +2374,6 @@ def nested_classify(spec: ProblemSpec) -> SolverCase:
 def nested_classify_3d(spec: ProblemSpec) -> SolverCase:
     if spec.element_caps[2].size:
         return SolverCase.UNSUPPORTED
-    if spec.total is not None and spec.total.kind != "equal":
-        return SolverCase.UNSUPPORTED
     if spec.fixed_cells and not nested_blocks_are_zero_diagonal(spec):
         return SolverCase.UNSUPPORTED
     if spec.sums["row"].known and nested_total_admits_saturation(spec):
@@ -2423,7 +2420,7 @@ def nested_classify_symmetric(spec: ProblemSpec) -> SolverCase:
         and row_kinds == {"upper"}
     ):
         return SolverCase.SYM_TOTAL_ROW_COL_BOUNDS
-    if rows.known and (spec.total is None or spec.total.kind == "equal"):
+    if rows.known:
         # Symmetric gravity: both marginals known and equal.
         return SolverCase.GRAVITY_PARTIAL_COLS
     if row_kinds == {"upper"} and spec.total is None:
@@ -2447,7 +2444,7 @@ def nested_classify_rect(spec: ProblemSpec) -> SolverCase:
         return SolverCase.ROW_BOUNDS_ELEM_BOUNDS
 
     if rows.known:
-        if col_kinds in (set(), {"equal"}) and (total is None or total.kind == "equal"):
+        if col_kinds in (set(), {"equal"}):
             return SolverCase.GRAVITY_PARTIAL_COLS
         return SolverCase.UNSUPPORTED
 

@@ -567,7 +567,7 @@ class TestOracleAndBrute:
             if stored.exists():
                 assert json.loads(stored.read_text())["objective"] == objective, path.name
                 seen += 1
-        assert seen == 3
+        assert seen == 4
 
     def test_upper_rows_under_an_equal_total_take_h(self, tmp_path, capsys):
         # fixed diagonal, row bounds and a total equal to their sum: the

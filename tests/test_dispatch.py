@@ -1,12 +1,13 @@
 """End-to-end solve(): classification routing, transposes, permutations."""
 
+import dataclasses
 import json
 import sys
 
 import numpy as np
 import pytest
 
-from likelymat import SolverCase, UnsupportedCase, classify, solve
+from likelymat import Solution, SolverCase, UnsupportedCase, classify, solve
 from likelymat.cli import load_problem, main
 from likelymat.solve import CASES, _pattern
 from conftest import CASE_GENERATORS, make_spec, zero_diagonal_blocks
@@ -82,7 +83,7 @@ class TestRouting:
             4, 4, row=("equal", u), symmetric=True, slices=1, total=("equal", 24.0)
         )
         tensor = solve(spec)
-        np.testing.assert_allclose(tensor.values[:, :, 0].sum(), 24.0, rtol=1e-12)
+        np.testing.assert_allclose(tensor.matrix[:, :, 0].sum(), 24.0, rtol=1e-12)
 
     def test_column_bounds_with_total(self):
         spec = make_spec(2, 2, col=("upper", [4.0, 8.0]), total=("equal", 9.0))
@@ -139,11 +140,23 @@ class TestRouting:
         spec = make_spec(4, 4, row=("equal", u), symmetric=True, slices=2,
                          blocks=zero_diagonal_blocks(4))
         tensor = solve(spec)
-        assert tensor.values.shape == (4, 4, 2)
+        assert tensor.matrix.shape == (4, 4, 2)
         for k, scale in enumerate((6.0, 3.0)):
             np.testing.assert_allclose(
-                tensor.values[:, :, k].sum(axis=1), [scale] * 4, rtol=1e-9
+                tensor.matrix[:, :, k].sum(axis=1), [scale] * 4, rtol=1e-9
             )
+
+    def test_3d_solve_returns_one_solution_type(self, rng):
+        u = [[6.0, 3.0], [6.0, 3.0], [6.0, 3.0], [6.0, 3.0]]
+        sol = solve(make_spec(4, 4, row=("equal", u), symmetric=True, slices=2,
+                              blocks=zero_diagonal_blocks(4)))
+        assert isinstance(sol, Solution)
+        assert sol.matrix.shape == (4, 4, 2) and sol.matrix.flags.c_contiguous
+        # its sheets are symmetric, so transpose a lopsided array as well
+        for X in (sol.matrix, rng.uniform(size=(4, 3, 2))):
+            flipped = dataclasses.replace(sol, matrix=X).transposed().matrix
+            assert flipped.flags.c_contiguous
+            assert np.array_equal(flipped, np.stack([X[:, :, k].T for k in range(2)], axis=2))
 
     def test_upper_bound_fixed_diagonal_mode(self):
         # bounds instead of sums: same matrix, factors stay in (0, 1]
@@ -189,10 +202,6 @@ BOUNDED_ZERO_DIAGONAL = {"shape": {"rows": 3, "cols": 3}, "symmetric": True,
 # Documents that validation accepts and ``classify`` refuses, one per rule,
 # among them the rules no other test reaches.
 UNSUPPORTED_DOCS = {
-    "3d-bounded-total": {
-        "shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
-        "row_sums": {"kind": "equal", "values": SLICE_SUMS},
-        "total": {"kind": "upper", "value": 10}},
     "3d-blocks-off-zero-diagonal": {
         "shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
         "row_sums": {"kind": "equal", "values": SLICE_SUMS},
@@ -225,6 +234,41 @@ class TestUnsupportedRules:
         assert json.loads(capsys.readouterr().out)["case"] == "unsupported"
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: UnsupportedCase: ")
+
+
+# Documents whose known row sums meet a stated bound on the total: the
+# validation refuses a bound below their sum, so every bound left is slack.
+UPPER_100 = {"kind": "upper", "value": 100}
+SLACK_TOTAL_DOCS = {
+    "gravity": {"shape": {"rows": 3, "cols": 3},
+                "row_sums": {"kind": "equal", "values": [3, 4, 5]},
+                "col_sums": {"kind": "equal", "sparse": [{"index": 0, "value": 2}]},
+                "total": UPPER_100},
+    "symmetric-gravity": {"shape": {"rows": 3, "cols": 3}, "symmetric": True,
+                          "row_sums": {"kind": "equal", "values": [3, 4, 5]},
+                          "total": UPPER_100},
+    "3d-zero-diagonal": {"shape": {"rows": 4, "cols": 4, "slices": 2}, "symmetric": True,
+                         "row_sums": {"kind": "equal", "values": [[6, 3]] * 4},
+                         "fixed_blocks": {"diagonal_prefix": 4, "values": 0},
+                         "total": UPPER_100},
+    "3d-bounded-total": {"shape": {"rows": 3, "cols": 3, "slices": 2}, "symmetric": True,
+                         "row_sums": {"kind": "equal", "values": SLICE_SUMS},
+                         "total": {"kind": "upper", "value": 10}},
+}
+
+
+@pytest.mark.parametrize("doc", list(SLACK_TOTAL_DOCS.values()), ids=list(SLACK_TOTAL_DOCS))
+def test_a_slack_total_bound_changes_nothing(doc, tmp_path, capsys):
+    sol = solve(load_problem(doc))
+    want = solve(load_problem({key: v for key, v in doc.items() if key != "total"}))
+    assert sol.case is want.case
+    assert sol.matrix.tobytes() == want.matrix.tobytes()
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["converged"] and report["linf_gap"] < 1e-9
+    assert report.get("kkt_ok", True)
 
 
 def square(rows, symmetric=True, **doc):

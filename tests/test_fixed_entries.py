@@ -77,7 +77,7 @@ def solvable(u, blocks):
 
 
 def solve_3d(u):
-    return solve_sym_3d_fixed_diagonal(u, total(u)).values
+    return solve_sym_3d_fixed_diagonal(u, total(u)).matrix
 
 
 def relabelled(u, blocks, perm, order, rng):

@@ -55,6 +55,11 @@ rewritten on purpose again: ``iterations`` went from 7/8/7 to 4/3/4
 ``residual`` and ``linf_gap`` moved (at most 5.8e-15 and 8.0e-15) and so did
 the last bits of ``oracle_objective_value``.
 
+Two entries pin the 3-D branches of the payload, both written before a 3-D
+solve came to return the one ``Solution`` type: ``oracle`` on ``sym_3d``
+(no KKT report), and ``solve --series-order 2`` on it, which has no series
+and so is byte-equal to ``sym_3d.solve.out``.
+
 A second table, ``ERROR_CASES``, pins the exit code and the stderr bytes of
 documents that fail the feasibility checks, stored as ``<id>.err``.  Their
 messages print sums that depend on the order in which the checks add the
@@ -109,6 +114,7 @@ CASES = {
         "sym_singleton_blocks", ["solve", "--series-order", "2"]),
     "sym_3d.solve": ("sym_3d", ["solve"]),
     "sym_3d.solve.csv": ("sym_3d", ["solve", "--format", "csv"]),
+    "sym_3d.solve.series2": ("sym_3d", ["solve", "--series-order", "2"]),
     "sym_blocks.solve": ("sym_blocks", ["solve"]),
     "sym_blocks.solve.series1": ("sym_blocks", ["solve", "--series-order", "1"]),
     "sym_blocks.check": ("sym_blocks", ["check"]),
@@ -122,6 +128,7 @@ CASES = {
     "bounded_total.oracle": ("bounded_total", ["oracle"]),
     "row_elem_bounds.oracle": ("row_elem_bounds", ["oracle"]),
     "sym_blocks.oracle": ("sym_blocks", ["oracle"]),
+    "sym_3d.oracle": ("sym_3d", ["oracle"]),
     "brute_caps.brute": ("brute_caps", ["brute"]),
 }
 
@@ -160,6 +167,12 @@ def test_stderr_is_byte_identical(case_id, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (expected, "")
     assert captured.err.encode() == (GOLDEN / f"{case_id}.err").read_bytes()
+
+
+def test_a_3d_series_request_adds_nothing():
+    # a 3-D solution has no root to expand, so its payload has no series
+    assert (GOLDEN / "sym_3d.solve.series2.out").read_bytes() == \
+        (GOLDEN / "sym_3d.solve.out").read_bytes()
 
 
 def test_every_stored_file_is_used():

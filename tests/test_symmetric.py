@@ -350,27 +350,27 @@ class TestSym3D:
         u[:, 0] = 2.0**1023
         big = solve_sym_3d_fixed_diagonal(u, math.inf)
         small = solve_sym_3d_fixed_diagonal(u / 2.0**1000, float((u / 2.0**1000).sum()))
-        assert big.values.tobytes() == (small.values * 2.0**1000).tobytes()
+        assert big.matrix.tobytes() == (small.matrix * 2.0**1000).tobytes()
         assert (big.lam, big.xi) == (small.lam, small.xi)
 
     def test_single_slice_matches_2d(self):
         u = np.array(FOUR_NODE_SUMS).reshape(4, 1)
         tensor = solve_sym_3d_fixed_diagonal(u, 130.0)
         flat = solve_sym_fixed_diagonal(FOUR_NODE_SUMS, 130.0, 4, [0.0] * 4)
-        np.testing.assert_allclose(tensor.values[:, :, 0], flat.matrix, rtol=1e-12)
+        np.testing.assert_allclose(tensor.matrix[:, :, 0], flat.matrix, rtol=1e-12)
         assert tensor.xi[0] == pytest.approx(flat.xi, abs=1e-12)
 
     def test_identical_slices_identical_sheets(self):
         u = np.tile(np.array(FOUR_NODE_SUMS).reshape(4, 1) / 2.0, (1, 2))
         tensor = solve_sym_3d_fixed_diagonal(u, 130.0)
-        assert np.array_equal(tensor.values[:, :, 0], tensor.values[:, :, 1])
+        assert np.array_equal(tensor.matrix[:, :, 0], tensor.matrix[:, :, 1])
 
     def test_uniform_slice(self):
         n, K = 5, 2
         u = np.full((n, K), 2.0)
         tensor = solve_sym_3d_fixed_diagonal(u, float(u.sum()))
         for k in range(K):
-            sheet = tensor.values[:, :, k]
+            sheet = tensor.matrix[:, :, k]
             off = sheet[~np.eye(n, dtype=bool)]
             np.testing.assert_allclose(off, off[0], rtol=1e-12)
             assert np.all(sheet.diagonal() == 0.0)
@@ -390,8 +390,8 @@ class TestSym3D:
         w = u * (float(v.sum()) / s)
         matched = solve_sym_3d_fixed_diagonal(w, float(v.sum()))
         np.testing.assert_allclose(
-            matched.values[:, :, 0] / float(v.sum()),
-            base.values[:, :, 0] / s,
+            matched.matrix[:, :, 0] / float(v.sum()),
+            base.matrix[:, :, 0] / s,
             rtol=1e-9,
         )
 
@@ -402,7 +402,7 @@ class TestSym3D:
             tensor = solve_sym_3d_fixed_diagonal(u, float(u.sum()))
             for k in range(K):
                 np.testing.assert_allclose(
-                    tensor.values[:, :, k].sum(axis=1), u[:, k], rtol=1e-9
+                    tensor.matrix[:, :, k].sum(axis=1), u[:, k], rtol=1e-9
                 )
 
 
